@@ -94,8 +94,7 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.command == "rate":
-            reports = [driver.key_rate(config, d, a)
-                       for d in config.distances_km for a in config.att_db]
+            reports = driver.grid_key_rates(config)
         elif args.command == "sweep":
             reports = driver.sweep(config)
         else:

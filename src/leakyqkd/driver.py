@@ -5,7 +5,10 @@ states and observables, bound cross-intensity fidelities, run the yield
 and bit-error programs, transfer the test-basis error to a phase-error
 bound through the coin overlap, and evaluate the asymptotic rate.  The
 refined variant additionally splits single-photon states into their two
-dominant eigenvectors and keys on the dominant one.
+dominant eigenvectors and keys on the dominant one.  Everything up to the
+LP inputs that does not depend on the distance (quadrature, fidelities,
+key/opp splits, coin overlap) forms a `PassiveSource`, built once per
+attenuation and shared by every distance of a grid.
 
 Injection-locked pipeline: analytic states (no quadrature), decoys in
 the test basis only, key-basis yield recovered through the coin transfer
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +37,9 @@ from .linalg import fidelity, pure_state_fidelity
 BITS = (0, 1)
 BASES = ("Z", "X")
 INTENSITIES = ("I0", "I1", "I2")
+INTENSITY_PAIRS = tuple(itertools.combinations(INTENSITIES, 2))
+# point failures a sweep records instead of raising
+FAILURES = (InfeasibleProgramError, passive.EmptyRegionError)
 
 
 def binary_entropy(p: float) -> float:
@@ -235,12 +243,158 @@ def _cross_fidelity(mom_i, mom_j, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Passive pipeline
+# Passive pipeline: a distance-independent source stage, built once per
+# attenuation, and a per-distance channel stage
 # ---------------------------------------------------------------------------
+
+def _passive_params(config: ProtocolConfig, att_db: float) -> passive.PassiveParams:
+    omega = config.mu_max * 10.0 ** (-att_db / 10.0)
+    return passive.PassiveParams(mu_max=config.mu_max, omega=omega,
+                                 geometry=_geometry(config), n_cut=config.n_cut)
+
+
+def _region_nodes(params: passive.PassiveParams, nodes: int, bit: int, basis: str,
+                  intensity: str) -> passive.RegionNodes:
+    grid = (nodes, nodes, nodes)
+    if basis == "Z" and params.omega <= 0.05:
+        # the key-basis boxes span the full phase circle, where the midpoint
+        # rule is spectrally accurate: a reduced periodic axis loses nothing
+        # as long as the leakage modulation depth stays small
+        grid = (nodes, min(nodes, 20), nodes)
+    return passive.build_region_nodes(bit, basis, intensity, params.geometry,
+                                      params.mu_max, grid)
+
+
+def _passive_moments(params: passive.PassiveParams, nodes: int) -> tuple[dict, dict]:
+    """Region quadrature: moments of every (bit, basis, intensity) box and
+    of every bit-union (basis, intensity)."""
+    moments_bit = {}
+    for basis in BASES:
+        for intensity in INTENSITIES:
+            for bit in BITS:
+                region = passive.RegionSpec(bit=bit, basis=basis, intensity=intensity)
+                moments_bit[(bit, basis, intensity)] = passive.region_moments(
+                    region, params,
+                    node_sets=[_region_nodes(params, nodes, bit, basis, intensity)])
+    moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
+                                                          for b in BITS])
+                     for basis in BASES for i in INTENSITIES}
+    return moments_bit, moments_union
+
+
+def _yield_probs_fids(moments_union: dict, basis: str, n_cut: int) -> tuple[dict, dict]:
+    probs = {i: moments_union[(basis, i)].photon_probabilities()[:n_cut + 1]
+             for i in INTENSITIES}
+    fids = {(i, j, n): _cross_fidelity(moments_union[(basis, i)], moments_union[(basis, j)], n)
+            for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+    return probs, fids
+
+
+@dataclass(frozen=True)
+class PassiveSource:
+    """Distance-independent part of a passive evaluation at one attenuation.
+
+    Everything here follows from the source parameters, the attenuation
+    and the quadrature grid alone, so one source serves every distance.
+    The quadrature nodes themselves are not kept (tens of MB at the
+    default grid); the channel stage rebuilds them box by box.
+
+    Keys: `yield_probs[basis][I]`, `yield_fids[basis][(I, J, n)]` of the
+    bit-union states; `probs_bit[(a, I)]`, `fids_bit[(I, J, a, n)]` of the
+    test-basis bit-a states.  The refined analysis adds the bit-averaged
+    key/opp `splits[basis][I]` with `tag_fids[basis][(I, J, tag)]` and
+    `cross_tag[basis][I]`, and the per-bit test-basis `splits_bit[(a, I)]`
+    with `tag_fids_bit[(I, J, a, tag)]` and
+    `cross_bit[(a, a', I, tag, tag')]`; they are empty for the baseline.
+    """
+
+    analysis: str
+    params: passive.PassiveParams
+    nodes: int
+    moments_bit: dict
+    moments_union: dict
+    yield_probs: dict
+    yield_fids: dict
+    probs_bit: dict
+    fids_bit: dict
+    splits: dict
+    tag_fids: dict
+    cross_tag: dict
+    splits_bit: dict
+    tag_fids_bit: dict
+    cross_bit: dict
+    overlap: complex
+    q_weight: float
+    build_s: float
+
+
+def passive_source(config: ProtocolConfig, att_db: float,
+                   nodes: int | None = None) -> PassiveSource:
+    """Region quadrature and every source-only bound input at one attenuation."""
+    start = time.perf_counter()
+    nodes = config.quadrature_nodes if nodes is None else nodes
+    n_cut = config.n_cut
+    params = _passive_params(config, att_db)
+    moments_bit, moments_union = _passive_moments(params, nodes)
+    yield_probs, yield_fids = {}, {}
+    for basis in BASES:
+        yield_probs[basis], yield_fids[basis] = _yield_probs_fids(moments_union, basis, n_cut)
+    probs_bit = {(a, i): moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
+                 for a in BITS for i in INTENSITIES}
+    fids_bit = {(i, j, a, n): _cross_fidelity(moments_bit[(a, "X", i)],
+                                              moments_bit[(a, "X", j)], n)
+                for a in BITS for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+    splits, tag_fids, cross_tag = {}, {}, {}
+    splits_bit, tag_fids_bit, cross_bit = {}, {}, {}
+    if config.analysis == "baseline":
+        eigendata = {(a, b): coin.state_eigendata(moments_bit[(a, b, "I0")].normalized_block(1))
+                     for a in BITS for b in BASES}
+        overlap = coin.purification_overlap(eigendata)
+        q_weight = 1.0
+    else:
+        bit_splits = {(a, basis, i): lp.key_opp_split(moments_bit[(a, basis, i)].normalized_block(1))
+                      for basis in BASES for i in INTENSITIES for a in BITS}
+        for basis in BASES:
+            taus = {}
+            splits[basis] = {}
+            for i in INTENSITIES:
+                split0, split1 = bit_splits[(0, basis, i)], bit_splits[(1, basis, i)]
+                splits[basis][i] = lp.KeyOppSplit(q_key=0.5 * (split0.q_key + split1.q_key),
+                                                  q_opp=0.5 * (split0.q_opp + split1.q_opp),
+                                                  v_key=split0.v_key, v_opp=split0.v_opp)
+                for tag in ("key", "opp"):
+                    v0 = getattr(split0, f"v_{tag}")
+                    v1 = getattr(split1, f"v_{tag}")
+                    taus[(i, tag)] = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
+            cross_tag[basis] = {i: fidelity(taus[(i, "key")], taus[(i, "opp")])
+                                for i in INTENSITIES}
+            tag_fids[basis] = {(i, j, tag): fidelity(taus[(i, tag)], taus[(j, tag)])
+                               for i, j in INTENSITY_PAIRS for tag in ("key", "opp")}
+        splits_bit = {(a, i): bit_splits[(a, "X", i)] for a in BITS for i in INTENSITIES}
+        tag_fids_bit = {(i, j, a, tag): pure_state_fidelity(getattr(splits_bit[(a, i)], f"v_{tag}"),
+                                                            getattr(splits_bit[(a, j)], f"v_{tag}"))
+                        for a in BITS for i, j in INTENSITY_PAIRS for tag in ("key", "opp")}
+        cross_bit = {(a, a2, i, t, t2): pure_state_fidelity(getattr(splits_bit[(a, i)], f"v_{t}"),
+                                                            getattr(splits_bit[(a2, i)], f"v_{t2}"))
+                     for i in INTENSITIES for a, a2 in ((0, 1), (1, 0))
+                     for t, t2 in (("key", "opp"), ("opp", "key"))}
+        splits_z = [bit_splits[(a, "Z", "I0")] for a in BITS]
+        overlap = coin.bb84_pair_overlap(splits_z[0].v_key, splits_z[1].v_key,
+                                         splits_bit[(0, "I0")].v_key,
+                                         splits_bit[(1, "I0")].v_key)
+        q_weight = 0.5 * (splits_z[0].q_key + splits_z[1].q_key)
+    return PassiveSource(
+        analysis=config.analysis, params=params, nodes=nodes, moments_bit=moments_bit,
+        moments_union=moments_union, yield_probs=yield_probs, yield_fids=yield_fids,
+        probs_bit=probs_bit, fids_bit=fids_bit, splits=splits, tag_fids=tag_fids,
+        cross_tag=cross_tag, splits_bit=splits_bit, tag_fids_bit=tag_fids_bit,
+        cross_bit=cross_bit, overlap=overlap, q_weight=q_weight,
+        build_s=time.perf_counter() - start)
+
 
 @dataclass
 class PassiveComputation:
-    """All region quantities one passive evaluation needs."""
+    """Region moments with the observables of one channel."""
 
     params: passive.PassiveParams
     channel: channel_mod.ChannelParams
@@ -250,57 +404,35 @@ class PassiveComputation:
     gains_union: dict
 
 
-def passive_computation(config: ProtocolConfig, distance_km: float, att_db: float,
-                        nodes: int) -> PassiveComputation:
-    geometry = _geometry(config)
-    omega = config.mu_max * 10.0 ** (-att_db / 10.0)
-    params = passive.PassiveParams(mu_max=config.mu_max, omega=omega,
-                                   geometry=geometry, n_cut=config.n_cut)
-    chan = _channel(config, distance_km)
-    grid = (nodes, nodes, nodes)
-    # the key-basis boxes span the full phase circle, where the midpoint
-    # rule is spectrally accurate: a reduced periodic axis loses nothing
-    # as long as the leakage modulation depth stays small
-    phi_z = min(nodes, 20) if omega <= 0.05 else nodes
-    grid_z = (nodes, phi_z, nodes)
-    moments_bit, observables_bit = {}, {}
+def _with_channel(params: passive.PassiveParams, nodes: int, moments_bit: dict,
+                  moments_union: dict, chan: channel_mod.ChannelParams) -> PassiveComputation:
+    """Observables of every region box under `chan`, on nodes rebuilt box by box."""
+    observables_bit = {}
     for basis in BASES:
         for intensity in INTENSITIES:
             for bit in BITS:
-                region_nodes = passive.build_region_nodes(
-                    bit, basis, intensity, geometry, params.mu_max,
-                    grid_z if basis == "Z" else grid)
-                region = passive.RegionSpec(bit=bit, basis=basis, intensity=intensity)
-                moments_bit[(bit, basis, intensity)] = passive.region_moments(
-                    region, params, node_sets=[region_nodes])
                 observables_bit[(bit, basis, intensity)] = channel_mod.passive_point_observables(
-                    region_nodes, bit, basis, chan)
-    moments_union = {}
-    gains_union = {}
-    for basis in BASES:
-        for intensity in INTENSITIES:
-            parts = [moments_bit[(bit, basis, intensity)] for bit in BITS]
-            union = passive.combine_moments(parts)
-            moments_union[(basis, intensity)] = union
-            weighted = sum(parts[b].mass * observables_bit[(b, basis, intensity)].gain
-                           for b in BITS)
-            gains_union[(basis, intensity)] = weighted / union.mass
+                    _region_nodes(params, nodes, bit, basis, intensity), bit, basis, chan)
+    gains_union = {(basis, i): sum(moments_bit[(b, basis, i)].mass
+                                   * observables_bit[(b, basis, i)].gain for b in BITS)
+                   / moments_union[(basis, i)].mass
+                   for basis in BASES for i in INTENSITIES}
     return PassiveComputation(params=params, channel=chan, moments_bit=moments_bit,
                               moments_union=moments_union, observables_bit=observables_bit,
                               gains_union=gains_union)
 
 
+def passive_computation(config: ProtocolConfig, distance_km: float, att_db: float,
+                        nodes: int) -> PassiveComputation:
+    params = _passive_params(config, att_db)
+    moments_bit, moments_union = _passive_moments(params, nodes)
+    return _with_channel(params, nodes, moments_bit, moments_union,
+                         _channel(config, distance_km))
+
+
 def _passive_yield_inputs(comp: PassiveComputation, basis: str, n_cut: int):
     gains = {i: comp.gains_union[(basis, i)] for i in INTENSITIES}
-    probs = {i: comp.moments_union[(basis, i)].photon_probabilities()[:n_cut + 1]
-             for i in INTENSITIES}
-    fids = {}
-    for idx, i in enumerate(INTENSITIES):
-        for j in INTENSITIES[idx + 1:]:
-            for n in range(n_cut + 1):
-                fids[(i, j, n)] = _cross_fidelity(comp.moments_union[(basis, i)],
-                                                  comp.moments_union[(basis, j)], n)
-    return gains, probs, fids
+    return (gains, *_yield_probs_fids(comp.moments_union, basis, n_cut))
 
 
 def _passive_error_references(comp: PassiveComputation, bit: int, n_cut: int) -> np.ndarray:
@@ -314,106 +446,87 @@ def _passive_error_references(comp: PassiveComputation, bit: int, n_cut: int) ->
     return out
 
 
+def _coin_fidelity(re_overlap: float, y_coin: float, diagnostics: list) -> float:
+    """`coin.coin_adjusted_fidelity`, with a degenerate-bound warning
+    recorded in `diagnostics` instead of raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        f_prime = coin.coin_adjusted_fidelity(re_overlap, y_coin)
+    diagnostics.extend(str(w.message) for w in caught)
+    return f_prime
+
+
 def passive_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
-                     nodes: int | None = None) -> KeyRateReport:
-    """Baseline or refined passive evaluation at one grid point."""
+                     nodes: int | None = None,
+                     source: PassiveSource | None = None) -> KeyRateReport:
+    """Baseline or refined passive evaluation at one grid point.
+
+    `source`, from `passive_source` with the same config, attenuation and
+    grid, skips the quadrature; without it the source is built here.
+    """
     nodes = config.quadrature_nodes if nodes is None else nodes
-    comp = passive_computation(config, distance_km, att_db, nodes)
+    shared = source is not None
+    if source is None:
+        source = passive_source(config, att_db, nodes)
+    elif (source.analysis, source.params, source.nodes) != (
+            config.analysis, _passive_params(config, att_db), nodes):
+        raise ValueError("passive source was built for another configuration, "
+                         "attenuation or grid")
+    start = time.perf_counter()
+    report = _passive_channel_stage(config, source, distance_km, att_db)
+    report.provenance["timings"] = {"source_s": source.build_s, "source_shared": shared,
+                                    "channel_s": time.perf_counter() - start}
+    return report
+
+
+def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
+                           distance_km: float, att_db: float) -> KeyRateReport:
+    comp = _with_channel(source.params, source.nodes, source.moments_bit,
+                         source.moments_union, _channel(config, distance_km))
     counter: dict = {}
     n_cut = config.n_cut
+    nodes = source.nodes
     references = channel_mod.reference_yields(n_cut, comp.channel)
+    refined = config.analysis == "refined"
 
     y_lower = {}
-    refined = config.analysis == "refined"
-    if refined:
-        splits_union, taus = {}, {}
-        for basis in BASES:
-            for i in INTENSITIES:
-                split0 = lp.key_opp_split(comp.moments_bit[(0, basis, i)].normalized_block(1))
-                split1 = lp.key_opp_split(comp.moments_bit[(1, basis, i)].normalized_block(1))
-                q_key = 0.5 * (split0.q_key + split1.q_key)
-                q_opp = 0.5 * (split0.q_opp + split1.q_opp)
-                tau = {}
-                for tag in ("key", "opp"):
-                    v0 = getattr(split0, f"v_{tag}")
-                    v1 = getattr(split1, f"v_{tag}")
-                    tau[tag] = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
-                splits_union[(basis, i)] = lp.KeyOppSplit(q_key=q_key, q_opp=q_opp,
-                                                          v_key=split0.v_key, v_opp=split0.v_opp)
-                taus[(basis, i)] = tau
-        splits_bit = {(a, i): lp.key_opp_split(comp.moments_bit[(a, "X", i)].normalized_block(1))
-                      for a in BITS for i in INTENSITIES}
-
     for basis in BASES:
-        gains, probs, fids = _passive_yield_inputs(comp, basis, n_cut)
+        gains = {i: comp.gains_union[(basis, i)] for i in INTENSITIES}
+        probs, fids = source.yield_probs[basis], source.yield_fids[basis]
         if not refined:
             spec = lp.yield_program(gains, probs, fids, references, n_cut)
         else:
-            tag_fids, cross_tag = {}, {}
-            for idx, i in enumerate(INTENSITIES):
-                cross_tag[i] = fidelity(taus[(basis, i)]["key"], taus[(basis, i)]["opp"])
-                for j in INTENSITIES[idx + 1:]:
-                    for tag in ("key", "opp"):
-                        tag_fids[(i, j, tag)] = fidelity(taus[(basis, i)][tag],
-                                                         taus[(basis, j)][tag])
             spec = lp.refined_yield_program(gains, probs, fids, references, n_cut,
-                                            {i: splits_union[(basis, i)] for i in INTENSITIES},
-                                            tag_fids, cross_tag)
+                                            source.splits[basis], source.tag_fids[basis],
+                                            source.cross_tag[basis])
         y_lower[basis] = min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", counter)))
+    y_test = y_lower["X"]
 
     # test-basis bit-error bound
-    gamma_upper = {}
     error_refs = {a: _passive_error_references(comp, a, n_cut) for a in BITS}
     if not refined:
+        gamma_upper = {}
         for a in BITS:
             error_gains = {i: comp.observables_bit[(a, "X", i)].error_gain for i in INTENSITIES}
-            probs_bit = {i: comp.moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
-                         for i in INTENSITIES}
-            fids_bit = {}
-            for idx, i in enumerate(INTENSITIES):
-                for j in INTENSITIES[idx + 1:]:
-                    for n in range(n_cut + 1):
-                        fids_bit[(i, j, n)] = _cross_fidelity(comp.moments_bit[(a, "X", i)],
-                                                              comp.moments_bit[(a, "X", j)], n)
+            probs_bit = {i: source.probs_bit[(a, i)] for i in INTENSITIES}
+            fids_bit = {(i, j, n): f for (i, j, b, n), f in source.fids_bit.items() if b == a}
             spec = lp.bit_error_program(error_gains, probs_bit, fids_bit, error_refs[a], n_cut)
             gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", counter)))
         gamma_key = 0.5 * (gamma_upper[0] + gamma_upper[1])
-        y_test = y_lower["X"]
     else:
         outcome_gains = {(a, b, i): comp.observables_bit[(a, "X", i)].outcome_gain(b != a)
                          for a in BITS for b in BITS for i in INTENSITIES}
-        probs_ab = {(a, i): comp.moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
-                    for a in BITS for i in INTENSITIES}
-        fids_ab = {}
-        tag_fids_ab = {}
-        for a in BITS:
-            for idx, i in enumerate(INTENSITIES):
-                for j in INTENSITIES[idx + 1:]:
-                    for n in range(n_cut + 1):
-                        fids_ab[(i, j, a, n)] = _cross_fidelity(comp.moments_bit[(a, "X", i)],
-                                                                comp.moments_bit[(a, "X", j)], n)
-                    for tag in ("key", "opp"):
-                        tag_fids_ab[(i, j, a, tag)] = pure_state_fidelity(
-                            getattr(splits_bit[(a, i)], f"v_{tag}"),
-                            getattr(splits_bit[(a, j)], f"v_{tag}"))
-        cross_bit = {}
-        for i in INTENSITIES:
-            for a, a2 in ((0, 1), (1, 0)):
-                for t, t2 in (("key", "opp"), ("opp", "key")):
-                    cross_bit[(a, a2, i, t, t2)] = pure_state_fidelity(
-                        getattr(splits_bit[(a, i)], f"v_{t}"),
-                        getattr(splits_bit[(a2, i)], f"v_{t2}"))
 
         def err_reference(a: int, b: int, n: int) -> float:
             gamma = float(error_refs[a][n])
             return gamma if b != a else float(references[n]) - gamma
 
-        spec = lp.refined_error_program(outcome_gains, probs_ab, fids_ab, err_reference,
-                                        n_cut, splits_bit, tag_fids_ab, cross_bit)
+        spec = lp.refined_error_program(outcome_gains, source.probs_bit, source.fids_bit,
+                                        err_reference, n_cut, source.splits_bit,
+                                        source.tag_fids_bit, source.cross_bit)
         gamma_key = min(1.0, max(0.0, _solve_or_raise(spec, "refined error", counter)))
-        y_test = y_lower["X"]
 
-    key_union = comp.moments_union[("Z", "I0")]
+    key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass
     p1 = float(key_union.photon_probabilities()[1])
     gain_key = comp.gains_union[("Z", "I0")]
@@ -423,49 +536,37 @@ def passive_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     e_x_upper = min(1.0, gamma_key / y_test)
 
     # coin overlap and phase error
-    if not refined:
-        eigendata = {(a, b): coin.state_eigendata(comp.moments_bit[(a, b, "I0")].normalized_block(1))
-                     for a in BITS for b in BASES}
-        overlap = coin.purification_overlap(eigendata)
-        q_weight = 1.0
-    else:
-        splits_z = {a: lp.key_opp_split(comp.moments_bit[(a, "Z", "I0")].normalized_block(1))
-                    for a in BITS}
-        overlap = coin.bb84_pair_overlap(splits_z[0].v_key, splits_z[1].v_key,
-                                         splits_bit[(0, "I0")].v_key,
-                                         splits_bit[(1, "I0")].v_key)
-        q_weight = 0.5 * (splits_z[0].q_key + splits_z[1].q_key)
     y_coin = 0.5 * (y_lower["Z"] + y_lower["X"])
     if y_coin <= 0.0:
         return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, counter,
                             nodes, reason="vanishing coin yield")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        f_prime = coin.coin_adjusted_fidelity(float(overlap.real), y_coin)
+    diagnostics: list = []
+    f_prime = _coin_fidelity(float(source.overlap.real), y_coin, diagnostics)
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
 
-    eq_key = sum(comp.moments_bit[(a, "Z", "I0")].mass
+    eq_key = sum(source.moments_bit[(a, "Z", "I0")].mass
                  * comp.observables_bit[(a, "Z", "I0")].error_gain for a in BITS) / p_region
     error_key = eq_key / gain_key if gain_key > 0 else 0.0
-    rate, raw = _rate_from_bounds(p_region, p1, q_weight, y_lower["Z"], e_ph_upper,
+    rate, raw = _rate_from_bounds(p_region, p1, source.q_weight, y_lower["Z"], e_ph_upper,
                                   gain_key, error_key, config.p_zb, config.f_ec)
     details = {
         "y_lower": {b: y_lower[b] for b in BASES},
         "gamma_key_upper": gamma_key,
-        "overlap_real": float(overlap.real),
-        "region_mass": {f"{b}:{i}": comp.moments_union[(b, i)].mass
+        "overlap_real": float(source.overlap.real),
+        "region_mass": {f"{b}:{i}": source.moments_union[(b, i)].mass
                         for b in BASES for i in INTENSITIES},
         "gains": {f"{b}:{i}": comp.gains_union[(b, i)] for b in BASES for i in INTENSITIES},
         "photon_probabilities_key": [float(x) for x in
                                      key_union.photon_probabilities()[:config.n_cut + 1]],
-        "omega": comp.params.omega,
+        "omega": source.params.omega,
+        "diagnostics": diagnostics,
     }
     return KeyRateReport(
         transmitter="passive", distance_km=distance_km, att_db=att_db,
         analysis=config.analysis, rate=rate, rate_raw=raw, y1_lower=y_lower["Z"],
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
         gain_key=gain_key, error_key=error_key, p_region_key=p_region,
-        p1_given_region=p1, q_key_weight=q_weight, details=details,
+        p1_given_region=p1, q_key_weight=source.q_weight, details=details,
         provenance=_provenance(config, counter, nodes))
 
 
@@ -566,9 +667,8 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     if y_coin <= 0.0:
         return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, counter,
                             nodes or 0, reason="vanishing coin yield")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        f_prime = coin.coin_adjusted_fidelity(float(overlap.real), y_coin)
+    diagnostics: list = []
+    f_prime = _coin_fidelity(float(overlap.real), y_coin, diagnostics)
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
 
     privacy = 1.0 - binary_entropy(min(0.5, e_ph_upper))
@@ -581,6 +681,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
         "intensities": intensities,
         "omega": omega,
         "gains": {i: gains[i] for i in INTENSITIES},
+        "diagnostics": diagnostics,
     }
     return KeyRateReport(
         transmitter="oil", distance_km=distance_km, att_db=att_db,
@@ -592,9 +693,13 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
-             nodes: int | None = None) -> KeyRateReport:
+             nodes: int | None = None,
+             source: PassiveSource | None = None) -> KeyRateReport:
+    """One grid point; `source` (passive only) reuses a built passive source."""
     if config.transmitter == "passive":
-        return passive_key_rate(config, distance_km, att_db, nodes)
+        return passive_key_rate(config, distance_km, att_db, nodes, source)
+    if source is not None:
+        raise ValueError("a passive source cannot serve the injection-locked transmitter")
     return oil_key_rate(config, distance_km, att_db, nodes)
 
 
@@ -643,7 +748,7 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 try:
                     report = key_rate(cfg, distance_km, att_db, nodes=settings.search_nodes)
                     cache[key] = report.rate
-                except (InfeasibleProgramError, passive.EmptyRegionError):
+                except FAILURES:
                     cache[key] = 0.0
         return cache[key]
 
@@ -672,30 +777,71 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
     return best, report
 
 
-def sweep(config: ProtocolConfig, optimize: bool = False) -> list[KeyRateReport]:
-    """One report per (distance, attenuation) grid point, in grid order.
+def grid_key_rates(config: ProtocolConfig,
+                   tolerate_failures: bool = False) -> list[KeyRateReport]:
+    """`key_rate` at every (distance, attenuation) grid point, in grid order.
 
-    Failures at single points are recorded in the report status and do
-    not abort the sweep.
+    The passive source is built once per attenuation, on first use, and
+    serves every distance; it lives for this call only.  With
+    `tolerate_failures` a point whose estimation fails gets a `failed:`
+    report (a source that cannot be built fails every point at its
+    attenuation); otherwise the first failure propagates.
     """
+    sources: dict = {}
+    return _over_grid(config, lambda distance, att: key_rate(
+        config, distance, att, source=_shared_source(sources, config, att)), tolerate_failures)
+
+
+def _over_grid(config: ProtocolConfig, evaluate, tolerate_failures: bool) -> list[KeyRateReport]:
     reports = []
     for distance in config.distances_km:
         for att in config.att_db:
             try:
-                if optimize:
-                    _, report = optimize_point(config, distance, att)
-                else:
-                    report = key_rate(config, distance, att)
-            except (InfeasibleProgramError, passive.EmptyRegionError) as exc:
-                report = KeyRateReport(
-                    transmitter=config.transmitter, distance_km=distance, att_db=att,
-                    analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
-                    e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0, gain_key=0.0,
-                    error_key=0.0, p_region_key=0.0, p1_given_region=0.0,
-                    q_key_weight=0.0, status=f"failed: {exc}",
-                    provenance={"config_hash": config_hash(config)})
-            reports.append(report)
+                reports.append(evaluate(distance, att))
+            except FAILURES as exc:
+                if not tolerate_failures:
+                    raise
+                reports.append(_failed_report(config, distance, att, exc))
     return reports
+
+
+def _shared_source(sources: dict, config: ProtocolConfig, att_db: float):
+    """The passive source at `att_db` from `sources`, built there on first
+    use; a build failure is kept and raised again for every distance."""
+    if config.transmitter != "passive":
+        return None
+    if att_db not in sources:
+        try:
+            sources[att_db] = passive_source(config, att_db)
+        except FAILURES as exc:
+            sources[att_db] = exc
+    if isinstance(sources[att_db], Exception):
+        raise sources[att_db]
+    return sources[att_db]
+
+
+def _failed_report(config: ProtocolConfig, distance_km: float, att_db: float,
+                   exc: Exception) -> KeyRateReport:
+    return KeyRateReport(
+        transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
+        analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
+        e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0, gain_key=0.0,
+        error_key=0.0, p_region_key=0.0, p1_given_region=0.0,
+        q_key_weight=0.0, status=f"failed: {exc}",
+        provenance={"config_hash": config_hash(config)})
+
+
+def sweep(config: ProtocolConfig, optimize: bool = False) -> list[KeyRateReport]:
+    """One report per (distance, attenuation) grid point, in grid order.
+
+    Failures at single points are recorded in the report status and do
+    not abort the sweep.  Without `optimize` the passive source is built
+    once per attenuation (see `grid_key_rates`).
+    """
+    if optimize:
+        return _over_grid(config, lambda distance, att: optimize_point(config, distance, att)[1],
+                          tolerate_failures=True)
+    return grid_key_rates(config, tolerate_failures=True)
 
 
 def reports_to_csv(reports: list[KeyRateReport]) -> str:

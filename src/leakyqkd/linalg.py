@@ -25,11 +25,6 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def max_asymmetry(matrix: np.ndarray) -> float:
-    """Largest entry of |H - H^dagger|."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
-
-
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL, rtol: bool = True) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part.
 
@@ -39,7 +34,7 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL, rtol: bo
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     scale = max(1.0, float(np.max(np.abs(matrix)))) if rtol else 1.0
-    asym = max_asymmetry(matrix)
+    asym = float(np.max(np.abs(matrix - matrix.conj().T)))
     if asym > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     return (matrix + matrix.conj().T) / 2.0

@@ -506,8 +506,8 @@ def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODE
     blocks = {n: np.zeros((b.dim, b.dim), dtype=complex) for n, b in bases.items()}
     traces = np.zeros(n_tail + 1)
 
-    branch_e = np.repeat([s for s, _ in BRANCHES], 1)
-    branch_l = np.repeat([s for _, s in BRANCHES], 1)
+    branch_e = np.array([s for s, _ in BRANCHES])
+    branch_l = np.array([s for _, s in BRANCHES])
     for start in range(0, theta.size, chunk):
         sl = slice(start, min(start + chunk, theta.size))
         size = sl.stop - sl.start

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from leakyqkd import driver
+from leakyqkd import cli, driver, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
+from leakyqkd.lp import InfeasibleProgramError
 
 
 def test_binary_entropy_values():
@@ -205,6 +207,90 @@ def test_optimizer_improves_over_default_and_is_deterministic():
     assert report_a.rate == report_b.rate
 
 
+def _passive_grid(analysis):
+    return dataclasses.replace(PASSIVE_CONFIG, analysis=analysis, quadrature_nodes=16,
+                               distances_km=(25.0, 75.0, 100.0), att_db=(60.0, 120.0))
+
+
+@pytest.mark.parametrize("analysis", ["baseline", "refined"])
+def test_passive_sweep_shares_source_and_matches_per_point_rates(analysis):
+    config = _passive_grid(analysis)
+    reports = driver.sweep(config)
+    per_point = [driver.key_rate(config, d, a)
+                 for d in config.distances_km for a in config.att_db]
+    assert driver.reports_to_csv(reports) == driver.reports_to_csv(per_point)
+    for shared, single in zip(reports, per_point):
+        assert shared.provenance["timings"]["source_shared"] is True
+        assert single.provenance["timings"]["source_shared"] is False
+        assert shared.provenance["timings"]["source_s"] > 0.0
+        assert shared.provenance["timings"]["channel_s"] > 0.0
+
+
+def test_passive_sweep_builds_one_source_per_attenuation_per_call(monkeypatch):
+    calls = []
+    real_region_moments = passive.region_moments
+
+    def counting_region_moments(*args, **kwargs):
+        calls.append(args[0])
+        return real_region_moments(*args, **kwargs)
+
+    monkeypatch.setattr(passive, "region_moments", counting_region_moments)
+    config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12,
+                                 distances_km=(25.0, 50.0, 75.0), att_db=(60.0, 120.0))
+    driver.sweep(config)
+    assert len(calls) == 12 * 2
+    driver.sweep(config)  # no memo survives the call
+    assert len(calls) == 2 * 12 * 2
+
+
+def test_passive_source_failure_fails_every_point_at_its_attenuation(monkeypatch):
+    bad_omega = PASSIVE_CONFIG.mu_max * 10.0 ** (-60.0 / 10.0)
+    raised = []
+    real_region_moments = passive.region_moments
+
+    def failing_region_moments(region, params, *args, **kwargs):
+        if params.omega == bad_omega:
+            raised.append(region)
+            raise passive.EmptyRegionError(f"region {region} has zero mass")
+        return real_region_moments(region, params, *args, **kwargs)
+
+    monkeypatch.setattr(passive, "region_moments", failing_region_moments)
+    config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12,
+                                 distances_km=(25.0, 50.0), att_db=(60.0, 120.0))
+    reports = driver.sweep(config)
+    assert [(r.distance_km, r.att_db) for r in reports] == [
+        (25.0, 60.0), (25.0, 120.0), (50.0, 60.0), (50.0, 120.0)]
+    for report in reports:
+        if report.att_db == 60.0:
+            assert report.status.startswith("failed: region"), report.status
+            assert report.rate == 0.0
+        else:
+            assert report.status == "ok"
+    assert len(raised) == 1  # the failed source is not rebuilt per distance
+
+
+def test_degenerate_coin_is_recorded_not_warned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = driver.passive_key_rate(PASSIVE_CONFIG, 300.0, 120.0, nodes=12)
+    assert report.status == "ok"
+    assert report.f_prime == 0.0
+    assert report.details["diagnostics"] == [
+        "coin imbalance exceeds yield; phase-error bound degenerates to 1"]
+    healthy = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
+    assert healthy.details["diagnostics"] == []
+    assert driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0).details["diagnostics"] == []
+
+
+def test_passive_key_rate_rejects_a_foreign_source():
+    source = driver.passive_source(PASSIVE_CONFIG, 120.0, nodes=12)
+    with pytest.raises(ValueError, match="another configuration"):
+        driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 60.0, nodes=12, source=source)
+    with pytest.raises(ValueError, match="another configuration"):
+        driver.passive_key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
+                                50.0, 120.0, nodes=12, source=source)
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "leakyqkd.cli", *args],
                           capture_output=True, text=True)
@@ -272,3 +358,35 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_rate_over_several_distances(tmp_path):
+    common = ("--transmitter", "passive", "--att-db", "120", "--quadrature-nodes", "12")
+    both = run_cli("rate", "--distance-km", "25", "--distance-km", "75", *common)
+    assert both.returncode == 0, both.stderr
+    rows = both.stdout.splitlines()
+    assert len(rows) == 3
+    for distance, row in zip(("25", "75"), rows[1:]):
+        single = run_cli("rate", "--distance-km", distance, *common)
+        assert single.returncode == 0, single.stderr
+        # every column but the config hash, which covers the distance grid
+        assert single.stdout.splitlines()[1].rsplit(",", 1)[0] == row.rsplit(",", 1)[0]
+
+
+def test_cli_rate_over_several_distances_keeps_exit_codes(monkeypatch, capsys, tmp_path):
+    def infeasible_at_far_point(config, distance_km, att_db, nodes=None, source=None):
+        if distance_km > 50.0:
+            raise InfeasibleProgramError("X yield program is infeasible")
+        return real_key_rate(config, distance_km, att_db, nodes, source)
+
+    real_key_rate = driver.key_rate
+    monkeypatch.setattr(driver, "key_rate", infeasible_at_far_point)
+    args = ["rate", "--transmitter", "passive", "--att-db", "120", "--quadrature-nodes", "12",
+            "--distance-km", "25", "--distance-km", "75"]
+    assert cli.main(args) == 2
+    assert "estimation program infeasible" in capsys.readouterr().err
+    # an intensity threshold above the key-basis box support empties a region
+    config_file = tmp_path / "empty.json"
+    config_file.write_text(json.dumps({"t1": 1.5}))
+    assert cli.main([*args, "--config", str(config_file)]) == 3
+    assert "invalid configuration" in capsys.readouterr().err
