@@ -213,12 +213,25 @@ def _channel(config: ProtocolConfig, distance_km: float) -> channel_mod.ChannelP
                                      f_ec=config.f_ec)
 
 
-def _solve_or_raise(spec: lp.LinearProgramSpec, label: str, counter: dict) -> float:
+def _solve_or_raise(spec: lp.LinearProgramSpec, label: str, lp_log: list) -> float:
+    """Solve one program and append its record (see `_provenance`) to `lp_log`."""
     solution = lp.solve(spec)
-    counter["lp_iterations"] = counter.get("lp_iterations", 0) + solution.iterations
+    lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
+                   "relaxation": solution.relaxation, "iterations": solution.iterations,
+                   "rows": len(spec.constraints), "cols": len(spec.variables)})
     if solution.status != "optimal":
         raise InfeasibleProgramError(f"{label} program is {solution.status}")
     return float(solution.value)
+
+
+def _recorded(diagnostics: list, func, *args, label: str = ""):
+    """func(*args), with the warnings it raises (degenerate bounds) recorded
+    in `diagnostics`, prefixed by `label`, instead of raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = func(*args)
+    diagnostics.extend(f"{label}{w.message}" for w in caught)
+    return result
 
 
 def _rate_from_bounds(p_region: float, p1: float, q_weight: float, y1: float,
@@ -306,6 +319,8 @@ class PassiveSource:
     `cross_tag[basis][I]`, and the per-bit test-basis `splits_bit[(a, I)]`
     with `tag_fids_bit[(I, J, a, tag)]` and
     `cross_bit[(a, a', I, tag, tag')]`; they are empty for the baseline.
+    `diagnostics` holds the degenerate-bound warnings of the source stage;
+    every report built from the source lists them.
     """
 
     analysis: str
@@ -326,6 +341,7 @@ class PassiveSource:
     overlap: complex
     q_weight: float
     build_s: float
+    diagnostics: tuple
 
 
 def passive_source(config: ProtocolConfig, att_db: float,
@@ -346,13 +362,16 @@ def passive_source(config: ProtocolConfig, att_db: float,
                 for a in BITS for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
     splits, tag_fids, cross_tag = {}, {}, {}
     splits_bit, tag_fids_bit, cross_bit = {}, {}, {}
+    diagnostics: list = []
     if config.analysis == "baseline":
         eigendata = {(a, b): coin.state_eigendata(moments_bit[(a, b, "I0")].normalized_block(1))
                      for a in BITS for b in BASES}
         overlap = coin.purification_overlap(eigendata)
         q_weight = 1.0
     else:
-        bit_splits = {(a, basis, i): lp.key_opp_split(moments_bit[(a, basis, i)].normalized_block(1))
+        bit_splits = {(a, basis, i): _recorded(diagnostics, lp.key_opp_split,
+                                               moments_bit[(a, basis, i)].normalized_block(1),
+                                               label=f"{basis}:{i} bit {a}: ")
                       for basis in BASES for i in INTENSITIES for a in BITS}
         for basis in BASES:
             taus = {}
@@ -389,7 +408,7 @@ def passive_source(config: ProtocolConfig, att_db: float,
         probs_bit=probs_bit, fids_bit=fids_bit, splits=splits, tag_fids=tag_fids,
         cross_tag=cross_tag, splits_bit=splits_bit, tag_fids_bit=tag_fids_bit,
         cross_bit=cross_bit, overlap=overlap, q_weight=q_weight,
-        build_s=time.perf_counter() - start)
+        build_s=time.perf_counter() - start, diagnostics=tuple(diagnostics))
 
 
 @dataclass
@@ -446,16 +465,6 @@ def _passive_error_references(comp: PassiveComputation, bit: int, n_cut: int) ->
     return out
 
 
-def _coin_fidelity(re_overlap: float, y_coin: float, diagnostics: list) -> float:
-    """`coin.coin_adjusted_fidelity`, with a degenerate-bound warning
-    recorded in `diagnostics` instead of raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        f_prime = coin.coin_adjusted_fidelity(re_overlap, y_coin)
-    diagnostics.extend(str(w.message) for w in caught)
-    return f_prime
-
-
 def passive_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
                      nodes: int | None = None,
                      source: PassiveSource | None = None) -> KeyRateReport:
@@ -483,7 +492,7 @@ def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
                            distance_km: float, att_db: float) -> KeyRateReport:
     comp = _with_channel(source.params, source.nodes, source.moments_bit,
                          source.moments_union, _channel(config, distance_km))
-    counter: dict = {}
+    lp_log: list = []
     n_cut = config.n_cut
     nodes = source.nodes
     references = channel_mod.reference_yields(n_cut, comp.channel)
@@ -499,7 +508,7 @@ def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
             spec = lp.refined_yield_program(gains, probs, fids, references, n_cut,
                                             source.splits[basis], source.tag_fids[basis],
                                             source.cross_tag[basis])
-        y_lower[basis] = min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", counter)))
+        y_lower[basis] = min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log)))
     y_test = y_lower["X"]
 
     # test-basis bit-error bound
@@ -511,7 +520,7 @@ def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
             probs_bit = {i: source.probs_bit[(a, i)] for i in INTENSITIES}
             fids_bit = {(i, j, n): f for (i, j, b, n), f in source.fids_bit.items() if b == a}
             spec = lp.bit_error_program(error_gains, probs_bit, fids_bit, error_refs[a], n_cut)
-            gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", counter)))
+            gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", lp_log)))
         gamma_key = 0.5 * (gamma_upper[0] + gamma_upper[1])
     else:
         outcome_gains = {(a, b, i): comp.observables_bit[(a, "X", i)].outcome_gain(b != a)
@@ -524,24 +533,27 @@ def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
         spec = lp.refined_error_program(outcome_gains, source.probs_bit, source.fids_bit,
                                         err_reference, n_cut, source.splits_bit,
                                         source.tag_fids_bit, source.cross_bit)
-        gamma_key = min(1.0, max(0.0, _solve_or_raise(spec, "refined error", counter)))
+        gamma_key = min(1.0, max(0.0, _solve_or_raise(spec, "refined error", lp_log)))
 
     key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass
     p1 = float(key_union.photon_probabilities()[1])
     gain_key = comp.gains_union[("Z", "I0")]
     if y_test <= 1e-12:
-        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, counter,
-                            nodes, reason="vanishing test-basis yield bound")
+        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log,
+                            nodes, reason="vanishing test-basis yield bound",
+                            diagnostics=source.diagnostics)
     e_x_upper = min(1.0, gamma_key / y_test)
 
     # coin overlap and phase error
     y_coin = 0.5 * (y_lower["Z"] + y_lower["X"])
     if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, counter,
-                            nodes, reason="vanishing coin yield")
-    diagnostics: list = []
-    f_prime = _coin_fidelity(float(source.overlap.real), y_coin, diagnostics)
+        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log,
+                            nodes, reason="vanishing coin yield",
+                            diagnostics=source.diagnostics)
+    diagnostics = list(source.diagnostics)
+    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity,
+                        float(source.overlap.real), y_coin)
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
 
     eq_key = sum(source.moments_bit[(a, "Z", "I0")].mass
@@ -567,16 +579,19 @@ def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
         gain_key=gain_key, error_key=error_key, p_region_key=p_region,
         p1_given_region=p1, q_key_weight=source.q_weight, details=details,
-        provenance=_provenance(config, counter, nodes))
+        provenance=_provenance(config, lp_log, nodes))
 
 
-def _provenance(config: ProtocolConfig, counter: dict, nodes: int) -> dict:
+def _provenance(config: ProtocolConfig, lp_log: list, nodes: int) -> dict:
+    """Config hash, grid, and one record per solved program: label, status,
+    attempts, relaxation level, iterations, rows and columns;
+    `lp_iterations` (a CSV column) sums the iterations."""
     return {"config_hash": config_hash(config), "nodes": nodes,
-            "lp_iterations": counter.get("lp_iterations", 0)}
+            "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log}
 
 
-def _zero_report(config, distance_km, att_db, gain_key, p_region, p1, counter, nodes,
-                 reason):
+def _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log, nodes,
+                 reason, diagnostics=()):
     """Rate-zero report for a point whose yield bound vanished (both transmitters)."""
     return KeyRateReport(
         transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
@@ -584,7 +599,8 @@ def _zero_report(config, distance_km, att_db, gain_key, p_region, p1, counter, n
         e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0,
         gain_key=gain_key, error_key=0.0, p_region_key=p_region, p1_given_region=p1,
         q_key_weight=1.0, status=f"zero-rate: {reason}",
-        provenance=_provenance(config, counter, nodes))
+        details={"diagnostics": list(diagnostics)},
+        provenance=_provenance(config, lp_log, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +615,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
                                         omega, n_cut=config.n_cut)
     chan = _channel(config, distance_km)
-    counter: dict = {}
+    lp_log: list = []
     n_cut = config.n_cut
     references = channel_mod.reference_yields(n_cut, chan)
 
@@ -618,7 +634,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
             for n in range(n_cut + 1):
                 fids[(i, j, n)] = fidelity(mixed[(i, n)], mixed[(j, n)])
     y_x = min(1.0, max(0.0, _solve_or_raise(
-        lp.yield_program(gains, probs, fids, references, n_cut), "X yield", counter)))
+        lp.yield_program(gains, probs, fids, references, n_cut), "X yield", lp_log)))
 
     gamma_upper = {}
     for a in BITS:
@@ -640,7 +656,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
             error_refs[n] = channel_mod.reference_error(rho / tr, oil.oil_basis(n), chan,
                                                         bit=a, interfere=False)
         spec = lp.bit_error_program(error_gains, probs, fids_bit, error_refs, n_cut)
-        gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", counter)))
+        gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", lp_log)))
 
     key_obs = channel_mod.oil_point_observables(
         intensities["I0"],
@@ -648,7 +664,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
         "Z", 0, chan)
     p1 = float(oil.photon_probabilities(intensities["I0"], omega, 1)[1])
     if y_x <= 1e-12:
-        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, counter,
+        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, lp_log,
                             nodes or 0, reason="vanishing test-basis yield bound")
     e_x_upper = min(1.0, 0.5 * (gamma_upper[0] + gamma_upper[1]) / y_x)
 
@@ -665,10 +681,10 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     overlap = oil.single_photon_overlap(params)
     y_coin = 0.5 * (y_z + y_x)
     if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, counter,
+        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, lp_log,
                             nodes or 0, reason="vanishing coin yield")
     diagnostics: list = []
-    f_prime = _coin_fidelity(float(overlap.real), y_coin, diagnostics)
+    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(overlap.real), y_coin)
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
 
     privacy = 1.0 - binary_entropy(min(0.5, e_ph_upper))
@@ -689,7 +705,7 @@ def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
         gain_key=key_obs.gain, error_key=key_obs.error_rate, p_region_key=1.0,
         p1_given_region=p1, q_key_weight=1.0, details=details,
-        provenance=_provenance(config, counter, nodes or 0))
+        provenance=_provenance(config, lp_log, nodes or 0))
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,

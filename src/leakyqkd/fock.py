@@ -6,14 +6,17 @@ The n-photon sector of k bosonic modes is spanned by occupation vectors
 leakage photons come first.  Truncating the operator support to at most
 ``cut`` leakage photons is then a simple prefix operation on the basis.
 
-Also provides the n-photon block of a product coherent-state projector,
-which is the single state-construction primitive both transmitters use.
+Also provides the photon-number components of product coherent states,
+built by one recursion over photon number (`coherent_sectors`), and the
+n-photon block of a product coherent-state projector: the single
+state-construction primitive both transmitters use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,14 +106,89 @@ def leak_truncated_subbasis(basis: NPhotonBasis, cut: int) -> NPhotonBasis:
                         configs=kept, _index=index)
 
 
-def inv_sqrt_factorials(basis: NPhotonBasis) -> np.ndarray:
-    out = np.empty(basis.dim)
-    for i, c in enumerate(basis.configs):
-        prod = 1.0
-        for occ in c:
-            prod *= math.factorial(occ)
-        out[i] = 1.0 / math.sqrt(prod)
-    return out
+def _parent(config: tuple[int, ...], leak_modes: frozenset[int], below: dict):
+    """(parent configuration, mode) with one photon of `mode` removed.
+
+    Prefers a parent already listed on the level below, then a signal
+    photon over a leakage photon, then the lowest mode index.
+    """
+    modes = sorted((j for j, occ in enumerate(config) if occ), key=lambda j: j in leak_modes)
+    options = [(config[:j] + (config[j] - 1,) + config[j + 1:], j) for j in modes]
+    return next((opt for opt in options if opt[0] in below), options[0])
+
+
+@lru_cache(maxsize=64)
+def _ladder(leak_modes: frozenset[int], requested: tuple) -> tuple:
+    """Recursion steps from the vacuum up to the highest requested sector.
+
+    `requested` holds (n, configs) pairs.  Level m lists the requested
+    m-photon configurations first, then the parents level m + 1 needs.
+    Step m (m = 1..top) gives, per row of level m, its parent row on
+    level m - 1 and the factor row `mode * top + occupation - 1` of the
+    table alphas[mode] / sqrt(occupation).
+    """
+    wanted = dict(requested)
+    top = max(wanted)
+    rows = list(wanted[top])
+    steps = []
+    for m in range(top, 0, -1):
+        below = list(wanted.get(m - 1, ()))
+        index = {c: i for i, c in enumerate(below)}
+        parents, factors = [], []
+        for config in rows:
+            parent, j = _parent(config, leak_modes, index)
+            if parent not in index:
+                index[parent] = len(below)
+                below.append(parent)
+            parents.append(index[parent])
+            factors.append(j * top + config[j] - 1)
+        steps.append((np.array(parents, dtype=np.intp), np.array(factors, dtype=np.intp)))
+        rows = below
+    return top, tuple(reversed(steps))
+
+
+def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
+    """Un-normalised amplitudes of product coherent states on several sectors.
+
+    Parameters
+    ----------
+    alphas : (k, N) complex array
+        Per-mode coherent amplitudes, one column per evaluation point.
+    bases : sequence of NPhotonBasis
+        Bases over the same k modes and leakage modes, one per photon
+        number; leakage-truncated bases are allowed.
+    vacuum : scalar or (N,) array
+        The 0-photon component.  Every component carries it as a factor,
+        so a per-column weight can be folded in here.
+
+    Returns
+    -------
+    One (dim, N) complex array per basis, in order, with rows
+        vacuum * prod_j alphas[j]**c_j / sqrt(c_j!)
+    for each configuration c.  Each n-photon row is built from one
+    (n-1)-photon parent row times alphas[j] / sqrt(c_j), so a sector
+    costs one multiply per row.  The coherent-state normalisation
+    exp(-|alpha|^2 / 2) is *not* included.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    k, count = alphas.shape
+    for basis in bases:
+        if basis.k != k:
+            raise ValueError(f"got {k} amplitudes for a {basis.k}-mode basis")
+        if basis.leak_modes != bases[0].leak_modes:
+            raise ValueError("bases disagree on the leakage modes")
+    requested = tuple(sorted((b.n, b.configs) for b in bases))
+    if len({n for n, _ in requested}) != len(requested):
+        raise ValueError("at most one basis per photon number")
+    top, steps = _ladder(bases[0].leak_modes, requested)
+    table = (alphas[:, None, :] / np.sqrt(np.arange(1, top + 1))[None, :, None]).reshape(-1, count)
+    level = np.empty((1, count), dtype=complex)
+    level[0] = vacuum
+    levels = [level]
+    for parents, factors in steps:
+        level = level[parents] * table[factors]
+        levels.append(level)
+    return [levels[b.n][:b.dim] for b in bases]
 
 
 def coherent_components(alphas: np.ndarray, basis: NPhotonBasis) -> np.ndarray:
@@ -125,25 +203,12 @@ def coherent_components(alphas: np.ndarray, basis: NPhotonBasis) -> np.ndarray:
     Returns
     -------
     (dim,) or (dim, N) complex array with rows
-        prod_j alphas[j]**c_j / sqrt(c_j!), for each configuration c.
-        The coherent-state normalisation exp(-|alpha|^2 / 2) is *not*
-        included; callers fold it into their weights.
+        prod_j alphas[j]**c_j / sqrt(c_j!), for each configuration c
+        (see `coherent_sectors`).
     """
     alphas = np.asarray(alphas, dtype=complex)
     squeeze = alphas.ndim == 1
-    if squeeze:
-        alphas = alphas[:, None]
-    if alphas.shape[0] != basis.k:
-        raise ValueError(f"got {alphas.shape[0]} amplitudes for a {basis.k}-mode basis")
-    # powers[j, p, :] = alphas[j]**p, p = 0..n; 0**0 == 1 covers dark modes
-    powers = alphas[:, None, :] ** np.arange(basis.n + 1)[None, :, None]
-    inv = inv_sqrt_factorials(basis)
-    out = np.empty((basis.dim, alphas.shape[1]), dtype=complex)
-    for i, c in enumerate(basis.configs):
-        v = powers[0, c[0]].copy()
-        for j in range(1, basis.k):
-            v *= powers[j, c[j]]
-        out[i] = v * inv[i]
+    out = coherent_sectors(alphas[:, None] if squeeze else alphas, [basis])[0]
     return out[:, 0] if squeeze else out
 
 

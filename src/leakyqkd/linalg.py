@@ -47,8 +47,8 @@ def hermitian_eigen(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+def _psd_root_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V D, V) with matrix = V D^2 V^H, D the roots of the eigenvalues.
 
     Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero
     (quadrature noise); anything below the floor is an error.
@@ -57,9 +57,13 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     lo = float(eig.values[0])
     if lo < PSD_EIGENVALUE_FLOOR * max(1.0, float(eig.values[-1])):
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e}")
-    roots = np.sqrt(np.clip(eig.values, 0.0, None))
-    v = eig.vectors
-    out = (v * roots) @ v.conj().T
+    return eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
+
+
+def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix (negative noise clamped to zero)."""
+    factor, v = _psd_root_factor(matrix)
+    out = factor @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -75,17 +79,19 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
     Both arguments must be unit-trace PSD matrices of the same dimension.
-    Computed through eigenvalues of sqrt(rho) sigma sqrt(rho) for
-    determinism; the result is clipped to [0, 1].
+    With rho = V_r D_r^2 V_r^H and sigma = V_s D_s^2 V_s^H, sqrt(F) is
+    the trace norm of sqrt(rho) sqrt(sigma), i.e. the sum of singular
+    values of D_r V_r^H V_s D_s.  Unlike the eigenvalues of
+    sqrt(rho) sigma sqrt(rho), whose square roots turn 1e-17 noise into
+    1e-9, the singular values move only as much as the inputs.  The
+    result is clipped to [0, 1].
     """
     rho = _require_density(rho, "rho")
     sigma = _require_density(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    s = psd_sqrt(rho)
-    inner = s @ sigma @ s
-    values = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    root_sum = float(np.sum(np.sqrt(np.clip(values, 0.0, None))))
+    overlap = _psd_root_factor(rho)[0].conj().T @ _psd_root_factor(sigma)[0]
+    root_sum = float(np.sum(np.linalg.svd(overlap, compute_uv=False)))
     return min(1.0, root_sum * root_sum)
 
 

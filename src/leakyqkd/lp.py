@@ -29,6 +29,7 @@ from .coin import safe_reference, tangent_line
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 STALL_LIMIT = 40
+RELAXATIONS = (0.0, 1e-10, 1e-8)
 
 INTENSITIES = ("I0", "I1", "I2")
 TAGS = ("key", "opp")
@@ -77,6 +78,8 @@ class LPSolution:
     value: float | None
     assignment: dict
     iterations: int
+    relaxation: float = 0.0  # constraint relaxation level of the returned attempt
+    attempts: int = 1
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -146,23 +149,32 @@ def solve(spec: LinearProgramSpec) -> LPSolution:
 
     Highly degenerate sliver polytopes (all observables orders of
     magnitude below the box bounds) can defeat the plain ratio test, so
-    on a failed feasibility check the solve is retried with a tiny
-    deterministic relaxation of every constraint.  Relaxation is safe
-    for the bounds computed here: minima only decrease and maxima only
-    increase, both in the conservative direction.
+    when phase 1 finds no feasible point, or the solution fails the
+    feasibility check, the solve is retried with a tiny deterministic
+    relaxation of every constraint (the levels of RELAXATIONS).
+    Relaxation is safe for the bounds computed here: minima only
+    decrease and maxima only increase, both in the conservative
+    direction.  The returned solution records the level it used and the
+    number of attempts; an "infeasible" verdict stands only after the
+    last level.
     """
-    last_error: Exception | None = None
-    for perturbation in (0.0, 1e-10, 1e-8):
+    outcome: LPSolution | Exception | None = None
+    for attempt, perturbation in enumerate(RELAXATIONS, start=1):
         solution = _solve_once(spec, perturbation)
-        if solution.status != "optimal":
+        solution.relaxation, solution.attempts = perturbation, attempt
+        if solution.status == "unbounded":
             return solution
-        allowance = perturbation * (len(spec.constraints) + len(spec.variables) + 2)
-        try:
-            _verify_feasible(spec, solution.assignment, allowance)
-            return solution
-        except RuntimeError as exc:
-            last_error = exc
-    raise last_error
+        outcome = solution
+        if solution.status == "optimal":
+            allowance = perturbation * (len(spec.constraints) + len(spec.variables) + 2)
+            try:
+                _verify_feasible(spec, solution.assignment, allowance)
+                return solution
+            except RuntimeError as exc:
+                outcome = exc
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _solve_once(spec: LinearProgramSpec, perturbation: float) -> LPSolution:

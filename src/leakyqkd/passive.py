@@ -18,6 +18,14 @@ averages of those blocks against the classical density of the target
 variables, evaluated here by midpoint quadrature with a square-root
 substitution on the integrable density singularity, or by a Monte-Carlo
 oracle that samples the raw phases directly.
+
+The quadrature evaluates two of the four branches.  Flipping both signs
+and phi, (s_e, s_l, phi) -> (-s_e, -s_l, -phi), conjugates every
+coherent amplitude and leaves the leakage intensity unchanged.  Every
+quadrature grid is symmetric under phi -> -phi (mod 2 pi), so summed
+over the nodes the branch (-1, s) gives the complex conjugate of the
+branch (+1, -s): the four-branch average is the real part of twice the
+(+1, +1) and (+1, -1) sum, and the region blocks are real symmetric.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NPhotonBasis, enumerate_basis, inv_sqrt_factorials, leak_truncated_subbasis
+from .fock import (NPhotonBasis, coherent_components, coherent_sectors, enumerate_basis,
+                   leak_truncated_subbasis)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +51,8 @@ LEAK_MODES = frozenset({2, 3, 4})
 
 DEFAULT_NODES = (48, 48, 48)
 MIN_NODES = 4
+# resolution, in steps per turn, at which node phases are matched to their mirror
+PHASE_STEPS = 2 ** 32
 
 
 class EmptyRegionError(ValueError):
@@ -315,17 +326,12 @@ def photon_number_block(point: TargetPoint, n: int, omega: float, mu_max: float,
         raise ValueError(f"expected a {MODE_COUNT}-mode basis, got k={basis.k}")
     if basis.n != n:
         raise ValueError(f"basis is for n={basis.n}, requested n={n}")
-    theta = np.atleast_1d(float(point.theta))
-    phi = np.atleast_1d(float(point.phi))
-    mu = np.atleast_1d(float(point.mu))
-    block = np.zeros((basis.dim, basis.dim), dtype=complex)
-    inv = inv_sqrt_factorials(basis)
-    cfg = np.array(basis.configs, dtype=np.intp)
-    for s_e, s_l in BRANCHES:
-        amp, mu_leak = _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max)
-        v = _sector_components(_mode_powers(amp, n), cfg, inv)[:, 0]
-        block += 0.25 * math.exp(-(float(mu[0]) + float(mu_leak[0]))) * np.outer(v, v.conj())
-    return block
+    # one column per sign branch
+    s_e, s_l = (np.array(signs, dtype=float) for signs in zip(*BRANCHES))
+    amp, mu_leak = _branch_amplitudes(np.full(4, float(point.theta)), np.full(4, float(point.phi)),
+                                      np.full(4, float(point.mu)), s_e, s_l, omega, mu_max)
+    comp = coherent_components(amp, basis)
+    return (comp * (0.25 * np.exp(-(point.mu + mu_leak)))) @ comp.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +454,8 @@ class RegionMoments:
     """Raw region integrals: mass, block traces, and matrix blocks.
 
     blocks[n] is the integral of the sub-normalised n-photon block over
-    the region (including the classical density), on bases[n]; traces[m]
+    the region (including the classical density), on bases[n]; it is
+    real symmetric (see the module docstring) and stored complex; traces[m]
     is the same integral of the full m-photon trace, m = 0..len-1, which
     is exact even when blocks[n] is leakage-truncated.
     """
@@ -486,9 +493,17 @@ def combine_moments(parts: list[RegionMoments]) -> RegionMoments:
 
 
 def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODES,
-                   n_tail: int = 20, chunk: int = 16384,
+                   n_tail: int = 20, chunk: int = 4096,
                    node_sets: list[RegionNodes] | None = None) -> RegionMoments:
-    """Quadrature of mass, photon-number traces and matrix blocks on a region."""
+    """Quadrature of mass, photon-number traces and matrix blocks on a region.
+
+    Only the branches (+1, +1) and (+1, -1) are evaluated: on a node set
+    that is symmetric under phi -> -phi the other two contribute the
+    complex conjugate, so the four-branch average is the real part of
+    the two-branch sum (a ValueError rejects any other node set).  Each
+    block is then one real matrix product of the float64 view of the
+    components, which carry the square root of the node weight.
+    """
     if node_sets is None:
         node_sets = region_nodes_for(region, params.geometry, params.mu_max, nodes)
     theta = np.concatenate([s.theta for s in node_sets])
@@ -498,58 +513,52 @@ def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODE
     mass = float(np.sum(weight))
     if mass <= 0.0:
         raise EmptyRegionError(f"region {region} has zero mass")
+    _require_phi_symmetric(theta, phi, mu, weight)
 
     n_tail = max(n_tail, params.n_cut)
-    bases = {n: params.block_basis(n) for n in range(params.n_cut + 1)}
-    inv_facts = {n: inv_sqrt_factorials(b) for n, b in bases.items()}
-    cfg_arrays = {n: np.array(b.configs, dtype=np.intp) for n, b in bases.items()}
-    blocks = {n: np.zeros((b.dim, b.dim), dtype=complex) for n, b in bases.items()}
+    bases = [params.block_basis(n) for n in range(params.n_cut + 1)]
+    blocks = [np.zeros((b.dim, b.dim)) for b in bases]
     traces = np.zeros(n_tail + 1)
 
-    branch_e = np.array([s for s, _ in BRANCHES])
-    branch_l = np.array([s for _, s in BRANCHES])
     for start in range(0, theta.size, chunk):
         sl = slice(start, min(start + chunk, theta.size))
-        size = sl.stop - sl.start
-        # stack the four sign branches along the node axis
-        th_c = np.tile(theta[sl], 4)
-        ph_c = np.tile(phi[sl], 4)
-        mu_c = np.tile(mu[sl], 4)
-        w_c = np.tile(weight[sl], 4)
-        s_e = np.repeat(branch_e, size)
-        s_l = np.repeat(branch_l, size)
-        amp, mu_leak = _branch_amplitudes(th_c, ph_c, mu_c, s_e, s_l,
-                                          params.omega, params.mu_max)
-        total = mu_c + mu_leak
-        wb = 0.25 * w_c * np.exp(-total)
+        # stack the branches s_l = +1, -1 (s_e = +1) along the node axis
+        s_l = np.repeat([1.0, -1.0], sl.stop - sl.start)
+        th2, ph2, mu2, w2 = (np.tile(x[sl], 2) for x in (theta, phi, mu, weight))
+        amp, mu_leak = _branch_amplitudes(th2, ph2, mu2, 1.0, s_l, params.omega, params.mu_max)
+        total = mu2 + mu_leak
+        # 1/4 per branch, doubled for the conjugate pair
+        wb = 0.5 * w2 * np.exp(-total)
         acc = wb.copy()
         traces[0] += acc.sum()
         for m in range(1, n_tail + 1):
             acc = acc * (total / m)
             traces[m] += acc.sum()
-        powers = _mode_powers(amp, params.n_cut)
-        for n in blocks:
-            comp = _sector_components(powers, cfg_arrays[n], inv_facts[n])
-            blocks[n] += (comp * wb) @ comp.conj().T
-    return RegionMoments(mass=mass, traces=traces, blocks=blocks, bases=bases)
+        for block, comp in zip(blocks, coherent_sectors(amp, bases, vacuum=np.sqrt(wb))):
+            v = comp.view(np.float64)  # Re(C W C^H) = V V^T with re/im columns
+            block += v @ v.T
+    return RegionMoments(mass=mass, traces=traces,
+                         blocks={n: b.astype(complex) for n, b in enumerate(blocks)},
+                         bases=dict(enumerate(bases)))
 
 
-def _mode_powers(amp: np.ndarray, n_max: int) -> np.ndarray:
-    """powers[j, k, :] = amp[j]**k via cumulative products (k = 0..n_max)."""
-    powers = np.empty((amp.shape[0], n_max + 1, amp.shape[1]), dtype=complex)
-    powers[:, 0] = 1.0
-    for k in range(1, n_max + 1):
-        np.multiply(powers[:, k - 1], amp, out=powers[:, k])
-    return powers
+def _require_phi_symmetric(theta, phi, mu, weight):
+    """Reject a node set that phi -> -phi (mod 2 pi) does not map onto itself.
 
-
-def _sector_components(powers: np.ndarray, cfg: np.ndarray, inv_fact: np.ndarray) -> np.ndarray:
-    """Per-configuration coherent components, one row per basis state."""
-    comp = powers[0][cfg[:, 0]].copy()
-    for j in range(1, cfg.shape[1]):
-        comp *= powers[j][cfg[:, j]]
-    comp *= inv_fact[:, None]
-    return comp
+    Phases are compared on a grid of 2**-32 turns.  The nodes at -phi
+    must repeat, in the same order, the (theta, mu, weight) of the nodes
+    at phi; every grid of `build_region_nodes` does.
+    """
+    q = np.rint(phi * (PHASE_STEPS / TWO_PI)).astype(np.int64) % PHASE_STEPS
+    mirror_q = (-q) % PHASE_STEPS
+    index = np.arange(q.size, dtype=np.uint64)
+    # sort by phase, then by position: one packed key per node
+    order = (np.sort((q.astype(np.uint64) << 32) | index) & 0xFFFFFFFF).astype(np.intp)
+    mirror = (np.sort((mirror_q.astype(np.uint64) << 32) | index) & 0xFFFFFFFF).astype(np.intp)
+    if not (np.array_equal(q[order], mirror_q[mirror])
+            and all(np.array_equal(x[order], x[mirror]) for x in (theta, mu, weight))):
+        raise ValueError("node set is not symmetric under phi -> -phi; "
+                         "the two-branch quadrature needs it")
 
 
 def region_average(region: RegionSpec, n: int, params: PassiveParams,
@@ -618,8 +627,6 @@ def monte_carlo_region_estimate(params: PassiveParams, region: RegionSpec, n: in
     rng = np.random.default_rng(seed)
     basis = params.block_basis(n)
     dim = basis.dim
-    inv = inv_sqrt_factorials(basis)
-    cfg_array = np.array(basis.configs, dtype=np.intp)
     root_half = math.sqrt(params.omega / 2.0)
     half_root = 0.5 * math.sqrt(params.omega)
 
@@ -669,7 +676,7 @@ def monte_carlo_region_estimate(params: PassiveParams, region: RegionSpec, n: in
         total = mu[mask] + mu_leak
         wfac = np.exp(-total)
 
-        comp = _sector_components(_mode_powers(amp, n), cfg_array, inv)
+        comp = coherent_components(amp, basis)
         sum_e += (comp * wfac) @ comp.conj().T
         comp2 = comp * comp
         sum_e2 += (comp2 * wfac ** 2) @ comp2.conj().T

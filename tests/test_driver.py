@@ -282,6 +282,50 @@ def test_degenerate_coin_is_recorded_not_warned():
     assert driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0).details["diagnostics"] == []
 
 
+def test_degenerate_key_opp_split_is_recorded_in_every_report(monkeypatch):
+    real_split = driver.lp.key_opp_split
+    calls = []
+
+    def split(rho):
+        calls.append(None)
+        if len(calls) == 1:
+            warnings.warn("degenerate key/opp eigenvalues; ordering fixed by gauge",
+                          RuntimeWarning)
+        return real_split(rho)
+
+    monkeypatch.setattr(driver.lp, "key_opp_split", split)
+    config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        source = driver.passive_source(config, 120.0, nodes=12)
+        reports = [driver.passive_key_rate(config, d, 120.0, nodes=12, source=source)
+                   for d in (50.0, 300.0)]
+    note = "Z:I0 bit 0: degenerate key/opp eigenvalues; ordering fixed by gauge"
+    assert source.diagnostics == (note,)
+    for report in reports:
+        assert report.details["diagnostics"][0] == note
+
+
+def test_lp_provenance_has_one_record_per_program():
+    refined = driver.passive_key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
+                                      50.0, 120.0, nodes=12)
+    baseline = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
+    oil_report = driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0)
+    for report, labels in ((refined, ["Z yield", "X yield", "refined error"]),
+                           (baseline, ["Z yield", "X yield", "bit-0 error", "bit-1 error"]),
+                           (oil_report, ["X yield", "bit-0 error", "bit-1 error"])):
+        records = report.provenance["lp"]
+        assert [r["label"] for r in records] == labels
+        for record in records:
+            assert set(record) == {"label", "status", "attempts", "relaxation",
+                                   "iterations", "rows", "cols"}
+            assert record["status"] == "optimal"
+            assert record["relaxation"] in (0.0, 1e-10, 1e-8)
+            assert record["rows"] > record["cols"] > 0
+        assert report.provenance["lp_iterations"] == sum(r["iterations"] for r in records)
+    assert refined.provenance["lp"][2]["cols"] == 84
+
+
 def test_passive_key_rate_rejects_a_foreign_source():
     source = driver.passive_source(PASSIVE_CONFIG, 120.0, nodes=12)
     with pytest.raises(ValueError, match="another configuration"):

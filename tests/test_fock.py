@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leakyqkd.fock import (basis_index, coherent_block, enumerate_basis, leak_count,
-                           leak_truncated_subbasis)
+from leakyqkd.fock import (basis_index, coherent_block, coherent_components, coherent_sectors,
+                           enumerate_basis, leak_count, leak_truncated_subbasis)
 
 LEAK5 = {2, 3, 4}
 
@@ -95,3 +95,27 @@ def test_coherent_block_trace_is_poisson():
     expected = math.exp(-total) * total ** 2 / 2.0
     assert np.trace(block).real == pytest.approx(expected, rel=1e-12)
     assert np.max(np.abs(block - block.conj().T)) < 1e-15
+
+
+def direct_components(alphas, basis):
+    return np.array([[np.prod([a ** c / math.sqrt(math.factorial(c))
+                               for a, c in zip(column, config)])
+                      for column in alphas.T] for config in basis.configs])
+
+
+def test_coherent_sectors_match_direct_products():
+    rng = np.random.default_rng(3)
+    alphas = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    full = [enumerate_basis(n, 5, LEAK5) for n in range(5)]
+    # truncated n = 3, 4 sectors, and a lone sector whose parents are not requested
+    for bases in (full[:3] + [leak_truncated_subbasis(full[3], 1),
+                              leak_truncated_subbasis(full[4], 1)],
+                  [leak_truncated_subbasis(full[4], 2)], [full[0]]):
+        weight = rng.uniform(0.1, 1.0, size=7)
+        for basis, comp in zip(bases, coherent_sectors(alphas, bases, vacuum=weight)):
+            expected = direct_components(alphas, basis) * weight
+            assert comp.shape == (basis.dim, 7)
+            assert np.max(np.abs(comp - expected)) <= 1e-13 * np.max(np.abs(expected))
+    vector = coherent_components(alphas[:, 0], full[2])
+    assert vector.shape == (full[2].dim,)
+    assert np.allclose(vector, direct_components(alphas[:, :1], full[2])[:, 0], rtol=1e-13)

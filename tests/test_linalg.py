@@ -107,6 +107,17 @@ def test_fidelity_matches_svd_route():
         assert ours == pytest.approx(fidelity(sigma, rho), abs=1e-8)
 
 
+def test_fidelity_of_graded_spectrum_state_with_itself():
+    # eigenvalues 1 ... 1e-8: square roots of rounding noise in
+    # sqrt(rho) rho sqrt(rho) would show up at the 1e-9 level
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    unitary, _ = np.linalg.qr(raw)
+    weights = 10.0 ** -np.arange(0.0, 10.0, 2.0)
+    rho = (unitary * (weights / weights.sum())) @ unitary.conj().T
+    assert abs(1.0 - fidelity(rho, rho)) <= 1e-13
+
+
 def test_fidelity_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
         fidelity(np.eye(2), np.diag([0.5, 0.5]))

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,37 @@ def test_infeasible_is_reported():
         constraints=[lp.Constraint({"x": 1.0}, ">=", 0.7),
                      lp.Constraint({"x": 1.0}, "<=", 0.2)])
     assert lp.solve(spec).status == "infeasible"
+
+
+def test_relaxation_level_is_reported():
+    spec = lp.LinearProgramSpec(
+        variables=("x",), sense="min", objective={"x": 1.0},
+        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.3)])
+    solution = lp.solve(spec)
+    assert (solution.relaxation, solution.attempts) == (0.0, 1)
+    infeasible = lp.LinearProgramSpec(
+        variables=("x",), sense="min", objective={"x": 1.0},
+        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.7),
+                     lp.Constraint({"x": 1.0}, "<=", 0.2)])
+    solution = lp.solve(infeasible)
+    assert solution.status == "infeasible"
+    assert (solution.relaxation, solution.attempts) == (lp.RELAXATIONS[-1], len(lp.RELAXATIONS))
+
+
+def test_phase_one_infeasible_program_is_retried_relaxed():
+    # refined Z-yield program of the 48-node passive pipeline at 75 km and
+    # 120 dB, recorded with the four-branch quadrature kernel: phase 1
+    # declares it infeasible unrelaxed; HiGHS solves it to 0.031472510
+    data = json.loads((Path(__file__).parent / "data" / "z_yield_75km_120db.json").read_text())
+    spec = lp.LinearProgramSpec(
+        variables=tuple(data["variables"]), sense=data["sense"], objective=data["objective"],
+        constraints=[lp.Constraint(c["coeffs"], c["sense"], c["rhs"])
+                     for c in data["constraints"]])
+    assert lp._solve_once(spec, 0.0).status == "infeasible"
+    solution = lp.solve(spec)
+    assert solution.status == "optimal"
+    assert (solution.relaxation, solution.attempts) == (1e-10, 2)
+    assert solution.value <= 0.0314725
 
 
 def test_solver_is_deterministic():

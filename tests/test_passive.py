@@ -223,6 +223,42 @@ def test_branch_average_order_invariance():
 # Region quadrature
 # ---------------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("bit, basis", [(0, "Z"), (0, "X"), (1, "X")])
+def test_region_moments_match_per_node_block_sum(bit, basis):
+    # the two-branch kernel against the four-branch block at every node
+    params = make_params()
+    nodes = passive.build_region_nodes(bit, basis, "I0", GEOMETRY, MU_MAX, (8, 8, 8))
+    moments = passive.region_moments(passive.RegionSpec(bit, basis, "I0"), params,
+                                     node_sets=[nodes])
+    assert moments.mass == pytest.approx(nodes.mass, rel=1e-15)
+    for n in range(params.n_cut + 1):
+        basis_n = params.block_basis(n)
+        expected = sum(w * passive.photon_number_block(passive.TargetPoint(t, p, m), n,
+                                                       params.omega, MU_MAX, basis=basis_n)
+                       for t, p, m, w in zip(nodes.theta, nodes.phi, nodes.mu, nodes.weight))
+        assert moments.bases[n].configs == basis_n.configs
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(moments.blocks[n] - expected)) <= 1e-13 * scale, n
+    # the n = 3, 4 blocks are leakage-truncated, the full traces are not
+    assert moments.trace_fraction(3) < 1.0 and moments.trace_fraction(4) < 1.0
+
+
+def test_region_moments_reject_phi_asymmetric_nodes():
+    params = make_params()
+    region = passive.RegionSpec(0, "X", "I0")
+    nodes = passive.build_region_nodes(0, "X", "I0", GEOMETRY, MU_MAX, (6, 6, 6))
+    passive.region_moments(region, params, node_sets=[nodes])
+    shifted = passive.RegionNodes(theta=nodes.theta, phi=nodes.phi + 0.01, mu=nodes.mu,
+                                  weight=nodes.weight)
+    with pytest.raises(ValueError, match="symmetric"):
+        passive.region_moments(region, params, node_sets=[shifted])
+    reweighted = passive.RegionNodes(theta=nodes.theta, phi=nodes.phi, mu=nodes.mu,
+                                     weight=nodes.weight * (1.0 + 1e-3 * (nodes.phi > 0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        passive.region_moments(region, params, node_sets=[reweighted])
+
+
 def test_region_average_contract():
     params = make_params()
     region = passive.RegionSpec(0, "Z", "I0")
