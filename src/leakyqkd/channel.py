@@ -177,24 +177,35 @@ def trace_out_leakage(rho: np.ndarray, basis: NPhotonBasis) -> dict[int, np.ndar
     Returns {m: block} over the signal-photon number m, each block on the
     two-mode sector basis |m - i, i>.  Assumes exactly two signal modes.
     """
-    signal = [i for i in range(basis.k) if i not in basis.leak_modes]
+    out = {}
+    for m, (rows, cols, dst_rows, dst_cols) in _leakage_trace_plan(basis.configs,
+                                                                   basis.leak_modes):
+        blk = np.zeros((m + 1, m + 1), dtype=complex)
+        np.add.at(blk, (dst_rows, dst_cols), rho[rows, cols])
+        out[m] = blk
+    return out
+
+
+@lru_cache(maxsize=64)
+def _leakage_trace_plan(configs: tuple, leak_modes: frozenset) -> tuple:
+    """Index plan of `trace_out_leakage`: per signal-photon number m, the
+    entries (i, k) of rho that share their leakage occupations and the
+    block entry they add to, in row-major order of (i, k)."""
+    k_modes = len(configs[0])
+    signal = [i for i in range(k_modes) if i not in leak_modes]
     if len(signal) != 2:
         raise ValueError("expected exactly two signal modes")
     e_idx, l_idx = signal
-    leak_sorted = sorted(basis.leak_modes)
-    out: dict[int, np.ndarray] = {}
-    for i, ci in enumerate(basis.configs):
+    leak_sorted = sorted(leak_modes)
+    plan: dict[int, list] = {}
+    for i, ci in enumerate(configs):
         mi = ci[e_idx] + ci[l_idx]
-        leak_i = tuple(ci[m] for m in leak_sorted)
-        for k, ck in enumerate(basis.configs):
-            if tuple(ck[m] for m in leak_sorted) != leak_i:
-                continue
-            mk = ck[e_idx] + ck[l_idx]
-            if mk != mi:
-                continue
-            blk = out.setdefault(mi, np.zeros((mi + 1, mi + 1), dtype=complex))
-            blk[ci[l_idx], ck[l_idx]] += rho[i, k]
-    return out
+        leak_i = tuple(ci[j] for j in leak_sorted)
+        for k, ck in enumerate(configs):
+            if tuple(ck[j] for j in leak_sorted) == leak_i and ck[e_idx] + ck[l_idx] == mi:
+                plan.setdefault(mi, []).append((i, k, ci[l_idx], ck[l_idx]))
+    return tuple((m, tuple(np.array(col, dtype=np.intp) for col in zip(*entries)))
+                 for m, entries in plan.items())
 
 
 def reference_error(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams,

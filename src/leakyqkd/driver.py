@@ -57,7 +57,7 @@ class OptimizerSettings:
 
     passes: int = 2
     iterations: int = 6
-    search_nodes: int = 16
+    search_nodes: int = 8
     mu_max_bracket: tuple = (0.05, 1.5)
     delta_theta_z_bracket: tuple = (0.01, 0.5)
     oil_intensity_bracket: tuple = (1e-3, 1.0)
@@ -70,7 +70,7 @@ class ProtocolConfig:
     transmitter: str = "passive"
     analysis: str = "baseline"
     n_cut: int = 4
-    quadrature_nodes: int = 48
+    quadrature_nodes: int = passive.DEFAULT_NODES[0]
     # passive source
     mu_max: float = 0.5
     delta_theta_z: float = 0.1
@@ -268,14 +268,9 @@ def _passive_params(config: ProtocolConfig, att_db: float) -> passive.PassivePar
 
 def _region_nodes(params: passive.PassiveParams, nodes: int, bit: int, basis: str,
                   intensity: str) -> passive.RegionNodes:
-    grid = (nodes, nodes, nodes)
-    if basis == "Z" and params.omega <= 0.05:
-        # the key-basis boxes span the full phase circle, where the midpoint
-        # rule is spectrally accurate: a reduced periodic axis loses nothing
-        # as long as the leakage modulation depth stays small
-        grid = (nodes, min(nodes, 20), nodes)
+    phi_nodes = passive.periodic_phi_nodes(params) if basis == "Z" else nodes
     return passive.build_region_nodes(bit, basis, intensity, params.geometry,
-                                      params.mu_max, grid)
+                                      params.mu_max, (nodes, phi_nodes, nodes))
 
 
 def _passive_moments(params: passive.PassiveParams, nodes: int) -> tuple[dict, dict]:

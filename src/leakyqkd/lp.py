@@ -86,7 +86,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    # rows with a zero factor are unchanged: update only the others
+    nz = np.flatnonzero(factors)
+    tableau[nz] -= np.outer(factors[nz], tableau[row])
     basis[row] = col
 
 

@@ -14,10 +14,10 @@ assignments (two sign choices per time bin), and after averaging the
 common optical phase the emitted state decomposes into photon-number
 blocks: each block is the n-photon sector of a product coherent-state
 projector over the five modes (e, l, 1, 3, 5).  Region states are
-averages of those blocks against the classical density of the target
-variables, evaluated here by midpoint quadrature with a square-root
-substitution on the integrable density singularity, or by a Monte-Carlo
-oracle that samples the raw phases directly.
+averages of those blocks over a post-selection box, evaluated here by
+quadrature in the raw phase differences, where the density is uniform
+(see `build_region_nodes`), or by a Monte-Carlo oracle that samples the
+raw phases.
 
 The quadrature evaluates two of the four branches.  Flipping both signs
 and phi, (s_e, s_l, phi) -> (-s_e, -s_l, -phi), conjugates every
@@ -49,7 +49,7 @@ BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 MODE_COUNT = 5
 LEAK_MODES = frozenset({2, 3, 4})
 
-DEFAULT_NODES = (48, 48, 48)
+DEFAULT_NODES = (20, 20, 20)
 MIN_NODES = 4
 # resolution, in steps per turn, at which node phases are matched to their mirror
 PHASE_STEPS = 2 ** 32
@@ -161,10 +161,6 @@ class TargetPoint:
     @property
     def mu_l(self) -> float:
         return self.mu * math.sin(self.theta / 2.0) ** 2
-
-    @property
-    def phi_l(self) -> float:
-        return self.phi + self.phi_e
 
 
 def wrap_phase(phi):
@@ -338,17 +334,13 @@ def photon_number_block(point: TargetPoint, n: int, omega: float, mu_max: float,
 # Region quadrature
 # ---------------------------------------------------------------------------
 
-def _theta_window(bit: int, basis: str, g: RegionGeometry) -> tuple[float, float]:
+def _ratio_window(bit: int, basis: str, g: RegionGeometry) -> tuple[float, float]:
+    """The polar-angle window as a window on tan^2(theta/2) = mu_l / mu_e."""
     if basis == "Z":
-        return (0.0, g.delta_theta_z) if bit == 0 else (math.pi - g.delta_theta_z, math.pi)
-    return (math.pi / 2.0 - g.delta_theta_x, math.pi / 2.0 + g.delta_theta_x)
-
-
-def _phi_window(bit: int, basis: str, g: RegionGeometry) -> tuple[float, float]:
-    if basis == "Z":
-        return (-math.pi, math.pi)
-    # bit-1 window sits across the +-pi branch cut; evaluate it unwrapped
-    return (-g.delta_phi_x, g.delta_phi_x) if bit == 0 else (math.pi - g.delta_phi_x, math.pi + g.delta_phi_x)
+        edge = math.tan(g.delta_theta_z / 2.0) ** 2
+        return (0.0, edge) if bit == 0 else (1.0 / edge, math.inf)
+    return (math.tan(math.pi / 4.0 - g.delta_theta_x / 2.0) ** 2,
+            math.tan(math.pi / 4.0 + g.delta_theta_x / 2.0) ** 2)
 
 
 def _mu_window(intensity: str, g: RegionGeometry) -> tuple[float, float]:
@@ -359,7 +351,7 @@ def _mu_window(intensity: str, g: RegionGeometry) -> tuple[float, float]:
 class RegionNodes:
     """Flattened quadrature nodes and absolute weights for one region box.
 
-    Weights include the classical density and all cell measures, so
+    Weights include the classical density and the quadrature weights, so
     sum(weight) is the region probability and expectations are plain
     weighted means.
     """
@@ -373,73 +365,98 @@ class RegionNodes:
     def mass(self) -> float:
         return float(np.sum(self.weight))
 
-    def expectation(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weight, values) / self.mass)
+
+def _gauss_legendre(n: int, lo, hi):
+    """Gauss-Legendre nodes and weights of order n on [lo, hi]; array
+    limits give one row of nodes per interval."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 
 
 def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeometry,
                        mu_max: float, nodes=DEFAULT_NODES) -> RegionNodes:
-    """Midpoint nodes for one (bit, basis, intensity) box.
+    """Quadrature nodes for one (bit, basis, intensity) box, `nodes` = (n_a, n_phi, n_b).
 
-    The mu axis is clipped per theta to the support of the density; when
-    the inverse-square-root factor varies by more than 10x across the
-    window (always the case for the top intensity window, which touches
-    the singular surface) the substitution u = sqrt(1 - mu M / mu_max)
-    with M = max(cos^2, sin^2)(theta/2) removes the singularity exactly.
+    The density is uniform in a = phi1 - phi2, b = phi3 - phi4 and phi.
+    With u = cos^2(a/2) = mu_e/mu_max and v = cos^2(b/2) = mu_l/mu_max the
+    box is r_lo <= v/u <= r_hi (r = tan^2(theta/2)) and t_lo <= u + v < t_hi,
+    so at fixed a, b spans [2 arccos sqrt(v_hi), 2 arccos sqrt(v_lo)] with
+    v_lo = max(0, r_lo u, t_lo - u) and v_hi = min(1, r_hi u, t_hi - u).
+    The signs of a and b are the branches `region_moments` folds, so only
+    a, b >= 0 is integrated:
+
+    - a: panels between the points where a limit switches (u = t/(1+r), t,
+      t - 1, 1/r), each with Gauss-Legendre of order n_a in t after
+      a = a0 + (a1 - a0)(1 - cos pi t)/2, which smooths the square-root
+      behaviour of arccos(sqrt(v)) at the panel edges;
+    - b: Gauss-Legendre of order n_b;
+    - phi: Gauss-Legendre of order n_phi on the X windows, the n_phi-point
+      trapezoidal rule on the full circle of the Z boxes.
+
+    A node weighs w_a w_b w_phi / (2 pi^3), the density (2 pi)^-3 times
+    the four branches, so the weights sum to the region probability.
     """
-    n_t, n_p, n_m = nodes
-    if min(n_t, n_p, n_m) < MIN_NODES:
+    n_a, n_p, n_b = nodes
+    if min(nodes) < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
-    t_lo, t_hi = _theta_window(bit, basis, geometry)
-    p_lo, p_hi = _phi_window(bit, basis, geometry)
-    m_lo_f, m_hi_f = _mu_window(intensity, geometry)
-    d_theta = (t_hi - t_lo) / n_t
-    d_phi = (p_hi - p_lo) / n_p
-    thetas = t_lo + (np.arange(n_t) + 0.5) * d_theta
-    phis = p_lo + (np.arange(n_p) + 0.5) * d_phi
+    r_lo, r_hi = _ratio_window(bit, basis, geometry)
+    t_lo, t_hi = _mu_window(intensity, geometry)
 
-    theta_parts, mu_parts, w_parts = [], [], []
-    for th in thetas:
-        c2 = math.cos(th / 2.0) ** 2
-        s2 = math.sin(th / 2.0) ** 2
-        big, small = max(c2, s2), min(c2, s2)
-        mu_sing = mu_max / big
-        lo = m_lo_f * mu_max
-        hi = min(m_hi_f * mu_max, mu_sing)
-        if hi <= lo:
-            continue
-        g_lo = 1.0 - lo * big / mu_max
-        g_hi = 1.0 - hi * big / mu_max
-        if g_lo > 100.0 * g_hi:
-            u_hi = math.sqrt(g_lo)
-            u_lo = math.sqrt(max(0.0, g_hi))
-            d_u = (u_hi - u_lo) / n_m
-            uu = u_lo + (np.arange(n_m) + 0.5) * d_u
-            mu_col = mu_max * (1.0 - uu * uu) / big
-            w_col = (d_theta * d_phi * d_u / (math.pi ** 3 * big)
-                     / np.sqrt(1.0 - mu_col * small / mu_max))
-        else:
-            d_mu = (hi - lo) / n_m
-            mu_col = lo + (np.arange(n_m) + 0.5) * d_mu
-            w_col = (d_theta * d_phi * d_mu
-                     / (2.0 * math.pi ** 3 * mu_max
-                        * np.sqrt((1.0 - mu_col * c2 / mu_max) * (1.0 - mu_col * s2 / mu_max))))
-        theta_parts.append(np.full(n_m, th))
-        mu_parts.append(mu_col)
-        w_parts.append(w_col)
+    def v_limits(u):
+        return (np.maximum(np.maximum(0.0, r_lo * u), t_lo - u),
+                np.minimum(np.minimum(1.0, r_hi * u), t_hi - u))
 
-    if not theta_parts:
+    kinks = {t / (1.0 + r) for t in (t_lo, t_hi) for r in (r_lo, r_hi)}
+    kinks |= {t_lo, t_hi, t_lo - 1.0, t_hi - 1.0} | {1.0 / r for r in (r_lo, r_hi) if r > 0.0}
+    edges = [0.0] + sorted({2.0 * math.acos(math.sqrt(u)) for u in kinks if 0.0 < u < 1.0})
+    edges.append(math.pi)
+    t, w_t = _gauss_legendre(n_a, 0.0, 1.0)
+    a_parts, wa_parts = [], []
+    for a0, a1 in zip(edges[:-1], edges[1:]):
+        v_lo, v_hi = v_limits(math.cos(0.25 * (a0 + a1)) ** 2)
+        if v_hi > v_lo:  # the sign of v_hi - v_lo only changes at a kink
+            a_parts.append(a0 + 0.5 * (a1 - a0) * (1.0 - np.cos(math.pi * t)))
+            wa_parts.append(0.5 * math.pi * (a1 - a0) * np.sin(math.pi * t) * w_t)
+    if not a_parts:
         raise EmptyRegionError(f"region ({bit}, {basis}, {intensity}) has empty support")
-    theta_col = np.concatenate(theta_parts)
-    mu_col = np.concatenate(mu_parts)
-    w_col = np.concatenate(w_parts)
+    u = np.cos(0.5 * np.concatenate(a_parts)) ** 2
+    v_lo, v_hi = v_limits(u)
+    b, w_b = _gauss_legendre(n_b, 2.0 * np.arccos(np.sqrt(v_hi)), 2.0 * np.arccos(np.sqrt(v_lo)))
+    v = np.cos(0.5 * b) ** 2
+    u = np.broadcast_to(u[:, None], v.shape)
+    theta_col = (2.0 * np.arctan2(np.sqrt(v), np.sqrt(u))).ravel()
+    mu_col = (mu_max * (u + v)).ravel()
+    w_col = (np.concatenate(wa_parts)[:, None] * w_b).ravel() / (2.0 * math.pi ** 3)
+
+    if basis == "Z":
+        phis = -math.pi + (np.arange(n_p) + 0.5) * (TWO_PI / n_p)
+        w_phi = np.full(n_p, TWO_PI / n_p)
+    else:
+        # the bit-1 window sits across the +-pi branch cut; evaluate it unwrapped
+        centre = math.pi * bit
+        phis, w_phi = _gauss_legendre(n_p, centre - geometry.delta_phi_x,
+                                      centre + geometry.delta_phi_x)
     # tile over the phi axis (density is phi-uniform; states are not)
-    n_cols = theta_col.size
-    theta_all = np.tile(theta_col, n_p)
-    mu_all = np.tile(mu_col, n_p)
-    w_all = np.tile(w_col, n_p)
-    phi_all = np.repeat(phis, n_cols)
-    return RegionNodes(theta=theta_all, phi=phi_all, mu=mu_all, weight=w_all)
+    return RegionNodes(theta=np.tile(theta_col, n_p), phi=np.repeat(phis, theta_col.size),
+                       mu=np.tile(mu_col, n_p), weight=(w_phi[:, None] * w_col).ravel())
+
+
+def periodic_phi_nodes(params: PassiveParams) -> int:
+    """Trapezoid node count N = 2 n_cut + 1 + K for the Z boxes' phi circle.
+
+    Block entries are trigonometric polynomials of degree <= 2 n_cut times
+    exp(-(omega/2) cos(phi + c)), with Fourier coefficients
+    I_k(omega/2) <= (omega/4)^k / k!; the rule is exact to degree N - 1, so
+    taking K as the first k where that bound reaches 1e-17 leaves an
+    aliasing error below double-precision rounding.
+    """
+    x = params.omega / 4.0
+    k, term = 1, x
+    while term > 1e-17:
+        k += 1
+        term *= x / k
+    return 2 * params.n_cut + 1 + k
 
 
 def region_nodes_for(region: RegionSpec, geometry: RegionGeometry, mu_max: float,

@@ -383,7 +383,7 @@ def check_region_monte_carlo(seed: int = 5, samples: int = 400_000,
         regions = [passive.RegionSpec(0, "Z", "I0"), passive.RegionSpec(0, "X", "I0")]
     worst = 0.0
     for region in regions:
-        moments = passive.region_moments(region, params, nodes=(48, 48, 48))
+        moments = passive.region_moments(region, params)
         for n in range(max_n + 1):
             mc = passive.monte_carlo_region_estimate(params, region, n, samples, seed)
             quad_mean = moments.blocks[n] / moments.mass
@@ -400,6 +400,27 @@ def check_region_monte_carlo(seed: int = 5, samples: int = 400_000,
             worst = max(worst, z_mass, z_trace)
         seed += 1
     return worst < 3.0, f"worst z-score {worst:.2f}"
+
+
+def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
+    """Region masses and photon-number traces of the 12 boxes of the default
+    passive source at 10 dB (strong leakage: 16 phi nodes on the Z boxes)
+    at `nodes` against twice as many per axis, to 1e-10."""
+    config = driver.ProtocolConfig(transmitter="passive")
+    nodes = config.quadrature_nodes if nodes is None else nodes
+    params = driver._passive_params(config, 10.0)
+    worst = 0.0
+    for basis in driver.BASES:
+        for intensity in driver.INTENSITIES:
+            for bit in driver.BITS:
+                region = passive.RegionSpec(bit, basis, intensity)
+                coarse, fine = (passive.region_moments(region, params, node_sets=[
+                    driver._region_nodes(params, n, bit, basis, intensity)])
+                    for n in (nodes, 2 * nodes))
+                worst = max(worst, abs(coarse.mass - fine.mass) / fine.mass,
+                            float(np.max(np.abs(coarse.photon_probabilities()
+                                                - fine.photon_probabilities()))))
+    return worst <= 1e-10, f"{nodes} vs {2 * nodes} nodes: largest mass/trace drift {worst:.1e}"
 
 
 def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
@@ -529,6 +550,7 @@ ALL_CHECKS = (
     ("passive-block-expansion", check_block_expansion),
     ("oil-block-expansion", check_oil_expansion),
     ("region-monte-carlo", check_region_monte_carlo),
+    ("quadrature-convergence", check_quadrature_convergence),
     ("lp-vertex-oracle", check_lp_vertex_oracle),
     ("tangent-dominance", check_tangent_dominance),
     ("channel-truth-feasibility", check_channel_truth_feasibility),

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from leakyqkd import passive
-from leakyqkd.validation import (density_box_mass, passive_block_oracle,
-                                 sample_target_variables, total_density_mass)
+from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
+                                 passive_block_oracle, sample_target_variables,
+                                 total_density_mass)
 
 MU_MAX = 0.5
 GEOMETRY = passive.RegionGeometry(delta_theta_z=0.15)
@@ -242,6 +244,91 @@ def test_region_moments_match_per_node_block_sum(bit, basis):
         assert np.max(np.abs(moments.blocks[n] - expected)) <= 1e-13 * scale, n
     # the n = 3, 4 blocks are leakage-truncated, the full traces are not
     assert moments.trace_fraction(3) < 1.0 and moments.trace_fraction(4) < 1.0
+
+
+def _exact_region_mass(bit, basis, intensity, geometry):
+    """Region probability as one adaptive 1-D integral over a = phi1 - phi2.
+
+    a and b = phi3 - phi4 are uniform on the circle, mu_e = mu_max cos^2(a/2)
+    and mu_l = mu_max cos^2(b/2).  At fixed a, the windows on
+    tan^2(theta/2) = mu_l / mu_e and on mu / mu_max leave one interval of
+    v = cos^2(b/2); phi is uniform and enters as a factor.
+    """
+    g = geometry
+    if basis == "Z":
+        edge = math.tan(g.delta_theta_z / 2.0) ** 2
+        ratio, share = ((0.0, edge) if bit == 0 else (1.0 / edge, math.inf)), 1.0
+    else:
+        ratio = tuple(math.tan((math.pi / 2.0 + s * g.delta_theta_x) / 2.0) ** 2 for s in (-1, 1))
+        share = g.delta_phi_x / math.pi
+    t_lo, t_hi = {"I0": (g.t1, 2.0), "I1": (g.t2, g.t1), "I2": (0.0, g.t2)}[intensity]
+
+    def b_length(a):
+        u = math.cos(a / 2.0) ** 2
+        v_lo = max(0.0, ratio[0] * u, t_lo - u)
+        v_hi = min(1.0, ratio[1] * u if ratio[1] < math.inf else 1.0, t_hi - u)
+        if v_hi <= v_lo:
+            return 0.0
+        return 2.0 * (math.acos(math.sqrt(v_lo)) - math.acos(math.sqrt(v_hi)))
+
+    value, _ = integrate.quad(b_length, 0.0, math.pi, epsabs=1e-16, epsrel=1e-13, limit=1000)
+    return share * value / math.pi ** 2
+
+
+@pytest.mark.parametrize("geometry", [GEOMETRY, passive.RegionGeometry(delta_theta_z=0.1)])
+def test_region_masses_match_exact_integral(geometry):
+    for basis in ("Z", "X"):
+        for intensity in ("I0", "I1", "I2"):
+            for bit in (0, 1):
+                exact = _exact_region_mass(bit, basis, intensity, geometry)
+                nodes = passive.build_region_nodes(bit, basis, intensity, geometry, MU_MAX)
+                assert nodes.mass == pytest.approx(exact, rel=1e-10, abs=0.0), \
+                    (bit, basis, intensity)
+
+
+def _box_moments(params, n, bit, basis, intensity, extra_phi=0):
+    phi_nodes = passive.periodic_phi_nodes(params) + extra_phi if basis == "Z" else n
+    nodes = passive.build_region_nodes(bit, basis, intensity, params.geometry, MU_MAX,
+                                       (n, phi_nodes, n))
+    return passive.region_moments(passive.RegionSpec(bit, basis, intensity), params,
+                                  node_sets=[nodes])
+
+
+def _moment_drift(coarse, fine):
+    """Largest relative change of mass, traces (per unit mass) and blocks."""
+    drift = max(abs(coarse.mass - fine.mass) / fine.mass,
+                float(np.max(np.abs(coarse.traces - fine.traces))) / fine.mass)
+    for n, block in fine.blocks.items():
+        drift = max(drift, float(np.max(np.abs(coarse.blocks[n] - block)) / np.max(np.abs(block))))
+    return drift
+
+
+@pytest.mark.parametrize("att_db", [120.0, 10.0])
+def test_default_quadrature_matches_forty_nodes(att_db):
+    params = make_params(omega=MU_MAX * 10.0 ** (-att_db / 10.0))
+    n = passive.DEFAULT_NODES[0]
+    for basis in ("Z", "X"):
+        for intensity in ("I0", "I1", "I2"):
+            for bit in (0, 1):
+                drift = _moment_drift(_box_moments(params, n, bit, basis, intensity),
+                                      _box_moments(params, 40, bit, basis, intensity))
+                assert drift <= 1e-10, (bit, basis, intensity, drift)
+
+
+@pytest.mark.parametrize("att_db", [120.0, 10.0])
+def test_periodic_phi_rule_is_converged(att_db):
+    params = make_params(omega=MU_MAX * 10.0 ** (-att_db / 10.0))
+    n = passive.DEFAULT_NODES[0]
+    for intensity in ("I0", "I1", "I2"):
+        for bit in (0, 1):
+            drift = _moment_drift(_box_moments(params, n, bit, "Z", intensity),
+                                  _box_moments(params, n, bit, "Z", intensity, extra_phi=8))
+            assert drift <= 1e-13, (bit, intensity, drift)
+
+
+def test_quadrature_convergence_check_flags_a_coarse_grid():
+    ok, detail = check_quadrature_convergence(nodes=6)
+    assert not ok and detail.startswith("6 vs 12 nodes")
 
 
 def test_region_moments_reject_phi_asymmetric_nodes():
