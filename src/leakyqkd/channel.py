@@ -284,19 +284,3 @@ def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
                        + q_d * q_d * no_click_n)) / trace_n
     return yields, errors
 
-
-def expected_yield(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams) -> float:
-    """Click probability of one n-photon state under this channel.
-
-    Only signal-mode photons can reach the detectors; leakage photons
-    are lost, so the no-click probability depends on the signal photon
-    number distribution alone.
-    """
-    eta = transmittance(params)
-    signal = [i for i in range(basis.k) if i not in basis.leak_modes]
-    diag = rho.diagonal().real
-    no_click = 0.0
-    for i, cfg in enumerate(basis.configs):
-        m = sum(cfg[j] for j in signal)
-        no_click += diag[i] * (1.0 - eta) ** m
-    return 1.0 - (1.0 - params.p_dark) ** 2 * no_click

@@ -188,25 +188,6 @@ def bures_chain_bound(trace_i: float, trace_j: float, projected_fidelity: float)
     return max(0.0, root) ** 2
 
 
-def projected_fidelity_bound(rho_i: np.ndarray, rho_j: np.ndarray,
-                             leak_counts: np.ndarray, cut: int) -> float:
-    """Fidelity lower bound keeping only entries with <= cut leakage photons.
-
-    `leak_counts` gives the leakage photon number of each basis index;
-    the basis ordering must make the kept entries a contiguous prefix.
-    With cut >= max leak count the bound equals the exact fidelity.
-    """
-    keep = int(np.searchsorted(leak_counts, cut + 0.5))
-    if keep == 0:
-        raise ValueError("projection annihilates the state (no kept entries)")
-    t_i = float(np.trace(rho_i[:keep, :keep]).real)
-    t_j = float(np.trace(rho_j[:keep, :keep]).real)
-    if t_i <= 0.0 or t_j <= 0.0:
-        raise ValueError("projection annihilates one of the states")
-    f_proj = fidelity(rho_i[:keep, :keep] / t_i, rho_j[:keep, :keep] / t_j)
-    return bures_chain_bound(min(1.0, t_i), min(1.0, t_j), f_proj)
-
-
 # ---------------------------------------------------------------------------
 # Purification overlaps
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
-"""End-to-end key-rate pipelines, parameter optimisation, and sweeps.
+"""End-to-end key-rate estimation, parameter optimisation, and sweeps.
 
-Passive pipeline: build region quadratures, assemble photon-number
-states and observables, bound cross-intensity fidelities, run the yield
-and bit-error programs, transfer the test-basis error to a phase-error
-bound through the coin overlap, and evaluate the asymptotic rate.  The
-refined variant additionally splits single-photon states into their two
-dominant eigenvectors and keys on the dominant one.  Everything up to the
-LP inputs that does not depend on the distance (quadrature, fidelities,
-key/opp splits, coin overlap) forms a `PassiveSource`, built once per
-attenuation and shared by every distance of a grid.
+Both transmitters run one estimation chain; only the source model
+differs.  An input builder turns a source and a channel into an
+`_Estimation`: the decoy yield programs by basis, the test-basis error
+programs, the coin overlap and the key-basis inputs to the rate.
 
-Injection-locked pipeline: analytic states (no quadrature), decoys in
-the test basis only, key-basis yield recovered through the coin transfer
-(the single-photon key/test mixtures coincide, so the transfer is the
-identity).
+- `_passive_estimation` starts from a `PassiveSource`: region
+  quadratures, photon-number states and cross-intensity fidelities,
+  and, for the refined analysis, the split of each single-photon state
+  into its two dominant eigenvectors, keyed on the dominant one.  The
+  source does not depend on the distance; it is built once per
+  attenuation and shared by every distance of a grid.  The builder adds
+  the observables of one channel.
+- `_oil_estimation` builds the injection-locked inputs from analytic
+  states (no quadrature).  Decoys run in the test basis only; the
+  key-basis yield follows from the test yield through the coin transfer.
+
+`_estimate` solves the programs, transfers the test-basis error to a
+phase-error bound through the coin overlap, evaluates the asymptotic
+rate and builds the report.  `key_rate` is the one entry point.
 """
 
 from __future__ import annotations
@@ -214,13 +219,16 @@ def _channel(config: ProtocolConfig, distance_km: float) -> channel_mod.ChannelP
 
 
 def _solve_or_raise(spec: lp.LinearProgramSpec, label: str, lp_log: list) -> float:
-    """Solve one program and append its record (see `_provenance`) to `lp_log`."""
+    """Solve one program and append its record (see `_provenance`) to `lp_log`;
+    an infeasible program raises with `lp_log` attached."""
     solution = lp.solve(spec)
     lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
                    "relaxation": solution.relaxation, "iterations": solution.iterations,
                    "rows": len(spec.constraints), "cols": len(spec.variables)})
     if solution.status != "optimal":
-        raise InfeasibleProgramError(f"{label} program is {solution.status}")
+        exc = InfeasibleProgramError(f"{label} program is {solution.status}")
+        exc.lp_log = lp_log  # the records up to and including this program
+        raise exc
     return float(solution.value)
 
 
@@ -255,9 +263,38 @@ def _cross_fidelity(mom_i, mom_j, n: int) -> float:
     return coin.bures_chain_bound(t_i, t_j, f_proj)
 
 
+@dataclass(frozen=True)
+class _Estimation:
+    """What `_estimate` needs from one transmitter at one grid point.
+
+    `yield_specs` maps a basis to its yield program; the passive
+    transmitter has both bases.  The injection-locked one has only "X",
+    and `fid_zx` gives its key yield through `coin.yield_transfer`.  The
+    mean of the `error_specs` maxima (label -> program) bounds the
+    test-basis error gain.  Programs are solved in dict order.  `sift`,
+    `p_region`, `p1`, `q_weight`, `gain_key` and `error_key` feed
+    `_rate_from_bounds`; `details` holds the transmitter's own report
+    fields and `diagnostics` the warnings recorded before the programs.
+    """
+
+    yield_specs: dict
+    error_specs: dict
+    overlap: complex
+    p_region: float
+    p1: float
+    q_weight: float
+    gain_key: float
+    error_key: float
+    sift: float
+    nodes: int
+    details: dict
+    diagnostics: tuple = ()
+    fid_zx: float | None = None
+
+
 # ---------------------------------------------------------------------------
-# Passive pipeline: a distance-independent source stage, built once per
-# attenuation, and a per-distance channel stage
+# Passive inputs: a distance-independent source, built once per
+# attenuation, and the observables of one channel
 # ---------------------------------------------------------------------------
 
 def _passive_params(config: ProtocolConfig, att_db: float) -> passive.PassiveParams:
@@ -276,26 +313,14 @@ def _region_nodes(params: passive.PassiveParams, nodes: int, bit: int, basis: st
 def _passive_moments(params: passive.PassiveParams, nodes: int) -> tuple[dict, dict]:
     """Region quadrature: moments of every (bit, basis, intensity) box and
     of every bit-union (basis, intensity)."""
-    moments_bit = {}
-    for basis in BASES:
-        for intensity in INTENSITIES:
-            for bit in BITS:
-                region = passive.RegionSpec(bit=bit, basis=basis, intensity=intensity)
-                moments_bit[(bit, basis, intensity)] = passive.region_moments(
-                    region, params,
-                    node_sets=[_region_nodes(params, nodes, bit, basis, intensity)])
+    moments_bit = {(bit, basis, i): passive.region_moments(
+                       passive.RegionSpec(bit=bit, basis=basis, intensity=i), params,
+                       node_sets=[_region_nodes(params, nodes, bit, basis, i)])
+                   for basis in BASES for i in INTENSITIES for bit in BITS}
     moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
                                                           for b in BITS])
                      for basis in BASES for i in INTENSITIES}
     return moments_bit, moments_union
-
-
-def _yield_probs_fids(moments_union: dict, basis: str, n_cut: int) -> tuple[dict, dict]:
-    probs = {i: moments_union[(basis, i)].photon_probabilities()[:n_cut + 1]
-             for i in INTENSITIES}
-    fids = {(i, j, n): _cross_fidelity(moments_union[(basis, i)], moments_union[(basis, j)], n)
-            for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
-    return probs, fids
 
 
 @dataclass(frozen=True)
@@ -305,7 +330,7 @@ class PassiveSource:
     Everything here follows from the source parameters, the attenuation
     and the quadrature grid alone, so one source serves every distance.
     The quadrature nodes themselves are not kept (tens of MB at the
-    default grid); the channel stage rebuilds them box by box.
+    default grid); `_passive_observables` rebuilds them box by box.
 
     Keys: `yield_probs[basis][I]`, `yield_fids[basis][(I, J, n)]` of the
     bit-union states; `probs_bit[(a, I)]`, `fids_bit[(I, J, a, n)]` of the
@@ -347,9 +372,10 @@ def passive_source(config: ProtocolConfig, att_db: float,
     n_cut = config.n_cut
     params = _passive_params(config, att_db)
     moments_bit, moments_union = _passive_moments(params, nodes)
-    yield_probs, yield_fids = {}, {}
-    for basis in BASES:
-        yield_probs[basis], yield_fids[basis] = _yield_probs_fids(moments_union, basis, n_cut)
+    yield_probs = {b: {i: moments_union[(b, i)].photon_probabilities()[:n_cut + 1]
+                       for i in INTENSITIES} for b in BASES}
+    yield_fids = {b: {(i, j, n): _cross_fidelity(moments_union[(b, i)], moments_union[(b, j)], n)
+                      for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)} for b in BASES}
     probs_bit = {(a, i): moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
                  for a in BITS for i in INTENSITIES}
     fids_bit = {(i, j, a, n): _cross_fidelity(moments_bit[(a, "X", i)],
@@ -377,8 +403,7 @@ def passive_source(config: ProtocolConfig, att_db: float,
                                                   q_opp=0.5 * (split0.q_opp + split1.q_opp),
                                                   v_key=split0.v_key, v_opp=split0.v_opp)
                 for tag in ("key", "opp"):
-                    v0 = getattr(split0, f"v_{tag}")
-                    v1 = getattr(split1, f"v_{tag}")
+                    v0, v1 = getattr(split0, f"v_{tag}"), getattr(split1, f"v_{tag}")
                     taus[(i, tag)] = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
             cross_tag[basis] = {i: fidelity(taus[(i, "key")], taus[(i, "opp")])
                                 for i in INTENSITIES}
@@ -406,175 +431,183 @@ def passive_source(config: ProtocolConfig, att_db: float,
         build_s=time.perf_counter() - start, diagnostics=tuple(diagnostics))
 
 
-@dataclass
-class PassiveComputation:
-    """Region moments with the observables of one channel."""
-
-    params: passive.PassiveParams
-    channel: channel_mod.ChannelParams
-    moments_bit: dict
-    moments_union: dict
-    observables_bit: dict
-    gains_union: dict
-
-
-def _with_channel(params: passive.PassiveParams, nodes: int, moments_bit: dict,
-                  moments_union: dict, chan: channel_mod.ChannelParams) -> PassiveComputation:
-    """Observables of every region box under `chan`, on nodes rebuilt box by box."""
-    observables_bit = {}
-    for basis in BASES:
-        for intensity in INTENSITIES:
-            for bit in BITS:
-                observables_bit[(bit, basis, intensity)] = channel_mod.passive_point_observables(
-                    _region_nodes(params, nodes, bit, basis, intensity), bit, basis, chan)
-    gains_union = {(basis, i): sum(moments_bit[(b, basis, i)].mass
-                                   * observables_bit[(b, basis, i)].gain for b in BITS)
-                   / moments_union[(basis, i)].mass
+def _passive_observables(source: PassiveSource,
+                         chan: channel_mod.ChannelParams) -> tuple[dict, dict]:
+    """Observables of every region box under `chan`, on nodes rebuilt box by
+    box, and the gains of the bit-union regions."""
+    observables = {(bit, basis, i): channel_mod.passive_point_observables(
+                       _region_nodes(source.params, source.nodes, bit, basis, i), bit, basis, chan)
+                   for bit, basis, i in source.moments_bit}
+    gains_union = {(basis, i): sum(source.moments_bit[(b, basis, i)].mass
+                                   * observables[(b, basis, i)].gain for b in BITS)
+                   / source.moments_union[(basis, i)].mass
                    for basis in BASES for i in INTENSITIES}
-    return PassiveComputation(params=params, channel=chan, moments_bit=moments_bit,
-                              moments_union=moments_union, observables_bit=observables_bit,
-                              gains_union=gains_union)
+    return observables, gains_union
 
 
-def passive_computation(config: ProtocolConfig, distance_km: float, att_db: float,
-                        nodes: int) -> PassiveComputation:
-    params = _passive_params(config, att_db)
-    moments_bit, moments_union = _passive_moments(params, nodes)
-    return _with_channel(params, nodes, moments_bit, moments_union,
-                         _channel(config, distance_km))
-
-
-def _passive_yield_inputs(comp: PassiveComputation, basis: str, n_cut: int):
-    gains = {i: comp.gains_union[(basis, i)] for i in INTENSITIES}
-    return (gains, *_yield_probs_fids(comp.moments_union, basis, n_cut))
-
-
-def _passive_error_references(comp: PassiveComputation, bit: int, n_cut: int) -> np.ndarray:
-    """Expected bit-error probabilities of the I0 test-basis states."""
-    moments = comp.moments_bit[(bit, "X", "I0")]
-    out = np.empty(n_cut + 1)
-    for n in range(n_cut + 1):
-        out[n] = channel_mod.reference_error(moments.normalized_block(n) * moments.trace_fraction(n),
-                                             moments.bases[n], comp.channel,
-                                             bit=bit, interfere=True)
-    return out
-
-
-def passive_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
-                     nodes: int | None = None,
-                     source: PassiveSource | None = None) -> KeyRateReport:
-    """Baseline or refined passive evaluation at one grid point.
-
-    `source`, from `passive_source` with the same config, attenuation and
-    grid, skips the quadrature; without it the source is built here.
-    """
-    nodes = config.quadrature_nodes if nodes is None else nodes
-    shared = source is not None
-    if source is None:
-        source = passive_source(config, att_db, nodes)
-    elif (source.analysis, source.params, source.nodes) != (
-            config.analysis, _passive_params(config, att_db), nodes):
-        raise ValueError("passive source was built for another configuration, "
-                         "attenuation or grid")
-    start = time.perf_counter()
-    report = _passive_channel_stage(config, source, distance_km, att_db)
-    report.provenance["timings"] = {"source_s": source.build_s, "source_shared": shared,
-                                    "channel_s": time.perf_counter() - start}
-    return report
-
-
-def _passive_channel_stage(config: ProtocolConfig, source: PassiveSource,
-                           distance_km: float, att_db: float) -> KeyRateReport:
-    comp = _with_channel(source.params, source.nodes, source.moments_bit,
-                         source.moments_union, _channel(config, distance_km))
-    lp_log: list = []
+def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
+                        distance_km: float) -> _Estimation:
+    """Programs and rate inputs of the passive transmitter at one distance."""
+    chan = _channel(config, distance_km)
+    observables, gains_union = _passive_observables(source, chan)
     n_cut = config.n_cut
-    nodes = source.nodes
-    references = channel_mod.reference_yields(n_cut, comp.channel)
+    references = channel_mod.reference_yields(n_cut, chan)
     refined = config.analysis == "refined"
 
-    y_lower = {}
+    yield_specs = {}
     for basis in BASES:
-        gains = {i: comp.gains_union[(basis, i)] for i in INTENSITIES}
-        probs, fids = source.yield_probs[basis], source.yield_fids[basis]
-        if not refined:
-            spec = lp.yield_program(gains, probs, fids, references, n_cut)
-        else:
-            spec = lp.refined_yield_program(gains, probs, fids, references, n_cut,
-                                            source.splits[basis], source.tag_fids[basis],
-                                            source.cross_tag[basis])
-        y_lower[basis] = min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log)))
-    y_test = y_lower["X"]
+        inputs = ({i: gains_union[(basis, i)] for i in INTENSITIES}, source.yield_probs[basis],
+                  source.yield_fids[basis], references, n_cut)
+        yield_specs[basis] = (lp.refined_yield_program(*inputs, source.splits[basis],
+                                                       source.tag_fids[basis],
+                                                       source.cross_tag[basis])
+                              if refined else lp.yield_program(*inputs))
 
-    # test-basis bit-error bound
-    error_refs = {a: _passive_error_references(comp, a, n_cut) for a in BITS}
+    # expected bit-error probabilities of the I0 test-basis states
+    test_states = {a: source.moments_bit[(a, "X", "I0")] for a in BITS}
+    error_refs = {a: np.array([channel_mod.reference_error(
+                      m.normalized_block(n) * m.trace_fraction(n), m.bases[n], chan,
+                      bit=a, interfere=True) for n in range(n_cut + 1)])
+                  for a, m in test_states.items()}
     if not refined:
-        gamma_upper = {}
+        error_specs = {}
         for a in BITS:
-            error_gains = {i: comp.observables_bit[(a, "X", i)].error_gain for i in INTENSITIES}
+            error_gains = {i: observables[(a, "X", i)].error_gain for i in INTENSITIES}
             probs_bit = {i: source.probs_bit[(a, i)] for i in INTENSITIES}
             fids_bit = {(i, j, n): f for (i, j, b, n), f in source.fids_bit.items() if b == a}
-            spec = lp.bit_error_program(error_gains, probs_bit, fids_bit, error_refs[a], n_cut)
-            gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", lp_log)))
-        gamma_key = 0.5 * (gamma_upper[0] + gamma_upper[1])
+            error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs_bit, fids_bit,
+                                                                 error_refs[a], n_cut)
     else:
-        outcome_gains = {(a, b, i): comp.observables_bit[(a, "X", i)].outcome_gain(b != a)
+        outcome_gains = {(a, b, i): observables[(a, "X", i)].outcome_gain(b != a)
                          for a in BITS for b in BITS for i in INTENSITIES}
 
         def err_reference(a: int, b: int, n: int) -> float:
             gamma = float(error_refs[a][n])
             return gamma if b != a else float(references[n]) - gamma
 
-        spec = lp.refined_error_program(outcome_gains, source.probs_bit, source.fids_bit,
-                                        err_reference, n_cut, source.splits_bit,
-                                        source.tag_fids_bit, source.cross_bit)
-        gamma_key = min(1.0, max(0.0, _solve_or_raise(spec, "refined error", lp_log)))
+        error_specs = {"refined error": lp.refined_error_program(
+            outcome_gains, source.probs_bit, source.fids_bit, err_reference, n_cut,
+            source.splits_bit, source.tag_fids_bit, source.cross_bit)}
 
     key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass
-    p1 = float(key_union.photon_probabilities()[1])
-    gain_key = comp.gains_union[("Z", "I0")]
-    if y_test <= 1e-12:
-        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log,
-                            nodes, reason="vanishing test-basis yield bound",
-                            diagnostics=source.diagnostics)
-    e_x_upper = min(1.0, gamma_key / y_test)
-
-    # coin overlap and phase error
-    y_coin = 0.5 * (y_lower["Z"] + y_lower["X"])
-    if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log,
-                            nodes, reason="vanishing coin yield",
-                            diagnostics=source.diagnostics)
-    diagnostics = list(source.diagnostics)
-    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity,
-                        float(source.overlap.real), y_coin)
-    e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
-
+    gain_key = gains_union[("Z", "I0")]
     eq_key = sum(source.moments_bit[(a, "Z", "I0")].mass
-                 * comp.observables_bit[(a, "Z", "I0")].error_gain for a in BITS) / p_region
-    error_key = eq_key / gain_key if gain_key > 0 else 0.0
-    rate, raw = _rate_from_bounds(p_region, p1, source.q_weight, y_lower["Z"], e_ph_upper,
-                                  gain_key, error_key, config.p_zb, config.f_ec)
+                 * observables[(a, "Z", "I0")].error_gain for a in BITS) / p_region
     details = {
-        "y_lower": {b: y_lower[b] for b in BASES},
-        "gamma_key_upper": gamma_key,
-        "overlap_real": float(source.overlap.real),
         "region_mass": {f"{b}:{i}": source.moments_union[(b, i)].mass
                         for b in BASES for i in INTENSITIES},
-        "gains": {f"{b}:{i}": comp.gains_union[(b, i)] for b in BASES for i in INTENSITIES},
+        "gains": {f"{b}:{i}": gains_union[(b, i)] for b in BASES for i in INTENSITIES},
         "photon_probabilities_key": [float(x) for x in
-                                     key_union.photon_probabilities()[:config.n_cut + 1]],
+                                     key_union.photon_probabilities()[:n_cut + 1]],
         "omega": source.params.omega,
-        "diagnostics": diagnostics,
     }
+    return _Estimation(
+        yield_specs=yield_specs, error_specs=error_specs, overlap=source.overlap,
+        p_region=p_region, p1=float(key_union.photon_probabilities()[1]),
+        q_weight=source.q_weight, gain_key=gain_key,
+        error_key=eq_key / gain_key if gain_key > 0 else 0.0, sift=config.p_zb,
+        nodes=source.nodes, details=details, diagnostics=source.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Injection-locked inputs: analytic states, no quadrature
+# ---------------------------------------------------------------------------
+
+def _oil_estimation(config: ProtocolConfig, distance_km: float,
+                    att_db: float) -> _Estimation:
+    """Programs and rate inputs of the injection-locked transmitter at one
+    grid point: decoys in the test basis only, and the key-basis yield
+    through the coin transfer (the single-photon key/test mixtures
+    coincide, so the transfer is the identity)."""
+    omega = 10.0 ** (-att_db / 10.0) * config.mu_in / 2.0
+    params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
+                                        omega, n_cut=config.n_cut)
+    chan = _channel(config, distance_km)
+    n_cut = config.n_cut
+    references = channel_mod.reference_yields(n_cut, chan)
+
+    settings = {(a, b, i): oil.setting_phases(a, b, i, params)
+                for a in BITS for b in BASES for i in INTENSITIES if b == "X" or i == "I0"}
+    intensities = {i: params.intensity(i) for i in INTENSITIES}
+    gains = {i: channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
+             for i in INTENSITIES}
+    probs = {i: oil.photon_probabilities(intensities[i], omega, n_cut) for i in INTENSITIES}
+    mixed = {(i, n): oil.mixed_state("X", i, params, n)
+             for i in INTENSITIES for n in range(n_cut + 1)}
+    fids = {(i, j, n): fidelity(mixed[(i, n)], mixed[(j, n)])
+            for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+
+    error_specs = {}
+    for a in BITS:
+        error_gains = {i: channel_mod.oil_point_observables(
+                           intensities[i], 0.0, "X", a, chan).error_gain for i in INTENSITIES}
+        vectors = {(i, n): oil.state_vector(settings[(a, "X", i)], params, n)
+                   for i in INTENSITIES for n in range(1, n_cut + 1)}
+        # the vacuum sector has unit fidelity
+        fids_bit = {(i, j, n): pure_state_fidelity(vectors[(i, n)], vectors[(j, n)]) if n else 1.0
+                    for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+        blocks = [oil.state_block(settings[(a, "X", "I0")], params, n) for n in range(n_cut + 1)]
+        error_refs = np.array([channel_mod.reference_error(
+            rho / float(np.trace(rho).real), oil.oil_basis(n), chan, bit=a, interfere=False)
+            for n, rho in enumerate(blocks)])
+        error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs, fids_bit,
+                                                             error_refs, n_cut)
+
+    key_setting = settings[(0, "Z", "I0")]
+    key_obs = channel_mod.oil_point_observables(
+        intensities["I0"], 0.5 * (key_setting.phi12 + key_setting.phi23), "Z", 0, chan)
+    rho_key, rho_test = oil.mixed_state("Z", "I0", params, 1), mixed[("I0", 1)]
+    identical = float(np.max(np.abs(rho_key - rho_test))) <= 1e-10
+    fid_zx = 1.0 if identical else fidelity(rho_key, rho_test)
+    return _Estimation(
+        yield_specs={"X": lp.yield_program(gains, probs, fids, references, n_cut)},
+        error_specs=error_specs, overlap=oil.single_photon_overlap(params), p_region=1.0,
+        p1=float(oil.photon_probabilities(intensities["I0"], omega, 1)[1]), q_weight=1.0,
+        gain_key=key_obs.gain, error_key=key_obs.error_rate, sift=config.p_zazb, nodes=0,
+        details={"fid_zx": fid_zx, "intensities": intensities, "omega": omega, "gains": gains},
+        fid_zx=fid_zx)
+
+
+# ---------------------------------------------------------------------------
+# The estimation chain, shared by both transmitters
+# ---------------------------------------------------------------------------
+
+def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
+              est: _Estimation) -> KeyRateReport:
+    """Solve the programs, bound the phase error through the coin overlap
+    and evaluate the rate."""
+    lp_log: list = []
+    y_lower = {basis: min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log)))
+               for basis, spec in est.yield_specs.items()}
+    gammas = [min(1.0, max(0.0, _solve_or_raise(spec, label, lp_log)))
+              for label, spec in est.error_specs.items()]
+    gamma_key = sum(gammas) / len(gammas)
+    y_test = y_lower["X"]
+    if y_test <= 1e-12:
+        return _zero_report(config, distance_km, att_db, est, lp_log,
+                            reason="vanishing test-basis yield bound")
+    e_x_upper = min(1.0, gamma_key / y_test)
+    y_key = y_lower["Z"] if "Z" in y_lower else coin.yield_transfer(y_test, est.fid_zx)[0]
+    y_coin = 0.5 * (y_key + y_test)
+    if y_coin <= 0.0:
+        return _zero_report(config, distance_km, att_db, est, lp_log,
+                            reason="vanishing coin yield")
+    diagnostics = list(est.diagnostics)
+    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(est.overlap.real), y_coin)
+    e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
+    rate, raw = _rate_from_bounds(est.p_region, est.p1, est.q_weight, y_key, e_ph_upper,
+                                  est.gain_key, est.error_key, est.sift, config.f_ec)
+    details = {"y_lower": {"Z": y_key, "X": y_test}, "gamma_key_upper": gamma_key,
+               "overlap_real": float(est.overlap.real), **est.details,
+               "diagnostics": diagnostics}
     return KeyRateReport(
-        transmitter="passive", distance_km=distance_km, att_db=att_db,
-        analysis=config.analysis, rate=rate, rate_raw=raw, y1_lower=y_lower["Z"],
+        transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
+        analysis=config.analysis, rate=rate, rate_raw=raw, y1_lower=y_key,
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
-        gain_key=gain_key, error_key=error_key, p_region_key=p_region,
-        p1_given_region=p1, q_key_weight=source.q_weight, details=details,
-        provenance=_provenance(config, lp_log, nodes))
+        gain_key=est.gain_key, error_key=est.error_key, p_region_key=est.p_region,
+        p1_given_region=est.p1, q_key_weight=est.q_weight, details=details,
+        provenance=_provenance(config, lp_log, est.nodes))
 
 
 def _provenance(config: ProtocolConfig, lp_log: list, nodes: int) -> dict:
@@ -585,133 +618,48 @@ def _provenance(config: ProtocolConfig, lp_log: list, nodes: int) -> dict:
             "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log}
 
 
-def _zero_report(config, distance_km, att_db, gain_key, p_region, p1, lp_log, nodes,
-                 reason, diagnostics=()):
-    """Rate-zero report for a point whose yield bound vanished (both transmitters)."""
+def _zero_report(config: ProtocolConfig, distance_km: float, att_db: float,
+                 est: _Estimation, lp_log: list, reason: str) -> KeyRateReport:
+    """Rate-zero report for a point whose yield bound vanished."""
     return KeyRateReport(
         transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
         analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
         e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0,
-        gain_key=gain_key, error_key=0.0, p_region_key=p_region, p1_given_region=p1,
-        q_key_weight=1.0, status=f"zero-rate: {reason}",
-        details={"diagnostics": list(diagnostics)},
-        provenance=_provenance(config, lp_log, nodes))
-
-
-# ---------------------------------------------------------------------------
-# Injection-locked pipeline
-# ---------------------------------------------------------------------------
-
-def oil_key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
-                 nodes: int | None = None) -> KeyRateReport:
-    """Injection-locked transmitter evaluation at one grid point."""
-    eta_im = 10.0 ** (-att_db / 10.0)
-    omega = eta_im * config.mu_in / 2.0
-    params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
-                                        omega, n_cut=config.n_cut)
-    chan = _channel(config, distance_km)
-    lp_log: list = []
-    n_cut = config.n_cut
-    references = channel_mod.reference_yields(n_cut, chan)
-
-    settings = {(a, b, i): oil.setting_phases(a, b, i, params)
-                for a in BITS for b in BASES for i in INTENSITIES if b == "X" or i == "I0"}
-    intensities = {i: params.intensity(i) for i in INTENSITIES}
-
-    gains = {i: channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
-             for i in INTENSITIES}
-    probs = {i: oil.photon_probabilities(intensities[i], omega, n_cut) for i in INTENSITIES}
-    mixed = {(i, n): oil.mixed_state("X", i, params, n)
-             for i in INTENSITIES for n in range(n_cut + 1)}
-    fids = {}
-    for idx, i in enumerate(INTENSITIES):
-        for j in INTENSITIES[idx + 1:]:
-            for n in range(n_cut + 1):
-                fids[(i, j, n)] = fidelity(mixed[(i, n)], mixed[(j, n)])
-    y_x = min(1.0, max(0.0, _solve_or_raise(
-        lp.yield_program(gains, probs, fids, references, n_cut), "X yield", lp_log)))
-
-    gamma_upper = {}
-    for a in BITS:
-        observables = {i: channel_mod.oil_point_observables(intensities[i], 0.0, "X", a, chan)
-                       for i in INTENSITIES}
-        error_gains = {i: observables[i].error_gain for i in INTENSITIES}
-        vectors = {(i, n): oil.state_vector(settings[(a, "X", i)], params, n)
-                   for i in INTENSITIES for n in range(1, n_cut + 1)}
-        fids_bit = {}
-        for idx, i in enumerate(INTENSITIES):
-            for j in INTENSITIES[idx + 1:]:
-                fids_bit[(i, j, 0)] = 1.0  # vacuum sector
-                for n in range(1, n_cut + 1):
-                    fids_bit[(i, j, n)] = pure_state_fidelity(vectors[(i, n)], vectors[(j, n)])
-        error_refs = np.empty(n_cut + 1)
-        for n in range(n_cut + 1):
-            rho = oil.state_block(settings[(a, "X", "I0")], params, n)
-            tr = float(np.trace(rho).real)
-            error_refs[n] = channel_mod.reference_error(rho / tr, oil.oil_basis(n), chan,
-                                                        bit=a, interfere=False)
-        spec = lp.bit_error_program(error_gains, probs, fids_bit, error_refs, n_cut)
-        gamma_upper[a] = min(1.0, max(0.0, _solve_or_raise(spec, f"bit-{a} error", lp_log)))
-
-    key_obs = channel_mod.oil_point_observables(
-        intensities["I0"],
-        0.5 * (settings[(0, "Z", "I0")].phi12 + settings[(0, "Z", "I0")].phi23),
-        "Z", 0, chan)
-    p1 = float(oil.photon_probabilities(intensities["I0"], omega, 1)[1])
-    if y_x <= 1e-12:
-        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, lp_log,
-                            nodes or 0, reason="vanishing test-basis yield bound")
-    e_x_upper = min(1.0, 0.5 * (gamma_upper[0] + gamma_upper[1]) / y_x)
-
-    # key-basis yield through the coin transfer; the single-photon mixtures
-    # of the two bases coincide, so the transfer collapses to the identity
-    rho_key = oil.mixed_state("Z", "I0", params, 1)
-    rho_test = oil.mixed_state("X", "I0", params, 1)
-    if float(np.max(np.abs(rho_key - rho_test))) <= 1e-10:
-        fid_zx = 1.0
-    else:
-        fid_zx = fidelity(rho_key, rho_test)
-    y_z = coin.yield_transfer(y_x, fid_zx)[0]
-
-    overlap = oil.single_photon_overlap(params)
-    y_coin = 0.5 * (y_z + y_x)
-    if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, key_obs.gain, 1.0, p1, lp_log,
-                            nodes or 0, reason="vanishing coin yield")
-    diagnostics: list = []
-    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(overlap.real), y_coin)
-    e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
-
-    privacy = 1.0 - binary_entropy(min(0.5, e_ph_upper))
-    raw = config.p_zazb * (p1 * y_z * privacy
-                           - key_obs.gain * config.f_ec * binary_entropy(key_obs.error_rate))
-    details = {
-        "y_lower": {"Z": y_z, "X": y_x},
-        "overlap_real": float(overlap.real),
-        "fid_zx": fid_zx,
-        "intensities": intensities,
-        "omega": omega,
-        "gains": {i: gains[i] for i in INTENSITIES},
-        "diagnostics": diagnostics,
-    }
-    return KeyRateReport(
-        transmitter="oil", distance_km=distance_km, att_db=att_db,
-        analysis=config.analysis, rate=max(0.0, raw), rate_raw=raw, y1_lower=y_z,
-        e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
-        gain_key=key_obs.gain, error_key=key_obs.error_rate, p_region_key=1.0,
-        p1_given_region=p1, q_key_weight=1.0, details=details,
-        provenance=_provenance(config, lp_log, nodes or 0))
+        gain_key=est.gain_key, error_key=0.0, p_region_key=est.p_region,
+        p1_given_region=est.p1, q_key_weight=1.0, status=f"zero-rate: {reason}",
+        details={"diagnostics": list(est.diagnostics)},
+        provenance=_provenance(config, lp_log, est.nodes))
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
              nodes: int | None = None,
              source: PassiveSource | None = None) -> KeyRateReport:
-    """One grid point; `source` (passive only) reuses a built passive source."""
+    """One grid point, with the stage timings in `provenance["timings"]`.
+
+    Passive: `nodes` overrides the config's quadrature grid, and `source`,
+    from `passive_source` with the same config, attenuation and grid,
+    skips the quadrature.  The injection-locked transmitter uses neither.
+    """
+    timings = {}
     if config.transmitter == "passive":
-        return passive_key_rate(config, distance_km, att_db, nodes, source)
-    if source is not None:
+        nodes = config.quadrature_nodes if nodes is None else nodes
+        shared = source is not None
+        if source is None:
+            source = passive_source(config, att_db, nodes)
+        elif (source.analysis, source.params, source.nodes) != (
+                config.analysis, _passive_params(config, att_db), nodes):
+            raise ValueError("passive source was built for another configuration, "
+                             "attenuation or grid")
+        timings = {"source_s": source.build_s, "source_shared": shared}
+    elif source is not None:
         raise ValueError("a passive source cannot serve the injection-locked transmitter")
-    return oil_key_rate(config, distance_km, att_db, nodes)
+    start = time.perf_counter()
+    est = (_oil_estimation(config, distance_km, att_db) if source is None
+           else _passive_estimation(config, source, distance_km))
+    report = _estimate(config, distance_km, att_db, est)
+    timings["channel_s"] = time.perf_counter() - start
+    report.provenance["timings"] = timings
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +786,8 @@ def _failed_report(config: ProtocolConfig, distance_km: float, att_db: float,
         analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
         e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0, gain_key=0.0,
         error_key=0.0, p_region_key=0.0, p1_given_region=0.0,
-        q_key_weight=0.0, status=f"failed: {exc}",
-        provenance={"config_hash": config_hash(config)})
+        q_key_weight=0.0, status=f"failed: {exc}", details={"diagnostics": []},
+        provenance={"config_hash": config_hash(config), "lp": getattr(exc, "lp_log", [])})
 
 
 def sweep(config: ProtocolConfig, optimize: bool = False) -> list[KeyRateReport]:

@@ -100,11 +100,6 @@ def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
     return float(abs(np.vdot(psi, chi)) ** 2)
 
 
-def bures_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Bures distance d_B = sqrt(2 (1 - sqrt(F)))."""
-    return bures_from_fidelity(fidelity(rho, sigma))
-
-
 def bures_from_fidelity(fid: float) -> float:
     fid = min(1.0, max(0.0, fid))
     return math.sqrt(2.0 * (1.0 - math.sqrt(fid)))

@@ -144,12 +144,6 @@ def setting_amplitudes(setting: OilSetting, params: OilParams) -> np.ndarray:
     ])
 
 
-def setting_intensity(setting: OilSetting, params: OilParams) -> float:
-    """Signal intensity mu_e + mu_l of one setting."""
-    return (params.mu_in * (1.0 + math.cos(setting.phi12)) / 2.0
-            + params.mu_in * (1.0 + math.cos(setting.phi23)) / 2.0)
-
-
 def state_block(setting: OilSetting, params: OilParams, n: int,
                 basis: NPhotonBasis | None = None) -> np.ndarray:
     """Sub-normalised n-photon block of one setting's emitted state.

@@ -59,15 +59,6 @@ class EmptyRegionError(ValueError):
     """Raised when a post-selection region has zero probability mass."""
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when quadrature refinement disagrees beyond tolerance."""
-
-    def __init__(self, message, coarse, fine):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
-
-
 @lru_cache(maxsize=None)
 def passive_basis(n: int) -> NPhotonBasis:
     """Leakage-sorted n-photon basis over modes (e, l, 1, 3, 5)."""
@@ -217,21 +208,6 @@ def invert_phases(point: TargetPoint, phi_e: float, signs: tuple[int, int],
     return phi1, phi2, phi3, phi4
 
 
-def joint_pdf(point: TargetPoint, mu_max: float) -> float:
-    """Classical density of (theta, phi, mu); phi is uniform on (-pi, pi].
-
-    The density diverges on the surfaces mu_e = mu_max and mu_l = mu_max;
-    evaluation there is rejected (quadrature never places nodes on them).
-    """
-    c2 = math.cos(point.theta / 2.0) ** 2
-    s2 = math.sin(point.theta / 2.0) ** 2
-    g_e = 1.0 - point.mu * c2 / mu_max
-    g_l = 1.0 - point.mu * s2 / mu_max
-    if g_e <= 0.0 or g_l <= 0.0:
-        raise ValueError("density evaluated on or beyond its singular boundary")
-    return 1.0 / (TWO_PI * mu_max * math.pi ** 2 * math.sqrt(g_e) * math.sqrt(g_l))
-
-
 def classify_region(point: TargetPoint, geometry: RegionGeometry,
                     mu_max: float) -> RegionSpec | None:
     """Post-selection outcome for one target point, or None if inconclusive."""
@@ -294,20 +270,6 @@ def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max):
     amp[4] = math.sqrt(omega / 2.0) * np.exp(1j * (phi - s_off))
     mu_leak = omega + np.abs(amp[3]) ** 2
     return amp, mu_leak
-
-
-def leakage_functions(point: TargetPoint, signs: tuple[int, int], omega: float,
-                      mu_max: float) -> tuple[float, float, float, float, float]:
-    """Phase offsets (C, S), interference amplitude r, its phase h, and mu_L."""
-    s_e, s_l = signs
-    half_e, half_l = _half_angles(point, mu_max)
-    c_off = s_e * half_e
-    s_off = s_l * half_l
-    r = math.sqrt(omega * (1.0 + math.cos(point.phi + c_off + s_off)) / 2.0)
-    h = math.atan2(-math.sin(c_off) + math.sin(point.phi + s_off),
-                   math.cos(c_off) + math.cos(point.phi + s_off))
-    mu_leak = omega + r * r
-    return c_off, s_off, r, h, mu_leak
 
 
 def photon_number_block(point: TargetPoint, n: int, omega: float, mu_max: float,
@@ -576,34 +538,6 @@ def _require_phi_symmetric(theta, phi, mu, weight):
             and all(np.array_equal(x[order], x[mirror]) for x in (theta, mu, weight))):
         raise ValueError("node set is not symmetric under phi -> -phi; "
                          "the two-branch quadrature needs it")
-
-
-def region_average(region: RegionSpec, n: int, params: PassiveParams,
-                   nodes=DEFAULT_NODES, refine_check: bool = False,
-                   refine_rtol: float = 2e-3):
-    """Normalised n-photon region state, its photon probability, and p_Omega.
-
-    With `refine_check` the quadrature is repeated at doubled resolution
-    and a ConvergenceError carrying both estimates is raised when the
-    relative change in (mass, photon probability) exceeds `refine_rtol`.
-    """
-    if n > params.n_cut:
-        raise ValueError(f"n={n} exceeds n_cut={params.n_cut}")
-    moments = region_moments(region, params, nodes=nodes, n_tail=max(20, n))
-    rho = moments.normalized_block(n)
-    p_n = float(moments.traces[n] / moments.mass)
-    result = (rho, p_n, moments.mass)
-    if refine_check:
-        fine_nodes = tuple(2 * x for x in nodes)
-        fine = region_moments(region, params, nodes=fine_nodes, n_tail=max(20, n))
-        fine_result = (fine.normalized_block(n), float(fine.traces[n] / fine.mass), fine.mass)
-        rel_mass = abs(result[2] - fine_result[2]) / fine_result[2]
-        rel_pn = abs(result[1] - fine_result[1]) / max(fine_result[1], 1e-300)
-        if max(rel_mass, rel_pn) > refine_rtol:
-            raise ConvergenceError(
-                f"quadrature not converged on {region}: mass drift {rel_mass:.2e}, "
-                f"p_n drift {rel_pn:.2e}", result, fine_result)
-    return result
 
 
 # ---------------------------------------------------------------------------

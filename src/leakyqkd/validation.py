@@ -474,21 +474,21 @@ def check_channel_truth_feasibility(nodes: int = 32) -> tuple[bool, str]:
 
 
 def _channel_truth_slack(config, distance: float, att: float, nodes: int) -> float:
-    comp = driver.passive_computation(config, distance, att, nodes)
+    """Largest amount by which the model's own yields violate a yield
+    program the pipeline solves, or by which its bound exceeds the true
+    single-photon yield."""
+    source = driver.passive_source(config, att, nodes)
+    est = driver._passive_estimation(config, source, distance)
+    chan = driver._channel(config, distance)
     n_cut = config.n_cut
     worst = 0.0
-    for basis in driver.BASES:
-        gains, probs, fids = driver._passive_yield_inputs(comp, basis, n_cut)
-        spec = lp.yield_program(gains, probs, fids,
-                                channel_mod.reference_yields(n_cut, comp.channel), n_cut)
-        node_sets = {i: passive.region_nodes_for(passive.RegionSpec(None, basis, i),
-                                                 comp.params.geometry, comp.params.mu_max,
-                                                 (nodes, nodes, nodes))
-                     for i in driver.INTENSITIES}
+    for basis, spec in est.yield_specs.items():
         truth = {}
         for i in driver.INTENSITIES:
-            yields, _ = channel_mod.passive_true_statistics(node_sets[i], comp.params,
-                                                            comp.channel, n_cut)
+            node_sets = passive.region_nodes_for(passive.RegionSpec(None, basis, i),
+                                                 source.params.geometry, source.params.mu_max,
+                                                 (nodes, nodes, nodes))
+            yields, _ = channel_mod.passive_true_statistics(node_sets, source.params, chan, n_cut)
             for n in range(n_cut + 1):
                 truth[f"Y_{i}_{n}"] = float(yields[n])
         worst = max(worst, _constraint_violation(spec, truth))

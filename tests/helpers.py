@@ -1,0 +1,120 @@
+"""Reference formulas that only the tests use.
+
+Each one restates a quantity the package computes another way (a region
+state from `region_moments`, a leakage intensity from the branch
+amplitudes, a click probability from the channel statistics), so that a
+test can check the two against each other.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from leakyqkd import passive
+from leakyqkd.channel import transmittance
+from leakyqkd.coin import bures_chain_bound
+from leakyqkd.linalg import bures_from_fidelity, fidelity
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when quadrature refinement disagrees beyond tolerance."""
+
+    def __init__(self, message, coarse, fine):
+        super().__init__(message)
+        self.coarse = coarse
+        self.fine = fine
+
+
+def region_average(region, n, params, nodes=passive.DEFAULT_NODES, refine_check=False,
+                   refine_rtol=2e-3):
+    """Normalised n-photon region state, its photon probability, and p_Omega.
+
+    With `refine_check` the quadrature is repeated at doubled resolution
+    and a ConvergenceError carrying both estimates is raised when the
+    relative change in (mass, photon probability) exceeds `refine_rtol`.
+    """
+    if n > params.n_cut:
+        raise ValueError(f"n={n} exceeds n_cut={params.n_cut}")
+    moments = passive.region_moments(region, params, nodes=nodes, n_tail=max(20, n))
+    result = (moments.normalized_block(n), float(moments.traces[n] / moments.mass), moments.mass)
+    if refine_check:
+        fine = passive.region_moments(region, params, nodes=tuple(2 * x for x in nodes),
+                                      n_tail=max(20, n))
+        fine_result = (fine.normalized_block(n), float(fine.traces[n] / fine.mass), fine.mass)
+        rel_mass = abs(result[2] - fine_result[2]) / fine_result[2]
+        rel_pn = abs(result[1] - fine_result[1]) / max(fine_result[1], 1e-300)
+        if max(rel_mass, rel_pn) > refine_rtol:
+            raise ConvergenceError(
+                f"quadrature not converged on {region}: mass drift {rel_mass:.2e}, "
+                f"p_n drift {rel_pn:.2e}", result, fine_result)
+    return result
+
+
+def joint_pdf(point, mu_max):
+    """Classical density of (theta, phi, mu); phi is uniform on (-pi, pi].
+
+    The density diverges on the surfaces mu_e = mu_max and mu_l = mu_max;
+    evaluation there is rejected.
+    """
+    g_e = 1.0 - point.mu * math.cos(point.theta / 2.0) ** 2 / mu_max
+    g_l = 1.0 - point.mu * math.sin(point.theta / 2.0) ** 2 / mu_max
+    if g_e <= 0.0 or g_l <= 0.0:
+        raise ValueError("density evaluated on or beyond its singular boundary")
+    return 1.0 / (2.0 * math.pi * mu_max * math.pi ** 2 * math.sqrt(g_e) * math.sqrt(g_l))
+
+
+def leakage_functions(point, signs, omega, mu_max):
+    """Phase offsets (C, S), interference amplitude r, its phase h, and mu_L."""
+    half_e, half_l = passive._half_angles(point, mu_max)
+    c_off = signs[0] * half_e
+    s_off = signs[1] * half_l
+    r = math.sqrt(omega * (1.0 + math.cos(point.phi + c_off + s_off)) / 2.0)
+    h = math.atan2(-math.sin(c_off) + math.sin(point.phi + s_off),
+                   math.cos(c_off) + math.cos(point.phi + s_off))
+    return c_off, s_off, r, h, omega + r * r
+
+
+def projected_fidelity_bound(rho_i, rho_j, leak_counts, cut):
+    """Fidelity lower bound keeping only entries with <= cut leakage photons.
+
+    `leak_counts` gives the leakage photon number of each basis index;
+    the basis ordering must make the kept entries a contiguous prefix.
+    With cut >= max leak count the bound equals the exact fidelity.
+    """
+    keep = int(np.searchsorted(leak_counts, cut + 0.5))
+    if keep == 0:
+        raise ValueError("projection annihilates the state (no kept entries)")
+    t_i = float(np.trace(rho_i[:keep, :keep]).real)
+    t_j = float(np.trace(rho_j[:keep, :keep]).real)
+    if t_i <= 0.0 or t_j <= 0.0:
+        raise ValueError("projection annihilates one of the states")
+    f_proj = fidelity(rho_i[:keep, :keep] / t_i, rho_j[:keep, :keep] / t_j)
+    return bures_chain_bound(min(1.0, t_i), min(1.0, t_j), f_proj)
+
+
+def expected_yield(rho, basis, params):
+    """Click probability of one n-photon state under a channel.
+
+    Only signal-mode photons can reach the detectors; leakage photons are
+    lost, so the no-click probability depends on the signal photon number
+    distribution alone.
+    """
+    eta = transmittance(params)
+    signal = [i for i in range(basis.k) if i not in basis.leak_modes]
+    diag = rho.diagonal().real
+    no_click = sum(diag[i] * (1.0 - eta) ** sum(cfg[j] for j in signal)
+                   for i, cfg in enumerate(basis.configs))
+    return 1.0 - (1.0 - params.p_dark) ** 2 * no_click
+
+
+def bures_distance(rho, sigma):
+    """Bures distance d_B = sqrt(2 (1 - sqrt(F)))."""
+    return bures_from_fidelity(fidelity(rho, sigma))
+
+
+def setting_intensity(setting, params):
+    """Signal intensity mu_e + mu_l of one injection-locked setting."""
+    return (params.mu_in * (1.0 + math.cos(setting.phi12)) / 2.0
+            + params.mu_in * (1.0 + math.cos(setting.phi23)) / 2.0)

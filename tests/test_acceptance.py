@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import projected_fidelity_bound
 from leakyqkd import channel, coin, driver, lp, oil, passive, validation
 from leakyqkd.linalg import fidelity
 
@@ -166,7 +167,7 @@ def test_criterion_3_fidelity_bound_soundness():
                         rho_j = states[(basis_label, j)].normalized_block(n)
                         counts = states[(basis_label, i)].bases[n].leak_counts()
                         exact = fidelity(rho_i, rho_j)
-                        bound = coin.projected_fidelity_bound(rho_i, rho_j, counts, cut=1)
+                        bound = projected_fidelity_bound(rho_i, rho_j, counts, cut=1)
                         worst_slack = max(worst_slack, bound - exact)
                         if check_gap:
                             worst_gap = max(worst_gap, exact - bound)
@@ -212,10 +213,13 @@ def _assignment_violation(spec, assignment):
 
 
 def _passive_truth_check(config, distance, att, nodes):
-    """Feasibility and soundness of all four programs against the model."""
-    comp = driver.passive_computation(config, distance, att, nodes)
+    """Feasibility and soundness, against the model, of the four programs
+    the pipeline solves."""
+    source = driver.passive_source(config, att, nodes)
+    est = driver._passive_estimation(config, source, distance)
+    chan = driver._channel(config, distance)
+    params = source.params
     n_cut = config.n_cut
-    references = channel.reference_yields(n_cut, comp.channel)
     grid = (nodes, nodes, nodes)
     worst = 0.0
 
@@ -223,16 +227,14 @@ def _passive_truth_check(config, distance, att, nodes):
     for basis_label in BASES:
         for i in INTENSITIES:
             node_sets = passive.region_nodes_for(passive.RegionSpec(None, basis_label, i),
-                                                 comp.params.geometry, comp.params.mu_max, grid)
-            yields, _ = channel.passive_true_statistics(node_sets, comp.params,
-                                                        comp.channel, n_cut)
+                                                 params.geometry, params.mu_max, grid)
+            yields, _ = channel.passive_true_statistics(node_sets, params, chan, n_cut)
             truth_union[(basis_label, i)] = yields
 
     # baseline yield programs
     y_true_1 = {}
     for basis_label in BASES:
-        gains, probs, fids = driver._passive_yield_inputs(comp, basis_label, n_cut)
-        spec = lp.yield_program(gains, probs, fids, references, n_cut)
+        spec = est.yield_specs[basis_label]
         assignment = {f"Y_{i}_{n}": float(truth_union[(basis_label, i)][n])
                       for i in INTENSITIES for n in range(n_cut + 1)}
         worst = max(worst, _assignment_violation(spec, assignment))
@@ -246,21 +248,11 @@ def _passive_truth_check(config, distance, att, nodes):
     for a in (0, 1):
         for i in INTENSITIES:
             node_sets = passive.region_nodes_for(passive.RegionSpec(a, "X", i),
-                                                 comp.params.geometry, comp.params.mu_max, grid)
-            truth_bit[(a, i)] = channel.passive_true_statistics(node_sets, comp.params,
-                                                                comp.channel, n_cut, bit=a)
+                                                 params.geometry, params.mu_max, grid)
+            truth_bit[(a, i)] = channel.passive_true_statistics(node_sets, params, chan,
+                                                                n_cut, bit=a)
     for a in (0, 1):
-        error_gains = {i: comp.observables_bit[(a, "X", i)].error_gain for i in INTENSITIES}
-        probs_bit = {i: comp.moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
-                     for i in INTENSITIES}
-        fids_bit = {}
-        for idx, i in enumerate(INTENSITIES):
-            for j in INTENSITIES[idx + 1:]:
-                for n in range(n_cut + 1):
-                    fids_bit[(i, j, n)] = driver._cross_fidelity(
-                        comp.moments_bit[(a, "X", i)], comp.moments_bit[(a, "X", j)], n)
-        spec = lp.bit_error_program(error_gains, probs_bit, fids_bit,
-                                    driver._passive_error_references(comp, a, n_cut), n_cut)
+        spec = est.error_specs[f"bit-{a} error"]
         assignment = {f"Y_{i}_{n}": float(truth_bit[(a, i)][1][n])
                       for i in INTENSITIES for n in range(n_cut + 1)}
         worst = max(worst, _assignment_violation(spec, assignment))
@@ -312,7 +304,7 @@ def test_criterion_6_oil_indistinguishability():
         rho_test = oil.mixed_state("X", "I0", params, 1)
         worst = max(worst, float(np.max(np.abs(rho_key - rho_test))))
     config = driver.ProtocolConfig(transmitter="oil", mu_in=0.5, mu_i1=0.1, mu_i2=1e-4)
-    rep = driver.oil_key_rate(config, 50.0, 120.0)
+    rep = driver.key_rate(config, 50.0, 120.0)
     transfer_identity = (rep.details["fid_zx"] >= 1.0 - 1e-9
                          and rep.y1_lower == pytest.approx(rep.details["y_lower"]["X"],
                                                            abs=1e-12))
@@ -388,8 +380,8 @@ def test_criterion_8_refined_dominance():
             base_cfg = driver.ProtocolConfig(transmitter="passive", analysis="baseline",
                                              mu_max=0.5, delta_theta_z=0.1)
             ref_cfg = dataclasses.replace(base_cfg, analysis="refined")
-            base = driver.passive_key_rate(base_cfg, distance, att, nodes=24).rate
-            refined = driver.passive_key_rate(ref_cfg, distance, att, nodes=24).rate
+            base = driver.key_rate(base_cfg, distance, att, nodes=24).rate
+            refined = driver.key_rate(ref_cfg, distance, att, nodes=24).rate
             worst_deficit = max(worst_deficit, base - refined)
             strictly_better |= refined > base + 1e-12
     report(8, f"refined >= baseline - 1e-9 at every point (worst deficit "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import expected_yield, region_average
 from leakyqkd import channel, oil, passive
 from leakyqkd.channel import ChannelParams, transmittance
 
@@ -91,8 +92,8 @@ def test_reference_error_against_click_enumeration():
 def test_trace_out_leakage_preserves_trace():
     params = passive.PassiveParams(mu_max=0.5, omega=0.01,
                                    geometry=passive.RegionGeometry(delta_theta_z=0.1))
-    rho, _, _ = passive.region_average(passive.RegionSpec(0, "X", "I0"), 2, params,
-                                       nodes=(12, 12, 12))
+    rho, _, _ = region_average(passive.RegionSpec(0, "X", "I0"), 2, params,
+                               nodes=(12, 12, 12))
     blocks = channel.trace_out_leakage(rho, passive.passive_basis(2))
     total = sum(np.trace(b).real for b in blocks.values())
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -176,7 +177,7 @@ def test_true_statistics_against_density_matrix_route():
     for n in (1, 2):
         rho = moments.normalized_block(n)
         basis = moments.bases[n]
-        assert channel.expected_yield(rho, basis, chan) == pytest.approx(
+        assert expected_yield(rho, basis, chan) == pytest.approx(
             float(yields[n]), abs=1e-10)
         gamma = channel.reference_error(rho, basis, chan, bit=0, interfere=True)
         assert gamma == pytest.approx(float(errors[n]), abs=1e-10)

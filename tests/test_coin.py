@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import projected_fidelity_bound
 from leakyqkd import coin, passive
 from leakyqkd.linalg import fidelity
 
@@ -150,7 +151,7 @@ def test_bound_equals_exact_without_truncation():
     rho_i, basis = _passive_region_state(0, "X", "I0", 0.01, 2)
     rho_j, _ = _passive_region_state(0, "X", "I1", 0.01, 2)
     counts = basis.leak_counts()
-    bound = coin.projected_fidelity_bound(rho_i, rho_j, counts, cut=2)
+    bound = projected_fidelity_bound(rho_i, rho_j, counts, cut=2)
     assert bound == pytest.approx(fidelity(rho_i, rho_j), abs=1e-8)
 
 
@@ -161,7 +162,7 @@ def test_bound_sound_even_at_harsh_leakage():
         for n in (1, 2):
             rho_i, basis = _passive_region_state(0, "X", pair[0], 0.01, n)
             rho_j, _ = _passive_region_state(0, "X", pair[1], 0.01, n)
-            bound = coin.projected_fidelity_bound(rho_i, rho_j, basis.leak_counts(), cut=1)
+            bound = projected_fidelity_bound(rho_i, rho_j, basis.leak_counts(), cut=1)
             assert bound <= fidelity(rho_i, rho_j) + 1e-8
 
 
@@ -175,7 +176,7 @@ def test_bound_never_exceeds_exact_and_gap_small():
                                                  **CORPUS_GEOMETRY)
                 counts = basis.leak_counts()
                 exact = fidelity(rho_i, rho_j)
-                bound = coin.projected_fidelity_bound(rho_i, rho_j, counts, cut=1)
+                bound = projected_fidelity_bound(rho_i, rho_j, counts, cut=1)
                 assert bound <= exact + 1e-8
                 assert exact - bound <= 0.05
 
@@ -184,17 +185,17 @@ def test_leak_free_states_lose_nothing_under_projection():
     rho_i, basis = _passive_region_state(0, "X", "I0", 0.0, 2)
     rho_j, _ = _passive_region_state(0, "X", "I1", 0.0, 2)
     counts = basis.leak_counts()
-    bound = coin.projected_fidelity_bound(rho_i, rho_j, counts, cut=0)
+    bound = projected_fidelity_bound(rho_i, rho_j, counts, cut=0)
     assert bound == pytest.approx(fidelity(rho_i, rho_j), abs=1e-10)
 
 
 def test_identical_states_bound():
     rho, basis = _passive_region_state(0, "Z", "I0", 0.01, 2)
     counts = basis.leak_counts()
-    bound = coin.projected_fidelity_bound(rho, rho, counts, cut=1)
+    bound = projected_fidelity_bound(rho, rho, counts, cut=1)
     assert bound <= 1.0
     assert bound > 0.99
-    assert coin.projected_fidelity_bound(rho, rho, counts, cut=2) == pytest.approx(1.0, abs=1e-10)
+    assert projected_fidelity_bound(rho, rho, counts, cut=2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bures_chain_bound_zero_floor():

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +47,7 @@ OIL_CONFIG = ProtocolConfig(transmitter="oil", mu_in=0.5, mu_i1=0.1, mu_i2=1e-4)
 
 
 def test_oil_report_contents():
-    report = driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0)
+    report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
     assert report.rate > 0.0
     assert report.rate == max(0.0, report.rate_raw)
     assert 0.0 <= report.e_x_upper <= report.e_ph_upper <= 1.0
@@ -58,14 +59,14 @@ def test_oil_report_contents():
 
 
 def test_oil_rate_monotone_in_attenuation():
-    rates = [driver.oil_key_rate(OIL_CONFIG, 50.0, att).rate
+    rates = [driver.key_rate(OIL_CONFIG, 50.0, att).rate
              for att in (30.0, 50.0, 70.0, 90.0, 120.0)]
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
     assert rates[0] < rates[-1]
 
 
 def test_oil_rate_decreases_with_distance():
-    rates = [driver.oil_key_rate(OIL_CONFIG, d, 120.0).rate for d in (25.0, 75.0, 125.0)]
+    rates = [driver.key_rate(OIL_CONFIG, d, 120.0).rate for d in (25.0, 75.0, 125.0)]
     assert rates[0] > rates[1] > rates[2]
 
 
@@ -74,7 +75,7 @@ PASSIVE_CONFIG = ProtocolConfig(transmitter="passive", analysis="baseline",
 
 
 def test_passive_report_completeness():
-    report = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=16)
+    report = driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=16)
     assert report.rate > 0.0
     assert report.rate_raw == pytest.approx(report.rate)
     for field in ("y_lower", "gamma_key_upper", "overlap_real", "region_mass",
@@ -88,13 +89,13 @@ def test_passive_report_completeness():
 
 
 def test_passive_zero_rate_on_degenerate_coin():
-    report = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 12.0, nodes=12)
+    report = driver.key_rate(PASSIVE_CONFIG, 50.0, 12.0, nodes=12)
     assert report.rate == 0.0
 
 
 def test_refined_reports_key_weight():
     config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
-    report = driver.passive_key_rate(config, 50.0, 120.0, nodes=16)
+    report = driver.key_rate(config, 50.0, 120.0, nodes=16)
     assert 0.9 < report.q_key_weight < 1.0
     assert report.rate > 0.0
 
@@ -145,7 +146,7 @@ def test_optimizer_flags_dead_search_grid():
 
 
 def test_oil_reports_vanishing_test_yield_as_zero_rate():
-    report = driver.oil_key_rate(OIL_CONFIG, 350.0, 10.0)
+    report = driver.key_rate(OIL_CONFIG, 350.0, 10.0)
     assert report.rate == 0.0
     assert report.status.startswith("zero-rate: vanishing test-basis yield bound")
     assert report.p_region_key == 1.0
@@ -191,7 +192,7 @@ def test_optimizer_propagates_value_error_from_key_rate(monkeypatch):
 
 
 def test_passive_rate_monotone_in_attenuation_at_fixed_parameters():
-    rates = [driver.passive_key_rate(PASSIVE_CONFIG, 50.0, att, nodes=16).rate
+    rates = [driver.key_rate(PASSIVE_CONFIG, 50.0, att, nodes=16).rate
              for att in (30.0, 60.0, 90.0, 120.0)]
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
@@ -199,7 +200,7 @@ def test_passive_rate_monotone_in_attenuation_at_fixed_parameters():
 def test_optimizer_improves_over_default_and_is_deterministic():
     config = dataclasses.replace(
         OIL_CONFIG, optimizer=driver.OptimizerSettings(passes=1, iterations=5))
-    base = driver.oil_key_rate(config, 50.0, 120.0).rate
+    base = driver.key_rate(config, 50.0, 120.0).rate
     best_a, report_a = driver.optimize_point(config, 50.0, 120.0)
     best_b, report_b = driver.optimize_point(config, 50.0, 120.0)
     assert report_a.rate > base
@@ -272,14 +273,14 @@ def test_passive_source_failure_fails_every_point_at_its_attenuation(monkeypatch
 def test_degenerate_coin_is_recorded_not_warned():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = driver.passive_key_rate(PASSIVE_CONFIG, 300.0, 120.0, nodes=12)
+        report = driver.key_rate(PASSIVE_CONFIG, 300.0, 120.0, nodes=12)
     assert report.status == "ok"
     assert report.f_prime == 0.0
     assert report.details["diagnostics"] == [
         "coin imbalance exceeds yield; phase-error bound degenerates to 1"]
-    healthy = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
+    healthy = driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
     assert healthy.details["diagnostics"] == []
-    assert driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0).details["diagnostics"] == []
+    assert driver.key_rate(OIL_CONFIG, 50.0, 120.0).details["diagnostics"] == []
 
 
 def test_degenerate_key_opp_split_is_recorded_in_every_report(monkeypatch):
@@ -298,7 +299,7 @@ def test_degenerate_key_opp_split_is_recorded_in_every_report(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         source = driver.passive_source(config, 120.0, nodes=12)
-        reports = [driver.passive_key_rate(config, d, 120.0, nodes=12, source=source)
+        reports = [driver.key_rate(config, d, 120.0, nodes=12, source=source)
                    for d in (50.0, 300.0)]
     note = "Z:I0 bit 0: degenerate key/opp eigenvalues; ordering fixed by gauge"
     assert source.diagnostics == (note,)
@@ -307,10 +308,10 @@ def test_degenerate_key_opp_split_is_recorded_in_every_report(monkeypatch):
 
 
 def test_lp_provenance_has_one_record_per_program():
-    refined = driver.passive_key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
-                                      50.0, 120.0, nodes=12)
-    baseline = driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
-    oil_report = driver.oil_key_rate(OIL_CONFIG, 50.0, 120.0)
+    refined = driver.key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
+                              50.0, 120.0, nodes=12)
+    baseline = driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
+    oil_report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
     for report, labels in ((refined, ["Z yield", "X yield", "refined error"]),
                            (baseline, ["Z yield", "X yield", "bit-0 error", "bit-1 error"]),
                            (oil_report, ["X yield", "bit-0 error", "bit-1 error"])):
@@ -326,13 +327,72 @@ def test_lp_provenance_has_one_record_per_program():
     assert refined.provenance["lp"][2]["cols"] == 84
 
 
+def test_failed_sweep_row_keeps_its_lp_records(monkeypatch):
+    real_solve = driver.lp.solve
+    solved = []
+
+    def x_yield_infeasible(spec):
+        solved.append(spec)
+        if len(solved) == 2:  # passive solves the Z yield first, then the X yield
+            return driver.lp.LPSolution(status="infeasible", value=None, assignment={},
+                                        iterations=0)
+        return real_solve(spec)
+
+    monkeypatch.setattr(driver.lp, "solve", x_yield_infeasible)
+    config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12, distances_km=(50.0,),
+                                 att_db=(120.0,))
+    (report,) = driver.sweep(config)
+    assert report.status == "failed: X yield program is infeasible"
+    assert report.details == {"diagnostics": []}
+    assert [(r["label"], r["status"]) for r in report.provenance["lp"]] == [
+        ("Z yield", "optimal"), ("X yield", "infeasible")]
+    # the CSV's lp_iterations and nodes cells stay 0 and empty
+    assert "lp_iterations" not in report.provenance and "nodes" not in report.provenance
+    assert report.csv_row().split(",")[-3:-1] == ["0", ""]
+
+
+def test_ok_reports_of_both_transmitters_share_their_keys():
+    passive_report = driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
+    oil_report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
+    for report in (passive_report, oil_report):
+        assert report.status == "ok"
+        assert {"y_lower", "gamma_key_upper", "overlap_real", "diagnostics"} <= set(report.details)
+        assert {"config_hash", "nodes", "lp_iterations", "lp", "timings"} <= set(report.provenance)
+        assert report.provenance["timings"]["channel_s"] > 0.0
+    assert set(oil_report.provenance["timings"]) == {"channel_s"}
+
+
+GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.csv"
+GOLDEN_CONFIGS = (
+    ProtocolConfig(transmitter="passive", analysis="baseline", quadrature_nodes=16,
+                   distances_km=(25.0, 150.0, 300.0), att_db=(30.0, 120.0)),
+    ProtocolConfig(transmitter="passive", analysis="refined", quadrature_nodes=16,
+                   distances_km=(100.0,), att_db=(70.0, 120.0)),
+    ProtocolConfig(transmitter="oil", distances_km=(100.0, 350.0), att_db=(30.0, 120.0)),
+)
+
+
+def golden_csv() -> str:
+    return driver.reports_to_csv([r for c in GOLDEN_CONFIGS for r in driver.sweep(c)])
+
+
+def test_golden_grid_csv_is_byte_identical():
+    """Pins every CSV cell of both transmitters, zero-rate rows and the
+    degenerate-coin row (passive 300 km/120 dB) included; every program
+    on these rows solves unrelaxed on its first attempt.  A change that
+    moves numbers on purpose regenerates the file with
+    `PYTHONPATH=src:tests python -c "import test_driver as t; t.GOLDEN_GRID.write_text(t.golden_csv())"`
+    and lists the changed cells."""
+    assert golden_csv().encode() == GOLDEN_GRID.read_bytes()
+
+
 def test_passive_key_rate_rejects_a_foreign_source():
     source = driver.passive_source(PASSIVE_CONFIG, 120.0, nodes=12)
     with pytest.raises(ValueError, match="another configuration"):
-        driver.passive_key_rate(PASSIVE_CONFIG, 50.0, 60.0, nodes=12, source=source)
+        driver.key_rate(PASSIVE_CONFIG, 50.0, 60.0, nodes=12, source=source)
     with pytest.raises(ValueError, match="another configuration"):
-        driver.passive_key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
-                                50.0, 120.0, nodes=12, source=source)
+        driver.key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
+                        50.0, 120.0, nodes=12, source=source)
 
 
 def run_cli(*args):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from leakyqkd.linalg import (bures_distance, fidelity, hermitian_eigen, psd_sqrt,
-                             pure_state_fidelity, require_hermitian)
+from helpers import bures_distance
+from leakyqkd.linalg import (fidelity, hermitian_eigen, psd_sqrt, pure_state_fidelity,
+                             require_hermitian)
 from leakyqkd.validation import jacobi_eigenvalues
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakyqkd import channel, driver, lp, passive
-from leakyqkd.linalg import fidelity, pure_state_fidelity
+from helpers import region_average
+from leakyqkd import driver, lp, passive
 from leakyqkd.validation import (spec_to_dense, textbook_decoy_bound,
                                  vertex_enumeration_optimum)
 
@@ -243,8 +243,8 @@ def test_split_residual_is_psd():
 def test_split_of_small_key_region():
     geometry = passive.RegionGeometry(delta_theta_z=0.02)
     params = passive.PassiveParams(mu_max=0.5, omega=0.0, geometry=geometry)
-    rho, _, _ = passive.region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
-                                       nodes=(16, 16, 16))
+    rho, _, _ = region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
+                               nodes=(16, 16, 16))
     split = lp.key_opp_split(rho)
     assert split.q_key > 0.99
     assert abs(split.v_key[0]) ** 2 > 0.99
@@ -254,37 +254,17 @@ def test_split_of_small_key_region():
 # Refined programs
 # ---------------------------------------------------------------------------
 
-def refined_setup(nodes=16, omega=1e-6, distance=50.0, att=60.0):
-    config = driver.ProtocolConfig(transmitter="passive", analysis="baseline",
+def refined_setup(analysis="refined", nodes=16, distance=50.0, att=60.0):
+    """The programs the pipeline solves at one point."""
+    config = driver.ProtocolConfig(transmitter="passive", analysis=analysis,
                                    mu_max=0.5, delta_theta_z=0.12, n_cut=2)
-    comp = driver.passive_computation(config, distance, att, nodes)
-    return config, comp
+    return driver._passive_estimation(config, driver.passive_source(config, att, nodes),
+                                      distance)
 
 
 def test_refined_yield_dominates_baseline():
-    config, comp = refined_setup()
-    n_cut = config.n_cut
-    references = channel.reference_yields(n_cut, comp.channel)
-    gains, probs, fids = driver._passive_yield_inputs(comp, "Z", n_cut)
-    base = lp.solve(lp.yield_program(gains, probs, fids, references, n_cut)).value
-
-    splits, taus = {}, {}
-    for i in INTENSITIES:
-        s0 = lp.key_opp_split(comp.moments_bit[(0, "Z", i)].normalized_block(1))
-        s1 = lp.key_opp_split(comp.moments_bit[(1, "Z", i)].normalized_block(1))
-        splits[i] = lp.KeyOppSplit(q_key=0.5 * (s0.q_key + s1.q_key),
-                                   q_opp=0.5 * (s0.q_opp + s1.q_opp),
-                                   v_key=s0.v_key, v_opp=s0.v_opp)
-        taus[i] = {t: 0.5 * (np.outer(getattr(s0, f"v_{t}"), getattr(s0, f"v_{t}").conj())
-                             + np.outer(getattr(s1, f"v_{t}"), getattr(s1, f"v_{t}").conj()))
-                   for t in ("key", "opp")}
-    tag_fids = {(i, j, t): fidelity(taus[i][t], taus[j][t])
-                for k, i in enumerate(INTENSITIES) for j in INTENSITIES[k + 1:]
-                for t in ("key", "opp")}
-    cross = {i: fidelity(taus[i]["key"], taus[i]["opp"]) for i in INTENSITIES}
-    refined_spec = lp.refined_yield_program(gains, probs, fids, references, n_cut,
-                                            splits, tag_fids, cross)
-    refined = lp.solve(refined_spec).value
+    base = lp.solve(refined_setup("baseline").yield_specs["Z"]).value
+    refined = lp.solve(refined_setup().yield_specs["Z"]).value
     # pure-eigenstate yields cannot be bounded worse than the mixture
     assert refined >= base - 1e-9
 
@@ -292,37 +272,7 @@ def test_refined_yield_dominates_baseline():
 def test_refined_error_program_symmetric_under_bit_swap():
     # an exactly bit-symmetric channel needs vanishing leakage: the middle
     # leakage pulse intensity differs between the two test-bit windows
-    config, comp = refined_setup(att=600.0)
-    n_cut = config.n_cut
-    references = channel.reference_yields(n_cut, comp.channel)
-    outcome_gains = {(a, b, i): comp.observables_bit[(a, "X", i)].outcome_gain(b != a)
-                     for a in (0, 1) for b in (0, 1) for i in INTENSITIES}
-    probs = {(a, i): comp.moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
-             for a in (0, 1) for i in INTENSITIES}
-    splits = {(a, i): lp.key_opp_split(comp.moments_bit[(a, "X", i)].normalized_block(1))
-              for a in (0, 1) for i in INTENSITIES}
-    fids, tag_fids = {}, {}
-    for a in (0, 1):
-        for k, i in enumerate(INTENSITIES):
-            for j in INTENSITIES[k + 1:]:
-                for n in range(n_cut + 1):
-                    fids[(i, j, a, n)] = driver._cross_fidelity(
-                        comp.moments_bit[(a, "X", i)], comp.moments_bit[(a, "X", j)], n)
-                for t in ("key", "opp"):
-                    tag_fids[(i, j, a, t)] = pure_state_fidelity(
-                        getattr(splits[(a, i)], f"v_{t}"), getattr(splits[(a, j)], f"v_{t}"))
-    cross = {(a, a2, i, t, t2): pure_state_fidelity(
-                 getattr(splits[(a, i)], f"v_{t}"), getattr(splits[(a2, i)], f"v_{t2}"))
-             for a, a2 in ((0, 1), (1, 0)) for i in INTENSITIES
-             for t, t2 in (("key", "opp"), ("opp", "key"))}
-    gamma_refs = {a: driver._passive_error_references(comp, a, n_cut) for a in (0, 1)}
-
-    def reference(a, b, n):
-        gamma = float(gamma_refs[a][n])
-        return gamma if b != a else float(references[n]) - gamma
-
-    spec = lp.refined_error_program(outcome_gains, probs, fids, reference, n_cut,
-                                    splits, tag_fids, cross)
+    spec = refined_setup(att=600.0).error_specs["refined error"]
     solution = lp.solve(spec)
     assert solution.status == "optimal"
     key0 = solution.assignment["Y01_I0_key"]

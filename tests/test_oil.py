@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import setting_intensity
 from leakyqkd import oil
 from leakyqkd.fock import basis_index
 from leakyqkd.linalg import fidelity
@@ -33,7 +34,7 @@ def test_key_basis_rejects_decoys():
 def test_vacuum_kappa_gives_empty_bins():
     params = oil.OilParams(mu_in=0.5, omega=0.0, kappas={"I0": 0.0, "I2": 1.0})
     setting = oil.setting_phases(0, "X", "I2", params)
-    assert oil.setting_intensity(setting, params) == pytest.approx(0.0, abs=1e-12)
+    assert setting_intensity(setting, params) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_test_basis_bit1_at_full_kappa_zero():
@@ -72,7 +73,7 @@ def test_vacuum_block_scalar():
     params = make_params()
     setting = oil.setting_phases(0, "Z", "I0", params)
     block = oil.state_block(setting, params, 0)
-    mu = oil.setting_intensity(setting, params)
+    mu = setting_intensity(setting, params)
     assert block[0, 0].real == pytest.approx(math.exp(-(mu + 2 * params.omega)), abs=1e-14)
 
 
@@ -91,7 +92,7 @@ def test_leak_free_key_single_photon_phase():
 def test_poisson_traces():
     params = make_params(omega=0.02)
     setting = oil.setting_phases(0, "X", "I1", params)
-    mu = oil.setting_intensity(setting, params)
+    mu = setting_intensity(setting, params)
     lam = mu + 2 * params.omega
     for n in range(4):
         block = oil.state_block(setting, params, n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from helpers import ConvergenceError, joint_pdf, leakage_functions, region_average
 from leakyqkd import passive
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
                                  passive_block_oracle, sample_target_variables,
@@ -86,15 +87,15 @@ def test_even_slot_amplitudes_match_interferometer_outputs():
 def test_density_is_phase_uniform_and_theta_symmetric():
     point_a = passive.TargetPoint(theta=1.0, phi=0.3, mu=0.4 * MU_MAX)
     point_b = passive.TargetPoint(theta=1.0, phi=-2.0, mu=0.4 * MU_MAX)
-    assert passive.joint_pdf(point_a, MU_MAX) == passive.joint_pdf(point_b, MU_MAX)
+    assert joint_pdf(point_a, MU_MAX) == joint_pdf(point_b, MU_MAX)
     mirrored = passive.TargetPoint(theta=math.pi - 1.0, phi=0.3, mu=0.4 * MU_MAX)
-    assert passive.joint_pdf(point_a, MU_MAX) == pytest.approx(
-        passive.joint_pdf(mirrored, MU_MAX), rel=1e-12)
+    assert joint_pdf(point_a, MU_MAX) == pytest.approx(
+        joint_pdf(mirrored, MU_MAX), rel=1e-12)
 
 
 def test_density_rejects_singular_surface():
     with pytest.raises(ValueError):
-        passive.joint_pdf(passive.TargetPoint(theta=0.0, phi=0.0, mu=MU_MAX), MU_MAX)
+        joint_pdf(passive.TargetPoint(theta=0.0, phi=0.0, mu=MU_MAX), MU_MAX)
 
 
 def test_density_total_mass_is_one():
@@ -147,7 +148,7 @@ def test_classify_bit1_x_wraps_branch_cut():
 
 def test_leakage_vanishes_without_leak_intensity():
     point = passive.TargetPoint(theta=1.0, phi=0.5, mu=0.3)
-    _, _, r, _, mu_leak = passive.leakage_functions(point, (1, 1), 0.0, MU_MAX)
+    _, _, r, _, mu_leak = leakage_functions(point, (1, 1), 0.0, MU_MAX)
     assert r == 0.0 and mu_leak == 0.0
 
 
@@ -155,7 +156,7 @@ def test_leakage_at_full_intensity_balanced_point():
     omega = 0.01
     for phi in (0.0, 1.1, -2.0):
         point = passive.TargetPoint(theta=math.pi / 2, phi=phi, mu=2.0 * MU_MAX)
-        c_off, s_off, r, _, mu_leak = passive.leakage_functions(point, (1, -1), omega, MU_MAX)
+        c_off, s_off, r, _, mu_leak = leakage_functions(point, (1, -1), omega, MU_MAX)
         assert abs(c_off) < 1e-7 and abs(s_off) < 1e-7
         assert r ** 2 == pytest.approx(omega * (1.0 + math.cos(phi)) / 2.0, abs=1e-9)
         assert mu_leak == pytest.approx(omega + r ** 2, abs=1e-15)
@@ -173,7 +174,7 @@ def test_leak_intensity_matches_pulse_amplitudes(raw):
     amp3 = 0.5 * math.sqrt(omega) * (np.exp(1j * phases[1]) + np.exp(1j * phases[2]))
     amp5 = math.sqrt(omega / 2.0) * np.exp(1j * phases[3])
     expected = abs(amp1) ** 2 + abs(amp3) ** 2 + abs(amp5) ** 2
-    _, _, _, _, mu_leak = passive.leakage_functions(point, (1, 1), omega, MU_MAX)
+    _, _, _, _, mu_leak = leakage_functions(point, (1, 1), omega, MU_MAX)
     assert mu_leak == pytest.approx(expected, abs=1e-12)
 
 
@@ -193,7 +194,7 @@ def test_vacuum_block_value():
     block = passive.photon_number_block(point, 0, omega, MU_MAX)
     expected = 0.0
     for signs in passive.BRANCHES:
-        _, _, _, _, mu_leak = passive.leakage_functions(point, signs, omega, MU_MAX)
+        _, _, _, _, mu_leak = leakage_functions(point, signs, omega, MU_MAX)
         expected += 0.25 * math.exp(-(point.mu + mu_leak))
     assert block.shape == (1, 1)
     assert block[0, 0].real == pytest.approx(expected, abs=1e-15)
@@ -349,7 +350,7 @@ def test_region_moments_reject_phi_asymmetric_nodes():
 def test_region_average_contract():
     params = make_params()
     region = passive.RegionSpec(0, "Z", "I0")
-    rho, p_n, mass = passive.region_average(region, 1, params, nodes=(24, 24, 24))
+    rho, p_n, mass = region_average(region, 1, params, nodes=(24, 24, 24))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-9
@@ -359,8 +360,8 @@ def test_region_average_contract():
 def test_small_key_region_single_photon_is_early_bin():
     geometry = passive.RegionGeometry(delta_theta_z=0.02)
     params = passive.PassiveParams(mu_max=MU_MAX, omega=0.0, geometry=geometry)
-    rho, _, _ = passive.region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
-                                       nodes=(16, 16, 16))
+    rho, _, _ = region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
+                               nodes=(16, 16, 16))
     values, vectors = np.linalg.eigh(rho)
     top = vectors[:, -1]
     assert abs(top[0]) ** 2 > 0.99
@@ -399,10 +400,10 @@ def test_union_region_equals_sum_of_bits():
 
 def test_leakage_continuity_towards_zero():
     region = passive.RegionSpec(0, "Z", "I0")
-    base, _, _ = passive.region_average(region, 1, make_params(omega=0.0), nodes=(16, 16, 16))
+    base, _, _ = region_average(region, 1, make_params(omega=0.0), nodes=(16, 16, 16))
     previous = None
     for omega in (1e-3, 1e-6, 1e-9):
-        rho, _, _ = passive.region_average(region, 1, make_params(omega=omega), nodes=(16, 16, 16))
+        rho, _, _ = region_average(region, 1, make_params(omega=omega), nodes=(16, 16, 16))
         deviation = float(np.max(np.abs(rho[:2, :2] - base[:2, :2])))
         if previous is not None:
             assert deviation < previous
@@ -412,15 +413,15 @@ def test_leakage_continuity_towards_zero():
 
 def test_refine_check_passes_at_sane_resolution():
     params = make_params()
-    passive.region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
-                           nodes=(24, 24, 24), refine_check=True)
+    region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
+                   nodes=(24, 24, 24), refine_check=True)
 
 
 def test_convergence_error_carries_both_estimates():
     params = make_params()
-    with pytest.raises(passive.ConvergenceError) as err:
-        passive.region_average(passive.RegionSpec(0, "X", "I0"), 1, params,
-                               nodes=(4, 4, 4), refine_check=True, refine_rtol=1e-9)
+    with pytest.raises(ConvergenceError) as err:
+        region_average(passive.RegionSpec(0, "X", "I0"), 1, params,
+                       nodes=(4, 4, 4), refine_check=True, refine_rtol=1e-9)
     assert err.value.coarse is not None and err.value.fine is not None
 
 
@@ -434,7 +435,7 @@ def test_empty_region_raises():
 def test_block_request_beyond_cut_rejected():
     params = make_params()
     with pytest.raises(ValueError):
-        passive.region_average(passive.RegionSpec(0, "Z", "I0"), params.n_cut + 1, params)
+        region_average(passive.RegionSpec(0, "Z", "I0"), params.n_cut + 1, params)
 
 
 # ---------------------------------------------------------------------------
