@@ -23,7 +23,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--att-db", type=float, action="append", default=None)
     parser.add_argument("--ncut", type=int, default=None)
     parser.add_argument("--quadrature-nodes", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -65,8 +64,6 @@ def _load_config(args) -> driver.ProtocolConfig:
         overrides["n_cut"] = args.ncut
     if args.quadrature_nodes is not None:
         overrides["quadrature_nodes"] = args.quadrature_nodes
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return dataclasses.replace(config, **overrides) if overrides else config
 
 

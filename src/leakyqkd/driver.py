@@ -98,7 +98,6 @@ class ProtocolConfig:
     # sweep grids
     distances_km: tuple = (50.0,)
     att_db: tuple = (120.0,)
-    seed: int = 1
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
@@ -218,13 +217,13 @@ def _channel(config: ProtocolConfig, distance_km: float) -> channel_mod.ChannelP
                                      f_ec=config.f_ec)
 
 
-def _solve_or_raise(spec: lp.LinearProgramSpec, label: str, lp_log: list) -> float:
+def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list) -> float:
     """Solve one program and append its record (see `_provenance`) to `lp_log`;
     an infeasible program raises with `lp_log` attached."""
     solution = lp.solve(spec)
     lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
                    "relaxation": solution.relaxation, "iterations": solution.iterations,
-                   "rows": len(spec.constraints), "cols": len(spec.variables)})
+                   "rows": len(spec.b), "cols": len(spec.variables)})
     if solution.status != "optimal":
         exc = InfeasibleProgramError(f"{label} program is {solution.status}")
         exc.lp_log = lp_log  # the records up to and including this program
@@ -626,7 +625,7 @@ def _zero_report(config: ProtocolConfig, distance_km: float, att_db: float,
         analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
         e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0,
         gain_key=est.gain_key, error_key=0.0, p_region_key=est.p_region,
-        p1_given_region=est.p1, q_key_weight=1.0, status=f"zero-rate: {reason}",
+        p1_given_region=est.p1, q_key_weight=est.q_weight, status=f"zero-rate: {reason}",
         details={"diagnostics": list(est.diagnostics)},
         provenance=_provenance(config, lp_log, est.nodes))
 

@@ -1,8 +1,11 @@
 """Dense linear programming for the decoy-state estimation programs.
 
-A small two-phase simplex (Dantzig pricing with a deterministic switch
-to Bland's anti-cycling rule on stalls) over variables boxed to [0, 1],
-plus builders for the four estimation programs:
+Every program is one `LinearProgram` in array form (c, a, b, upper)
+over variables boxed to [0, 1], solved by a small two-phase simplex
+(Dantzig pricing with a deterministic switch to Bland's anti-cycling
+rule on stalls).  Four builders write the estimation programs row by
+row into that form, from pre-computed fidelity (lower bounds) and
+channel-model reference points for the tangent linearisation:
 
 * baseline yield program: minimise the single-photon signal yield under
   two-sided decoy constraints and tangent-relaxed coin constraints
@@ -12,27 +15,29 @@ plus builders for the four estimation programs:
 * refined yield / bit-error programs: additionally split each
   single-photon state into its two dominant eigenvectors ("key"/"opp")
   with mixture constraints and coin constraints among the eigenstates.
-
-All builders take pre-computed fidelity (lower bounds) and channel-model
-reference points for the tangent linearisation.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coin import safe_reference, tangent_line
+from .coin import safe_reference, state_eigendata, tangent_line
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 STALL_LIMIT = 40
+# pivots one attempt may take: ten times the longest successful attempt of
+# the test suite (250); a phase 1 crawling through a sliver polytope takes ~40,000
+PIVOT_BUDGET = 2_500
 RELAXATIONS = (0.0, 1e-10, 1e-8)
 
 INTENSITIES = ("I0", "I1", "I2")
 TAGS = ("key", "opp")
+_PAIRS = tuple(itertools.permutations(INTENSITIES, 2))
 
 
 class InfeasibleProgramError(RuntimeError):
@@ -40,43 +45,31 @@ class InfeasibleProgramError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Constraint:
-    coeffs: dict
-    sense: str  # "<=" or ">="
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">="):
-            raise ValueError(f"sense must be '<=' or '>=', got {self.sense!r}")
-
-
-@dataclass
-class LinearProgramSpec:
-    """Objective and affine constraints over variables boxed to [0, 1]."""
+class LinearProgram:
+    """Optimise c.x over a x <= b (rows where `upper`) and a x >= b (the
+    other rows), 0 <= x <= 1; `variables` labels the columns of `a`."""
 
     variables: tuple
     sense: str  # "min" or "max"
-    objective: dict
-    constraints: list = field(default_factory=list)
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        known = set(self.variables)
-        for name in self.objective:
-            if name not in known:
-                raise ValueError(f"objective references unknown variable {name!r}")
-        for con in self.constraints:
-            for name in con.coeffs:
-                if name not in known:
-                    raise ValueError(f"constraint references unknown variable {name!r}")
+        m, n = len(self.b), len(self.variables)
+        shapes = tuple(np.shape(v) for v in (self.a, self.b, self.upper, self.c))
+        if shapes != ((m, n), (m,), (m,), (n,)):
+            raise ValueError(f"shapes of a, b, upper, c {shapes} disagree with {n} variables")
 
 
 @dataclass
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded"; "unfinished" (one attempt only)
     value: float | None
-    assignment: dict
+    x: np.ndarray | None  # the optimal point, in column order
     iterations: int
     relaxation: float = 0.0  # constraint relaxation level of the returned attempt
     attempts: int = 1
@@ -119,7 +112,7 @@ def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     return int(ties[np.argmin(basis[ties])])
 
 
-def _run_simplex(tableau, basis, cost_row, allowed) -> tuple[str, int]:
+def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, int]:
     iterations = 0
     stall = 0
     bland = False
@@ -132,6 +125,8 @@ def _run_simplex(tableau, basis, cost_row, allowed) -> tuple[str, int]:
         row = _choose_leaving(tableau, basis, col)
         if row < 0:
             return "unbounded", iterations
+        if iterations >= budget:
+            return "unfinished", iterations
         _pivot(tableau, basis, row, col)
         cost_row -= cost_row[col] * tableau[row]
         iterations += 1
@@ -142,35 +137,35 @@ def _run_simplex(tableau, basis, cost_row, allowed) -> tuple[str, int]:
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
-        if iterations > 50_000:
-            raise RuntimeError("simplex failed to terminate")
 
 
-def solve(spec: LinearProgramSpec) -> LPSolution:
+def solve(program: LinearProgram) -> LPSolution:
     """Two-phase simplex; deterministic for identical input.
 
     Highly degenerate sliver polytopes (all observables orders of
     magnitude below the box bounds) can defeat the plain ratio test, so
-    when phase 1 finds no feasible point, or the solution fails the
-    feasibility check, the solve is retried with a tiny deterministic
-    relaxation of every constraint (the levels of RELAXATIONS).
-    Relaxation is safe for the bounds computed here: minima only
-    decrease and maxima only increase, both in the conservative
-    direction.  The returned solution records the level it used and the
-    number of attempts; an "infeasible" verdict stands only after the
-    last level.
+    when phase 1 finds no feasible point, an attempt runs out of
+    PIVOT_BUDGET, or the solution fails the feasibility check, the solve
+    is retried with a tiny deterministic relaxation of every constraint
+    (the levels of RELAXATIONS).  Relaxation is safe for the bounds
+    computed here: minima only decrease and maxima only increase, both
+    in the conservative direction.  The returned solution records the
+    level it used and the number of attempts; an "infeasible" verdict
+    stands only after the last level.
     """
     outcome: LPSolution | Exception | None = None
     for attempt, perturbation in enumerate(RELAXATIONS, start=1):
-        solution = _solve_once(spec, perturbation)
+        solution = _solve_once(program, perturbation)
         solution.relaxation, solution.attempts = perturbation, attempt
         if solution.status == "unbounded":
             return solution
         outcome = solution
-        if solution.status == "optimal":
-            allowance = perturbation * (len(spec.constraints) + len(spec.variables) + 2)
+        if solution.status == "unfinished":
+            outcome = RuntimeError(f"simplex exceeded its budget of {PIVOT_BUDGET} pivots")
+        elif solution.status == "optimal":
+            allowance = perturbation * (len(program.b) + len(program.variables) + 2)
             try:
-                _verify_feasible(spec, solution.assignment, allowance)
+                _verify_feasible(program, solution.x, allowance)
                 return solution
             except RuntimeError as exc:
                 outcome = exc
@@ -179,112 +174,90 @@ def solve(spec: LinearProgramSpec) -> LPSolution:
     return outcome
 
 
-def _solve_once(spec: LinearProgramSpec, perturbation: float) -> LPSolution:
-    names = list(spec.variables)
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    rows = []
-    for k, con in enumerate(spec.constraints):
-        a = np.zeros(n)
-        for name, coef in con.coeffs.items():
-            a[index[name]] = coef
-        shift = perturbation * (k + 1)
-        rhs_k = con.rhs + (shift if con.sense == "<=" else -shift)
-        rows.append((a, con.sense, rhs_k))
-    for i in range(n):  # upper box bounds; lower bounds are native
-        a = np.zeros(n)
-        a[i] = 1.0
-        rows.append((a, "<=", 1.0))
+def _reduced_costs(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    cost_row = cost.copy()
+    for r in np.flatnonzero(cost[basis]):
+        cost_row -= cost[basis[r]] * tableau[r]
+    return cost_row
 
-    m = len(rows)
-    # columns: structural | one slack per row | artificials | rhs
-    art_rows = []
-    body = np.zeros((m, n + m))
-    rhs = np.zeros(m)
-    for r, (a, sense, b) in enumerate(rows):
-        body[r, :n] = a
-        body[r, n + r] = 1.0 if sense == "<=" else -1.0
-        rhs[r] = b
-        if rhs[r] < 0.0:
-            body[r] *= -1.0
-            rhs[r] *= -1.0
-        if body[r, n + r] < 0.0:  # surplus can't start basic
-            art_rows.append(r)
-    n_art = len(art_rows)
+
+def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
+    m_con, n = program.a.shape
+    m = m_con + n
+    # columns: structural | one slack per row | artificials | rhs.  Rows:
+    # the constraints, each relaxed by perturbation * (row + 1), then the
+    # upper box bounds; lower bounds are native
+    signs = np.where(program.upper, 1.0, -1.0)
+    rhs = np.concatenate([program.b + signs * (perturbation * np.arange(1, m_con + 1)),
+                          np.ones(n)])
+    slack = np.concatenate([signs, np.ones(n)])
+    flip = rhs < 0.0  # rows negated to a nonnegative rhs
+    rhs[flip] *= -1.0
+    art_rows = np.flatnonzero(np.where(flip, -slack, slack) < 0.0)  # surplus can't start basic
+    n_art = art_rows.size
+    art_cols = n + m + np.arange(n_art)
     tableau = np.zeros((m, n + m + n_art + 1))
-    tableau[:, :n + m] = body
+    tableau[:m_con, :n] = program.a
+    tableau[m_con:, :n] = np.eye(n)
+    tableau[np.arange(m), n + np.arange(m)] = slack
+    tableau[flip, :n + m] *= -1.0
+    tableau[art_rows, art_cols] = 1.0
+    original = tableau[:, :-1].copy()  # for the final re-solve
     tableau[:, -1] = rhs
-    basis = np.empty(m, dtype=int)
-    for r in range(m):
-        basis[r] = n + r
-    for k, r in enumerate(art_rows):
-        tableau[r, n + m + k] = 1.0
-        basis[r] = n + m + k
-
-    total_cols = n + m + n_art
-    allowed = np.ones(total_cols, dtype=bool)
+    basis = np.arange(n, n + m)
+    basis[art_rows] = art_cols
+    allowed = np.ones(n + m + n_art, dtype=bool)
 
     iterations = 0
     if n_art:
-        cost = np.zeros(total_cols + 1)
-        cost[n + m:total_cols] = 1.0
-        cost_row = cost.copy()
-        for r in range(m):
-            if cost[basis[r]] != 0.0:
-                cost_row -= cost[basis[r]] * tableau[r]
-        status, its = _run_simplex(tableau, basis, cost_row, allowed)
-        iterations += its
+        cost = np.zeros(n + m + n_art + 1)
+        cost[art_cols] = 1.0
+        cost_row = _reduced_costs(cost, tableau, basis)
+        status, iterations = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET)
+        if status == "unfinished":
+            return LPSolution(status=status, value=None, x=None, iterations=iterations)
         if status != "optimal" or -cost_row[-1] > 1e-7:
-            return LPSolution(status="infeasible", value=None, assignment={}, iterations=iterations)
+            return LPSolution(status="infeasible", value=None, x=None, iterations=iterations)
         allowed[n + m:] = False
         for r in range(m):
             if basis[r] >= n + m:  # drive artificial out or accept the redundant row
-                pivot_cols = np.where(allowed[:n + m] & (np.abs(tableau[r, :n + m]) > PIVOT_TOL))[0]
+                pivot_cols = np.flatnonzero(allowed[:n + m]
+                                            & (np.abs(tableau[r, :n + m]) > PIVOT_TOL))
                 if pivot_cols.size:
                     _pivot(tableau, basis, r, int(pivot_cols[0]))
                     iterations += 1
 
-    sign = 1.0 if spec.sense == "min" else -1.0
-    cost = np.zeros(total_cols + 1)
-    for name, coef in spec.objective.items():
-        cost[index[name]] = sign * coef
-    cost_row = cost.copy()
-    for r in range(m):
-        if cost[basis[r]] != 0.0:
-            cost_row -= cost[basis[r]] * tableau[r]
-    status, its = _run_simplex(tableau, basis, cost_row, allowed)
+    cost = np.zeros(n + m + n_art + 1)
+    cost[:n] = program.c if program.sense == "min" else -program.c
+    cost_row = _reduced_costs(cost, tableau, basis)
+    status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
     iterations += its
-    if status == "unbounded":
-        return LPSolution(status="unbounded", value=None, assignment={}, iterations=iterations)
+    if status != "optimal":
+        return LPSolution(status=status, value=None, x=None, iterations=iterations)
 
     # re-solve the final basic system from the original data: pivoting
     # through nearly parallel rows can leave O(1e-7) drift in the tableau
-    original = np.zeros((m, total_cols))
-    original[:, :n + m] = body
-    for k, r in enumerate(art_rows):
-        original[r, n + m + k] = 1.0
-    values = np.zeros(total_cols)
+    values = np.zeros(n + m + n_art)
     try:
         values[basis] = np.linalg.solve(original[:, basis], rhs)
     except np.linalg.LinAlgError:
         values[basis] = tableau[:, -1]
-    assignment = {name: float(values[i]) for i, name in enumerate(names)}
-    objective_value = float(sum(coef * assignment[name] for name, coef in spec.objective.items()))
-    return LPSolution(status="optimal", value=objective_value,
-                      assignment=assignment, iterations=iterations)
+    x = values[:n].copy()
+    value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
+    return LPSolution(status="optimal", value=value, x=x, iterations=iterations)
 
 
-def _verify_feasible(spec: LinearProgramSpec, assignment: dict, allowance: float = 0.0):
-    for name, value in assignment.items():
-        if not -FEASIBILITY_TOL - allowance <= value <= 1.0 + FEASIBILITY_TOL + allowance:
-            raise RuntimeError(f"solver returned {name}={value} outside [0, 1]")
-    for con in spec.constraints:
-        lhs = sum(coef * assignment[name] for name, coef in con.coeffs.items())
-        scale = 1.0 + abs(con.rhs) + max(abs(c) for c in con.coeffs.values())
-        if con.sense == "<=" and lhs > con.rhs + FEASIBILITY_TOL * scale + allowance:
-            raise RuntimeError(f"constraint violated: {lhs} <= {con.rhs}")
-        if con.sense == ">=" and lhs < con.rhs - FEASIBILITY_TOL * scale - allowance:
-            raise RuntimeError(f"constraint violated: {lhs} >= {con.rhs}")
+def _verify_feasible(program: LinearProgram, x: np.ndarray, allowance: float = 0.0):
+    inside = (-FEASIBILITY_TOL - allowance <= x) & (x <= 1.0 + FEASIBILITY_TOL + allowance)
+    if not inside.all():
+        j = int(np.argmin(inside))
+        raise RuntimeError(f"solver returned {program.variables[j]}={x[j]} outside [0, 1]")
+    lhs, b = program.a @ x, program.b
+    tol = FEASIBILITY_TOL * (1.0 + np.abs(b) + np.max(np.abs(program.a), axis=1))
+    violated = np.where(program.upper, lhs > b + tol + allowance, lhs < b - tol - allowance)
+    if violated.any():
+        r = int(np.argmax(violated))
+        raise RuntimeError(f"constraint {r} violated: {lhs[r]} against {b[r]}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +266,33 @@ def _verify_feasible(spec: LinearProgramSpec, assignment: dict, allowance: float
 
 def _fid(fidelities: dict, i: str, j: str, *rest) -> float:
     key = (i, j) + rest
-    if key in fidelities:
-        return fidelities[key]
-    return fidelities[(j, i) + rest]
+    return fidelities[key] if key in fidelities else fidelities[(j, i) + rest]
 
 
-def _sandwich(rows: list, var_i: str, var_j: str, fid: float, y_ref: float):
+def _add_columns(variables: list, prefix: str, entries) -> dict:
+    """Append the labels prefix_I_e, intensity-major; return their columns by intensity."""
+    start, width = len(variables), len(entries)
+    variables.extend(f"{prefix}_{i}_{e}" for i in INTENSITIES for e in entries)
+    return {i: start + width * s + np.arange(width) for s, i in enumerate(INTENSITIES)}
+
+
+def _row(rows: list, cols, coeffs, upper: bool, rhs: float):
+    """Append the row coeffs . x[cols] <= rhs (upper) or >= rhs."""
+    rows.append((cols, coeffs, upper, rhs))
+
+
+def _program(variables: list, sense: str, objective: dict, rows: list) -> LinearProgram:
+    """Write the rows into arrays; `objective` maps columns to their coefficients."""
+    c, a = np.zeros(len(variables)), np.zeros((len(rows), len(variables)))
+    c[list(objective)] = list(objective.values())
+    for r, (cols, coeffs, _, _) in enumerate(rows):
+        a[r, cols] = coeffs
+    return LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a,
+                         b=np.array([row[3] for row in rows], dtype=float),
+                         upper=np.array([row[2] for row in rows]))
+
+
+def _sandwich(rows: list, col_i: int, col_j: int, fid: float, y_ref: float):
     """Tangent-relaxed coin constraints: LCS^L(y_i) <= y_j <= LCS^U(y_i).
 
     Unit fidelities are capped infinitesimally below 1 (a relaxation, so
@@ -309,48 +303,57 @@ def _sandwich(rows: list, var_i: str, var_j: str, fid: float, y_ref: float):
     fid = min(fid, 1.0 - 1e-14)
     low = tangent_line(fid, safe_reference(y_ref, fid, "L"), "L")
     high = tangent_line(fid, safe_reference(y_ref, fid, "U"), "U")
-    rows.append(Constraint({var_i: low.slope, var_j: -1.0}, "<=", -low.intercept))
-    rows.append(Constraint({var_i: high.slope, var_j: -1.0}, ">=", -high.intercept))
+    _row(rows, [col_i, col_j], [low.slope, -1.0], True, -low.intercept)
+    _row(rows, [col_i, col_j], [high.slope, -1.0], False, -high.intercept)
 
 
-def _decoy_rows(rows: list, var_of, probs: np.ndarray, gain: float, n_cut: int):
-    """Two-sided decoy constraints from Q = sum_n p_n Y_n + tail."""
-    coeffs = {var_of(n): float(probs[n]) for n in range(n_cut + 1)}
-    rows.append(Constraint(dict(coeffs), "<=", gain))
-    tail_budget = gain - (1.0 - float(np.sum(probs[:n_cut + 1])))
-    rows.append(Constraint(dict(coeffs), ">=", tail_budget))
+def _decoy_block(rows: list, cols: dict, gains: dict, probs: dict,
+                 fidelities: dict, references, bit: tuple = ()):
+    """Two-sided decoy rows from Q = sum_k p_k Y_k + tail for each intensity
+    i (Y_k in column cols[i][k]), then coin rows per photon number k."""
+    width = len(cols["I0"])
+    for i in INTENSITIES:
+        p = probs[i][:width]
+        _row(rows, cols[i], p, True, gains[i])
+        _row(rows, cols[i], p, False, gains[i] - (1.0 - float(np.sum(p))))
+    for k, (i, j) in itertools.product(range(width), _PAIRS):
+        _sandwich(rows, cols[i][k], cols[j][k], _fid(fidelities, i, j, *bit, k),
+                  float(references[k]))
+
+
+def _tag_block(rows: list, cols: dict, tag_cols: dict, splits: dict,
+               tag_fidelities: dict, y_ref: float, bit: tuple = ()):
+    """Key/opp mixture rows of each single-photon yield cols[i][1] (the
+    eigenstate yields in tag_cols[i], in TAGS order), then coin rows per tag."""
+    for i in INTENSITIES:
+        mix_cols, split = [*tag_cols[i], cols[i][1]], splits[i]
+        _row(rows, mix_cols, [split.q_key, split.q_opp, -1.0], True, 0.0)
+        _row(rows, mix_cols, [split.q_key, split.q_opp, -1.0], False, -split.rest)
+    for (t, tag), (i, j) in itertools.product(enumerate(TAGS), _PAIRS):
+        _sandwich(rows, tag_cols[i][t], tag_cols[j][t],
+                  _fid(tag_fidelities, i, j, *bit, tag), y_ref)
 
 
 def yield_program(gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
-                  n_cut: int, target: str = "I0") -> LinearProgramSpec:
+                  n_cut: int, target: str = "I0") -> LinearProgram:
     """Baseline single-photon yield program (minimise Y_target at n=1).
 
     gains[I]: observed gain; probs[I][n]: photon-number probabilities;
     fidelities[(I, J, n)]: fidelity (lower bounds) between the n-photon
     states of intensities I and J; references[n]: linearisation points.
+    Columns Y_I_n, intensity-major.
     """
-    var = lambda i, n: f"Y_{i}_{n}"
-    variables = tuple(var(i, n) for i in INTENSITIES for n in range(n_cut + 1))
-    rows: list[Constraint] = []
-    for i in INTENSITIES:
-        _decoy_rows(rows, lambda n, i=i: var(i, n), probs[i], gains[i], n_cut)
-    for n in range(n_cut + 1):
-        for i in INTENSITIES:
-            for j in INTENSITIES:
-                if i != j:
-                    _sandwich(rows, var(i, n), var(j, n),
-                              _fid(fidelities, i, j, n), float(references[n]))
-    return LinearProgramSpec(variables=variables, sense="min",
-                             objective={var(target, 1): 1.0}, constraints=rows)
+    variables, rows = [], []
+    cols = _add_columns(variables, "Y", range(n_cut + 1))
+    _decoy_block(rows, cols, gains, probs, fidelities, references)
+    return _program(variables, "min", {cols[target][1]: 1.0}, rows)
 
 
-def bit_error_program(error_gains: dict, probs: dict, fidelities: dict,
-                      references: np.ndarray, n_cut: int,
-                      target: str = "I0") -> LinearProgramSpec:
+def bit_error_program(error_gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
+                      n_cut: int, target: str = "I0") -> LinearProgram:
     """Baseline bit-error program (maximise the n=1 error probability)."""
-    spec = yield_program(error_gains, probs, fidelities, references, n_cut, target)
-    spec.sense = "max"
-    return spec
+    return replace(yield_program(error_gains, probs, fidelities, references, n_cut, target),
+                   sense="max")
 
 
 @dataclass(frozen=True)
@@ -369,8 +372,6 @@ class KeyOppSplit:
 
 def key_opp_split(rho: np.ndarray) -> KeyOppSplit:
     """Split a state into its two largest eigenvector contributions."""
-    from .coin import state_eigendata
-
     eig = state_eigendata(rho)
     if eig.weights.size < 2:
         raise ValueError("state must have dimension >= 2")
@@ -384,11 +385,11 @@ def key_opp_split(rho: np.ndarray) -> KeyOppSplit:
                        v_key=eig.vectors[:, 0], v_opp=eig.vectors[:, 1])
 
 
-def refined_yield_program(gains: dict, probs: dict, fidelities: dict,
-                          references: np.ndarray, n_cut: int,
-                          splits: dict, tag_fidelities: dict,
-                          cross_tag_fidelities: dict,
-                          target: str = "I0") -> LinearProgramSpec:
+
+
+def refined_yield_program(gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
+                          n_cut: int, splits: dict, tag_fidelities: dict,
+                          cross_tag_fidelities: dict, target: str = "I0") -> LinearProgram:
     """Yield program with key/opp eigenstate refinement.
 
     splits[I]: KeyOppSplit of the bit-averaged single-photon state (its
@@ -396,35 +397,25 @@ def refined_yield_program(gains: dict, probs: dict, fidelities: dict,
     fidelity between the t-eigenstate mixtures of intensities I and J;
     cross_tag_fidelities[I]: fidelity between the key and opp mixtures
     at intensity I.  Objective: minimise the key yield at `target`.
+    Columns: those of `yield_program`, then Y_I_t.
     """
-    base = yield_program(gains, probs, fidelities, references, n_cut, target)
-    var = lambda i, n: f"Y_{i}_{n}"
-    tvar = lambda i, t: f"Y_{i}_{t}"
-    variables = base.variables + tuple(tvar(i, t) for i in INTENSITIES for t in TAGS)
-    rows = list(base.constraints)
+    variables, rows = [], []
+    cols = _add_columns(variables, "Y", range(n_cut + 1))
+    tag_cols = _add_columns(variables, "Y", TAGS)
     ref_t = float(references[1])
+    _decoy_block(rows, cols, gains, probs, fidelities, references)
+    _tag_block(rows, cols, tag_cols, splits, tag_fidelities, ref_t)
     for i in INTENSITIES:
-        split = splits[i]
-        mix = {tvar(i, "key"): split.q_key, tvar(i, "opp"): split.q_opp, var(i, 1): -1.0}
-        rows.append(Constraint(dict(mix), "<=", 0.0))
-        rows.append(Constraint(dict(mix), ">=", -split.rest))
-    for t in TAGS:
-        for i in INTENSITIES:
-            for j in INTENSITIES:
-                if i != j:
-                    _sandwich(rows, tvar(i, t), tvar(j, t),
-                              _fid(tag_fidelities, i, j, t), ref_t)
-    for i in INTENSITIES:
-        _sandwich(rows, tvar(i, "key"), tvar(i, "opp"), cross_tag_fidelities[i], ref_t)
-        _sandwich(rows, tvar(i, "opp"), tvar(i, "key"), cross_tag_fidelities[i], ref_t)
-    return LinearProgramSpec(variables=variables, sense="min",
-                             objective={tvar(target, "key"): 1.0}, constraints=rows)
+        key, opp = tag_cols[i]
+        _sandwich(rows, key, opp, cross_tag_fidelities[i], ref_t)
+        _sandwich(rows, opp, key, cross_tag_fidelities[i], ref_t)
+    return _program(variables, "min", {tag_cols[target][0]: 1.0}, rows)
 
 
 def refined_error_program(outcome_gains: dict, probs: dict, fidelities: dict,
                           references, n_cut: int, splits: dict,
                           tag_fidelities: dict, cross_bit_fidelities: dict,
-                          target: str = "I0") -> LinearProgramSpec:
+                          target: str = "I0") -> LinearProgram:
     """Bit-error program with key/opp refinement over both bits.
 
     Variables carry (bit a, Bob outcome b, intensity, photon number or
@@ -434,51 +425,25 @@ def refined_error_program(outcome_gains: dict, probs: dict, fidelities: dict,
     KeyOppSplits; tag_fidelities[(a, I, J, t)] between same-bit
     eigenstates; cross_bit_fidelities[(a, a', I, t, t')] between the
     key eigenstate of one bit and the opp eigenstate of the other.
-    references(a, b, n) returns the linearisation point.
+    references(a, b, n) returns the linearisation point.  Columns:
+    Y{a}{b}_I_n for each (a, b) in turn, then Y{a}{b}_I_t likewise.
 
     Objective: maximise the average, over bits, of the key-eigenstate
     probability of the error outcome b = 1 - a at `target`.
     """
-    var = lambda a, b, i, n: f"Y{a}{b}_{i}_{n}"
-    tvar = lambda a, b, i, t: f"Y{a}{b}_{i}_{t}"
-    variables = tuple(var(a, b, i, n)
-                      for a in (0, 1) for b in (0, 1)
-                      for i in INTENSITIES for n in range(n_cut + 1))
-    variables += tuple(tvar(a, b, i, t)
-                       for a in (0, 1) for b in (0, 1)
-                       for i in INTENSITIES for t in TAGS)
-    rows: list[Constraint] = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for i in INTENSITIES:
-                _decoy_rows(rows, lambda n, a=a, b=b, i=i: var(a, b, i, n),
-                            probs[(a, i)], outcome_gains[(a, b, i)], n_cut)
-            for n in range(n_cut + 1):
-                for i in INTENSITIES:
-                    for j in INTENSITIES:
-                        if i != j:
-                            _sandwich(rows, var(a, b, i, n), var(a, b, j, n),
-                                      _fid(fidelities, i, j, a, n), references(a, b, n))
-            for i in INTENSITIES:
-                split = splits[(a, i)]
-                mix = {tvar(a, b, i, "key"): split.q_key,
-                       tvar(a, b, i, "opp"): split.q_opp,
-                       var(a, b, i, 1): -1.0}
-                rows.append(Constraint(dict(mix), "<=", 0.0))
-                rows.append(Constraint(dict(mix), ">=", -split.rest))
-            for t in TAGS:
-                for i in INTENSITIES:
-                    for j in INTENSITIES:
-                        if i != j:
-                            _sandwich(rows, tvar(a, b, i, t), tvar(a, b, j, t),
-                                      _fid(tag_fidelities, i, j, a, t), references(a, b, 1))
-    for b in (0, 1):
-        for i in INTENSITIES:
-            for a, a2 in ((0, 1), (1, 0)):
-                for t, t2 in (("key", "opp"), ("opp", "key")):
-                    fid = cross_bit_fidelities[(a, a2, i, t, t2)]
-                    _sandwich(rows, tvar(a, b, i, t), tvar(a2, b, i, t2),
-                              fid, references(a, b, 1))
-    objective = {tvar(0, 1, target, "key"): 0.5, tvar(1, 0, target, "key"): 0.5}
-    return LinearProgramSpec(variables=variables, sense="max",
-                             objective=objective, constraints=rows)
+    outcomes = ((0, 0), (0, 1), (1, 0), (1, 1))
+    variables, rows = [], []
+    cols = {ab: _add_columns(variables, "Y%d%d" % ab, range(n_cut + 1)) for ab in outcomes}
+    tag_cols = {ab: _add_columns(variables, "Y%d%d" % ab, TAGS) for ab in outcomes}
+    for a, b in outcomes:
+        refs = [references(a, b, k) for k in range(n_cut + 1)]
+        _decoy_block(rows, cols[(a, b)], {i: outcome_gains[(a, b, i)] for i in INTENSITIES},
+                     {i: probs[(a, i)] for i in INTENSITIES}, fidelities, refs, (a,))
+        _tag_block(rows, cols[(a, b)], tag_cols[(a, b)],
+                   {i: splits[(a, i)] for i in INTENSITIES}, tag_fidelities, refs[1], (a,))
+    flips = ((0, 1), (1, 0))
+    for b, i, (a, a2), (t, t2) in itertools.product((0, 1), INTENSITIES, flips, flips):
+        _sandwich(rows, tag_cols[(a, b)][i][t], tag_cols[(a2, b)][i][t2],
+                  cross_bit_fidelities[(a, a2, i, TAGS[t], TAGS[t2])], references(a, b, 1))
+    return _program(variables, "max", {tag_cols[(0, 1)][target][0]: 0.5,
+                                       tag_cols[(1, 0)][target][0]: 0.5}, rows)

@@ -112,20 +112,6 @@ def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
     return vertex_enumeration_optimum(n_vars, constraints, objective, "min")
 
 
-def spec_to_dense(spec: lp.LinearProgramSpec):
-    index = {name: i for i, name in enumerate(spec.variables)}
-    rows = []
-    for con in spec.constraints:
-        a = np.zeros(len(spec.variables))
-        for name, coef in con.coeffs.items():
-            a[index[name]] = coef
-        rows.append((a, con.sense, con.rhs))
-    c = np.zeros(len(spec.variables))
-    for name, coef in spec.objective.items():
-        c[index[name]] = coef
-    return rows, c
-
-
 # ---------------------------------------------------------------------------
 # Direct-expansion state oracles
 # ---------------------------------------------------------------------------
@@ -433,15 +419,10 @@ def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
         a = rng.normal(size=(m, n))
         slack = rng.uniform(0.05, 0.5, size=m)
         b = a @ interior + slack
-        names = tuple(f"x{i}" for i in range(n))
-        rows = [lp.Constraint({names[i]: float(a[r, i]) for i in range(n)}, "<=", float(b[r]))
-                for r in range(m)]
         c = rng.normal(size=n)
         sense = "min" if rng.integers(2) == 0 else "max"
-        spec = lp.LinearProgramSpec(variables=names, sense=sense,
-                                    objective={names[i]: float(c[i]) for i in range(n)},
-                                    constraints=rows)
-        got = lp.solve(spec)
+        got = lp.solve(lp.LinearProgram(variables=tuple(f"x{i}" for i in range(n)), sense=sense,
+                                        c=c, a=a, b=b, upper=np.ones(m, dtype=bool)))
         reference = vertex_enumeration_optimum(
             n, [(a[r], "<=", float(b[r])) for r in range(m)], c, sense)
         if got.status != "optimal" or reference is None:
@@ -483,32 +464,27 @@ def _channel_truth_slack(config, distance: float, att: float, nodes: int) -> flo
     n_cut = config.n_cut
     worst = 0.0
     for basis, spec in est.yield_specs.items():
-        truth = {}
+        truth = []  # the columns Y_I_n of the yield program, intensity-major
         for i in driver.INTENSITIES:
             node_sets = passive.region_nodes_for(passive.RegionSpec(None, basis, i),
                                                  source.params.geometry, source.params.mu_max,
                                                  (nodes, nodes, nodes))
             yields, _ = channel_mod.passive_true_statistics(node_sets, source.params, chan, n_cut)
-            for n in range(n_cut + 1):
-                truth[f"Y_{i}_{n}"] = float(yields[n])
-        worst = max(worst, _constraint_violation(spec, truth))
+            truth.extend(yields[:n_cut + 1])
+        x = np.array(truth)
+        worst = max(worst, _constraint_violation(spec, x))
         solution = lp.solve(spec)
         if solution.status != "optimal":
             return math.inf
-        if solution.value > truth["Y_I0_1"] + 1e-7:
-            worst = max(worst, solution.value - truth["Y_I0_1"])
+        y1 = x[spec.variables.index("Y_I0_1")]
+        if solution.value > y1 + 1e-7:
+            worst = max(worst, solution.value - y1)
     return worst
 
 
-def _constraint_violation(spec: lp.LinearProgramSpec, assignment: dict) -> float:
-    worst = 0.0
-    for con in spec.constraints:
-        lhs = sum(coef * assignment[name] for name, coef in con.coeffs.items())
-        if con.sense == "<=":
-            worst = max(worst, lhs - con.rhs)
-        else:
-            worst = max(worst, con.rhs - lhs)
-    return worst
+def _constraint_violation(spec: lp.LinearProgram, x: np.ndarray) -> float:
+    lhs = spec.a @ x
+    return float(np.max(np.where(spec.upper, lhs - spec.b, spec.b - lhs), initial=0.0))
 
 
 def check_reference_error_brute(seed: int = 7) -> tuple[bool, str]:

@@ -34,6 +34,8 @@ def test_config_roundtrip_and_unknown_keys():
         config_from_dict({"optimizer": {"bogus": 1}})
     with pytest.raises(ValueError):
         config_from_dict({"transmitter": "oil", "analysis": "refined"})
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from_dict({"seed": 1})  # the pipeline is deterministic; no seed to set
 
 
 def test_config_hash_tracks_content():
@@ -98,6 +100,14 @@ def test_refined_reports_key_weight():
     report = driver.key_rate(config, 50.0, 120.0, nodes=16)
     assert 0.9 < report.q_key_weight < 1.0
     assert report.rate > 0.0
+
+
+def test_refined_zero_rate_report_keeps_the_key_weight():
+    config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
+    report = driver.key_rate(config, 350.0, 10.0, nodes=12)
+    assert report.status.startswith("zero-rate:")
+    q_weight = driver.passive_source(config, 10.0, nodes=12).q_weight
+    assert report.q_key_weight == q_weight < 1.0
 
 
 def test_sweep_grid_shape_and_failure_tolerance():
@@ -334,7 +344,7 @@ def test_failed_sweep_row_keeps_its_lp_records(monkeypatch):
     def x_yield_infeasible(spec):
         solved.append(spec)
         if len(solved) == 2:  # passive solves the Z yield first, then the X yield
-            return driver.lp.LPSolution(status="infeasible", value=None, assignment={},
+            return driver.lp.LPSolution(status="infeasible", value=None, x=None,
                                         iterations=0)
         return real_solve(spec)
 
@@ -458,7 +468,7 @@ def test_cli_optimize_reports_parameters(tmp_path):
 def test_cli_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("rate", "--transmitter", "oil", "--distance-km", "60",
-            "--att-db", "90", "--seed", "7")
+            "--att-db", "90")
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()

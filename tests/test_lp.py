@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import region_average
-from leakyqkd import driver, lp, passive
-from leakyqkd.validation import (spec_to_dense, textbook_decoy_bound,
-                                 vertex_enumeration_optimum)
+from leakyqkd import driver, lp, passive, validation
+from leakyqkd.validation import textbook_decoy_bound, vertex_enumeration_optimum
 
+DATA = Path(__file__).parent / "data"
 INTENSITIES = ("I0", "I1", "I2")
 
 
@@ -17,34 +18,27 @@ INTENSITIES = ("I0", "I1", "I2")
 # Solver
 # ---------------------------------------------------------------------------
 
+def one_variable(*rows):
+    """min x over rows (sense, rhs) of the form x <= rhs or x >= rhs."""
+    return lp.LinearProgram(variables=("x",), sense="min", c=np.ones(1),
+                            a=np.ones((len(rows), 1)), b=np.array([r for _, r in rows]),
+                            upper=np.array([s == "<=" for s, _ in rows]))
+
+
 def test_trivial_minimum():
-    spec = lp.LinearProgramSpec(
-        variables=("x",), sense="min", objective={"x": 1.0},
-        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.3)])
-    solution = lp.solve(spec)
+    solution = lp.solve(one_variable((">=", 0.3)))
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(0.3, abs=1e-12)
 
 
 def test_infeasible_is_reported():
-    spec = lp.LinearProgramSpec(
-        variables=("x",), sense="min", objective={"x": 1.0},
-        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.7),
-                     lp.Constraint({"x": 1.0}, "<=", 0.2)])
-    assert lp.solve(spec).status == "infeasible"
+    assert lp.solve(one_variable((">=", 0.7), ("<=", 0.2))).status == "infeasible"
 
 
 def test_relaxation_level_is_reported():
-    spec = lp.LinearProgramSpec(
-        variables=("x",), sense="min", objective={"x": 1.0},
-        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.3)])
-    solution = lp.solve(spec)
+    solution = lp.solve(one_variable((">=", 0.3)))
     assert (solution.relaxation, solution.attempts) == (0.0, 1)
-    infeasible = lp.LinearProgramSpec(
-        variables=("x",), sense="min", objective={"x": 1.0},
-        constraints=[lp.Constraint({"x": 1.0}, ">=", 0.7),
-                     lp.Constraint({"x": 1.0}, "<=", 0.2)])
-    solution = lp.solve(infeasible)
+    solution = lp.solve(one_variable((">=", 0.7), ("<=", 0.2)))
     assert solution.status == "infeasible"
     assert (solution.relaxation, solution.attempts) == (lp.RELAXATIONS[-1], len(lp.RELAXATIONS))
 
@@ -53,11 +47,15 @@ def test_phase_one_infeasible_program_is_retried_relaxed():
     # refined Z-yield program of the 48-node passive pipeline at 75 km and
     # 120 dB, recorded with the four-branch quadrature kernel: phase 1
     # declares it infeasible unrelaxed; HiGHS solves it to 0.031472510
-    data = json.loads((Path(__file__).parent / "data" / "z_yield_75km_120db.json").read_text())
-    spec = lp.LinearProgramSpec(
-        variables=tuple(data["variables"]), sense=data["sense"], objective=data["objective"],
-        constraints=[lp.Constraint(c["coeffs"], c["sense"], c["rhs"])
-                     for c in data["constraints"]])
+    data = json.loads((DATA / "z_yield_75km_120db.json").read_text())
+    variables = tuple(data["variables"])
+    a = np.array([[con["coeffs"].get(name, 0.0) for name in variables]
+                  for con in data["constraints"]])
+    spec = lp.LinearProgram(
+        variables=variables, sense=data["sense"],
+        c=np.array([data["objective"].get(name, 0.0) for name in variables]), a=a,
+        b=np.array([con["rhs"] for con in data["constraints"]]),
+        upper=np.array([con["sense"] == "<=" for con in data["constraints"]]))
     assert lp._solve_once(spec, 0.0).status == "infeasible"
     solution = lp.solve(spec)
     assert solution.status == "optimal"
@@ -65,49 +63,60 @@ def test_phase_one_infeasible_program_is_retried_relaxed():
     assert solution.value <= 0.0314725
 
 
+def test_phase_one_crawl_ends_at_the_pivot_budget(monkeypatch):
+    # refined error program of the 8-node passive search at 50 km and 70 dB
+    # (mu_max 0.7346, delta_theta_z 0.4896), `a` stored by its nonzero
+    # entries: unrelaxed, phase 1 crawls for 39,687 pivots and then declares
+    # it infeasible; the 1e-10 retry needs 133 and gives `value`
+    data = json.loads((DATA / "refined_error_crawl.json").read_text())
+    a = np.zeros((len(data["b"]), len(data["variables"])))
+    a[data["a_rows"], data["a_cols"]] = data["a_values"]
+    spec = lp.LinearProgram(variables=tuple(data["variables"]), sense=data["sense"],
+                            c=np.array(data["c"]), a=a, b=np.array(data["b"]),
+                            upper=np.array(data["upper"]))
+    pivots, statuses = [], []
+    real_pivot, real_solve_once = lp._pivot, lp._solve_once
+
+    def counted(*args):
+        pivots.append(None)
+        return real_pivot(*args)
+
+    def recorded(program, perturbation):
+        solution = real_solve_once(program, perturbation)
+        statuses.append(solution.status)
+        return solution
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    monkeypatch.setattr(lp, "_solve_once", recorded)
+    solution = lp.solve(spec)
+    assert (solution.status, solution.value) == ("optimal", data["value"])
+    assert (solution.relaxation, solution.attempts) == (1e-10, 2)
+    assert statuses == ["unfinished", "optimal"]
+    assert len(pivots) < lp.PIVOT_BUDGET + 1_000
+
+
 def test_solver_is_deterministic():
     rng = np.random.default_rng(0)
-    names = tuple(f"x{i}" for i in range(6))
-    rows = []
     a = rng.normal(size=(8, 6))
     b = a @ np.full(6, 0.5) + rng.uniform(0.1, 0.4, size=8)
-    for r in range(8):
-        rows.append(lp.Constraint({names[i]: float(a[r, i]) for i in range(6)}, "<=", float(b[r])))
-    spec = lp.LinearProgramSpec(variables=names, sense="max",
-                                objective={n: 1.0 for n in names}, constraints=rows)
+    spec = lp.LinearProgram(variables=tuple(f"x{i}" for i in range(6)), sense="max",
+                            c=np.ones(6), a=a, b=b, upper=np.ones(8, dtype=bool))
     first = lp.solve(spec)
     second = lp.solve(spec)
     assert first.value == second.value
-    assert first.assignment == second.assignment
+    assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
 
 
 def test_random_programs_match_vertex_enumeration():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(4, 9))
-        interior = rng.uniform(0.2, 0.8, size=n)
-        a = rng.normal(size=(m, n))
-        b = a @ interior + rng.uniform(0.05, 0.5, size=m)
-        names = tuple(f"x{i}" for i in range(n))
-        rows = [lp.Constraint({names[i]: float(a[r, i]) for i in range(n)}, "<=", float(b[r]))
-                for r in range(m)]
-        c = rng.normal(size=n)
-        sense = "min" if rng.integers(2) == 0 else "max"
-        spec = lp.LinearProgramSpec(
-            variables=names, sense=sense,
-            objective={names[i]: float(c[i]) for i in range(n)}, constraints=rows)
-        got = lp.solve(spec)
-        reference = vertex_enumeration_optimum(
-            n, [(a[r], "<=", float(b[r])) for r in range(m)], c, sense)
-        assert got.status == "optimal"
-        assert got.value == pytest.approx(reference, abs=1e-7)
+    # 100 random feasible programs, each optimal within 1e-7 of the vertex optimum
+    assert validation.check_lp_vertex_oracle(seed=1, cases=100)[0]
 
 
-def test_spec_rejects_unknown_variables():
+def test_program_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        lp.LinearProgramSpec(variables=("x",), sense="min", objective={"y": 1.0})
+        lp.LinearProgram(variables=("x",), sense="min", c=np.ones(2), a=np.ones((1, 1)),
+                         b=np.ones(1), upper=np.ones(1, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +207,10 @@ def test_channel_truth_feasible_for_ideal_decoy():
     n_cut = 4
     gains, probs, fids, refs, yields = ideal_inputs(n_cut=n_cut)
     spec = lp.yield_program(gains, probs, fids, refs, n_cut)
-    truth = {f"Y_{i}_{n}": float(yields[n]) for i in INTENSITIES for n in range(n_cut + 1)}
-    rows, _ = spec_to_dense(spec)
-    index = {name: k for k, name in enumerate(spec.variables)}
-    x = np.zeros(len(spec.variables))
-    for name, value in truth.items():
-        x[index[name]] = value
-    for a, sense, rhs in rows:
-        lhs = float(np.dot(a, x))
-        assert lhs <= rhs + 1e-9 if sense == "<=" else lhs >= rhs - 1e-9
-    assert lp.solve(spec).value <= truth["Y_I0_1"] + 1e-9
+    x = np.tile(yields[:n_cut + 1], 3)  # the columns Y_I_n, intensity-major
+    lhs = spec.a @ x
+    assert np.all(np.where(spec.upper, lhs <= spec.b + 1e-9, lhs >= spec.b - 1e-9))
+    assert lp.solve(spec).value <= x[spec.variables.index("Y_I0_1")] + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +278,12 @@ def test_refined_error_program_symmetric_under_bit_swap():
     spec = refined_setup(att=600.0).error_specs["refined error"]
     solution = lp.solve(spec)
     assert solution.status == "optimal"
-    key0 = solution.assignment["Y01_I0_key"]
-    key1 = solution.assignment["Y10_I0_key"]
+    key0, key1 = (solution.x[spec.variables.index(name)] for name in ("Y01_I0_key", "Y10_I0_key"))
     # the two bit windows are mirror images of each other
     assert solution.value == pytest.approx(0.5 * (key0 + key1), abs=1e-12)
     single = {}
     for a, b in ((0, 1), (1, 0)):
-        alone = lp.LinearProgramSpec(variables=spec.variables, sense="max",
-                                     objective={f"Y{a}{b}_I0_key": 1.0},
-                                     constraints=spec.constraints)
-        single[a] = lp.solve(alone).value
+        c = np.zeros(len(spec.variables))
+        c[spec.variables.index(f"Y{a}{b}_I0_key")] = 1.0
+        single[a] = lp.solve(dataclasses.replace(spec, c=c)).value
     assert single[0] == pytest.approx(single[1], rel=1e-6)
