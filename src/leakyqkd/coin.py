@@ -29,23 +29,35 @@ KINK_SHIFT = 1e-6
 _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 
-def _check_unit_interval(value: float, name: str) -> float:
-    if not -1e-12 <= value <= 1.0 + 1e-12:
-        raise ValueError(f"{name}={value} outside [0, 1]")
-    return min(1.0, max(0.0, value))
+def _check_unit_interval(value, name: str) -> np.ndarray:
+    """`value` clipped to [0, 1], elementwise; anything further out than
+    1e-12, or NaN, is an error."""
+    value = np.asarray(value, dtype=float)
+    inside = (value >= -1e-12) & (value <= 1.0 + 1e-12)
+    if not inside.all():
+        raise ValueError(f"{name}={value[~inside][0]} outside [0, 1]")
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
-def transfer_curve(y: float, fid: float, sign: int) -> float:
+def _scalar(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+# The envelope functions take scalars or arrays (broadcast against each
+# other) and return a float or an array to match; checks are elementwise.
+
+def transfer_curve(y, fid, sign: int):
     """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y))."""
     y = _check_unit_interval(y, "y")
     z = _check_unit_interval(fid, "fidelity")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    radical = 2.0 * math.sqrt(max(0.0, z * (1.0 - z) * y * (1.0 - y)))
-    return y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical
+    radical = 2.0 * np.sqrt(np.maximum(0.0, z * (1.0 - z) * y * (1.0 - y)))
+    return _scalar(y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical)
 
 
-def transfer_bound(y: float, fid: float, side: str) -> float:
+def transfer_bound(y, fid, side: str):
     """Piecewise coin envelopes.
 
     Lower side: max(0, curve_minus) with the flat branch for y <= 1 - z.
@@ -54,25 +66,27 @@ def transfer_bound(y: float, fid: float, side: str) -> float:
     y = _check_unit_interval(y, "y")
     z = _check_unit_interval(fid, "fidelity")
     if side == "L":
-        return transfer_curve(y, z, -1) if y > 1.0 - z else 0.0
+        return _scalar(np.where(y > 1.0 - z, transfer_curve(y, z, -1), 0.0))
     if side == "U":
-        return transfer_curve(y, z, +1) if y < z else 1.0
+        return _scalar(np.where(y < z, transfer_curve(y, z, +1), 1.0))
     raise ValueError("side must be 'L' or 'U'")
 
 
-def transfer_slope(y: float, fid: float, side: str) -> float:
+def transfer_slope(y, fid, side: str):
     """d/dy of transfer_bound on its smooth branch; 0 on the flat branch."""
     y = _check_unit_interval(y, "y")
     z = _check_unit_interval(fid, "fidelity")
+    if side not in ("L", "U"):
+        raise ValueError("side must be 'L' or 'U'")
     sign = -1 if side == "L" else +1
-    flat = (side == "L" and y <= 1.0 - z) or (side == "U" and y >= z)
-    if flat:
-        return 0.0
+    flat = y <= 1.0 - z if side == "L" else y >= z
     denom = y * (1.0 - y)
-    if denom <= 0.0:
-        raise ValueError(f"slope undefined at y={y}")
-    radical = math.sqrt(z * (1.0 - z))
-    return (2.0 * z - 1.0) + sign * radical * (1.0 - 2.0 * y) / math.sqrt(denom)
+    undefined = ~flat & (denom <= 0.0)
+    if undefined.any():
+        raise ValueError(f"slope undefined at y={np.broadcast_to(y, flat.shape)[undefined][0]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z)) * (1.0 - 2.0 * y) / np.sqrt(denom)
+    return _scalar(np.where(flat, 0.0, slope))
 
 
 @dataclass(frozen=True)
@@ -83,20 +97,20 @@ class TangentLine:
     a tangent to the concave upper envelope over-estimates it everywhere.
     """
 
-    slope: float
-    intercept: float
-    y_ref: float
+    slope: float | np.ndarray
+    intercept: float | np.ndarray
+    y_ref: float | np.ndarray
     side: str
 
-    def evaluate(self, y: float) -> float:
+    def evaluate(self, y):
         return self.intercept + self.slope * y
 
 
-def _kink(fid: float, side: str) -> float:
+def _kink(fid, side: str):
     return 1.0 - fid if side == "L" else fid
 
 
-def tangent_line(fid: float, y_ref: float, side: str) -> TangentLine:
+def tangent_line(fid, y_ref, side: str) -> TangentLine:
     """Tangent-line relaxation of the coin envelope at y_ref.
 
     y_ref must sit strictly inside one of the piecewise branches; a
@@ -106,27 +120,27 @@ def tangent_line(fid: float, y_ref: float, side: str) -> TangentLine:
     z = _check_unit_interval(fid, "fidelity")
     if side not in ("L", "U"):
         raise ValueError("side must be 'L' or 'U'")
-    kink = _kink(z, side)
-    if abs(y_ref - kink) < KINK_TOL and 0.0 < kink < 1.0:
-        raise ValueError(
-            f"reference point {y_ref} sits at the envelope kink {kink}; perturb it"
-        )
-    if not 0.0 < y_ref < 1.0:
-        raise ValueError(f"reference point {y_ref} must be interior to (0, 1)")
+    y_ref, kink = np.broadcast_arrays(np.asarray(y_ref, dtype=float), _kink(z, side))
+    at_kink = (np.abs(y_ref - kink) < KINK_TOL) & (0.0 < kink) & (kink < 1.0)
+    if at_kink.any():
+        raise ValueError(f"reference point {y_ref[at_kink][0]} sits at the envelope kink "
+                         f"{kink[at_kink][0]}; perturb it")
+    interior = (0.0 < y_ref) & (y_ref < 1.0)
+    if not interior.all():
+        raise ValueError(f"reference point {y_ref[~interior][0]} must be interior to (0, 1)")
     value = transfer_bound(y_ref, z, side)
     slope = transfer_slope(y_ref, z, side)
-    return TangentLine(slope=slope, intercept=value - slope * y_ref, y_ref=y_ref, side=side)
+    return TangentLine(slope=slope, intercept=_scalar(value - slope * y_ref), y_ref=_scalar(y_ref),
+                       side=side)
 
 
-def safe_reference(y_ref: float, fid: float, side: str) -> float:
-    """Nudge a reference point off kinks/extremes before building a tangent."""
+def safe_reference(y_ref, fid, side: str):
+    """Nudge reference points off kinks/extremes before building tangents."""
     lo, hi = KINK_SHIFT, 1.0 - KINK_SHIFT
-    y = min(hi, max(lo, y_ref))
-    kink = _kink(fid, side)
-    if abs(y - kink) < KINK_TOL:
-        y = kink + KINK_SHIFT if side == "L" else kink - KINK_SHIFT
-        y = min(hi, max(lo, y))
-    return y
+    y = np.clip(y_ref, lo, hi)
+    kink = _kink(np.asarray(fid, dtype=float), side)
+    shifted = np.clip(kink + KINK_SHIFT if side == "L" else kink - KINK_SHIFT, lo, hi)
+    return _scalar(np.where(np.abs(y - kink) < KINK_TOL, shifted, y))
 
 
 def yield_transfer(y_known: float, fid: float) -> tuple[float, float]:

@@ -37,7 +37,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
 from .lp import InfeasibleProgramError
-from .linalg import fidelity, pure_state_fidelity
+from .linalg import factor_fidelity, fidelity, pure_state_fidelity
 
 BITS = (0, 1)
 BASES = ("Z", "X")
@@ -526,42 +526,46 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     n_cut = config.n_cut
     references = channel_mod.reference_yields(n_cut, chan)
 
-    settings = {(a, b, i): oil.setting_phases(a, b, i, params)
-                for a in BITS for b in BASES for i in INTENSITIES if b == "X" or i == "I0"}
     intensities = {i: params.intensity(i) for i in INTENSITIES}
     gains = {i: channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
              for i in INTENSITIES}
     probs = {i: oil.photon_probabilities(intensities[i], omega, n_cut) for i in INTENSITIES}
-    mixed = {(i, n): oil.mixed_state("X", i, params, n)
-             for i in INTENSITIES for n in range(n_cut + 1)}
-    fids = {(i, j, n): fidelity(mixed[(i, n)], mixed[(j, n)])
-            for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+    # every setting's n-photon components: one column per oil.SETTINGS entry
+    sectors = oil.emission_sectors(params)
+    column = {key: k for k, key in enumerate(oil.SETTINGS)}
+    fids = {}
+    for n, sector in enumerate(sectors):
+        mix = np.stack([oil.mixture_factor(sector, "X", i) for i in INTENSITIES])
+        # INTENSITY_PAIRS as indices into INTENSITIES
+        pair_fids = factor_fidelity(mix[[0, 0, 1]], mix[[1, 2, 2]]).tolist()
+        fids.update(((i, j, n), f) for (i, j), f in zip(INTENSITY_PAIRS, pair_fids))
+    units = [sector / np.linalg.norm(sector, axis=0) for sector in sectors]
+    # |<psi_k|psi_l>|^2 of the pure settings, per sector
+    pure_fids = [np.abs(u.conj().T @ u) ** 2 for u in units]
 
     error_specs = {}
     for a in BITS:
         error_gains = {i: channel_mod.oil_point_observables(
                            intensities[i], 0.0, "X", a, chan).error_gain for i in INTENSITIES}
-        vectors = {(i, n): oil.state_vector(settings[(a, "X", i)], params, n)
-                   for i in INTENSITIES for n in range(1, n_cut + 1)}
         # the vacuum sector has unit fidelity
-        fids_bit = {(i, j, n): pure_state_fidelity(vectors[(i, n)], vectors[(j, n)]) if n else 1.0
-                    for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
-        blocks = [oil.state_block(settings[(a, "X", "I0")], params, n) for n in range(n_cut + 1)]
+        fids_bit = {(i, j, n): float(pure_fids[n][column[(a, "X", i)], column[(a, "X", j)]])
+                    if n else 1.0 for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
+        signal = [u[:, column[(a, "X", "I0")]] for u in units]
         error_refs = np.array([channel_mod.reference_error(
-            rho / float(np.trace(rho).real), oil.oil_basis(n), chan, bit=a, interfere=False)
-            for n, rho in enumerate(blocks)])
+            np.outer(v, v.conj()), oil.oil_basis(n), chan, bit=a, interfere=False)
+            for n, v in enumerate(signal)])
         error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs, fids_bit,
                                                              error_refs, n_cut)
 
-    key_setting = settings[(0, "Z", "I0")]
+    key_setting = oil.setting_phases(0, "Z", "I0", params)
     key_obs = channel_mod.oil_point_observables(
         intensities["I0"], 0.5 * (key_setting.phi12 + key_setting.phi23), "Z", 0, chan)
-    rho_key, rho_test = oil.mixed_state("Z", "I0", params, 1), mixed[("I0", 1)]
-    identical = float(np.max(np.abs(rho_key - rho_test))) <= 1e-10
-    fid_zx = 1.0 if identical else fidelity(rho_key, rho_test)
+    key, test = (oil.mixture_factor(sectors[1], b, "I0") for b in BASES)
+    identical = float(np.max(np.abs(key @ key.conj().T - test @ test.conj().T))) <= 1e-10
+    fid_zx = 1.0 if identical else float(factor_fidelity(key, test))
     return _Estimation(
         yield_specs={"X": lp.yield_program(gains, probs, fids, references, n_cut)},
-        error_specs=error_specs, overlap=oil.single_photon_overlap(params), p_region=1.0,
+        error_specs=error_specs, overlap=oil.single_photon_overlap(sectors), p_region=1.0,
         p1=float(oil.photon_probabilities(intensities["I0"], omega, 1)[1]), q_weight=1.0,
         gain_key=key_obs.gain, error_key=key_obs.error_rate, sift=config.p_zazb, nodes=0,
         details={"fid_zx": fid_zx, "intensities": intensities, "omega": omega, "gains": gains},
@@ -577,20 +581,22 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
     """Solve the programs, bound the phase error through the coin overlap
     and evaluate the rate."""
     lp_log: list = []
+    start = time.perf_counter()
     y_lower = {basis: min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log)))
                for basis, spec in est.yield_specs.items()}
     gammas = [min(1.0, max(0.0, _solve_or_raise(spec, label, lp_log)))
               for label, spec in est.error_specs.items()]
+    solve_s = time.perf_counter() - start
     gamma_key = sum(gammas) / len(gammas)
     y_test = y_lower["X"]
     if y_test <= 1e-12:
-        return _zero_report(config, distance_km, att_db, est, lp_log,
+        return _zero_report(config, distance_km, att_db, est, lp_log, solve_s,
                             reason="vanishing test-basis yield bound")
     e_x_upper = min(1.0, gamma_key / y_test)
     y_key = y_lower["Z"] if "Z" in y_lower else coin.yield_transfer(y_test, est.fid_zx)[0]
     y_coin = 0.5 * (y_key + y_test)
     if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, est, lp_log,
+        return _zero_report(config, distance_km, att_db, est, lp_log, solve_s,
                             reason="vanishing coin yield")
     diagnostics = list(est.diagnostics)
     f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(est.overlap.real), y_coin)
@@ -606,19 +612,20 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
         gain_key=est.gain_key, error_key=est.error_key, p_region_key=est.p_region,
         p1_given_region=est.p1, q_key_weight=est.q_weight, details=details,
-        provenance=_provenance(config, lp_log, est.nodes))
+        provenance=_provenance(config, lp_log, est.nodes, solve_s))
 
 
-def _provenance(config: ProtocolConfig, lp_log: list, nodes: int) -> dict:
-    """Config hash, grid, and one record per solved program: label, status,
-    attempts, relaxation level, iterations, rows and columns;
-    `lp_iterations` (a CSV column) sums the iterations."""
+def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float) -> dict:
+    """Config hash, grid, one record per solved program (label, status,
+    attempts, relaxation level, iterations, rows, columns), their summed
+    `lp_iterations` (a CSV column) and their time, `timings["solve_s"]`."""
     return {"config_hash": config_hash(config), "nodes": nodes,
-            "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log}
+            "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log,
+            "timings": {"solve_s": solve_s}}
 
 
 def _zero_report(config: ProtocolConfig, distance_km: float, att_db: float,
-                 est: _Estimation, lp_log: list, reason: str) -> KeyRateReport:
+                 est: _Estimation, lp_log: list, solve_s: float, reason: str) -> KeyRateReport:
     """Rate-zero report for a point whose yield bound vanished."""
     return KeyRateReport(
         transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
@@ -627,7 +634,7 @@ def _zero_report(config: ProtocolConfig, distance_km: float, att_db: float,
         gain_key=est.gain_key, error_key=0.0, p_region_key=est.p_region,
         p1_given_region=est.p1, q_key_weight=est.q_weight, status=f"zero-rate: {reason}",
         details={"diagnostics": list(est.diagnostics)},
-        provenance=_provenance(config, lp_log, est.nodes))
+        provenance=_provenance(config, lp_log, est.nodes, solve_s))
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
@@ -657,7 +664,7 @@ def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
            else _passive_estimation(config, source, distance_km))
     report = _estimate(config, distance_km, att_db, est)
     timings["channel_s"] = time.perf_counter() - start
-    report.provenance["timings"] = timings
+    report.provenance["timings"] = {**timings, **report.provenance["timings"]}
     return report
 
 

@@ -276,35 +276,43 @@ def _add_columns(variables: list, prefix: str, entries) -> dict:
     return {i: start + width * s + np.arange(width) for s, i in enumerate(INTENSITIES)}
 
 
-def _row(rows: list, cols, coeffs, upper: bool, rhs: float):
-    """Append the row coeffs . x[cols] <= rhs (upper) or >= rhs."""
-    rows.append((cols, coeffs, upper, rhs))
+def _pairs(rows: list, cols, coeffs, rhs):
+    """Append, per entry e, the rows coeffs[e, 0] . x[cols[e]] <= rhs[e, 0]
+    and coeffs[e, 1] . x[cols[e]] >= rhs[e, 1]; coeffs broadcast to (P, 2, w)."""
+    cols = np.asarray(cols)
+    rows.append((cols, np.broadcast_to(coeffs, (len(cols), 2, cols.shape[1])), np.ravel(rhs)))
 
 
 def _program(variables: list, sense: str, objective: dict, rows: list) -> LinearProgram:
-    """Write the rows into arrays; `objective` maps columns to their coefficients."""
-    c, a = np.zeros(len(variables)), np.zeros((len(rows), len(variables)))
+    """Write the row pairs into arrays; `objective` maps columns to their coefficients."""
+    b = np.concatenate([blk[2] for blk in rows])
+    c, a = np.zeros(len(variables)), np.zeros((len(b), len(variables)))
     c[list(objective)] = list(objective.values())
-    for r, (cols, coeffs, _, _) in enumerate(rows):
-        a[r, cols] = coeffs
-    return LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a,
-                         b=np.array([row[3] for row in rows], dtype=float),
-                         upper=np.array([row[2] for row in rows]))
+    start = 0
+    for cols, coeffs, rhs in rows:
+        a[start + np.arange(len(rhs)).reshape(-1, 2, 1), cols[:, None, :]] = coeffs
+        start += len(rhs)
+    return LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a, b=b,
+                         upper=np.arange(len(b)) % 2 == 0)
 
 
-def _sandwich(rows: list, col_i: int, col_j: int, fid: float, y_ref: float):
-    """Tangent-relaxed coin constraints: LCS^L(y_i) <= y_j <= LCS^U(y_i).
+def _sandwich(rows: list, entries):
+    """Tangent-relaxed coin constraints LCS^L(y_i) <= y_j <= LCS^U(y_i), a
+    pair of rows per entry (col_i, col_j, fidelity, y_ref).
 
     Unit fidelities are capped infinitesimally below 1 (a relaxation, so
     still valid): exact-equality chains otherwise make the polytope a
     measure-zero sliver that amplifies quadrature noise in the data into
     spurious infeasibility.
     """
-    fid = min(fid, 1.0 - 1e-14)
+    col_i, col_j, fid, y_ref = (np.array(v) for v in zip(*entries))
+    fid = np.minimum(fid, 1.0 - 1e-14)
     low = tangent_line(fid, safe_reference(y_ref, fid, "L"), "L")
     high = tangent_line(fid, safe_reference(y_ref, fid, "U"), "U")
-    _row(rows, [col_i, col_j], [low.slope, -1.0], True, -low.intercept)
-    _row(rows, [col_i, col_j], [high.slope, -1.0], False, -high.intercept)
+    minus = -np.ones_like(fid)
+    _pairs(rows, np.stack([col_i, col_j], axis=1),
+           np.stack([np.stack([low.slope, minus], 1), np.stack([high.slope, minus], 1)], 1),
+           -np.stack([low.intercept, high.intercept], axis=1))
 
 
 def _decoy_block(rows: list, cols: dict, gains: dict, probs: dict,
@@ -312,26 +320,22 @@ def _decoy_block(rows: list, cols: dict, gains: dict, probs: dict,
     """Two-sided decoy rows from Q = sum_k p_k Y_k + tail for each intensity
     i (Y_k in column cols[i][k]), then coin rows per photon number k."""
     width = len(cols["I0"])
-    for i in INTENSITIES:
-        p = probs[i][:width]
-        _row(rows, cols[i], p, True, gains[i])
-        _row(rows, cols[i], p, False, gains[i] - (1.0 - float(np.sum(p))))
-    for k, (i, j) in itertools.product(range(width), _PAIRS):
-        _sandwich(rows, cols[i][k], cols[j][k], _fid(fidelities, i, j, *bit, k),
-                  float(references[k]))
+    p = np.array([probs[i][:width] for i in INTENSITIES])
+    _pairs(rows, [cols[i] for i in INTENSITIES], p[:, None, :],
+           [(gains[i], gains[i] - (1.0 - float(np.sum(p_i)))) for i, p_i in zip(INTENSITIES, p)])
+    _sandwich(rows, [(cols[i][k], cols[j][k], _fid(fidelities, i, j, *bit, k), references[k])
+                     for k, (i, j) in itertools.product(range(width), _PAIRS)])
 
 
 def _tag_block(rows: list, cols: dict, tag_cols: dict, splits: dict,
                tag_fidelities: dict, y_ref: float, bit: tuple = ()):
     """Key/opp mixture rows of each single-photon yield cols[i][1] (the
     eigenstate yields in tag_cols[i], in TAGS order), then coin rows per tag."""
-    for i in INTENSITIES:
-        mix_cols, split = [*tag_cols[i], cols[i][1]], splits[i]
-        _row(rows, mix_cols, [split.q_key, split.q_opp, -1.0], True, 0.0)
-        _row(rows, mix_cols, [split.q_key, split.q_opp, -1.0], False, -split.rest)
-    for (t, tag), (i, j) in itertools.product(enumerate(TAGS), _PAIRS):
-        _sandwich(rows, tag_cols[i][t], tag_cols[j][t],
-                  _fid(tag_fidelities, i, j, *bit, tag), y_ref)
+    _pairs(rows, [(*tag_cols[i], cols[i][1]) for i in INTENSITIES],
+           np.array([(splits[i].q_key, splits[i].q_opp, -1.0) for i in INTENSITIES])[:, None, :],
+           [(0.0, -splits[i].rest) for i in INTENSITIES])
+    _sandwich(rows, [(tag_cols[i][t], tag_cols[j][t], _fid(tag_fidelities, i, j, *bit, tag), y_ref)
+                     for (t, tag), (i, j) in itertools.product(enumerate(TAGS), _PAIRS)])
 
 
 def yield_program(gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
@@ -405,10 +409,8 @@ def refined_yield_program(gains: dict, probs: dict, fidelities: dict, references
     ref_t = float(references[1])
     _decoy_block(rows, cols, gains, probs, fidelities, references)
     _tag_block(rows, cols, tag_cols, splits, tag_fidelities, ref_t)
-    for i in INTENSITIES:
-        key, opp = tag_cols[i]
-        _sandwich(rows, key, opp, cross_tag_fidelities[i], ref_t)
-        _sandwich(rows, opp, key, cross_tag_fidelities[i], ref_t)
+    _sandwich(rows, [(*ends, cross_tag_fidelities[i], ref_t) for i in INTENSITIES
+                     for ends in (tag_cols[i], tag_cols[i][::-1])])  # key -> opp, opp -> key
     return _program(variables, "min", {tag_cols[target][0]: 1.0}, rows)
 
 
@@ -442,8 +444,9 @@ def refined_error_program(outcome_gains: dict, probs: dict, fidelities: dict,
         _tag_block(rows, cols[(a, b)], tag_cols[(a, b)],
                    {i: splits[(a, i)] for i in INTENSITIES}, tag_fidelities, refs[1], (a,))
     flips = ((0, 1), (1, 0))
-    for b, i, (a, a2), (t, t2) in itertools.product((0, 1), INTENSITIES, flips, flips):
-        _sandwich(rows, tag_cols[(a, b)][i][t], tag_cols[(a2, b)][i][t2],
-                  cross_bit_fidelities[(a, a2, i, TAGS[t], TAGS[t2])], references(a, b, 1))
+    _sandwich(rows, [(tag_cols[(a, b)][i][t], tag_cols[(a2, b)][i][t2],
+                      cross_bit_fidelities[(a, a2, i, TAGS[t], TAGS[t2])], references(a, b, 1))
+                     for b, i, (a, a2), (t, t2) in itertools.product((0, 1), INTENSITIES,
+                                                                     flips, flips)])
     return _program(variables, "max", {tag_cols[(0, 1)][target][0]: 0.5,
                                        tag_cols[(1, 0)][target][0]: 0.5}, rows)

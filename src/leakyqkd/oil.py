@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NPhotonBasis, coherent_block, coherent_components, enumerate_basis
+from .fock import NPhotonBasis, coherent_block, coherent_sectors, enumerate_basis
 
 MODE_COUNT = 4
 LEAK_MODES = frozenset({2, 3})
@@ -157,32 +157,33 @@ def state_block(setting: OilSetting, params: OilParams, n: int,
     return coherent_block(setting_amplitudes(setting, params), basis)
 
 
-def state_vector(setting: OilSetting, params: OilParams, n: int,
-                 basis: NPhotonBasis | None = None) -> np.ndarray:
-    """Normalised pure n-photon state of one setting (n >= 1).
+# The eight emission settings, in the column order of `emission_sectors`:
+# the key basis at I0 and the test basis at every intensity, bits adjacent.
+SETTINGS = tuple((bit, basis, i) for basis in ("Z", "X") for i in INTENSITIES
+                 if basis == "X" or i == "I0" for bit in (0, 1))
 
-    Carries the phase convention of the printed amplitudes (the block is
-    the rank-1 projector onto this vector).
+
+def emission_sectors(params: OilParams) -> list[np.ndarray]:
+    """Sub-normalised n-photon components of every setting, n = 0..n_cut.
+
+    One (dim_n, 8) array per n from a single `coherent_sectors` call,
+    column k for SETTINGS[k]: the outer product of a column with itself
+    is that setting's `state_block`.
     """
-    if basis is None:
-        basis = oil_basis(n)
-    vec = coherent_components(setting_amplitudes(setting, params), basis)
-    norm = float(np.linalg.norm(vec))
+    alphas = np.stack([setting_amplitudes(setting_phases(*key, params), params)
+                       for key in SETTINGS], axis=1)
+    vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
+    return coherent_sectors(alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)
+
+
+def mixture_factor(sector: np.ndarray, basis_label: str, intensity: str) -> np.ndarray:
+    """(dim, 2) factor A of the normalised equal-bit mixture A A^H of one
+    `emission_sectors` sector: the two bits' columns, unit Frobenius norm."""
+    cols = sector[:, [SETTINGS.index((bit, basis_label, intensity)) for bit in (0, 1)]]
+    norm = float(np.linalg.norm(cols))
     if norm == 0.0:
-        raise ValueError("n-photon component has zero weight")
-    return vec / norm
-
-
-def mixed_state(basis_label: str, intensity: str, params: OilParams, n: int) -> np.ndarray:
-    """Normalised equal-bit mixture of the two n-photon settings."""
-    blocks = [state_block(setting_phases(bit, basis_label, intensity, params), params, n)
-              for bit in (0, 1)]
-    mix = 0.5 * (blocks[0] + blocks[1])
-    tr = float(np.trace(mix).real)
-    if tr <= 0.0:
         raise ValueError("mixture has zero weight in this photon sector")
-    rho = mix / tr
-    return (rho + rho.conj().T) / 2.0
+    return cols / norm
 
 
 def photon_probabilities(mu: float, omega: float, n_max: int) -> np.ndarray:
@@ -203,14 +204,13 @@ _OVERLAP_PHASES = {(0, "Z"): -math.pi / 4.0, (1, "Z"): math.pi / 4.0,
                    (0, "X"): 0.0, (1, "X"): -math.pi / 2.0}
 
 
-def single_photon_overlap(params: OilParams) -> complex:
-    """<psi_Z|psi_X> of the bit-entangled single-photon I0 emissions."""
+def single_photon_overlap(sectors: list) -> complex:
+    """<psi_Z|psi_X> of the bit-entangled single-photon I0 emissions, from
+    the `emission_sectors`."""
     from .coin import bb84_pair_overlap
 
     vecs = {}
-    for bit in (0, 1):
-        for basis_label in ("Z", "X"):
-            setting = setting_phases(bit, basis_label, "I0", params)
-            vec = state_vector(setting, params, 1)
-            vecs[(bit, basis_label)] = vec * np.exp(1j * _OVERLAP_PHASES[(bit, basis_label)])
+    for (bit, basis_label), phase in _OVERLAP_PHASES.items():
+        vec = sectors[1][:, SETTINGS.index((bit, basis_label, "I0"))]
+        vecs[(bit, basis_label)] = vec / np.linalg.norm(vec) * np.exp(1j * phase)
     return bb84_pair_overlap(vecs[(0, "Z")], vecs[(1, "Z")], vecs[(0, "X")], vecs[(1, "X")])

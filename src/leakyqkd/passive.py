@@ -328,10 +328,18 @@ class RegionNodes:
         return float(np.sum(self.weight))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(n: int, lo, hi):
     """Gauss-Legendre nodes and weights of order n on [lo, hi]; array
     limits give one row of nodes per interval."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 

@@ -2,8 +2,10 @@
 
 Each one restates a quantity the package computes another way (a region
 state from `region_moments`, a leakage intensity from the branch
-amplitudes, a click probability from the channel statistics), so that a
-test can check the two against each other.
+amplitudes, a click probability from the channel statistics, an
+injection-locked state from its blocks instead of `oil.emission_sectors`,
+a coin tangent in scalar arithmetic instead of on arrays), so that a test
+can check the two against each other.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 
 import numpy as np
 
-from leakyqkd import passive
+from leakyqkd import coin, oil, passive
 from leakyqkd.channel import transmittance
 from leakyqkd.coin import bures_chain_bound
+from leakyqkd.fock import coherent_components
 from leakyqkd.linalg import bures_from_fidelity, fidelity
 
 
@@ -118,3 +121,51 @@ def setting_intensity(setting, params):
     """Signal intensity mu_e + mu_l of one injection-locked setting."""
     return (params.mu_in * (1.0 + math.cos(setting.phi12)) / 2.0
             + params.mu_in * (1.0 + math.cos(setting.phi23)) / 2.0)
+
+
+def state_vector(setting, params, n):
+    """Normalised pure n-photon state of one injection-locked setting
+    (n >= 1), in the phase convention of the printed amplitudes."""
+    vec = coherent_components(oil.setting_amplitudes(setting, params), oil.oil_basis(n))
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ValueError("n-photon component has zero weight")
+    return vec / norm
+
+
+def mixed_state(basis_label, intensity, params, n):
+    """Normalised equal-bit mixture of two injection-locked n-photon
+    settings, from their `oil.state_block`s."""
+    blocks = [oil.state_block(oil.setting_phases(bit, basis_label, intensity, params), params, n)
+              for bit in (0, 1)]
+    mix = 0.5 * (blocks[0] + blocks[1])
+    tr = float(np.trace(mix).real)
+    if tr <= 0.0:
+        raise ValueError("mixture has zero weight in this photon sector")
+    rho = mix / tr
+    return (rho + rho.conj().T) / 2.0
+
+
+def scalar_safe_reference(y_ref, fid, side):
+    """`coin.safe_reference` of one entry, in scalar arithmetic."""
+    lo, hi = coin.KINK_SHIFT, 1.0 - coin.KINK_SHIFT
+    y = min(hi, max(lo, y_ref))
+    kink = 1.0 - fid if side == "L" else fid
+    if abs(y - kink) < coin.KINK_TOL:
+        y = min(hi, max(lo, kink + coin.KINK_SHIFT if side == "L" else kink - coin.KINK_SHIFT))
+    return y
+
+
+def scalar_tangent(fid, y_ref, side):
+    """(slope, intercept) of `coin.tangent_line` at one reference inside
+    (0, 1) and off the kink, in scalar arithmetic."""
+    z = min(1.0, max(0.0, fid))
+    sign = -1 if side == "L" else +1
+    if (y_ref <= 1.0 - z) if side == "L" else (y_ref >= z):  # flat branch
+        value, slope = (0.0 if side == "L" else 1.0), 0.0
+    else:
+        radical = 2.0 * math.sqrt(max(0.0, z * (1.0 - z) * y_ref * (1.0 - y_ref)))
+        value = y_ref + (1.0 - z) * (1.0 - 2.0 * y_ref) + sign * radical
+        slope = ((2.0 * z - 1.0) + sign * math.sqrt(z * (1.0 - z)) * (1.0 - 2.0 * y_ref)
+                 / math.sqrt(y_ref * (1.0 - y_ref)))
+    return slope, value - slope * y_ref

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import projected_fidelity_bound
+from helpers import mixed_state, projected_fidelity_bound
 from leakyqkd import channel, coin, driver, lp, oil, passive, validation
 from leakyqkd.linalg import fidelity
 
@@ -129,7 +129,7 @@ def test_criterion_2_normalisation_suite():
         worst_tail = max(worst_tail,
                          1.0 - float(oil.photon_probabilities(mu, params.omega, 20).sum()))
         for n in range(3):
-            rho = oil.mixed_state(basis_label, intensity, params, n)
+            rho = mixed_state(basis_label, intensity, params, n)
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
             worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(rho).min()))
             worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
@@ -296,8 +296,8 @@ def test_criterion_6_oil_indistinguishability():
     worst = 0.0
     for omega in (0.0, 1e-4, 1e-2):
         params = oil.params_for_intensities(0.5, 0.1, 1e-4, omega=omega)
-        rho_key = oil.mixed_state("Z", "I0", params, 1)
-        rho_test = oil.mixed_state("X", "I0", params, 1)
+        rho_key = mixed_state("Z", "I0", params, 1)
+        rho_test = mixed_state("X", "I0", params, 1)
         worst = max(worst, float(np.max(np.abs(rho_key - rho_test))))
     config = driver.ProtocolConfig(transmitter="oil", mu_in=0.5, mu_i1=0.1, mu_i2=1e-4)
     rep = driver.key_rate(config, 50.0, 120.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import projected_fidelity_bound
+from helpers import projected_fidelity_bound, scalar_safe_reference, scalar_tangent
 from leakyqkd import coin, passive
 from leakyqkd.linalg import fidelity
 
@@ -92,6 +92,36 @@ def test_tangent_dominance_on_grid():
 def test_tangent_rejects_kink_reference():
     with pytest.raises(ValueError, match="kink"):
         coin.tangent_line(0.9, 0.1, "L")  # kink at 1 - z = 0.1
+
+
+@settings(max_examples=100, derandomize=True)
+@given(entries=st.lists(st.tuples(probabilities, probabilities), min_size=1, max_size=12),
+       side=st.sampled_from(("L", "U")))
+def test_array_tangents_equal_scalar_tangents_bit_for_bit(entries, side):
+    z, y = (np.array(column) for column in zip(*entries))
+    refs = coin.safe_reference(y, z, side)
+    scalar_refs = [scalar_safe_reference(y_k, z_k, side) for z_k, y_k in entries]
+    assert refs.tolist() == scalar_refs
+    assert [coin.safe_reference(y_k, z_k, side) for z_k, y_k in entries] == scalar_refs
+    batch = coin.tangent_line(z, refs, side)
+    expected = [scalar_tangent(z_k, r, side) for (z_k, _), r in zip(entries, scalar_refs)]
+    assert list(zip(batch.slope.tolist(), batch.intercept.tolist())) == expected
+    singles = [coin.tangent_line(z_k, r, side) for (z_k, _), r in zip(entries, scalar_refs)]
+    assert all(type(line.slope) is float and type(line.intercept) is float for line in singles)
+    assert [(line.slope, line.intercept) for line in singles] == expected
+
+
+@settings(max_examples=50, derandomize=True)
+@given(z=st.floats(0.01, 0.99), side=st.sampled_from(("L", "U")), k=st.integers(0, 3))
+def test_array_tangents_reject_what_scalar_tangents_reject(z, side, k):
+    kink = 1.0 - z if side == "L" else z
+    for bad, match in ((kink, "kink"), (0.0, "interior"), (1.0, "interior")):
+        fids, refs = np.full(4, 0.5), np.full(4, 0.3)
+        fids[k], refs[k] = z, bad
+        with pytest.raises(ValueError, match=match):
+            coin.tangent_line(z, bad, side)
+        with pytest.raises(ValueError, match=match):
+            coin.tangent_line(fids, refs, side)
 
 
 def test_yield_transfer_limits():

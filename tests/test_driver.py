@@ -368,8 +368,9 @@ def test_ok_reports_of_both_transmitters_share_their_keys():
         assert report.status == "ok"
         assert {"y_lower", "gamma_key_upper", "overlap_real", "diagnostics"} <= set(report.details)
         assert {"config_hash", "nodes", "lp_iterations", "lp", "timings"} <= set(report.provenance)
-        assert report.provenance["timings"]["channel_s"] > 0.0
-    assert set(oil_report.provenance["timings"]) == {"channel_s"}
+        timings = report.provenance["timings"]
+        assert timings["channel_s"] > timings["solve_s"] > 0.0
+    assert set(oil_report.provenance["timings"]) == {"channel_s", "solve_s"}
 
 
 GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.csv"

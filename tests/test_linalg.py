@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import bures_distance
-from leakyqkd.linalg import (fidelity, hermitian_eigen, psd_sqrt, pure_state_fidelity,
-                             require_hermitian)
+from leakyqkd.linalg import (factor_fidelity, fidelity, hermitian_eigen, psd_sqrt,
+                             pure_state_fidelity, require_hermitian)
 from leakyqkd.validation import jacobi_eigenvalues
 
 
@@ -106,6 +106,42 @@ def test_fidelity_matches_svd_route():
         svd = float(np.sum(np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)) ** 2)
         assert ours == pytest.approx(svd, abs=1e-8)
         assert ours == pytest.approx(fidelity(sigma, rho), abs=1e-8)
+
+
+def random_factor(rng, dim, rank):
+    raw = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return raw / np.linalg.norm(raw)
+
+
+def test_factor_fidelity_matches_eigh_route_on_low_rank_states():
+    # fidelity() factors each state through eigh; the factor form takes any
+    # factor, here with non-orthogonal columns.  The states have full rank
+    # in their space: eigh would otherwise keep square roots of rounding
+    # noise in the null space, ~1e-10 in F
+    rng = np.random.default_rng(15)
+    pairs = [(random_factor(rng, rank, rank), random_factor(rng, rank, rank))
+             for rank in (1, 2, 3) for _ in range(6)]
+    for a, b in pairs:
+        eigh_route = fidelity(a @ a.conj().T, b @ b.conj().T)
+        assert abs(float(factor_fidelity(a, b)) - eigh_route) <= 1e-13
+    stacked = factor_fidelity(np.stack([a for a, _ in pairs[-6:]]),
+                              np.stack([b for _, b in pairs[-6:]]))
+    assert stacked.tolist() == [float(factor_fidelity(a, b)) for a, b in pairs[-6:]]
+
+
+def test_factor_fidelity_of_pure_states_is_the_overlap():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        a, b = random_factor(rng, 6, 1), random_factor(rng, 6, 1)
+        assert abs(float(factor_fidelity(a, b)) - pure_state_fidelity(a[:, 0], b[:, 0])) <= 1e-15
+
+
+def test_factor_fidelity_of_identical_factors_is_exactly_one():
+    rng = np.random.default_rng(16)
+    for rank in (1, 2, 3):
+        a = random_factor(rng, 5, rank)
+        assert factor_fidelity(a, a) == 1.0
+        assert factor_fidelity(a, a.copy()) == 1.0
 
 
 def test_fidelity_of_graded_spectrum_state_with_itself():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import setting_intensity
+from helpers import mixed_state, setting_intensity, state_vector
 from leakyqkd import oil
 from leakyqkd.fock import basis_index
-from leakyqkd.linalg import fidelity
+from leakyqkd.linalg import factor_fidelity, fidelity
 from leakyqkd.validation import oil_block_oracle
 
 
@@ -80,7 +80,7 @@ def test_vacuum_block_scalar():
 def test_leak_free_key_single_photon_phase():
     params = oil.OilParams(mu_in=0.4, omega=0.0)
     setting = oil.setting_phases(0, "Z", "I0", params)
-    vec = oil.state_vector(setting, params, 1)
+    vec = state_vector(setting, params, 1)
     basis = oil.oil_basis(1)
     e_idx = basis_index(basis, (1, 0, 0, 0))
     l_idx = basis_index(basis, (0, 1, 0, 0))
@@ -125,22 +125,22 @@ def test_block_matches_phase_average_oracle():
 
 def test_mixed_state_unit_trace():
     params = make_params()
-    rho = oil.mixed_state("X", "I1", params, 2)
+    rho = mixed_state("X", "I1", params, 2)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_key_test_indistinguishability_at_signal_intensity():
     for omega in (0.0, 1e-4, 1e-2):
         params = make_params(omega=omega)
-        rho_key = oil.mixed_state("Z", "I0", params, 1)
-        rho_test = oil.mixed_state("X", "I0", params, 1)
+        rho_key = mixed_state("Z", "I0", params, 1)
+        rho_test = mixed_state("X", "I0", params, 1)
         assert np.max(np.abs(rho_key - rho_test)) <= 1e-10
         assert fidelity(rho_key, rho_test) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_leak_free_key_mixture_is_maximally_mixed_qubit():
     params = oil.OilParams(mu_in=0.4, omega=0.0)
-    rho = oil.mixed_state("Z", "I0", params, 1)
+    rho = mixed_state("Z", "I0", params, 1)
     assert rho[0, 0].real == pytest.approx(0.5, abs=1e-12)
     assert rho[1, 1].real == pytest.approx(0.5, abs=1e-12)
     assert abs(rho[0, 1]) < 1e-14
@@ -172,6 +172,45 @@ def test_leakage_marginal_is_setting_independent_at_signal_intensity():
 def test_single_photon_overlap_is_unity_for_all_parameters():
     for mu_in, omega in ((0.5, 0.0), (0.5, 0.02), (0.9, 1e-4), (0.05, 0.01)):
         params = oil.params_for_intensities(mu_in, 0.2 * mu_in, 1e-4, omega=omega)
-        overlap = oil.single_photon_overlap(params)
+        overlap = oil.single_photon_overlap(oil.emission_sectors(params))
         assert overlap.real == pytest.approx(1.0, abs=1e-12)
         assert abs(overlap.imag) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Array form: every setting's sectors at once
+# ---------------------------------------------------------------------------
+
+def driver_params(att_db):
+    """The defaults of the injection-locked rate at attenuation att_db."""
+    return oil.params_for_intensities(0.5, 0.1, 1e-4, omega=10.0 ** (-att_db / 10.0) * 0.25)
+
+
+def test_emission_sector_columns_are_the_setting_blocks():
+    params = make_params(omega=0.02)
+    for n, sector in enumerate(oil.emission_sectors(params)):
+        assert sector.shape == (oil.oil_basis(n).dim, len(oil.SETTINGS))
+        for k, key in enumerate(oil.SETTINGS):
+            block = oil.state_block(oil.setting_phases(*key, params), params, n)
+            assert np.max(np.abs(np.outer(sector[:, k], sector[:, k].conj()) - block)) <= 1e-15
+
+
+def test_mixture_factors_square_to_the_mixed_states():
+    params = make_params(omega=0.02)
+    for n, sector in enumerate(oil.emission_sectors(params)):
+        for basis_label, intensity in (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2")):
+            factor = oil.mixture_factor(sector, basis_label, intensity)
+            rho = mixed_state(basis_label, intensity, params, n)
+            assert np.max(np.abs(factor @ factor.conj().T - rho)) <= 1e-14
+
+
+@pytest.mark.parametrize("att_db", [30.0, 120.0])
+def test_factor_fidelities_agree_with_mixed_state_fidelities(att_db):
+    params = driver_params(att_db)
+    for n, sector in enumerate(oil.emission_sectors(params)):
+        for i, j in (("I0", "I1"), ("I0", "I2"), ("I1", "I2")):
+            ours = factor_fidelity(oil.mixture_factor(sector, "X", i),
+                                   oil.mixture_factor(sector, "X", j))
+            reference = fidelity(mixed_state("X", i, params, n), mixed_state("X", j, params, n))
+            assert abs(float(ours) - reference) <= 1e-14
+
