@@ -222,7 +222,8 @@ def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list) -> float:
     an infeasible program raises with `lp_log` attached."""
     solution = lp.solve(spec)
     lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
-                   "relaxation": solution.relaxation, "iterations": solution.iterations,
+                   "relaxation": solution.relaxation, "bound": solution.bound,
+                   "relaxed_value": solution.relaxed_value, "iterations": solution.iterations,
                    "rows": len(spec.b), "cols": len(spec.variables)})
     if solution.status != "optimal":
         exc = InfeasibleProgramError(f"{label} program is {solution.status}")
@@ -304,9 +305,8 @@ def _passive_params(config: ProtocolConfig, att_db: float) -> passive.PassivePar
 
 def _region_nodes(params: passive.PassiveParams, nodes: int, bit: int, basis: str,
                   intensity: str) -> passive.RegionNodes:
-    phi_nodes = passive.periodic_phi_nodes(params) if basis == "Z" else nodes
-    return passive.build_region_nodes(bit, basis, intensity, params.geometry,
-                                      params.mu_max, (nodes, phi_nodes, nodes))
+    return passive.build_region_nodes(bit, basis, intensity, params.geometry, params.mu_max,
+                                      passive.box_orders(params, bit, basis, intensity, nodes))
 
 
 def _passive_moments(params: passive.PassiveParams, nodes: int) -> tuple[dict, dict]:
@@ -617,7 +617,8 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
 
 def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float) -> dict:
     """Config hash, grid, one record per solved program (label, status,
-    attempts, relaxation level, iterations, rows, columns), their summed
+    attempts, relaxation level, the bound reported and a relaxed attempt's
+    own optimum (see `lp.solve`), iterations, rows, columns), their summed
     `lp_iterations` (a CSV column) and their time, `timings["solve_s"]`."""
     return {"config_hash": config_hash(config), "nodes": nodes,
             "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log,
@@ -697,10 +698,13 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
     Passive: (mu_max, delta_theta_z).  Injection-locked: the two highest
     test-basis intensities (mu_in, mu_i1), the weakest being pinned.
     The search runs on a coarse quadrature grid; the winning parameters
-    are re-evaluated at the production grid for the returned report.
+    are re-evaluated at the production grid for the returned report.  The
+    injection-locked transmitter has no grid, so its winning probe's report
+    is returned as it is.
     """
     settings = config.optimizer
     cache: dict = {}
+    reports: dict = {}  # injection-locked: the reports of the latest line search
 
     def evaluate(cfg: ProtocolConfig) -> float:
         key = (round(cfg.mu_max, 12), round(cfg.delta_theta_z, 12),
@@ -713,6 +717,8 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 try:
                     report = key_rate(cfg, distance_km, att_db, nodes=settings.search_nodes)
                     cache[key] = report.rate
+                    if cfg.transmitter == "oil":
+                        reports[cfg] = report
                 except FAILURES:
                     cache[key] = 0.0
         return cache[key]
@@ -732,11 +738,12 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 lo = max(lo, best.mu_i2 * 1.001)
                 if lo >= hi:
                     continue
+            reports.clear()  # the winner is a probe of the last search
             value, _ = _golden_max(
                 lambda x: evaluate(dataclasses.replace(best, **{name: x})),
                 lo, hi, settings.iterations)
             best = dataclasses.replace(best, **{name: value})
-    report = key_rate(best, distance_km, att_db)
+    report = reports[best] if best in reports else key_rate(best, distance_km, att_db)
     if report.rate <= 0.0 and report.status == "ok":
         report.status = "no positive rate over the search grid"
     return best, report

@@ -60,13 +60,6 @@ def _psd_root_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
 
 
-def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (negative noise clamped to zero)."""
-    factor, v = _psd_root_factor(matrix)
-    out = factor @ v.conj().T
-    return (out + out.conj().T) / 2.0
-
-
 def _require_density(matrix: np.ndarray, name: str) -> np.ndarray:
     h = require_hermitian(matrix, tol=1e-8)
     tr = float(np.trace(h).real)

@@ -20,6 +20,7 @@ channel-model reference points for the tangent linearisation:
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,10 @@ STALL_LIMIT = 40
 # the test suite (250); a phase 1 crawling through a sliver polytope takes ~40,000
 PIVOT_BUDGET = 2_500
 RELAXATIONS = (0.0, 1e-10, 1e-8)
+# pivots that carry a relaxed optimum's multipliers to the unrelaxed program, and
+# the reduced-cost tolerance they work to
+CLEANUP_PIVOTS = 100
+DUAL_TOL = 1e-12
 
 INTENSITIES = ("I0", "I1", "I2")
 TAGS = ("key", "opp")
@@ -73,6 +78,10 @@ class LPSolution:
     iterations: int
     relaxation: float = 0.0  # constraint relaxation level of the returned attempt
     attempts: int = 1
+    # a relaxed attempt reports the tighter of its optimum (kept here) and the
+    # dual certificate of the unrelaxed program; `bound` names the winner
+    relaxed_value: float | None = None
+    bound: str = "simplex"  # "simplex" (unrelaxed) | "relaxed" | "certificate"
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -151,7 +160,12 @@ def solve(program: LinearProgram) -> LPSolution:
     computed here: minima only decrease and maxima only increase, both
     in the conservative direction.  The returned solution records the
     level it used and the number of attempts; an "infeasible" verdict
-    stands only after the last level.
+    stands only after the last level.  A relaxed optimum is looser than
+    the unrelaxed one by the multipliers times the relaxation, so a relaxed
+    attempt reports the tighter of it and a weak-duality bound on the
+    unrelaxed program (`_dual_bound`), from the multipliers its final
+    basis takes after a few pivots towards the unrelaxed right-hand side
+    (`_reoptimize`); unrelaxed attempts are reported as solved.
     """
     outcome: LPSolution | Exception | None = None
     for attempt, perturbation in enumerate(RELAXATIONS, start=1):
@@ -244,7 +258,86 @@ def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
         values[basis] = tableau[:, -1]
     x = values[:n].copy()
     value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
-    return LPSolution(status="optimal", value=value, x=x, iterations=iterations)
+    if perturbation == 0.0:
+        return LPSolution(status="optimal", value=value, x=x, iterations=iterations)
+    start = n + np.arange(m)  # the starting basis, whose columns now hold B^-1
+    start[art_rows] = art_cols
+    unrelaxed = np.concatenate([program.b, np.ones(n)])
+    unrelaxed[flip] *= -1.0
+    certified = _dual_bound(program, _reoptimize(tableau, basis, cost_row, allowed,
+                                                 tableau[:, start] @ unrelaxed)[n:n + m_con])
+    tighter = max(value, certified) if program.sense == "min" else min(value, certified)
+    return LPSolution(status="optimal", value=tighter, x=x, iterations=iterations,
+                      relaxed_value=value,
+                      bound="certificate" if tighter == certified else "relaxed")
+
+
+def _reoptimize(tableau, basis, cost_row, allowed, rhs, budget: int = CLEANUP_PIVOTS):
+    """Reduced costs after re-optimising an optimal basis for the basic
+    solution `rhs` (B^-1 times a new right-hand side); works on copies.
+
+    While `rhs` has a negative entry a dual simplex pivot (Harris's
+    two-pass ratio test) restores feasibility and keeps the reduced costs
+    nonnegative; once it is feasible, primal pivots take out the reduced
+    costs below -DUAL_TOL that the phase-2 optimality test (-PIVOT_TOL)
+    accepted.  Each costs the weak-duality bound up to its size.
+    """
+    tableau, basis, cost_row = tableau.copy(), basis.copy(), cost_row.copy()
+    tableau[:, -1] = rhs
+    for _ in range(budget):
+        row = int(np.argmin(tableau[:, -1]))
+        if tableau[row, -1] < 0.0:
+            entries = tableau[row, :-1]
+            cols = np.flatnonzero(allowed & (entries < -PIVOT_TOL))
+            if cols.size == 0:
+                break
+            # the largest pivot among the columns whose ratio is within
+            # DUAL_TOL of the smallest
+            reduced, pivots = np.maximum(cost_row[cols], 0.0), -entries[cols]
+            near = cols[reduced / pivots <= np.min((reduced + DUAL_TOL) / pivots)]
+            col = int(near[np.argmax(-entries[near])])
+        else:
+            cols = np.flatnonzero(allowed & (cost_row[:-1] < -DUAL_TOL))
+            if cols.size == 0:
+                break
+            col = int(cols[np.argmin(cost_row[cols])])
+            row = _choose_leaving(tableau, basis, col)
+            if row < 0:
+                break
+        _pivot(tableau, basis, row, col)
+        cost_row -= cost_row[col] * tableau[row]
+    return cost_row
+
+
+def _dual_bound(program: LinearProgram, reduced: np.ndarray) -> float:
+    """Weak-duality bound on the optimum of the unrelaxed `program` from the
+    reduced costs of the constraint rows' slack columns.
+
+    The slack of row r (coefficient +1 on a <= row, -1 on a >= row) has
+    reduced cost -pi_r * coefficient, so pi = -coefficient * max(0, reduced)
+    is the multiplier vector with every wrong sign zeroed (pi <= 0 on <=
+    rows, >= 0 on >= rows).  For any such pi and any feasible x in [0, 1]^n,
+    c.x = pi.(a x) + (c - a^T pi).x >= pi.b + sum_j min(0, (c - a^T pi)_j)
+    for a minimisation (a maximisation minimises -c).
+
+    Sums are exact (`math.fsum`); each product errs by at most 2^-53 of
+    itself, and these errors and the final rounding are taken off, so the
+    bound holds in exact arithmetic.
+    """
+    u = 2.0 ** -53
+    pi = -np.where(program.upper, 1.0, -1.0) * np.maximum(reduced, 0.0)
+    cost = program.c if program.sense == "min" else -program.c
+    products = program.a * pi[:, None]
+    terms = list(pi * program.b)
+    slack = 2.0 * u * math.fsum(np.abs(terms))
+    for c_j, column in zip(cost, products.T):
+        residual = math.fsum([c_j, *-column])
+        tail = residual - 2.0 * u * (abs(residual) + math.fsum(np.abs(column)))
+        if tail < 0.0:
+            terms.append(tail)
+            slack -= 2.0 * u * tail
+    bound = math.nextafter(math.fsum(terms) - slack, -math.inf)
+    return bound if program.sense == "min" else -bound
 
 
 def _verify_feasible(program: LinearProgram, x: np.ndarray, allowance: float = 0.0):

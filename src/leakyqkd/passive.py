@@ -51,6 +51,8 @@ LEAK_MODES = frozenset({2, 3, 4})
 
 DEFAULT_NODES = (20, 20, 20)
 MIN_NODES = 4
+# error bound, per unit of window, that `box_orders` sizes the b and phi rules to
+ORDER_TOL = 1e-17
 # resolution, in steps per turn, at which node phases are matched to their mirror
 PHASE_STEPS = 2 ** 32
 
@@ -344,32 +346,9 @@ def _gauss_legendre(n: int, lo, hi):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 
 
-def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeometry,
-                       mu_max: float, nodes=DEFAULT_NODES) -> RegionNodes:
-    """Quadrature nodes for one (bit, basis, intensity) box, `nodes` = (n_a, n_phi, n_b).
-
-    The density is uniform in a = phi1 - phi2, b = phi3 - phi4 and phi.
-    With u = cos^2(a/2) = mu_e/mu_max and v = cos^2(b/2) = mu_l/mu_max the
-    box is r_lo <= v/u <= r_hi (r = tan^2(theta/2)) and t_lo <= u + v < t_hi,
-    so at fixed a, b spans [2 arccos sqrt(v_hi), 2 arccos sqrt(v_lo)] with
-    v_lo = max(0, r_lo u, t_lo - u) and v_hi = min(1, r_hi u, t_hi - u).
-    The signs of a and b are the branches `region_moments` folds, so only
-    a, b >= 0 is integrated:
-
-    - a: panels between the points where a limit switches (u = t/(1+r), t,
-      t - 1, 1/r), each with Gauss-Legendre of order n_a in t after
-      a = a0 + (a1 - a0)(1 - cos pi t)/2, which smooths the square-root
-      behaviour of arccos(sqrt(v)) at the panel edges;
-    - b: Gauss-Legendre of order n_b;
-    - phi: Gauss-Legendre of order n_phi on the X windows, the n_phi-point
-      trapezoidal rule on the full circle of the Z boxes.
-
-    A node weighs w_a w_b w_phi / (2 pi^3), the density (2 pi)^-3 times
-    the four branches, so the weights sum to the region probability.
-    """
-    n_a, n_p, n_b = nodes
-    if min(nodes) < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
+def _a_axis(bit: int, basis: str, intensity: str, geometry: RegionGeometry, n_a: int):
+    """The a axis of one box (see `build_region_nodes`): u = cos^2(a/2) and
+    the weight of each a node, and the b window (b_lo, b_hi) at each."""
     r_lo, r_hi = _ratio_window(bit, basis, geometry)
     t_lo, t_hi = _mu_window(intensity, geometry)
 
@@ -392,12 +371,46 @@ def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeo
         raise EmptyRegionError(f"region ({bit}, {basis}, {intensity}) has empty support")
     u = np.cos(0.5 * np.concatenate(a_parts)) ** 2
     v_lo, v_hi = v_limits(u)
-    b, w_b = _gauss_legendre(n_b, 2.0 * np.arccos(np.sqrt(v_hi)), 2.0 * np.arccos(np.sqrt(v_lo)))
+    return (u, np.concatenate(wa_parts),
+            2.0 * np.arccos(np.sqrt(v_hi)), 2.0 * np.arccos(np.sqrt(v_lo)))
+
+
+def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeometry,
+                       mu_max: float, nodes=DEFAULT_NODES) -> RegionNodes:
+    """Quadrature nodes for one (bit, basis, intensity) box, `nodes` = (n_a, n_phi, n_b).
+
+    The density is uniform in a = phi1 - phi2, b = phi3 - phi4 and phi.
+    With u = cos^2(a/2) = mu_e/mu_max and v = cos^2(b/2) = mu_l/mu_max the
+    box is r_lo <= v/u <= r_hi (r = tan^2(theta/2)) and t_lo <= u + v < t_hi,
+    so at fixed a, b spans [2 arccos sqrt(v_hi), 2 arccos sqrt(v_lo)] with
+    v_lo = max(0, r_lo u, t_lo - u) and v_hi = min(1, r_hi u, t_hi - u).
+    The signs of a and b are the branches `region_moments` folds, so only
+    a, b >= 0 is integrated:
+
+    - a: panels between the points where a limit switches (u = t/(1+r), t,
+      t - 1, 1/r), each with Gauss-Legendre of order n_a in t after
+      a = a0 + (a1 - a0)(1 - cos pi t)/2, which smooths the square-root
+      behaviour of arccos(sqrt(v)) at the panel edges;
+    - b: Gauss-Legendre of order n_b;
+    - phi: Gauss-Legendre of order n_phi on the X windows, the n_phi-point
+      trapezoidal rule on the full circle of the Z boxes.
+
+    The pipeline takes the orders from `box_orders`: n_a is its `nodes`,
+    n_b and the X boxes' n_phi follow from the box's windows.
+
+    A node weighs w_a w_b w_phi / (2 pi^3), the density (2 pi)^-3 times
+    the four branches, so the weights sum to the region probability.
+    """
+    n_a, n_p, n_b = nodes
+    if min(nodes) < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
+    u, w_a, b_lo, b_hi = _a_axis(bit, basis, intensity, geometry, n_a)
+    b, w_b = _gauss_legendre(n_b, b_lo, b_hi)
     v = np.cos(0.5 * b) ** 2
     u = np.broadcast_to(u[:, None], v.shape)
     theta_col = (2.0 * np.arctan2(np.sqrt(v), np.sqrt(u))).ravel()
     mu_col = (mu_max * (u + v)).ravel()
-    w_col = (np.concatenate(wa_parts)[:, None] * w_b).ravel() / (2.0 * math.pi ** 3)
+    w_col = (w_a[:, None] * w_b).ravel() / (2.0 * math.pi ** 3)
 
     if basis == "Z":
         phis = -math.pi + (np.arange(n_p) + 0.5) * (TWO_PI / n_p)
@@ -410,6 +423,54 @@ def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeo
     # tile over the phi axis (density is phi-uniform; states are not)
     return RegionNodes(theta=np.tile(theta_col, n_p), phi=np.repeat(phis, theta_col.size),
                        mu=np.tile(mu_col, n_p), weight=(w_phi[:, None] * w_col).ravel())
+
+
+def _legendre_order(degree: int, x: float, half_width: float, cap: int) -> int:
+    """Smallest Gauss-Legendre order in [MIN_NODES, cap] for a window of
+    half-width h and an integrand sum_k c_k e^{i f_k t} with |c_k| <= x^k / k!
+    at frequencies f_k = degree + k.
+
+    On e^{i f t} the n-point rule errs by at most
+    2h (2h f)^(2n) (n!)^4 / ((2n + 1) ((2n)!)^3) <= 2h * 2 (f h / 2)^(2n) / (2n)!
+    (with C(2n, n) >= 4^n / sqrt(4n)); the order is the first whose sum of
+    these over the terms, per unit of window, is at most ORDER_TOL.
+    """
+    coeffs = [1.0]
+    while coeffs[-1] > 1e-30:
+        coeffs.append(coeffs[-1] * x / len(coeffs))
+    for n in range(MIN_NODES, cap):
+        log_scale = math.lgamma(2 * n + 1) - math.log(2.0)
+        bound = sum(c * math.exp(2 * n * math.log(0.5 * (degree + k) * half_width) - log_scale)
+                    for k, c in enumerate(coeffs))
+        if bound <= ORDER_TOL:
+            return n
+    return cap
+
+
+def box_orders(params: PassiveParams, bit: int, basis: str, intensity: str,
+               nodes: int) -> tuple[int, int, int]:
+    """Quadrature orders (n_a, n_phi, n_b) of one box for `build_region_nodes`.
+
+    n_a = `nodes`.  Since half_e = a/2 and half_l = b/2 exactly, at fixed a
+    every block entry is a trigonometric polynomial of degree <= n_cut in b
+    and in phi (each photon contributes e^{+-i b/2} and e^{i phi} to a
+    component), times the weights exp(-(mu_max/2) cos b) and
+    exp(-(omega/2) cos(phi + b/2 + a/2)), whose Fourier coefficients are
+    bounded by (z/2)^k / k! for z = mu_max/2, omega/2.  So n_b follows from
+    the box's largest b half-width with x = (mu_max + omega)/4, and the X
+    boxes' n_phi from the half-width delta_phi_x with x = omega/4 (see
+    `_legendre_order`); both are capped at `nodes`.  The Z boxes keep the
+    trapezoidal circle of `periodic_phi_nodes`.
+    """
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
+    _, _, b_lo, b_hi = _a_axis(bit, basis, intensity, params.geometry, nodes)
+    n_b = _legendre_order(params.n_cut, (params.mu_max + params.omega) / 4.0,
+                          0.5 * float(np.max(b_hi - b_lo)), nodes)
+    if basis == "Z":
+        return nodes, periodic_phi_nodes(params), n_b
+    return nodes, _legendre_order(params.n_cut, params.omega / 4.0,
+                                  params.geometry.delta_phi_x, nodes), n_b
 
 
 def periodic_phi_nodes(params: PassiveParams) -> int:

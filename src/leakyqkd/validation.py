@@ -391,7 +391,9 @@ def check_region_monte_carlo(seed: int = 5, samples: int = 400_000,
 def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
     """Region masses and photon-number traces of the 12 boxes of the default
     passive source at 10 dB (strong leakage: 16 phi nodes on the Z boxes)
-    at `nodes` against twice as many per axis, to 1e-10."""
+    on the pipeline's grid at `nodes` (`passive.box_orders`) against twice
+    the larger of `nodes` and the pipeline's order on every axis, to 1e-10:
+    the fine grid raises the derived b and phi orders as well as the a axis."""
     config = driver.ProtocolConfig(transmitter="passive")
     nodes = config.quadrature_nodes if nodes is None else nodes
     params = driver._passive_params(config, 10.0)
@@ -400,9 +402,11 @@ def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
         for intensity in driver.INTENSITIES:
             for bit in driver.BITS:
                 region = passive.RegionSpec(bit, basis, intensity)
+                orders = passive.box_orders(params, bit, basis, intensity, nodes)
                 coarse, fine = (passive.region_moments(region, params, node_sets=[
-                    driver._region_nodes(params, n, bit, basis, intensity)])
-                    for n in (nodes, 2 * nodes))
+                    passive.build_region_nodes(bit, basis, intensity, params.geometry,
+                                               params.mu_max, grid)])
+                    for grid in (orders, tuple(2 * max(nodes, n) for n in orders)))
                 worst = max(worst, abs(coarse.mass - fine.mass) / fine.mass,
                             float(np.max(np.abs(coarse.photon_probabilities()
                                                 - fine.photon_probabilities()))))

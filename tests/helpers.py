@@ -18,7 +18,7 @@ from leakyqkd import coin, oil, passive
 from leakyqkd.channel import transmittance
 from leakyqkd.coin import bures_chain_bound
 from leakyqkd.fock import coherent_components
-from leakyqkd.linalg import bures_from_fidelity, fidelity
+from leakyqkd.linalg import _psd_root_factor, bures_from_fidelity, fidelity
 
 
 class ConvergenceError(RuntimeError):
@@ -169,3 +169,10 @@ def scalar_tangent(fid, y_ref, side):
         slope = ((2.0 * z - 1.0) + sign * math.sqrt(z * (1.0 - z)) * (1.0 - 2.0 * y_ref)
                  / math.sqrt(y_ref * (1.0 - y_ref)))
     return slope, value - slope * y_ref
+
+
+def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix (negative noise clamped to zero)."""
+    factor, v = _psd_root_factor(matrix)
+    out = factor @ v.conj().T
+    return (out + out.conj().T) / 2.0

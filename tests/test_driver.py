@@ -328,10 +328,12 @@ def test_lp_provenance_has_one_record_per_program():
         records = report.provenance["lp"]
         assert [r["label"] for r in records] == labels
         for record in records:
-            assert set(record) == {"label", "status", "attempts", "relaxation",
-                                   "iterations", "rows", "cols"}
+            assert set(record) == {"label", "status", "attempts", "relaxation", "bound",
+                                   "relaxed_value", "iterations", "rows", "cols"}
             assert record["status"] == "optimal"
             assert record["relaxation"] in (0.0, 1e-10, 1e-8)
+            assert (record["bound"] == "simplex") == (record["relaxed_value"] is None) \
+                == (record["relaxation"] == 0.0)
             assert record["rows"] > record["cols"] > 0
         assert report.provenance["lp_iterations"] == sum(r["iterations"] for r in records)
     assert refined.provenance["lp"][2]["cols"] == 84
@@ -390,7 +392,8 @@ def golden_csv() -> str:
 def test_golden_grid_csv_is_byte_identical():
     """Pins every CSV cell of both transmitters, zero-rate rows and the
     degenerate-coin row (passive 300 km/120 dB) included; every program
-    on these rows solves unrelaxed on its first attempt.  A change that
+    on these rows solves unrelaxed on its first attempt except the oil
+    100 km/120 dB X yield, whose 1e-10 retry reports its dual certificate.  A change that
     moves numbers on purpose regenerates the file with
     `PYTHONPATH=src:tests python -c "import test_driver as t; t.GOLDEN_GRID.write_text(t.golden_csv())"`
     and lists the changed cells."""

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import region_average
 from leakyqkd import driver, lp, passive, validation
@@ -38,36 +40,80 @@ def test_infeasible_is_reported():
 def test_relaxation_level_is_reported():
     solution = lp.solve(one_variable((">=", 0.3)))
     assert (solution.relaxation, solution.attempts) == (0.0, 1)
+    assert (solution.bound, solution.relaxed_value) == ("simplex", None)
     solution = lp.solve(one_variable((">=", 0.7), ("<=", 0.2)))
     assert solution.status == "infeasible"
     assert (solution.relaxation, solution.attempts) == (lp.RELAXATIONS[-1], len(lp.RELAXATIONS))
 
 
-def test_phase_one_infeasible_program_is_retried_relaxed():
-    # refined Z-yield program of the 48-node passive pipeline at 75 km and
-    # 120 dB, recorded with the four-branch quadrature kernel: phase 1
-    # declares it infeasible unrelaxed; HiGHS solves it to 0.031472510
+def _highs_optimum(spec):
+    """HiGHS optimum of a program at feasibility tolerances of 1e-10; at its
+    default 1e-7 the point it returns can violate rows by ~4e-8."""
+    signs = np.where(spec.upper, 1.0, -1.0)
+    result = linprog(spec.c if spec.sense == "min" else -spec.c, A_ub=signs[:, None] * spec.a,
+                     b_ub=signs * spec.b, bounds=(0.0, 1.0), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+    assert result.status == 0
+    return result.fun if spec.sense == "min" else -result.fun
+
+
+def _z_yield_75km():
     data = json.loads((DATA / "z_yield_75km_120db.json").read_text())
     variables = tuple(data["variables"])
     a = np.array([[con["coeffs"].get(name, 0.0) for name in variables]
                   for con in data["constraints"]])
-    spec = lp.LinearProgram(
+    return lp.LinearProgram(
         variables=variables, sense=data["sense"],
         c=np.array([data["objective"].get(name, 0.0) for name in variables]), a=a,
         b=np.array([con["rhs"] for con in data["constraints"]]),
         upper=np.array([con["sense"] == "<=" for con in data["constraints"]]))
+
+
+def test_phase_one_infeasible_program_is_retried_relaxed():
+    # refined Z-yield program of the 48-node passive pipeline at 75 km and
+    # 120 dB, recorded with the four-branch quadrature kernel: phase 1
+    # declares it infeasible unrelaxed; the 1e-10 retry's optimum
+    # (0.0314723143) is 2e-7 loose, its dual certificate is not
+    spec = _z_yield_75km()
     assert lp._solve_once(spec, 0.0).status == "infeasible"
     solution = lp.solve(spec)
     assert solution.status == "optimal"
     assert (solution.relaxation, solution.attempts) == (1e-10, 2)
-    assert solution.value <= 0.0314725
+    assert solution.bound == "certificate" and solution.relaxed_value < solution.value
+    optimum = _highs_optimum(spec)
+    assert optimum - 1e-9 <= solution.value <= optimum
+
+
+def test_dual_bound_is_rounded_outward(monkeypatch):
+    """The certificate of the 75 km program, evaluated exactly in rationals
+    from the same multipliers, is no lower than the reported bound."""
+    spec = _z_yield_75km()
+    captured = []
+    real_dual_bound = lp._dual_bound
+
+    def recorded(program, reduced):
+        captured.append(reduced.copy())
+        return real_dual_bound(program, reduced)
+
+    monkeypatch.setattr(lp, "_dual_bound", recorded)
+    solution = lp.solve(spec)
+    pi = [Fraction(float(v)) for v in
+          -np.where(spec.upper, 1.0, -1.0) * np.maximum(captured[-1], 0.0)]
+    exact = sum(p * Fraction(float(b)) for p, b in zip(pi, spec.b))
+    for j in range(len(spec.variables)):
+        exact += min(Fraction(0), Fraction(float(spec.c[j]))
+                     - sum(p * Fraction(float(a)) for p, a in zip(pi, spec.a[:, j])))
+    assert solution.value <= exact
+    assert float(exact) - solution.value < 1e-10
 
 
 def test_phase_one_crawl_ends_at_the_pivot_budget(monkeypatch):
     # refined error program of the 8-node passive search at 50 km and 70 dB
     # (mu_max 0.7346, delta_theta_z 0.4896), `a` stored by its nonzero
     # entries: unrelaxed, phase 1 crawls for 39,687 pivots and then declares
-    # it infeasible; the 1e-10 retry needs 133 and gives `value`
+    # it infeasible; the 1e-10 retry needs 133 and has the optimum `value`,
+    # its dual certificate a tighter maximum
     data = json.loads((DATA / "refined_error_crawl.json").read_text())
     a = np.zeros((len(data["b"]), len(data["variables"])))
     a[data["a_rows"], data["a_cols"]] = data["a_values"]
@@ -89,7 +135,9 @@ def test_phase_one_crawl_ends_at_the_pivot_budget(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", counted)
     monkeypatch.setattr(lp, "_solve_once", recorded)
     solution = lp.solve(spec)
-    assert (solution.status, solution.value) == ("optimal", data["value"])
+    assert (solution.status, solution.relaxed_value) == ("optimal", data["value"])
+    assert solution.bound == "certificate"
+    assert _highs_optimum(spec) <= solution.value < data["value"]
     assert (solution.relaxation, solution.attempts) == (1e-10, 2)
     assert statuses == ["unfinished", "optimal"]
     assert len(pivots) < lp.PIVOT_BUDGET + 1_000
@@ -279,8 +327,10 @@ def test_refined_error_program_symmetric_under_bit_swap():
     solution = lp.solve(spec)
     assert solution.status == "optimal"
     key0, key1 = (solution.x[spec.variables.index(name)] for name in ("Y01_I0_key", "Y10_I0_key"))
-    # the two bit windows are mirror images of each other
-    assert solution.value == pytest.approx(0.5 * (key0 + key1), abs=1e-12)
+    # the two bit windows are mirror images of each other; a relaxed attempt
+    # reports its certificate, and its point attains the relaxed optimum
+    attained = solution.value if solution.relaxed_value is None else solution.relaxed_value
+    assert attained == pytest.approx(0.5 * (key0 + key1), abs=1e-12)
     single = {}
     for a, b in ((0, 1), (1, 0)):
         c = np.zeros(len(spec.variables))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from helpers import ConvergenceError, joint_pdf, leakage_functions, region_average
-from leakyqkd import passive
+from leakyqkd import channel, passive
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
                                  passive_block_oracle, sample_target_variables,
                                  total_density_mass)
@@ -287,12 +287,14 @@ def test_region_masses_match_exact_integral(geometry):
                     (bit, basis, intensity)
 
 
-def _box_moments(params, n, bit, basis, intensity, extra_phi=0):
-    phi_nodes = passive.periodic_phi_nodes(params) + extra_phi if basis == "Z" else n
-    nodes = passive.build_region_nodes(bit, basis, intensity, params.geometry, MU_MAX,
-                                       (n, phi_nodes, n))
+def _box_nodes(params, bit, basis, intensity, orders):
+    return passive.build_region_nodes(bit, basis, intensity, params.geometry, params.mu_max,
+                                      orders)
+
+
+def _box_moments(params, bit, basis, intensity, orders):
     return passive.region_moments(passive.RegionSpec(bit, basis, intensity), params,
-                                  node_sets=[nodes])
+                                  node_sets=[_box_nodes(params, bit, basis, intensity, orders)])
 
 
 def _moment_drift(coarse, fine):
@@ -304,26 +306,85 @@ def _moment_drift(coarse, fine):
     return drift
 
 
-@pytest.mark.parametrize("att_db", [120.0, 10.0])
-def test_default_quadrature_matches_forty_nodes(att_db):
-    params = make_params(omega=MU_MAX * 10.0 ** (-att_db / 10.0))
-    n = passive.DEFAULT_NODES[0]
+# the default source at three attenuations, then the optimizer's bracket
+# corners (mu_max, delta_theta_z) at the strongest of them
+QUADRATURE_CASES = (
+    [pytest.param(att_db, MU_MAX, GEOMETRY.delta_theta_z, id=str(att_db))
+     for att_db in (120.0, 30.0, 10.0)]
+    + [pytest.param(10.0, mu_max, dtz, id=f"10.0-mu_max{mu_max}-dtz{dtz}")
+       for mu_max in (0.05, 1.5) for dtz in (0.01, 0.5)])
+
+
+@pytest.mark.parametrize("att_db, mu_max, delta_theta_z", QUADRATURE_CASES)
+def test_default_quadrature_matches_forty_nodes(att_db, mu_max, delta_theta_z):
+    """The pipeline's orders (`box_orders` at the default n) against 40 nodes
+    on every axis: moments, and the gains and error gains (relative to the
+    gain) of a short and a long channel."""
+    params = passive.PassiveParams(mu_max=mu_max, omega=mu_max * 10.0 ** (-att_db / 10.0),
+                                   geometry=passive.RegionGeometry(delta_theta_z=delta_theta_z))
+    channels = [channel.ChannelParams(distance_km=d) for d in (0.0, 100.0)]
     for basis in ("Z", "X"):
         for intensity in ("I0", "I1", "I2"):
             for bit in (0, 1):
-                drift = _moment_drift(_box_moments(params, n, bit, basis, intensity),
-                                      _box_moments(params, 40, bit, basis, intensity))
-                assert drift <= 1e-10, (bit, basis, intensity, drift)
+                box = (bit, basis, intensity)
+                production = passive.box_orders(params, *box, passive.DEFAULT_NODES[0])
+                coarse, fine = (_box_nodes(params, *box, orders)
+                                for orders in (production, (40,) * 3))
+                drift = _moment_drift(*(passive.region_moments(passive.RegionSpec(*box), params,
+                                                               node_sets=[nodes])
+                                        for nodes in (coarse, fine)))
+                assert drift <= 1e-10, (box, drift)
+                for chan in channels:
+                    got, want = (channel.passive_point_observables(nodes, bit, basis, chan)
+                                 for nodes in (coarse, fine))
+                    # both are differences of terms of the gain's size or, for
+                    # the gain, 1 minus a mean of no-click factors near 1, which
+                    # rounds at ~1e-15 on either grid
+                    for field in ("gain", "error_gain"):
+                        assert abs(getattr(got, field) - getattr(want, field)) \
+                            <= 1e-10 * want.gain + 1e-14, (box, chan, field)
+
+
+def test_box_orders_stay_within_bounds_and_shrink_with_the_window():
+    n = passive.DEFAULT_NODES[0]
+    for att_db in (120.0, 10.0):
+        omega = MU_MAX * 10.0 ** (-att_db / 10.0)
+        previous = None
+        for dtz, dtx, dphi in [(0.5, 0.3, 0.5), (0.3, 0.2, 0.3), (0.15, 0.11, 0.09),
+                               (0.05, 0.05, 0.03), (0.01, 0.01, 0.01)]:
+            geometry = passive.RegionGeometry(delta_theta_z=dtz, delta_theta_x=dtx,
+                                              delta_phi_x=dphi)
+            params = passive.PassiveParams(mu_max=MU_MAX, omega=omega, geometry=geometry)
+            orders = {}
+            for basis in ("Z", "X"):
+                for intensity in ("I0", "I1", "I2"):
+                    for bit in (0, 1):
+                        n_a, n_phi, n_b = passive.box_orders(params, bit, basis, intensity, n)
+                        assert n_a == n and passive.MIN_NODES <= n_b <= n
+                        if basis == "Z":
+                            assert n_phi == passive.periodic_phi_nodes(params)
+                        else:
+                            assert passive.MIN_NODES <= n_phi <= n
+                        orders[(bit, basis, intensity)] = (n_phi, n_b)
+            if previous is not None:
+                assert all(o[0] <= p[0] and o[1] <= p[1]
+                           for o, p in zip(orders.values(), previous.values())), dtz
+            previous = orders
+    params = make_params()
+    assert passive.box_orders(params, 1, "Z", "I0", passive.MIN_NODES)[2] == passive.MIN_NODES
+    with pytest.raises(ValueError):
+        passive.box_orders(params, 1, "Z", "I0", passive.MIN_NODES - 1)
 
 
 @pytest.mark.parametrize("att_db", [120.0, 10.0])
 def test_periodic_phi_rule_is_converged(att_db):
     params = make_params(omega=MU_MAX * 10.0 ** (-att_db / 10.0))
-    n = passive.DEFAULT_NODES[0]
     for intensity in ("I0", "I1", "I2"):
         for bit in (0, 1):
-            drift = _moment_drift(_box_moments(params, n, bit, "Z", intensity),
-                                  _box_moments(params, n, bit, "Z", intensity, extra_phi=8))
+            orders = passive.box_orders(params, bit, "Z", intensity, passive.DEFAULT_NODES[0])
+            finer = (orders[0], orders[1] + 8, orders[2])
+            drift = _moment_drift(_box_moments(params, bit, "Z", intensity, orders),
+                                  _box_moments(params, bit, "Z", intensity, finer))
             assert drift <= 1e-13, (bit, intensity, drift)
 
 
