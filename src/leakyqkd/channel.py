@@ -240,7 +240,9 @@ def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
     placements are multinomial given the total count, which turns every
     click probability into a power of per-node intensities.  Returns
     (yields, error_probs) arrays over n = 0..n_max for the region covered
-    by `node_sets`; error probabilities are oriented to `bit`.
+    by `node_sets`; error probabilities are oriented to `bit`.  As the
+    channel-truth oracle it evaluates all four sign branches, so that it
+    does not rely on the phi-symmetry of the quadrature it checks.
     """
     from .passive import BRANCHES, _branch_amplitudes
 

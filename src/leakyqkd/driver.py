@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -36,13 +35,11 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
-from .lp import InfeasibleProgramError
+from .lp import INTENSITIES, INTENSITY_PAIRS, InfeasibleProgramError
 from .linalg import factor_fidelity, fidelity, pure_state_fidelity
 
 BITS = (0, 1)
 BASES = ("Z", "X")
-INTENSITIES = ("I0", "I1", "I2")
-INTENSITY_PAIRS = tuple(itertools.combinations(INTENSITIES, 2))
 # point failures a sweep records instead of raising
 FAILURES = (InfeasibleProgramError, passive.EmptyRegionError)
 
@@ -303,64 +300,55 @@ def _passive_params(config: ProtocolConfig, att_db: float) -> passive.PassivePar
                                  geometry=_geometry(config), n_cut=config.n_cut)
 
 
-def _region_nodes(params: passive.PassiveParams, nodes: int, bit: int, basis: str,
-                  intensity: str) -> passive.RegionNodes:
-    return passive.build_region_nodes(bit, basis, intensity, params.geometry, params.mu_max,
-                                      passive.box_orders(params, bit, basis, intensity, nodes))
-
-
-def _passive_moments(params: passive.PassiveParams, nodes: int) -> tuple[dict, dict]:
-    """Region quadrature: moments of every (bit, basis, intensity) box and
-    of every bit-union (basis, intensity)."""
-    moments_bit = {(bit, basis, i): passive.region_moments(
-                       passive.RegionSpec(bit=bit, basis=basis, intensity=i), params,
-                       node_sets=[_region_nodes(params, nodes, bit, basis, i)])
-                   for basis in BASES for i in INTENSITIES for bit in BITS}
-    moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
-                                                          for b in BITS])
-                     for basis in BASES for i in INTENSITIES}
-    return moments_bit, moments_union
-
-
 @dataclass(frozen=True)
 class PassiveSource:
     """Distance-independent part of a passive evaluation at one attenuation.
 
     Everything here follows from the source parameters, the attenuation
     and the quadrature grid alone, so one source serves every distance.
-    The quadrature nodes themselves are not kept (tens of MB at the
-    default grid); `_passive_observables` rebuilds them box by box.
-
-    Keys: `yield_probs[basis][I]`, `yield_fids[basis][(I, J, n)]` of the
-    bit-union states; `probs_bit[(a, I)]`, `fids_bit[(I, J, a, n)]` of the
-    test-basis bit-a states.  The refined analysis adds the bit-averaged
-    key/opp `splits[basis][I]` with `tag_fids[basis][(I, J, tag)]` and
-    `cross_tag[basis][I]`, and the per-bit test-basis `splits_bit[(a, I)]`
-    with `tag_fids_bit[(I, J, a, tag)]` and
-    `cross_bit[(a, a', I, tag, tag')]`; they are empty for the baseline.
-    `diagnostics` holds the degenerate-bound warnings of the source stage;
-    every report built from the source lists them.
+    `node_sets[(bit, basis, I)]` keeps each box's nodes for the channel
+    observables (40,740 nodes, about 1.3 MB, at the default source at
+    120 dB), `moments_bit` their moments and `moments_union[(basis, I)]`
+    those of the bit-unions.  The decoy inputs are arrays in the layout of
+    `lp` with a leading axis: `probs`, `fids` [basis, I or pair, n] of the
+    bit-unions, `probs_bit`, `fids_bit` [bit, I or pair, n] of the
+    test-basis boxes.  The refined analysis adds the key/opp `weights`
+    [basis, bit, I, tag] of every box, `tag_fids` [basis, pair, tag] and
+    `cross_tag` [basis, I] of the bit-averaged eigenstates, and
+    `tag_fids_bit` [bit, pair, tag] and `cross_bit` [bit, I, tag] (see
+    `lp.refined_error_program`) of the test-basis ones; the baseline
+    leaves them None.  `diagnostics` holds the degenerate-bound warnings
+    of the source stage; every report built from the source lists them.
     """
 
     analysis: str
     params: passive.PassiveParams
     nodes: int
+    node_sets: dict
     moments_bit: dict
     moments_union: dict
-    yield_probs: dict
-    yield_fids: dict
-    probs_bit: dict
-    fids_bit: dict
-    splits: dict
-    tag_fids: dict
-    cross_tag: dict
-    splits_bit: dict
-    tag_fids_bit: dict
-    cross_bit: dict
+    probs: np.ndarray
+    fids: np.ndarray
+    probs_bit: np.ndarray
+    fids_bit: np.ndarray
+    weights: np.ndarray | None
+    tag_fids: np.ndarray | None
+    cross_tag: np.ndarray | None
+    tag_fids_bit: np.ndarray | None
+    cross_bit: np.ndarray | None
     overlap: complex
     q_weight: float
     build_s: float
     diagnostics: tuple
+
+
+def _decoy_inputs(groups: list, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon probabilities and INTENSITY_PAIRS fidelities [group, I or pair,
+    n] of groups of three region moments in INTENSITIES order."""
+    probs = np.array([[m.photon_probabilities()[:n_cut + 1] for m in group] for group in groups])
+    fids = np.array([[[_cross_fidelity(group[i], group[j], n) for n in range(n_cut + 1)]
+                      for i, j in lp.PAIR_ENDS] for group in groups])
+    return probs, fids
 
 
 def passive_source(config: ProtocolConfig, att_db: float,
@@ -370,18 +358,21 @@ def passive_source(config: ProtocolConfig, att_db: float,
     nodes = config.quadrature_nodes if nodes is None else nodes
     n_cut = config.n_cut
     params = _passive_params(config, att_db)
-    moments_bit, moments_union = _passive_moments(params, nodes)
-    yield_probs = {b: {i: moments_union[(b, i)].photon_probabilities()[:n_cut + 1]
-                       for i in INTENSITIES} for b in BASES}
-    yield_fids = {b: {(i, j, n): _cross_fidelity(moments_union[(b, i)], moments_union[(b, j)], n)
-                      for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)} for b in BASES}
-    probs_bit = {(a, i): moments_bit[(a, "X", i)].photon_probabilities()[:n_cut + 1]
-                 for a in BITS for i in INTENSITIES}
-    fids_bit = {(i, j, a, n): _cross_fidelity(moments_bit[(a, "X", i)],
-                                              moments_bit[(a, "X", j)], n)
-                for a in BITS for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
-    splits, tag_fids, cross_tag = {}, {}, {}
-    splits_bit, tag_fids_bit, cross_bit = {}, {}, {}
+    node_sets = {(bit, basis, i): passive.build_region_nodes(
+                     bit, basis, i, params.geometry, params.mu_max,
+                     passive.box_orders(params, bit, basis, i, nodes))
+                 for basis in BASES for i in INTENSITIES for bit in BITS}
+    moments_bit = {key: passive.region_moments(passive.RegionSpec(*key), params,
+                                               node_sets=[box])
+                   for key, box in node_sets.items()}
+    moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
+                                                          for b in BITS])
+                     for basis in BASES for i in INTENSITIES}
+    probs, fids = _decoy_inputs([[moments_union[(b, i)] for i in INTENSITIES] for b in BASES],
+                                n_cut)
+    probs_bit, fids_bit = _decoy_inputs([[moments_bit[(a, "X", i)] for i in INTENSITIES]
+                                         for a in BITS], n_cut)
+    weights = tag_fids = cross_tag = tag_fids_bit = cross_bit = None
     diagnostics: list = []
     if config.analysis == "baseline":
         eigendata = {(a, b): coin.state_eigendata(moments_bit[(a, b, "I0")].normalized_block(1))
@@ -389,116 +380,91 @@ def passive_source(config: ProtocolConfig, att_db: float,
         overlap = coin.purification_overlap(eigendata)
         q_weight = 1.0
     else:
-        bit_splits = {(a, basis, i): _recorded(diagnostics, lp.key_opp_split,
-                                               moments_bit[(a, basis, i)].normalized_block(1),
-                                               label=f"{basis}:{i} bit {a}: ")
-                      for basis in BASES for i in INTENSITIES for a in BITS}
-        for basis in BASES:
-            taus = {}
-            splits[basis] = {}
-            for i in INTENSITIES:
-                split0, split1 = bit_splits[(0, basis, i)], bit_splits[(1, basis, i)]
-                splits[basis][i] = lp.KeyOppSplit(q_key=0.5 * (split0.q_key + split1.q_key),
-                                                  q_opp=0.5 * (split0.q_opp + split1.q_opp),
-                                                  v_key=split0.v_key, v_opp=split0.v_opp)
-                for tag in ("key", "opp"):
-                    v0, v1 = getattr(split0, f"v_{tag}"), getattr(split1, f"v_{tag}")
-                    taus[(i, tag)] = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
-            cross_tag[basis] = {i: fidelity(taus[(i, "key")], taus[(i, "opp")])
-                                for i in INTENSITIES}
-            tag_fids[basis] = {(i, j, tag): fidelity(taus[(i, tag)], taus[(j, tag)])
-                               for i, j in INTENSITY_PAIRS for tag in ("key", "opp")}
-        splits_bit = {(a, i): bit_splits[(a, "X", i)] for a in BITS for i in INTENSITIES}
-        tag_fids_bit = {(i, j, a, tag): pure_state_fidelity(getattr(splits_bit[(a, i)], f"v_{tag}"),
-                                                            getattr(splits_bit[(a, j)], f"v_{tag}"))
-                        for a in BITS for i, j in INTENSITY_PAIRS for tag in ("key", "opp")}
-        cross_bit = {(a, a2, i, t, t2): pure_state_fidelity(getattr(splits_bit[(a, i)], f"v_{t}"),
-                                                            getattr(splits_bit[(a2, i)], f"v_{t2}"))
-                     for i in INTENSITIES for a, a2 in ((0, 1), (1, 0))
-                     for t, t2 in (("key", "opp"), ("opp", "key"))}
-        splits_z = [bit_splits[(a, "Z", "I0")] for a in BITS]
-        overlap = coin.bb84_pair_overlap(splits_z[0].v_key, splits_z[1].v_key,
-                                         splits_bit[(0, "I0")].v_key,
-                                         splits_bit[(1, "I0")].v_key)
-        q_weight = 0.5 * (splits_z[0].q_key + splits_z[1].q_key)
+        splits = {(a, basis, i): _recorded(diagnostics, lp.key_opp_split,
+                                           moments_bit[(a, basis, i)].normalized_block(1),
+                                           label=f"{basis}:{i} bit {a}: ")
+                  for basis in BASES for i in INTENSITIES for a in BITS}
+        weights = np.array([[[(splits[(a, b, i)].q_key, splits[(a, b, i)].q_opp)
+                              for i in INTENSITIES] for a in BITS] for b in BASES])
+        vectors = {key: (s.v_key, s.v_opp) for key, s in splits.items()}
+        # the bit-averaged key and opp eigenstates of each (basis, I)
+        taus = {(b, i): [0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
+                         for v0, v1 in zip(vectors[(0, b, i)], vectors[(1, b, i)])]
+                for b in BASES for i in INTENSITIES}
+        tag_fids = np.array([[[fidelity(taus[(b, i)][t], taus[(b, j)][t]) for t in (0, 1)]
+                              for i, j in INTENSITY_PAIRS] for b in BASES])
+        cross_tag = np.array([[fidelity(*taus[(b, i)]) for i in INTENSITIES] for b in BASES])
+        test = {(a, i): vectors[(a, "X", i)] for a in BITS for i in INTENSITIES}
+        tag_fids_bit = np.array([[[pure_state_fidelity(test[(a, i)][t], test[(a, j)][t])
+                                   for t in (0, 1)] for i, j in INTENSITY_PAIRS] for a in BITS])
+        cross_bit = np.array([[[pure_state_fidelity(test[(a, i)][t], test[(1 - a, i)][1 - t])
+                                for t in (0, 1)] for i in INTENSITIES] for a in BITS])
+        overlap = coin.bb84_pair_overlap(vectors[(0, "Z", "I0")][0], vectors[(1, "Z", "I0")][0],
+                                         test[(0, "I0")][0], test[(1, "I0")][0])
+        q_weight = 0.5 * (splits[(0, "Z", "I0")].q_key + splits[(1, "Z", "I0")].q_key)
     return PassiveSource(
-        analysis=config.analysis, params=params, nodes=nodes, moments_bit=moments_bit,
-        moments_union=moments_union, yield_probs=yield_probs, yield_fids=yield_fids,
-        probs_bit=probs_bit, fids_bit=fids_bit, splits=splits, tag_fids=tag_fids,
-        cross_tag=cross_tag, splits_bit=splits_bit, tag_fids_bit=tag_fids_bit,
-        cross_bit=cross_bit, overlap=overlap, q_weight=q_weight,
-        build_s=time.perf_counter() - start, diagnostics=tuple(diagnostics))
-
-
-def _passive_observables(source: PassiveSource,
-                         chan: channel_mod.ChannelParams) -> tuple[dict, dict]:
-    """Observables of every region box under `chan`, on nodes rebuilt box by
-    box, and the gains of the bit-union regions."""
-    observables = {(bit, basis, i): channel_mod.passive_point_observables(
-                       _region_nodes(source.params, source.nodes, bit, basis, i), bit, basis, chan)
-                   for bit, basis, i in source.moments_bit}
-    gains_union = {(basis, i): sum(source.moments_bit[(b, basis, i)].mass
-                                   * observables[(b, basis, i)].gain for b in BITS)
-                   / source.moments_union[(basis, i)].mass
-                   for basis in BASES for i in INTENSITIES}
-    return observables, gains_union
+        analysis=config.analysis, params=params, nodes=nodes, node_sets=node_sets,
+        moments_bit=moments_bit, moments_union=moments_union, probs=probs, fids=fids,
+        probs_bit=probs_bit, fids_bit=fids_bit, weights=weights, tag_fids=tag_fids,
+        cross_tag=cross_tag, tag_fids_bit=tag_fids_bit, cross_bit=cross_bit, overlap=overlap,
+        q_weight=q_weight, build_s=time.perf_counter() - start,
+        diagnostics=tuple(diagnostics))
 
 
 def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
                         distance_km: float) -> _Estimation:
     """Programs and rate inputs of the passive transmitter at one distance."""
     chan = _channel(config, distance_km)
-    observables, gains_union = _passive_observables(source, chan)
+    observables = {key: channel_mod.passive_point_observables(box, key[0], key[1], chan)
+                   for key, box in source.node_sets.items()}
+    # gains of the bit-union regions, (basis, I)
+    gains = np.array([[sum(source.moments_bit[(a, basis, i)].mass
+                           * observables[(a, basis, i)].gain for a in BITS)
+                       / source.moments_union[(basis, i)].mass for i in INTENSITIES]
+                      for basis in BASES])
     n_cut = config.n_cut
     references = channel_mod.reference_yields(n_cut, chan)
     refined = config.analysis == "refined"
 
     yield_specs = {}
-    for basis in BASES:
-        inputs = ({i: gains_union[(basis, i)] for i in INTENSITIES}, source.yield_probs[basis],
-                  source.yield_fids[basis], references, n_cut)
-        yield_specs[basis] = (lp.refined_yield_program(*inputs, source.splits[basis],
-                                                       source.tag_fids[basis],
-                                                       source.cross_tag[basis])
-                              if refined else lp.yield_program(*inputs))
+    for s, basis in enumerate(BASES):
+        inputs = (gains[s], source.probs[s], source.fids[s], references)
+        yield_specs[basis] = (lp.refined_yield_program(
+            *inputs, 0.5 * (source.weights[s, 0] + source.weights[s, 1]),  # over the bits
+            source.tag_fids[s], source.cross_tag[s]) if refined else lp.yield_program(*inputs))
 
-    # expected bit-error probabilities of the I0 test-basis states
-    test_states = {a: source.moments_bit[(a, "X", "I0")] for a in BITS}
-    error_refs = {a: np.array([channel_mod.reference_error(
-                      m.normalized_block(n) * m.trace_fraction(n), m.bases[n], chan,
-                      bit=a, interfere=True) for n in range(n_cut + 1)])
-                  for a, m in test_states.items()}
+    # expected bit-error probabilities of the I0 test-basis states, (bit, n)
+    test_states = [source.moments_bit[(a, "X", "I0")] for a in BITS]
+    error_refs = np.array([[channel_mod.reference_error(
+                                m.normalized_block(n) * m.trace_fraction(n), m.bases[n], chan,
+                                bit=a, interfere=True) for n in range(n_cut + 1)]
+                           for a, m in enumerate(test_states)])
     if not refined:
-        error_specs = {}
-        for a in BITS:
-            error_gains = {i: observables[(a, "X", i)].error_gain for i in INTENSITIES}
-            probs_bit = {i: source.probs_bit[(a, i)] for i in INTENSITIES}
-            fids_bit = {(i, j, n): f for (i, j, b, n), f in source.fids_bit.items() if b == a}
-            error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs_bit, fids_bit,
-                                                                 error_refs[a], n_cut)
+        error_specs = {f"bit-{a} error": lp.bit_error_program(
+                           np.array([observables[(a, "X", i)].error_gain for i in INTENSITIES]),
+                           source.probs_bit[a], source.fids_bit[a], error_refs[a])
+                       for a in BITS}
     else:
-        outcome_gains = {(a, b, i): observables[(a, "X", i)].outcome_gain(b != a)
-                         for a in BITS for b in BITS for i in INTENSITIES}
-
-        def err_reference(a: int, b: int, n: int) -> float:
-            gamma = float(error_refs[a][n])
-            return gamma if b != a else float(references[n]) - gamma
-
+        outcome_gains = np.array([[[observables[(a, "X", i)].outcome_gain(b != a)
+                                    for i in INTENSITIES] for b in BITS] for a in BITS])
+        # (bit a, outcome b, n): the error reference when b != a, its complement otherwise
+        outcome_refs = np.array([[error_refs[a] if b != a else references - error_refs[a]
+                                  for b in BITS] for a in BITS])
         error_specs = {"refined error": lp.refined_error_program(
-            outcome_gains, source.probs_bit, source.fids_bit, err_reference, n_cut,
-            source.splits_bit, source.tag_fids_bit, source.cross_bit)}
+            outcome_gains, source.probs_bit, source.fids_bit, outcome_refs, source.weights[1],
+            source.tag_fids_bit, source.cross_bit)}
 
     key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass
-    gain_key = gains_union[("Z", "I0")]
+    gain_key = float(gains[0, 0])
     eq_key = sum(source.moments_bit[(a, "Z", "I0")].mass
                  * observables[(a, "Z", "I0")].error_gain for a in BITS) / p_region
     details = {
         "region_mass": {f"{b}:{i}": source.moments_union[(b, i)].mass
                         for b in BASES for i in INTENSITIES},
-        "gains": {f"{b}:{i}": gains_union[(b, i)] for b in BASES for i in INTENSITIES},
-        "photon_probabilities_key": [float(x) for x in
-                                     key_union.photon_probabilities()[:n_cut + 1]],
+        "gains": {f"{b}:{i}": g for b, row in zip(BASES, gains.tolist())
+                  for i, g in zip(INTENSITIES, row)},
+        "photon_probabilities_key": source.probs[0, 0].tolist(),
         "omega": source.params.omega,
     }
     return _Estimation(
@@ -527,35 +493,34 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     references = channel_mod.reference_yields(n_cut, chan)
 
     intensities = {i: params.intensity(i) for i in INTENSITIES}
-    gains = {i: channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
-             for i in INTENSITIES}
-    probs = {i: oil.photon_probabilities(intensities[i], omega, n_cut) for i in INTENSITIES}
+    gains = [channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
+             for i in INTENSITIES]
+    probs = np.array([oil.photon_probabilities(intensities[i], omega, n_cut)
+                      for i in INTENSITIES])
     # every setting's n-photon components: one column per oil.SETTINGS entry
     sectors = oil.emission_sectors(params)
-    column = {key: k for k, key in enumerate(oil.SETTINGS)}
-    fids = {}
-    for n, sector in enumerate(sectors):
-        mix = np.stack([oil.mixture_factor(sector, "X", i) for i in INTENSITIES])
-        # INTENSITY_PAIRS as indices into INTENSITIES
-        pair_fids = factor_fidelity(mix[[0, 0, 1]], mix[[1, 2, 2]]).tolist()
-        fids.update(((i, j, n), f) for (i, j), f in zip(INTENSITY_PAIRS, pair_fids))
+    first, second = lp.PAIR_ENDS.T
+    mixes = [np.stack([oil.mixture_factor(sector, "X", i) for i in INTENSITIES])
+             for sector in sectors]
+    fids = np.array([factor_fidelity(mix[first], mix[second]) for mix in mixes]).T
     units = [sector / np.linalg.norm(sector, axis=0) for sector in sectors]
     # |<psi_k|psi_l>|^2 of the pure settings, per sector
-    pure_fids = [np.abs(u.conj().T @ u) ** 2 for u in units]
+    pure_fids = np.array([np.abs(u.conj().T @ u) ** 2 for u in units])
 
     error_specs = {}
     for a in BITS:
-        error_gains = {i: channel_mod.oil_point_observables(
-                           intensities[i], 0.0, "X", a, chan).error_gain for i in INTENSITIES}
-        # the vacuum sector has unit fidelity
-        fids_bit = {(i, j, n): float(pure_fids[n][column[(a, "X", i)], column[(a, "X", j)]])
-                    if n else 1.0 for i, j in INTENSITY_PAIRS for n in range(n_cut + 1)}
-        signal = [u[:, column[(a, "X", "I0")]] for u in units]
+        error_gains = np.array([channel_mod.oil_point_observables(
+                                    intensities[i], 0.0, "X", a, chan).error_gain
+                                for i in INTENSITIES])
+        column = np.array([oil.SETTINGS.index((a, "X", i)) for i in INTENSITIES])
+        fids_bit = pure_fids[:, column[first], column[second]].T
+        fids_bit[:, 0] = 1.0  # the vacuum sector
+        signal = [u[:, column[0]] for u in units]
         error_refs = np.array([channel_mod.reference_error(
             np.outer(v, v.conj()), oil.oil_basis(n), chan, bit=a, interfere=False)
             for n, v in enumerate(signal)])
         error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs, fids_bit,
-                                                             error_refs, n_cut)
+                                                             error_refs)
 
     key_setting = oil.setting_phases(0, "Z", "I0", params)
     key_obs = channel_mod.oil_point_observables(
@@ -564,11 +529,12 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     identical = float(np.max(np.abs(key @ key.conj().T - test @ test.conj().T))) <= 1e-10
     fid_zx = 1.0 if identical else float(factor_fidelity(key, test))
     return _Estimation(
-        yield_specs={"X": lp.yield_program(gains, probs, fids, references, n_cut)},
+        yield_specs={"X": lp.yield_program(np.array(gains), probs, fids, references)},
         error_specs=error_specs, overlap=oil.single_photon_overlap(sectors), p_region=1.0,
         p1=float(oil.photon_probabilities(intensities["I0"], omega, 1)[1]), q_weight=1.0,
         gain_key=key_obs.gain, error_key=key_obs.error_rate, sift=config.p_zazb, nodes=0,
-        details={"fid_zx": fid_zx, "intensities": intensities, "omega": omega, "gains": gains},
+        details={"fid_zx": fid_zx, "intensities": intensities, "omega": omega,
+                 "gains": dict(zip(INTENSITIES, gains))},
         fid_zx=fid_zx)
 
 

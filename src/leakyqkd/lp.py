@@ -15,6 +15,10 @@ channel-model reference points for the tangent linearisation:
 * refined yield / bit-error programs: additionally split each
   single-photon state into its two dominant eigenvectors ("key"/"opp")
   with mixture constraints and coin constraints among the eigenstates.
+
+Their inputs are arrays in one layout: rows in INTENSITIES order, pairs
+in INTENSITY_PAIRS order, columns by photon number (or by tag, in TAGS
+order); a bit or outcome axis, where there is one, leads.
 """
 
 from __future__ import annotations
@@ -41,8 +45,13 @@ CLEANUP_PIVOTS = 100
 DUAL_TOL = 1e-12
 
 INTENSITIES = ("I0", "I1", "I2")
+INTENSITY_PAIRS = tuple(itertools.combinations(INTENSITIES, 2))
 TAGS = ("key", "opp")
-_PAIRS = tuple(itertools.permutations(INTENSITIES, 2))
+# the ends of each of INTENSITY_PAIRS, as indices into INTENSITIES
+PAIR_ENDS = np.array(list(itertools.combinations(range(len(INTENSITIES)), 2)))
+# the ordered pairs that coin rows link, and the INTENSITY_PAIRS entry of each
+_ORDERED = np.array(list(itertools.permutations(range(len(INTENSITIES)), 2)))
+_UNORDERED = np.array([PAIR_ENDS.tolist().index(sorted(p)) for p in _ORDERED.tolist()])
 
 
 class InfeasibleProgramError(RuntimeError):
@@ -357,16 +366,12 @@ def _verify_feasible(program: LinearProgram, x: np.ndarray, allowance: float = 0
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _fid(fidelities: dict, i: str, j: str, *rest) -> float:
-    key = (i, j) + rest
-    return fidelities[key] if key in fidelities else fidelities[(j, i) + rest]
-
-
-def _add_columns(variables: list, prefix: str, entries) -> dict:
-    """Append the labels prefix_I_e, intensity-major; return their columns by intensity."""
+def _add_columns(variables: list, prefix: str, entries) -> np.ndarray:
+    """Append the labels prefix_I_e, intensity-major; return their columns,
+    one row per intensity."""
     start, width = len(variables), len(entries)
     variables.extend(f"{prefix}_{i}_{e}" for i in INTENSITIES for e in entries)
-    return {i: start + width * s + np.arange(width) for s, i in enumerate(INTENSITIES)}
+    return start + np.arange(len(INTENSITIES) * width).reshape(len(INTENSITIES), width)
 
 
 def _pairs(rows: list, cols, coeffs, rhs):
@@ -389,68 +394,67 @@ def _program(variables: list, sense: str, objective: dict, rows: list) -> Linear
                          upper=np.arange(len(b)) % 2 == 0)
 
 
-def _sandwich(rows: list, entries):
+def _sandwich(rows: list, ends, fid, y_ref):
     """Tangent-relaxed coin constraints LCS^L(y_i) <= y_j <= LCS^U(y_i), a
-    pair of rows per entry (col_i, col_j, fidelity, y_ref).
+    pair of rows per row (col_i, col_j) of `ends` and entry of `fid`,
+    linearised at y_ref (broadcast to them).
 
     Unit fidelities are capped infinitesimally below 1 (a relaxation, so
     still valid): exact-equality chains otherwise make the polytope a
     measure-zero sliver that amplifies quadrature noise in the data into
     spurious infeasibility.
     """
-    col_i, col_j, fid, y_ref = (np.array(v) for v in zip(*entries))
     fid = np.minimum(fid, 1.0 - 1e-14)
     low = tangent_line(fid, safe_reference(y_ref, fid, "L"), "L")
     high = tangent_line(fid, safe_reference(y_ref, fid, "U"), "U")
     minus = -np.ones_like(fid)
-    _pairs(rows, np.stack([col_i, col_j], axis=1),
-           np.stack([np.stack([low.slope, minus], 1), np.stack([high.slope, minus], 1)], 1),
-           -np.stack([low.intercept, high.intercept], axis=1))
+    coeffs = np.stack([low.slope, minus, high.slope, minus], axis=1).reshape(-1, 2, 2)
+    _pairs(rows, ends, coeffs, -np.stack([low.intercept, high.intercept], axis=1))
 
 
-def _decoy_block(rows: list, cols: dict, gains: dict, probs: dict,
-                 fidelities: dict, references, bit: tuple = ()):
-    """Two-sided decoy rows from Q = sum_k p_k Y_k + tail for each intensity
-    i (Y_k in column cols[i][k]), then coin rows per photon number k."""
-    width = len(cols["I0"])
-    p = np.array([probs[i][:width] for i in INTENSITIES])
-    _pairs(rows, [cols[i] for i in INTENSITIES], p[:, None, :],
-           [(gains[i], gains[i] - (1.0 - float(np.sum(p_i)))) for i, p_i in zip(INTENSITIES, p)])
-    _sandwich(rows, [(cols[i][k], cols[j][k], _fid(fidelities, i, j, *bit, k), references[k])
-                     for k, (i, j) in itertools.product(range(width), _PAIRS)])
+def _coin_rows(rows: list, cols, fidelities, y_ref):
+    """Coin rows between the ordered pairs of intensities, per column of
+    `cols` (3, w) and `fidelities` (3 pairs, w), column-major."""
+    _sandwich(rows, cols[_ORDERED].transpose(2, 0, 1).reshape(-1, 2),
+              fidelities[_UNORDERED].T.ravel(), y_ref)
 
 
-def _tag_block(rows: list, cols: dict, tag_cols: dict, splits: dict,
-               tag_fidelities: dict, y_ref: float, bit: tuple = ()):
-    """Key/opp mixture rows of each single-photon yield cols[i][1] (the
-    eigenstate yields in tag_cols[i], in TAGS order), then coin rows per tag."""
-    _pairs(rows, [(*tag_cols[i], cols[i][1]) for i in INTENSITIES],
-           np.array([(splits[i].q_key, splits[i].q_opp, -1.0) for i in INTENSITIES])[:, None, :],
-           [(0.0, -splits[i].rest) for i in INTENSITIES])
-    _sandwich(rows, [(tag_cols[i][t], tag_cols[j][t], _fid(tag_fidelities, i, j, *bit, tag), y_ref)
-                     for (t, tag), (i, j) in itertools.product(enumerate(TAGS), _PAIRS)])
+def _decoy_block(rows: list, cols, gains, probs, fidelities, references):
+    """Two-sided decoy rows from Q_I = sum_n p_I(n) Y_I_n + tail for each
+    intensity I (Y_I_n in column cols[I, n]), then coin rows per photon number."""
+    _pairs(rows, cols, probs[:, None, :],
+           np.stack([gains, gains - (1.0 - probs.sum(axis=1))], axis=1))
+    _coin_rows(rows, cols, fidelities, np.repeat(references, len(_UNORDERED)))
 
 
-def yield_program(gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
-                  n_cut: int, target: str = "I0") -> LinearProgram:
-    """Baseline single-photon yield program (minimise Y_target at n=1).
+def _tag_block(rows: list, cols, tag_cols, weights, tag_fidelities, y_ref):
+    """Key/opp mixture rows of each single-photon yield cols[I, 1]:
+    -rest <= q_key Y_key + q_opp Y_opp - Y_1 <= 0, with weights[I] = (q_key,
+    q_opp), rest = max(0, 1 - q_key - q_opp) and the eigenstate yields in
+    tag_cols[I]; then coin rows per tag."""
+    rest = np.maximum(0.0, 1.0 - weights[:, 0] - weights[:, 1])
+    _pairs(rows, np.column_stack([tag_cols, cols[:, 1]]),
+           np.column_stack([weights, -np.ones(len(weights))])[:, None, :],
+           np.stack([np.zeros_like(rest), -rest], axis=1))
+    _coin_rows(rows, tag_cols, tag_fidelities, y_ref)
 
-    gains[I]: observed gain; probs[I][n]: photon-number probabilities;
-    fidelities[(I, J, n)]: fidelity (lower bounds) between the n-photon
-    states of intensities I and J; references[n]: linearisation points.
-    Columns Y_I_n, intensity-major.
-    """
+
+def yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
+                  references: np.ndarray) -> LinearProgram:
+    """Baseline single-photon yield program: minimise Y_I0_1 given the gains
+    (3,), photon-number probabilities (3, n+1), fidelity lower bounds
+    (3, n+1) between the n-photon states of each intensity pair and
+    linearisation points (n+1,).  Columns Y_I_n, intensity-major."""
     variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(n_cut + 1))
+    cols = _add_columns(variables, "Y", range(probs.shape[1]))
     _decoy_block(rows, cols, gains, probs, fidelities, references)
-    return _program(variables, "min", {cols[target][1]: 1.0}, rows)
+    return _program(variables, "min", {cols[0, 1]: 1.0}, rows)
 
 
-def bit_error_program(error_gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
-                      n_cut: int, target: str = "I0") -> LinearProgram:
+def bit_error_program(error_gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
+                      references: np.ndarray) -> LinearProgram:
     """Baseline bit-error program (maximise the n=1 error probability)."""
-    return replace(yield_program(error_gains, probs, fidelities, references, n_cut, target),
-                   sense="max")
+    return replace(yield_program(error_gains, probs, fidelities, references), sense="max")
 
 
 @dataclass(frozen=True)
@@ -461,10 +465,6 @@ class KeyOppSplit:
     q_opp: float
     v_key: np.ndarray
     v_opp: np.ndarray
-
-    @property
-    def rest(self) -> float:
-        return max(0.0, 1.0 - self.q_key - self.q_opp)
 
 
 def key_opp_split(rho: np.ndarray) -> KeyOppSplit:
@@ -482,64 +482,56 @@ def key_opp_split(rho: np.ndarray) -> KeyOppSplit:
                        v_key=eig.vectors[:, 0], v_opp=eig.vectors[:, 1])
 
 
+def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
+                          references: np.ndarray, weights: np.ndarray,
+                          tag_fidelities: np.ndarray, cross_tag: np.ndarray) -> LinearProgram:
+    """Yield program with key/opp eigenstate refinement: minimise Y_I0_key.
 
-
-def refined_yield_program(gains: dict, probs: dict, fidelities: dict, references: np.ndarray,
-                          n_cut: int, splits: dict, tag_fidelities: dict,
-                          cross_tag_fidelities: dict, target: str = "I0") -> LinearProgram:
-    """Yield program with key/opp eigenstate refinement.
-
-    splits[I]: KeyOppSplit of the bit-averaged single-photon state (its
-    q weights are the bit-averaged ones); tag_fidelities[(I, J, t)]:
-    fidelity between the t-eigenstate mixtures of intensities I and J;
-    cross_tag_fidelities[I]: fidelity between the key and opp mixtures
-    at intensity I.  Objective: minimise the key yield at `target`.
-    Columns: those of `yield_program`, then Y_I_t.
-    """
+    The inputs of `yield_program`, and weights (3, 2): the key/opp
+    eigenvalue weights of each intensity's single-photon state;
+    tag_fidelities (3, 2): fidelity between the t-eigenstates of each
+    intensity pair; cross_tag (3,): fidelity between the key and opp
+    eigenstates of each intensity.  Columns: those of `yield_program`,
+    then Y_I_t."""
     variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(n_cut + 1))
+    cols = _add_columns(variables, "Y", range(probs.shape[1]))
     tag_cols = _add_columns(variables, "Y", TAGS)
     ref_t = float(references[1])
     _decoy_block(rows, cols, gains, probs, fidelities, references)
-    _tag_block(rows, cols, tag_cols, splits, tag_fidelities, ref_t)
-    _sandwich(rows, [(*ends, cross_tag_fidelities[i], ref_t) for i in INTENSITIES
-                     for ends in (tag_cols[i], tag_cols[i][::-1])])  # key -> opp, opp -> key
-    return _program(variables, "min", {tag_cols[target][0]: 1.0}, rows)
+    _tag_block(rows, cols, tag_cols, weights, tag_fidelities, ref_t)
+    # key -> opp, then opp -> key, at each intensity
+    _sandwich(rows, tag_cols[:, [[0, 1], [1, 0]]].reshape(-1, 2), np.repeat(cross_tag, 2), ref_t)
+    return _program(variables, "min", {tag_cols[0, 0]: 1.0}, rows)
 
 
-def refined_error_program(outcome_gains: dict, probs: dict, fidelities: dict,
-                          references, n_cut: int, splits: dict,
-                          tag_fidelities: dict, cross_bit_fidelities: dict,
-                          target: str = "I0") -> LinearProgram:
+def refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,
+                          fidelities: np.ndarray, references: np.ndarray, weights: np.ndarray,
+                          tag_fidelities: np.ndarray, cross_bit: np.ndarray) -> LinearProgram:
     """Bit-error program with key/opp refinement over both bits.
 
     Variables carry (bit a, Bob outcome b, intensity, photon number or
-    tag).  outcome_gains[(a, b, I)] are the per-outcome gains;
-    probs[(a, I)][n] the per-bit photon probabilities; fidelities
-    [(a, I, J, n)] between same-bit states; splits[(a, I)] per-bit
-    KeyOppSplits; tag_fidelities[(a, I, J, t)] between same-bit
-    eigenstates; cross_bit_fidelities[(a, a', I, t, t')] between the
-    key eigenstate of one bit and the opp eigenstate of the other.
-    references(a, b, n) returns the linearisation point.  Columns:
-    Y{a}{b}_I_n for each (a, b) in turn, then Y{a}{b}_I_t likewise.
-
-    Objective: maximise the average, over bits, of the key-eigenstate
-    probability of the error outcome b = 1 - a at `target`.
+    tag), and so do the inputs, in that axis order: outcome_gains
+    (2, 2, 3) and references (2, 2, n+1) by (a, b); probs, fidelities
+    (2, 3, n+1), weights and tag_fidelities (2, 3, 2) of the same-bit
+    states by a, as in `refined_yield_program`; cross_bit (2, 3, 2)
+    [a, I, t]: fidelity between eigenstate t of bit a and eigenstate 1 - t
+    of bit 1 - a.  Columns: Y{a}{b}_I_n for each (a, b) in turn, then
+    Y{a}{b}_I_t likewise.  Objective: maximise the average, over bits, of
+    the key-eigenstate probability of the error outcome b = 1 - a at I0.
     """
     outcomes = ((0, 0), (0, 1), (1, 0), (1, 1))
     variables, rows = [], []
-    cols = {ab: _add_columns(variables, "Y%d%d" % ab, range(n_cut + 1)) for ab in outcomes}
-    tag_cols = {ab: _add_columns(variables, "Y%d%d" % ab, TAGS) for ab in outcomes}
+    cols, tag_cols = (np.array([_add_columns(variables, "Y%d%d" % ab, entries)
+                                for ab in outcomes]).reshape(2, 2, len(INTENSITIES), -1)
+                      for entries in (range(probs.shape[-1]), TAGS))
     for a, b in outcomes:
-        refs = [references(a, b, k) for k in range(n_cut + 1)]
-        _decoy_block(rows, cols[(a, b)], {i: outcome_gains[(a, b, i)] for i in INTENSITIES},
-                     {i: probs[(a, i)] for i in INTENSITIES}, fidelities, refs, (a,))
-        _tag_block(rows, cols[(a, b)], tag_cols[(a, b)],
-                   {i: splits[(a, i)] for i in INTENSITIES}, tag_fidelities, refs[1], (a,))
-    flips = ((0, 1), (1, 0))
-    _sandwich(rows, [(tag_cols[(a, b)][i][t], tag_cols[(a2, b)][i][t2],
-                      cross_bit_fidelities[(a, a2, i, TAGS[t], TAGS[t2])], references(a, b, 1))
-                     for b, i, (a, a2), (t, t2) in itertools.product((0, 1), INTENSITIES,
-                                                                     flips, flips)])
-    return _program(variables, "max", {tag_cols[(0, 1)][target][0]: 0.5,
-                                       tag_cols[(1, 0)][target][0]: 0.5}, rows)
+        _decoy_block(rows, cols[a, b], outcome_gains[a, b], probs[a], fidelities[a],
+                     references[a, b])
+        _tag_block(rows, cols[a, b], tag_cols[a, b], weights[a], tag_fidelities[a],
+                   references[a, b, 1])
+    # per outcome and intensity: key of bit a -> opp of bit 1 - a, then opp -> key
+    b, i, a, t = np.indices((2, len(INTENSITIES), 2, 2)).reshape(4, -1)
+    _sandwich(rows, np.stack([tag_cols[a, b, i, t], tag_cols[1 - a, b, i, 1 - t]], axis=1),
+              cross_bit[a, i, t], references[a, b, 1])
+    return _program(variables, "max", {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5},
+                    rows)

@@ -269,17 +269,13 @@ def test_criterion_5_lp_soundness_and_tightness():
     # unit-fidelity instances reproduce the textbook three-intensity bound
     ok, detail_decoy = True, ""
     for mu0, mu1, mu2, eta in ((0.5, 0.1, 0.002, 0.1), (0.7, 0.05, 1e-4, 0.01)):
-        probs = {}
-        for label, mu in zip(INTENSITIES, (mu0, mu1, mu2)):
-            probs[label] = np.array([math.exp(-mu) * mu ** n / math.factorial(n)
-                                     for n in range(5)])
-        gains = {label: 1.0 - (1.0 - 1e-6) ** 2 * math.exp(-eta * mu)
-                 for label, mu in zip(INTENSITIES, (mu0, mu1, mu2))}
-        fids = {(i, j, n): 1.0 for i in INTENSITIES for j in INTENSITIES
-                for n in range(5) if i != j}
+        probs = np.array([[math.exp(-mu) * mu ** n / math.factorial(n) for n in range(5)]
+                          for mu in (mu0, mu1, mu2)])
+        gains = np.array([1.0 - (1.0 - 1e-6) ** 2 * math.exp(-eta * mu) for mu in (mu0, mu1, mu2)])
         refs = 1.0 - (1.0 - 1e-6) ** 2 * (1.0 - eta) ** np.arange(5)
-        ours = lp.solve(lp.yield_program(gains, probs, fids, refs, 4)).value
-        textbook = validation.textbook_decoy_bound(probs, gains, 4)
+        ours = lp.solve(lp.yield_program(gains, probs, np.ones((3, 5)), refs)).value
+        textbook = validation.textbook_decoy_bound(dict(zip(INTENSITIES, probs)),
+                                                   dict(zip(INTENSITIES, gains)), 4)
         ok &= abs(ours - textbook) <= 1e-6
         detail_decoy = f"decoy deviation {abs(ours - textbook):.1e}"
 

@@ -280,6 +280,22 @@ def test_passive_source_failure_fails_every_point_at_its_attenuation(monkeypatch
     assert len(raised) == 1  # the failed source is not rebuilt per distance
 
 
+def test_sweep_builds_each_region_grid_once(monkeypatch):
+    built = []
+    real_build = passive.build_region_nodes
+
+    def counted_build(*args, **kwargs):
+        built.append(args[:3])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(passive, "build_region_nodes", counted_build)
+    config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12,
+                                 distances_km=(50.0, 100.0), att_db=(120.0,))
+    assert [r.status for r in driver.sweep(config)] == ["ok", "ok"]
+    # the source keeps its 12 boxes' nodes for the channel of every distance
+    assert len(built) == 12 and len(set(built)) == 12
+
+
 def test_degenerate_coin_is_recorded_not_warned():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

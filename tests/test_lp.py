@@ -179,36 +179,40 @@ def poisson_probs(mu, n_cut):
 
 
 def ideal_inputs(n_cut=2, eta=0.1, p_dark=1e-6):
-    mus = {"I0": 0.5, "I1": 0.1, "I2": 0.002}
-    probs = {i: poisson_probs(mus[i], n_cut) for i in INTENSITIES}
+    """Gains (3,), photon probabilities (3, n_cut + 1), unit pair
+    fidelities (3, n_cut + 1), references and the true yields of a Poisson
+    source behind an ideal channel."""
+    mus = np.array([0.5, 0.1, 0.002])
+    probs = np.array([poisson_probs(mu, n_cut) for mu in mus])
     yields = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta) ** np.arange(25)
-    gains = {i: float(1.0 - (1.0 - p_dark) ** 2 * math.exp(-eta * mus[i])) for i in INTENSITIES}
-    fids = {(i, j, n): 1.0 for i in INTENSITIES for j in INTENSITIES for n in range(n_cut + 1)
-            if i != j}
-    return gains, probs, fids, yields[:n_cut + 1], yields
+    gains = np.array([1.0 - (1.0 - p_dark) ** 2 * math.exp(-eta * mu) for mu in mus])
+    return gains, probs, np.ones((3, n_cut + 1)), yields[:n_cut + 1], yields
+
+
+def by_label(rows):
+    """Per-intensity rows as the dict `textbook_decoy_bound` reads."""
+    return dict(zip(INTENSITIES, rows))
 
 
 def test_unit_fidelity_recovers_textbook_decoy_bound():
     for n_cut in (2, 4):
         gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-        spec = lp.yield_program(gains, probs, fids, refs, n_cut)
+        spec = lp.yield_program(gains, probs, fids, refs)
         ours = lp.solve(spec)
-        reference = textbook_decoy_bound(probs, gains, n_cut)
+        reference = textbook_decoy_bound(by_label(probs), by_label(gains), n_cut)
         assert ours.status == "optimal"
         assert ours.value == pytest.approx(reference, abs=1e-6)
 
 
 def test_zero_fidelity_decouples_to_single_intensity_bound():
     n_cut = 2
-    gains, probs, _, refs, _ = ideal_inputs(n_cut=n_cut)
-    fids = {(i, j, n): 0.0 for i in INTENSITIES for j in INTENSITIES for n in range(n_cut + 1)
-            if i != j}
-    spec = lp.yield_program(gains, probs, fids, refs, n_cut)
+    gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
+    spec = lp.yield_program(gains, probs, np.zeros_like(fids), refs)
     decoupled = lp.solve(spec).value
     single = vertex_enumeration_optimum(
         n_cut + 1,
-        [(probs["I0"], "<=", gains["I0"]),
-         (probs["I0"], ">=", gains["I0"] - (1.0 - float(probs["I0"].sum())))],
+        [(probs[0], "<=", gains[0]),
+         (probs[0], ">=", gains[0] - (1.0 - float(probs[0].sum())))],
         np.eye(n_cut + 1)[1], "min")
     assert decoupled == pytest.approx(single, abs=1e-7)
 
@@ -218,47 +222,69 @@ def test_yield_program_matches_hand_reduction():
     # max(0, (Q - 1 + p1)/p1)
     n_cut = 1
     mu, q = 0.5, 0.9
-    probs = {i: poisson_probs(mu, n_cut) for i in INTENSITIES}
-    gains = {i: q for i in INTENSITIES}
-    fids = {(i, j, n): 1.0 for i in INTENSITIES for j in INTENSITIES for n in range(2)
-            if i != j}
+    probs = np.tile(poisson_probs(mu, n_cut), (3, 1))
     refs = np.array([0.3, 0.5])
-    spec = lp.yield_program(gains, probs, fids, refs, n_cut)
-    p1 = float(probs["I0"][1])
+    spec = lp.yield_program(np.full(3, q), probs, np.ones((3, n_cut + 1)), refs)
+    p1 = float(probs[0, 1])
     assert lp.solve(spec).value == pytest.approx((q - 1.0 + p1) / p1, abs=1e-9)
 
 
 def test_bit_error_program_zero_errors_bounds_gamma_by_slack():
     n_cut = 2
     _, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-    error_gains = {i: 0.0 for i in INTENSITIES}
-    spec = lp.bit_error_program(error_gains, probs, fids,
-                                np.full(n_cut + 1, 1e-3), n_cut)
+    spec = lp.bit_error_program(np.zeros(3), probs, fids, np.full(n_cut + 1, 1e-3))
     solution = lp.solve(spec)
     # all the error weight must hide in the unobserved tail
-    tail = 1.0 - float(probs["I0"].sum())
-    assert solution.value <= tail / float(probs["I0"][1]) + 1e-9
+    tail = 1.0 - float(probs[0].sum())
+    assert solution.value <= tail / float(probs[0, 1]) + 1e-9
     assert solution.value < 1.0
 
 
 def test_coin_constraints_never_hurt():
     n_cut = 2
     gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-    realistic = {key: 0.98 for key in fids}
-    with_coin = lp.solve(lp.yield_program(gains, probs, realistic, refs, n_cut)).value
-    vacuous = {key: 0.0 for key in fids}
-    without = lp.solve(lp.yield_program(gains, probs, vacuous, refs, n_cut)).value
+    with_coin = lp.solve(lp.yield_program(gains, probs, np.full_like(fids, 0.98), refs)).value
+    without = lp.solve(lp.yield_program(gains, probs, np.zeros_like(fids), refs)).value
     assert with_coin >= without - 1e-9
 
 
 def test_channel_truth_feasible_for_ideal_decoy():
     n_cut = 4
     gains, probs, fids, refs, yields = ideal_inputs(n_cut=n_cut)
-    spec = lp.yield_program(gains, probs, fids, refs, n_cut)
+    spec = lp.yield_program(gains, probs, fids, refs)
     x = np.tile(yields[:n_cut + 1], 3)  # the columns Y_I_n, intensity-major
     lhs = spec.a @ x
     assert np.all(np.where(spec.upper, lhs <= spec.b + 1e-9, lhs >= spec.b - 1e-9))
     assert lp.solve(spec).value <= x[spec.variables.index("Y_I0_1")] + 1e-9
+
+
+def assert_only_coin_rows_differ(base, other, ends):
+    """`other` differs from `base` only in the coin rows between the columns
+    labelled `ends`: a lower and an upper row with each end as y_j."""
+    assert (base.variables, base.sense) == (other.variables, other.sense)
+    assert np.array_equal(base.c, other.c) and np.array_equal(base.upper, other.upper)
+    cols = sorted(base.variables.index(name) for name in ends)
+    rows = np.flatnonzero((base.a != other.a).any(axis=1) | (base.b != other.b))
+    for spec in (base, other):
+        assert all(np.flatnonzero(spec.a[r]).tolist() == cols for r in rows)
+        # y_j enters a coin row with coefficient -1
+        assert sorted(np.flatnonzero(spec.a[r] == -1.0)[0] for r in rows) == sorted(cols * 2)
+
+
+def test_pair_fidelity_reaches_only_its_coin_rows():
+    gains, probs, fids, refs, _ = ideal_inputs(n_cut=2)
+    changed = fids.copy()
+    changed[lp.INTENSITY_PAIRS.index(("I0", "I2")), 1] = 0.9
+    base, other = (lp.yield_program(gains, probs, f, refs) for f in (fids, changed))
+    assert_only_coin_rows_differ(base, other, ("Y_I0_1", "Y_I2_1"))
+
+    weights, cross_tag = np.tile([0.9, 0.08], (3, 1)), np.full(3, 0.5)
+    tag_fids = np.ones((3, 2))
+    changed = tag_fids.copy()
+    changed[lp.INTENSITY_PAIRS.index(("I1", "I2")), lp.TAGS.index("opp")] = 0.9
+    base, other = (lp.refined_yield_program(gains, probs, fids, refs, weights, t, cross_tag)
+                   for t in (tag_fids, changed))
+    assert_only_coin_rows_differ(base, other, ("Y_I1_opp", "Y_I2_opp"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +296,7 @@ def test_split_of_maximally_mixed_qubit():
         split = lp.key_opp_split(np.eye(2) / 2.0)
     assert split.q_key == pytest.approx(0.5, abs=1e-12)
     assert split.q_opp == pytest.approx(0.5, abs=1e-12)
-    assert split.rest == pytest.approx(0.0, abs=1e-12)
+    assert 1.0 - split.q_key - split.q_opp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_split_of_rank_one_state():
