@@ -1,7 +1,7 @@
 """Command-line interface: rate, sweep, optimize, validate.
 
-Exit codes: 0 success, 2 infeasible estimation program, 3 invalid
-configuration or arguments.
+Exit codes: 0 success, 1 a failed `validate` check, 2 infeasible
+estimation program, 3 invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -50,28 +50,18 @@ def _load_config(args) -> driver.ProtocolConfig:
     if args.config:
         with open(args.config) as handle:
             data = json.load(handle)
-    config = driver.config_from_dict(data)
-    overrides = {}
-    if args.transmitter:
-        overrides["transmitter"] = args.transmitter
-    if args.analysis:
-        overrides["analysis"] = args.analysis
-    if args.distance_km:
-        overrides["distances_km"] = tuple(args.distance_km)
-    if args.att_db:
-        overrides["att_db"] = tuple(args.att_db)
-    if args.ncut is not None:
-        overrides["n_cut"] = args.ncut
-    if args.quadrature_nodes is not None:
-        overrides["quadrature_nodes"] = args.quadrature_nodes
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {name: value for name, value in (
+        ("transmitter", args.transmitter), ("analysis", args.analysis),
+        ("distances_km", args.distance_km), ("att_db", args.att_db),
+        ("n_cut", args.ncut), ("quadrature_nodes", args.quadrature_nodes)) if value is not None}
+    return driver.config_from_dict({**data, **overrides})
 
 
 def _emit(reports, args):
     if args.format == "csv":
         text = driver.reports_to_csv(reports)
     else:
-        text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+        text = json.dumps([dataclasses.asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -90,19 +80,11 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
     try:
-        if args.command == "rate":
-            reports = driver.grid_key_rates(config)
-        elif args.command == "sweep":
-            reports = driver.sweep(config)
+        if args.command == "optimize":
+            reports = [driver.optimize_point(config, d, a)[1]
+                       for d in config.distances_km for a in config.att_db]
         else:
-            reports = []
-            for d in config.distances_km:
-                for a in config.att_db:
-                    best, report = driver.optimize_point(config, d, a)
-                    report.details["optimized"] = {
-                        "mu_max": best.mu_max, "delta_theta_z": best.delta_theta_z,
-                        "mu_in": best.mu_in, "mu_i1": best.mu_i1}
-                    reports.append(report)
+            reports = driver.sweep(config, tolerate_failures=args.command == "sweep")
     except InfeasibleProgramError as exc:
         print(f"estimation program infeasible: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,10 @@ class OptimizerSettings:
     delta_theta_z_bracket: tuple = (0.01, 0.5)
     oil_intensity_bracket: tuple = (1e-3, 1.0)
 
+    def __post_init__(self):
+        if self.search_nodes < passive.MIN_NODES:
+            raise ValueError(f"search_nodes must be >= {passive.MIN_NODES}")
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -97,7 +101,7 @@ class ProtocolConfig:
     att_db: tuple = (120.0,)
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
-    def __post_init__(self):
+    def __post_init__(self):  # optimizer probes may put a decoy above the signal: no ladder check
         if self.transmitter not in ("passive", "oil"):
             raise ValueError(f"unknown transmitter {self.transmitter!r}")
         if self.analysis not in ("baseline", "refined"):
@@ -109,38 +113,59 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.n_cut < 1:
             raise ValueError("n_cut must be >= 1")
+        if self.quadrature_nodes < passive.MIN_NODES:
+            raise ValueError(f"quadrature_nodes must be >= {passive.MIN_NODES}")
+        if not self.mu_max > 0.0:
+            raise ValueError("mu_max must be positive")
+        for name in ("distances_km", "att_db"):
+            if not all(isinstance(v, (int, float)) and 0.0 <= v < math.inf
+                       for v in getattr(self, name)):
+                raise ValueError(f"{name} must be a list of finite numbers >= 0")
+
+
+def _no_oil_source(config: ProtocolConfig) -> bool:
+    """Whether the injection-locked intensities describe no source: a signal
+    that is not positive, or a decoy below zero or above the signal."""
+    decoys = (config.mu_i1, config.mu_i2)
+    return config.transmitter == "oil" and not (
+        config.mu_in > 0.0 and 0.0 <= min(decoys) and max(decoys) <= config.mu_in)
+
+
+def _from_dict(cls, data, what: str):
+    """A `cls` dataclass from a JSON object: a list becomes a tuple, a nested
+    object fills a dataclass field, and every other value has the type of
+    the field's default (an int serves for a float)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    defaults, values = cls(), {}
+    for name, value in data.items():
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default):
+            value = _from_dict(type(default), value, name)
+        elif isinstance(value, list):
+            value = tuple(value)
+        if not isinstance(value, (int, float) if type(default) is float else type(default)):
+            raise ValueError(f"{what} key {name!r} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ProtocolConfig:
-    """Build a config from a JSON document, rejecting unknown keys."""
-    data = dict(data)
-    known = {f.name for f in dataclasses.fields(ProtocolConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "optimizer" in data and isinstance(data["optimizer"], dict):
-        opt_known = {f.name for f in dataclasses.fields(OptimizerSettings)}
-        opt_unknown = set(data["optimizer"]) - opt_known
-        if opt_unknown:
-            raise ValueError(f"unknown optimizer keys: {sorted(opt_unknown)}")
-        opt = dict(data["optimizer"])
-        for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket"):
-            if name in opt:
-                opt[name] = tuple(opt[name])
-        data["optimizer"] = OptimizerSettings(**opt)
-    for name in ("distances_km", "att_db"):
-        if name in data:
-            data[name] = tuple(data[name])
-    return ProtocolConfig(**data)
+    """Build a config from a JSON document, rejecting unknown keys, values
+    of the wrong type and injection-locked intensities with no source."""
+    config = _from_dict(ProtocolConfig, data, "config")
+    if _no_oil_source(config):
+        raise ValueError("oil intensities need mu_in > 0 and mu_i1, mu_i2 in [0, mu_in]")
+    return config
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["distances_km"] = list(config.distances_km)
-    out["att_db"] = list(config.att_db)
-    for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket"):
-        out["optimizer"][name] = list(out["optimizer"][name])
-    return out
+    """The JSON document of `config`: tuples become lists."""
+    return json.loads(json.dumps(dataclasses.asdict(config)))
 
 
 def config_hash(config: ProtocolConfig) -> str:
@@ -187,13 +212,6 @@ class KeyRateReport:
                  str(self.provenance.get("config_hash", "")))
         return ",".join(cells)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def csv_header() -> str:
-    return ",".join(KeyRateReport.CSV_FIELDS)
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -239,15 +257,6 @@ def _recorded(diagnostics: list, func, *args, label: str = ""):
     return result
 
 
-def _rate_from_bounds(p_region: float, p1: float, q_weight: float, y1: float,
-                      e_ph: float, gain: float, error_rate: float,
-                      sift: float, f_ec: float) -> tuple[float, float]:
-    privacy = 1.0 - binary_entropy(min(0.5, e_ph))
-    raw = sift * p_region * (p1 * q_weight * y1 * privacy
-                             - gain * f_ec * binary_entropy(error_rate))
-    return max(0.0, raw), raw
-
-
 def _cross_fidelity(mom_i, mom_j, n: int) -> float:
     """Exact fidelity on full blocks; projection chain bound on truncated ones."""
     rho_i = mom_i.normalized_block(n)
@@ -270,7 +279,7 @@ class _Estimation:
     mean of the `error_specs` maxima (label -> program) bounds the
     test-basis error gain.  Programs are solved in dict order.  `sift`,
     `p_region`, `p1`, `q_weight`, `gain_key` and `error_key` feed
-    `_rate_from_bounds`; `details` holds the transmitter's own report
+    the rate; `details` holds the transmitter's own report
     fields and `diagnostics` the warnings recorded before the programs.
     """
 
@@ -552,33 +561,34 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
                for basis, spec in est.yield_specs.items()}
     gammas = [min(1.0, max(0.0, _solve_or_raise(spec, label, lp_log)))
               for label, spec in est.error_specs.items()]
-    solve_s = time.perf_counter() - start
+    provenance = _provenance(config, lp_log, est.nodes, time.perf_counter() - start)
     gamma_key = sum(gammas) / len(gammas)
     y_test = y_lower["X"]
     if y_test <= 1e-12:
-        return _zero_report(config, distance_km, att_db, est, lp_log, solve_s,
-                            reason="vanishing test-basis yield bound")
+        return _no_key_report(config, distance_km, att_db,
+                              "zero-rate: vanishing test-basis yield bound", provenance, est)
     e_x_upper = min(1.0, gamma_key / y_test)
     y_key = y_lower["Z"] if "Z" in y_lower else coin.yield_transfer(y_test, est.fid_zx)[0]
     y_coin = 0.5 * (y_key + y_test)
     if y_coin <= 0.0:
-        return _zero_report(config, distance_km, att_db, est, lp_log, solve_s,
-                            reason="vanishing coin yield")
+        return _no_key_report(config, distance_km, att_db, "zero-rate: vanishing coin yield",
+                              provenance, est)
     diagnostics = list(est.diagnostics)
     f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(est.overlap.real), y_coin)
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
-    rate, raw = _rate_from_bounds(est.p_region, est.p1, est.q_weight, y_key, e_ph_upper,
-                                  est.gain_key, est.error_key, est.sift, config.f_ec)
+    privacy = 1.0 - binary_entropy(min(0.5, e_ph_upper))
+    raw = est.sift * est.p_region * (est.p1 * est.q_weight * y_key * privacy
+                                     - est.gain_key * config.f_ec * binary_entropy(est.error_key))
     details = {"y_lower": {"Z": y_key, "X": y_test}, "gamma_key_upper": gamma_key,
                "overlap_real": float(est.overlap.real), **est.details,
                "diagnostics": diagnostics}
     return KeyRateReport(
         transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
-        analysis=config.analysis, rate=rate, rate_raw=raw, y1_lower=y_key,
+        analysis=config.analysis, rate=max(0.0, raw), rate_raw=raw, y1_lower=y_key,
         e_ph_upper=e_ph_upper, e_x_upper=e_x_upper, f_prime=f_prime,
         gain_key=est.gain_key, error_key=est.error_key, p_region_key=est.p_region,
         p1_given_region=est.p1, q_key_weight=est.q_weight, details=details,
-        provenance=_provenance(config, lp_log, est.nodes, solve_s))
+        provenance=provenance)
 
 
 def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float) -> dict:
@@ -591,17 +601,19 @@ def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float
             "timings": {"solve_s": solve_s}}
 
 
-def _zero_report(config: ProtocolConfig, distance_km: float, att_db: float,
-                 est: _Estimation, lp_log: list, solve_s: float, reason: str) -> KeyRateReport:
-    """Rate-zero report for a point whose yield bound vanished."""
+def _no_key_report(config: ProtocolConfig, distance_km: float, att_db: float, status: str,
+                   provenance: dict, est: _Estimation | None = None) -> KeyRateReport:
+    """Report of a point without a key: every bound at its no-key value.  A
+    zero-rate point keeps the key-basis inputs and diagnostics of its
+    estimation `est`; a failed point has none and reports zeros."""
+    gain, p_region, p1, q_weight = ((est.gain_key, est.p_region, est.p1, est.q_weight)
+                                    if est else (0.0, 0.0, 0.0, 0.0))
     return KeyRateReport(
         transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
-        analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
-        e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0,
-        gain_key=est.gain_key, error_key=0.0, p_region_key=est.p_region,
-        p1_given_region=est.p1, q_key_weight=est.q_weight, status=f"zero-rate: {reason}",
-        details={"diagnostics": list(est.diagnostics)},
-        provenance=_provenance(config, lp_log, est.nodes, solve_s))
+        analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0, e_ph_upper=0.5,
+        e_x_upper=1.0, f_prime=0.0, gain_key=gain, error_key=0.0, p_region_key=p_region,
+        p1_given_region=p1, q_key_weight=q_weight, status=status,
+        details={"diagnostics": list(est.diagnostics) if est else []}, provenance=provenance)
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
@@ -676,8 +688,7 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
         key = (round(cfg.mu_max, 12), round(cfg.delta_theta_z, 12),
                round(cfg.mu_in, 12), round(cfg.mu_i1, 12))
         if key not in cache:
-            if cfg.transmitter == "oil" and (cfg.mu_i1 > cfg.mu_in or cfg.mu_i2 > cfg.mu_in):
-                # invalid probe: a decoy above the signal intensity scores zero
+            if _no_oil_source(cfg):  # a probe with a decoy above the signal scores zero
                 cache[key] = 0.0
             else:
                 try:
@@ -712,11 +723,12 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
     report = reports[best] if best in reports else key_rate(best, distance_km, att_db)
     if report.rate <= 0.0 and report.status == "ok":
         report.status = "no positive rate over the search grid"
+    report.details["optimized"] = {name: getattr(best, name) for name in (
+        "mu_max", "delta_theta_z", "mu_in", "mu_i1")}
     return best, report
 
 
-def grid_key_rates(config: ProtocolConfig,
-                   tolerate_failures: bool = False) -> list[KeyRateReport]:
+def sweep(config: ProtocolConfig, tolerate_failures: bool = True) -> list[KeyRateReport]:
     """`key_rate` at every (distance, attenuation) grid point, in grid order.
 
     The passive source is built once per attenuation, on first use, and
@@ -725,64 +737,29 @@ def grid_key_rates(config: ProtocolConfig,
     report (a source that cannot be built fails every point at its
     attenuation); otherwise the first failure propagates.
     """
-    sources: dict = {}
-    return _over_grid(config, lambda distance, att: key_rate(
-        config, distance, att, source=_shared_source(sources, config, att)), tolerate_failures)
-
-
-def _over_grid(config: ProtocolConfig, evaluate, tolerate_failures: bool) -> list[KeyRateReport]:
+    sources: dict = {}  # attenuation -> passive source, or the failure building it raised
     reports = []
     for distance in config.distances_km:
         for att in config.att_db:
             try:
-                reports.append(evaluate(distance, att))
+                if config.transmitter == "passive" and att not in sources:
+                    try:
+                        sources[att] = passive_source(config, att)
+                    except FAILURES as exc:
+                        sources[att] = exc
+                if isinstance(sources.get(att), Exception):
+                    raise sources[att]
+                reports.append(key_rate(config, distance, att, source=sources.get(att)))
             except FAILURES as exc:
                 if not tolerate_failures:
                     raise
-                reports.append(_failed_report(config, distance, att, exc))
+                reports.append(_no_key_report(
+                    config, distance, att, f"failed: {exc}",
+                    {"config_hash": config_hash(config), "lp": getattr(exc, "lp_log", [])}))
     return reports
 
 
-def _shared_source(sources: dict, config: ProtocolConfig, att_db: float):
-    """The passive source at `att_db` from `sources`, built there on first
-    use; a build failure is kept and raised again for every distance."""
-    if config.transmitter != "passive":
-        return None
-    if att_db not in sources:
-        try:
-            sources[att_db] = passive_source(config, att_db)
-        except FAILURES as exc:
-            sources[att_db] = exc
-    if isinstance(sources[att_db], Exception):
-        raise sources[att_db]
-    return sources[att_db]
-
-
-def _failed_report(config: ProtocolConfig, distance_km: float, att_db: float,
-                   exc: Exception) -> KeyRateReport:
-    return KeyRateReport(
-        transmitter=config.transmitter, distance_km=distance_km, att_db=att_db,
-        analysis=config.analysis, rate=0.0, rate_raw=0.0, y1_lower=0.0,
-        e_ph_upper=0.5, e_x_upper=1.0, f_prime=0.0, gain_key=0.0,
-        error_key=0.0, p_region_key=0.0, p1_given_region=0.0,
-        q_key_weight=0.0, status=f"failed: {exc}", details={"diagnostics": []},
-        provenance={"config_hash": config_hash(config), "lp": getattr(exc, "lp_log", [])})
-
-
-def sweep(config: ProtocolConfig, optimize: bool = False) -> list[KeyRateReport]:
-    """One report per (distance, attenuation) grid point, in grid order.
-
-    Failures at single points are recorded in the report status and do
-    not abort the sweep.  Without `optimize` the passive source is built
-    once per attenuation (see `grid_key_rates`).
-    """
-    if optimize:
-        return _over_grid(config, lambda distance, att: optimize_point(config, distance, att)[1],
-                          tolerate_failures=True)
-    return grid_key_rates(config, tolerate_failures=True)
-
-
 def reports_to_csv(reports: list[KeyRateReport]) -> str:
-    lines = [csv_header()]
+    lines = [",".join(KeyRateReport.CSV_FIELDS)]
     lines.extend(r.csv_row() for r in reports)
     return "\n".join(lines) + "\n"

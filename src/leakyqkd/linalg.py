@@ -25,15 +25,15 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL, rtol: bool = True) -> np.ndarray:
+def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part.
 
-    The tolerance is relative to the largest matrix entry when `rtol`.
+    The tolerance is relative to the largest matrix entry (at least 1).
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    scale = max(1.0, float(np.max(np.abs(matrix)))) if rtol else 1.0
+    scale = max(1.0, float(np.max(np.abs(matrix))))
     asym = float(np.max(np.abs(matrix - matrix.conj().T)))
     if asym > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")

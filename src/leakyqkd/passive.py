@@ -210,18 +210,6 @@ def invert_phases(point: TargetPoint, phi_e: float, signs: tuple[int, int],
     return phi1, phi2, phi3, phi4
 
 
-def classify_region(point: TargetPoint, geometry: RegionGeometry,
-                    mu_max: float) -> RegionSpec | None:
-    """Post-selection outcome for one target point, or None if inconclusive."""
-    bit, basis, intensity = _classify_arrays(
-        np.atleast_1d(point.theta), np.atleast_1d(point.phi),
-        np.atleast_1d(point.mu), geometry, mu_max)
-    if bit[0] < 0 or intensity[0] < 0:
-        return None
-    return RegionSpec(bit=int(bit[0]), basis=BASES[int(basis[0])],
-                      intensity=INTENSITIES[int(intensity[0])])
-
-
 def _classify_arrays(theta, phi, mu, geometry, mu_max):
     g = geometry
     bit = np.full(theta.shape, -1, dtype=np.int8)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import coin, driver, lp, oil, passive
-from .fock import basis_index, coherent_components, enumerate_basis
+from .fock import basis_index, enumerate_basis
 from .linalg import hermitian_eigen
 
 
@@ -94,24 +94,6 @@ def vertex_enumeration_optimum(n_vars: int, constraints, objective, sense: str):
     return best
 
 
-def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
-    """Shared-yield three-intensity decoy bound on the single-photon yield.
-
-    Standard decoy program: one yield variable per photon number, common
-    to all intensities; solved exactly by vertex enumeration.
-    """
-    n_vars = n_cut + 1
-    constraints = []
-    for label in ("I0", "I1", "I2"):
-        p = np.asarray(probs[label][:n_vars], dtype=float)
-        q = float(gains[label])
-        constraints.append((p, "<=", q))
-        constraints.append((p, ">=", q - (1.0 - float(np.sum(p)))))
-    objective = np.zeros(n_vars)
-    objective[1] = 1.0
-    return vertex_enumeration_optimum(n_vars, constraints, objective, "min")
-
-
 # ---------------------------------------------------------------------------
 # Direct-expansion state oracles
 # ---------------------------------------------------------------------------
@@ -186,30 +168,6 @@ def oil_block_oracle(setting, params, n: int, phase_nodes: int = 512) -> np.ndar
             for phase in (np.arange(phase_nodes) + 0.5) * (2.0 * math.pi / phase_nodes)]
     full = _full_tensor_average(sets, mode_cut=n)
     return _extract_sector(full, basis, mode_cut=n)
-
-
-def oil_monte_carlo_estimate(setting, params, n: int, samples: int, seed: int):
-    """Monte-Carlo over the uniform seed phase: per-sample n-photon block.
-
-    Within a fixed photon-number sector the seed phase cancels exactly,
-    so the sampled mean matches the analytic block with zero variance;
-    the estimate still exercises the sampling route end to end.
-    Returns (mean block, per-entry standard error of the real part).
-    """
-    rng = np.random.default_rng(seed)
-    basis = oil.oil_basis(n)
-    base = oil.setting_amplitudes(setting, params)
-    norm = math.exp(-float(np.sum(np.abs(base) ** 2)))
-    mean = np.zeros((basis.dim, basis.dim), dtype=complex)
-    sq = np.zeros((basis.dim, basis.dim))
-    for phase in rng.uniform(0.0, 2.0 * math.pi, size=samples):
-        vec = coherent_components(base * np.exp(1j * phase), basis)
-        block = norm * np.outer(vec, vec.conj())
-        mean += block
-        sq += block.real ** 2
-    mean /= samples
-    var = np.clip(sq / samples - mean.real ** 2, 0.0, None)
-    return mean, np.sqrt(var / samples)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Each one restates a quantity the package computes another way (a region
 state from `region_moments`, a leakage intensity from the branch
 amplitudes, a click probability from the channel statistics, an
 injection-locked state from its blocks instead of `oil.emission_sectors`,
-a coin tangent in scalar arithmetic instead of on arrays), so that a test
-can check the two against each other.
+or from sampled seed phases, a coin tangent in scalar arithmetic instead
+of on arrays, the region of one target point, the textbook decoy bound
+that the yield program reduces to at unit fidelity), so that a test can
+check the two against each other.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from leakyqkd.channel import transmittance
 from leakyqkd.coin import bures_chain_bound
 from leakyqkd.fock import coherent_components
 from leakyqkd.linalg import _psd_root_factor, bures_from_fidelity, fidelity
+from leakyqkd.validation import vertex_enumeration_optimum
 
 
 class ConvergenceError(RuntimeError):
@@ -176,3 +179,57 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     factor, v = _psd_root_factor(matrix)
     out = factor @ v.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def classify_region(point, geometry, mu_max):
+    """Post-selection outcome (a `passive.RegionSpec`) for one target point,
+    or None if inconclusive."""
+    bit, basis, intensity = passive._classify_arrays(
+        np.atleast_1d(point.theta), np.atleast_1d(point.phi),
+        np.atleast_1d(point.mu), geometry, mu_max)
+    if bit[0] < 0 or intensity[0] < 0:
+        return None
+    return passive.RegionSpec(bit=int(bit[0]), basis=passive.BASES[int(basis[0])],
+                              intensity=passive.INTENSITIES[int(intensity[0])])
+
+
+def oil_monte_carlo_estimate(setting, params, n: int, samples: int, seed: int):
+    """Monte-Carlo over the uniform seed phase: per-sample n-photon block.
+
+    Within a fixed photon-number sector the seed phase cancels exactly,
+    so the sampled mean matches the analytic block with zero variance;
+    the estimate still exercises the sampling route end to end.
+    Returns (mean block, per-entry standard error of the real part).
+    """
+    rng = np.random.default_rng(seed)
+    basis = oil.oil_basis(n)
+    base = oil.setting_amplitudes(setting, params)
+    norm = math.exp(-float(np.sum(np.abs(base) ** 2)))
+    mean = np.zeros((basis.dim, basis.dim), dtype=complex)
+    sq = np.zeros((basis.dim, basis.dim))
+    for phase in rng.uniform(0.0, 2.0 * math.pi, size=samples):
+        vec = coherent_components(base * np.exp(1j * phase), basis)
+        block = norm * np.outer(vec, vec.conj())
+        mean += block
+        sq += block.real ** 2
+    mean /= samples
+    var = np.clip(sq / samples - mean.real ** 2, 0.0, None)
+    return mean, np.sqrt(var / samples)
+
+
+def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
+    """Shared-yield three-intensity decoy bound on the single-photon yield.
+
+    Standard decoy program: one yield variable per photon number, common
+    to all intensities; solved exactly by vertex enumeration.
+    """
+    n_vars = n_cut + 1
+    constraints = []
+    for label in ("I0", "I1", "I2"):
+        p = np.asarray(probs[label][:n_vars], dtype=float)
+        q = float(gains[label])
+        constraints.append((p, "<=", q))
+        constraints.append((p, ">=", q - (1.0 - float(np.sum(p)))))
+    objective = np.zeros(n_vars)
+    objective[1] = 1.0
+    return vertex_enumeration_optimum(n_vars, constraints, objective, "min")

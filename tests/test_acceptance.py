@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import mixed_state, projected_fidelity_bound
+from helpers import (mixed_state, oil_monte_carlo_estimate, projected_fidelity_bound,
+                     textbook_decoy_bound)
 from leakyqkd import channel, coin, driver, lp, oil, passive, validation
 from leakyqkd.linalg import fidelity
 
@@ -87,8 +88,7 @@ def test_criterion_1_state_construction_matches_monte_carlo():
         for basis_label, intensity in (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2")):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
             for n in range(3):
-                mean, se = validation.oil_monte_carlo_estimate(setting, params, n,
-                                                               10_000, oil_seed)
+                mean, se = oil_monte_carlo_estimate(setting, params, n, 10_000, oil_seed)
                 oil_seed += 1
                 analytic = oil.state_block(setting, params, n)
                 deviation = np.abs(analytic - mean)
@@ -274,8 +274,8 @@ def test_criterion_5_lp_soundness_and_tightness():
         gains = np.array([1.0 - (1.0 - 1e-6) ** 2 * math.exp(-eta * mu) for mu in (mu0, mu1, mu2)])
         refs = 1.0 - (1.0 - 1e-6) ** 2 * (1.0 - eta) ** np.arange(5)
         ours = lp.solve(lp.yield_program(gains, probs, np.ones((3, 5)), refs)).value
-        textbook = validation.textbook_decoy_bound(dict(zip(INTENSITIES, probs)),
-                                                   dict(zip(INTENSITIES, gains)), 4)
+        textbook = textbook_decoy_bound(dict(zip(INTENSITIES, probs)),
+                                        dict(zip(INTENSITIES, gains)), 4)
         ok &= abs(ours - textbook) <= 1e-6
         detail_decoy = f"decoy deviation {abs(ours - textbook):.1e}"
 

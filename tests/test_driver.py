@@ -379,6 +379,24 @@ def test_failed_sweep_row_keeps_its_lp_records(monkeypatch):
     assert report.csv_row().split(",")[-3:-1] == ["0", ""]
 
 
+def test_failed_and_zero_rate_rows_carry_the_same_no_key_values(monkeypatch):
+    point = {"distances_km": (350.0,), "att_db": (10.0,)}
+    (zero,) = driver.sweep(dataclasses.replace(OIL_CONFIG, **point))
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleProgramError("X yield program is infeasible")
+
+    monkeypatch.setattr(driver, "key_rate", infeasible)
+    (failed,) = driver.sweep(dataclasses.replace(OIL_CONFIG, **point))
+    assert zero.status.startswith("zero-rate:") and failed.status.startswith("failed:")
+    cells = [dict(zip(driver.KeyRateReport.CSV_FIELDS, r.csv_row().split(",")))
+             for r in (zero, failed)]
+    no_key = {"R": "0.0", "R_raw": "0.0", "Y1L": "0.0", "eph_U": "0.5", "eX_U": "1.0",
+              "F_prime": "0.0", "E_key": "0.0"}
+    for row in cells:
+        assert {name: row[name] for name in no_key} == no_key
+
+
 def test_ok_reports_of_both_transmitters_share_their_keys():
     passive_report = driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12)
     oil_report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
@@ -473,6 +491,26 @@ def test_cli_invalid_config_exit_code(tmp_path):
     result = run_cli("rate", "--config", str(config_file))
     assert result.returncode == 3
     assert "invalid configuration" in result.stderr
+
+
+@pytest.mark.parametrize("command, config", [
+    *[(command, config) for command in ("rate", "optimize") for config in (
+        {"optimizer": 5}, {"distances_km": "50"}, {"distances_km": [-5]}, {"att_db": [-5]},
+        {"quadrature_nodes": 2})],
+    ("rate", {"mu_max": -1}),
+    ("rate", {"transmitter": "oil", "mu_i1": 0.9}),
+    ("optimize", {"optimizer": {"passes": "2"}}),
+])
+def test_cli_rejects_bad_config_values_before_evaluating(command, config, tmp_path, capsys,
+                                                         monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("evaluated a bad configuration")
+
+    monkeypatch.setattr(driver, "key_rate", not_reached)
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(config_file)]) == 3
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
 
 
 def test_cli_optimize_reports_parameters(tmp_path):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import region_average
+from helpers import region_average, textbook_decoy_bound
 from leakyqkd import driver, lp, passive, validation
-from leakyqkd.validation import textbook_decoy_bound, vertex_enumeration_optimum
+from leakyqkd.validation import vertex_enumeration_optimum
 
 DATA = Path(__file__).parent / "data"
 INTENSITIES = ("I0", "I1", "I2")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from helpers import ConvergenceError, joint_pdf, leakage_functions, region_average
+from helpers import (ConvergenceError, classify_region, joint_pdf, leakage_functions,
+                     region_average)
 from leakyqkd import channel, passive
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
                                  passive_block_oracle, sample_target_variables,
@@ -123,20 +124,20 @@ def test_density_matches_sampled_box_frequency():
 def test_classify_examples():
     geometry = passive.RegionGeometry(delta_theta_z=0.1, delta_theta_x=0.11,
                                       delta_phi_x=0.09, t1=0.05, t2=0.01)
-    spec = passive.classify_region(
+    spec = classify_region(
         passive.TargetPoint(theta=0.05, phi=1.0, mu=0.9 * MU_MAX), geometry, MU_MAX)
     assert (spec.bit, spec.basis, spec.intensity) == (0, "Z", "I0")
-    spec = passive.classify_region(
+    spec = classify_region(
         passive.TargetPoint(theta=math.pi / 2, phi=0.05, mu=0.03 * MU_MAX), geometry, MU_MAX)
     assert (spec.bit, spec.basis, spec.intensity) == (0, "X", "I1")
-    assert passive.classify_region(
+    assert classify_region(
         passive.TargetPoint(theta=math.pi / 2, phi=math.pi / 2, mu=0.5 * MU_MAX),
         geometry, MU_MAX) is None
 
 
 def test_classify_bit1_x_wraps_branch_cut():
     geometry = passive.RegionGeometry(delta_theta_z=0.1)
-    spec = passive.classify_region(
+    spec = classify_region(
         passive.TargetPoint(theta=math.pi / 2, phi=-math.pi + 0.05, mu=0.4 * MU_MAX),
         geometry, MU_MAX)
     assert (spec.bit, spec.basis) == (1, "X")
