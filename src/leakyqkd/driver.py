@@ -67,6 +67,10 @@ class OptimizerSettings:
     def __post_init__(self):
         if self.search_nodes < passive.MIN_NODES:
             raise ValueError(f"search_nodes must be >= {passive.MIN_NODES}")
+        for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket"):
+            ends = getattr(self, name)
+            if len(ends) != 2 or not 0.0 < ends[0] < ends[1] < math.inf:
+                raise ValueError(f"{name} must be two numbers with 0 < lo < hi")
 
 
 @dataclass(frozen=True)
@@ -232,14 +236,18 @@ def _channel(config: ProtocolConfig, distance_km: float) -> channel_mod.ChannelP
                                      f_ec=config.f_ec)
 
 
-def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list) -> float:
-    """Solve one program and append its record (see `_provenance`) to `lp_log`;
-    an infeasible program raises with `lp_log` attached."""
-    solution = lp.solve(spec)
+def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list,
+                    starts: dict | None = None) -> float:
+    """Solve one program, warm from `starts[label]` when `starts` is given (its
+    final basis replaces that entry), and append its record (see `_provenance`)
+    to `lp_log`; an infeasible program raises with `lp_log` attached."""
+    solution = lp.solve(spec) if starts is None else lp.solve(spec, starts.get(label))
+    if starts is not None:
+        starts[label] = solution.basis
     lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
                    "relaxation": solution.relaxation, "bound": solution.bound,
                    "relaxed_value": solution.relaxed_value, "iterations": solution.iterations,
-                   "rows": len(spec.b), "cols": len(spec.variables)})
+                   "rows": len(spec.b), "cols": len(spec.variables), "start": solution.start})
     if solution.status != "optimal":
         exc = InfeasibleProgramError(f"{label} program is {solution.status}")
         exc.lp_log = lp_log  # the records up to and including this program
@@ -552,14 +560,14 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
 # ---------------------------------------------------------------------------
 
 def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
-              est: _Estimation) -> KeyRateReport:
-    """Solve the programs, bound the phase error through the coin overlap
-    and evaluate the rate."""
+              est: _Estimation, starts: dict | None = None) -> KeyRateReport:
+    """Solve the programs (warm from `starts`, see `_solve_or_raise`), bound
+    the phase error through the coin overlap and evaluate the rate."""
     lp_log: list = []
     start = time.perf_counter()
-    y_lower = {basis: min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log)))
+    y_lower = {basis: min(1.0, max(0.0, _solve_or_raise(spec, f"{basis} yield", lp_log, starts)))
                for basis, spec in est.yield_specs.items()}
-    gammas = [min(1.0, max(0.0, _solve_or_raise(spec, label, lp_log)))
+    gammas = [min(1.0, max(0.0, _solve_or_raise(spec, label, lp_log, starts)))
               for label, spec in est.error_specs.items()]
     provenance = _provenance(config, lp_log, est.nodes, time.perf_counter() - start)
     gamma_key = sum(gammas) / len(gammas)
@@ -593,9 +601,9 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
 
 def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float) -> dict:
     """Config hash, grid, one record per solved program (label, status,
-    attempts, relaxation level, the bound reported and a relaxed attempt's
-    own optimum (see `lp.solve`), iterations, rows, columns), their summed
-    `lp_iterations` (a CSV column) and their time, `timings["solve_s"]`."""
+    attempts, relaxation, bound, relaxed_value and start (see `lp.solve`),
+    iterations, rows, columns), their summed `lp_iterations` (a CSV column)
+    and their time, `timings["solve_s"]`."""
     return {"config_hash": config_hash(config), "nodes": nodes,
             "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log,
             "timings": {"solve_s": solve_s}}
@@ -617,13 +625,14 @@ def _no_key_report(config: ProtocolConfig, distance_km: float, att_db: float, st
 
 
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
-             nodes: int | None = None,
-             source: PassiveSource | None = None) -> KeyRateReport:
+             nodes: int | None = None, source: PassiveSource | None = None,
+             starts: dict | None = None) -> KeyRateReport:
     """One grid point, with the stage timings in `provenance["timings"]`.
 
     Passive: `nodes` overrides the config's quadrature grid, and `source`,
     from `passive_source` with the same config, attenuation and grid,
     skips the quadrature.  The injection-locked transmitter uses neither.
+    `starts` warm-starts the programs (see `_solve_or_raise`).
     """
     timings = {}
     if config.transmitter == "passive":
@@ -641,7 +650,7 @@ def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     start = time.perf_counter()
     est = (_oil_estimation(config, distance_km, att_db) if source is None
            else _passive_estimation(config, source, distance_km))
-    report = _estimate(config, distance_km, att_db, est)
+    report = _estimate(config, distance_km, att_db, est, starts)
     timings["channel_s"] = time.perf_counter() - start
     report.provenance["timings"] = {**timings, **report.provenance["timings"]}
     return report
@@ -675,13 +684,14 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
 
     Passive: (mu_max, delta_theta_z).  Injection-locked: the two highest
     test-basis intensities (mu_in, mu_i1), the weakest being pinned.
-    The search runs on a coarse quadrature grid; the winning parameters
-    are re-evaluated at the production grid for the returned report.  The
+    The search runs on a coarse quadrature grid, each probe's programs warm
+    from the final bases of the previous probe's; the winning parameters are
+    re-evaluated, cold, at the production grid for the returned report.  The
     injection-locked transmitter has no grid, so its winning probe's report
     is returned as it is.
     """
     settings = config.optimizer
-    cache: dict = {}
+    cache, bases = {}, {}  # bases: program label -> its latest final basis
     reports: dict = {}  # injection-locked: the reports of the latest line search
 
     def evaluate(cfg: ProtocolConfig) -> float:
@@ -692,7 +702,7 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 cache[key] = 0.0
             else:
                 try:
-                    report = key_rate(cfg, distance_km, att_db, nodes=settings.search_nodes)
+                    report = key_rate(cfg, distance_km, att_db, settings.search_nodes, starts=bases)
                     cache[key] = report.rate
                     if cfg.transmitter == "oil":
                         reports[cfg] = report

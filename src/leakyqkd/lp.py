@@ -3,9 +3,11 @@
 Every program is one `LinearProgram` in array form (c, a, b, upper)
 over variables boxed to [0, 1], solved by a small two-phase simplex
 (Dantzig pricing with a deterministic switch to Bland's anti-cycling
-rule on stalls).  Four builders write the estimation programs row by
-row into that form, from pre-computed fidelity (lower bounds) and
-channel-model reference points for the tangent linearisation:
+rule on stalls), or warm from a neighbouring program's optimal basis
+when it still passes the phase-2 optimality test; any other start falls
+back to the cold solve (`solve`).  Four builders write the estimation
+programs row by row into that form, from pre-computed fidelity (lower
+bounds) and channel-model reference points for the tangent linearisation:
 
 * baseline yield program: minimise the single-photon signal yield under
   two-sided decoy constraints and tangent-relaxed coin constraints
@@ -23,6 +25,7 @@ order); a bit or outcome axis, where there is one, leads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -91,6 +94,8 @@ class LPSolution:
     # dual certificate of the unrelaxed program; `bound` names the winner
     relaxed_value: float | None = None
     bound: str = "simplex"  # "simplex" (unrelaxed) | "relaxed" | "certificate"
+    basis: np.ndarray | None = None  # the final basis; None if an artificial stays basic
+    start: str = "cold"  # "warm": the solve that counted started from a given basis
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -157,25 +162,34 @@ def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, i
                 bland = True
 
 
-def solve(program: LinearProgram) -> LPSolution:
+def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
     """Two-phase simplex; deterministic for identical input.
 
-    Highly degenerate sliver polytopes (all observables orders of
-    magnitude below the box bounds) can defeat the plain ratio test, so
-    when phase 1 finds no feasible point, an attempt runs out of
-    PIVOT_BUDGET, or the solution fails the feasibility check, the solve
-    is retried with a tiny deterministic relaxation of every constraint
-    (the levels of RELAXATIONS).  Relaxation is safe for the bounds
-    computed here: minima only decrease and maxima only increase, both
-    in the conservative direction.  The returned solution records the
-    level it used and the number of attempts; an "infeasible" verdict
-    stands only after the last level.  A relaxed optimum is looser than
-    the unrelaxed one by the multipliers times the relaxation, so a relaxed
-    attempt reports the tighter of it and a weak-duality bound on the
-    unrelaxed program (`_dual_bound`), from the multipliers its final
-    basis takes after a few pivots towards the unrelaxed right-hand side
-    (`_reoptimize`); unrelaxed attempts are reported as solved.
+    Sliver polytopes (all observables far below the box bounds) can defeat
+    the plain ratio test, so when phase 1 finds no feasible point, an
+    attempt runs out of PIVOT_BUDGET, or the solution fails the
+    feasibility check, the solve is retried with every constraint relaxed
+    by the next level of RELAXATIONS (recorded with the attempts);
+    "infeasible" stands only after the last.  Relaxing is safe here: minima
+    only decrease and maxima only increase.  A relaxed attempt reports the
+    tighter of its optimum and a weak-duality bound on the unrelaxed
+    program (`_dual_bound`) from its final basis's multipliers, re-optimised
+    for the unrelaxed right-hand side (`_reoptimize`).
+
+    `start`, the `basis` of a solution of a program of the same shape, is
+    tried first, unrelaxed and factored on this program's data: it counts
+    with no pivot when its basic values and reduced costs are all >=
+    -PIVOT_TOL (the phase-2 test), else after dual, then primal pivots
+    (`_reoptimize`) within CLEANUP_PIVOTS.  A start of another length, or
+    singular, neither primal nor dual feasible, over that budget, or with
+    an optimum failing the feasibility check, gives way to the cold ones.
     """
+    if start is not None and len(start) == len(program.b) + len(program.variables):
+        solution = _solve_once(program, np.asarray(start))
+        if solution.status == "optimal":
+            with contextlib.suppress(RuntimeError):
+                _verify_feasible(program, solution.x)
+                return replace(solution, start="warm")
     outcome: LPSolution | Exception | None = None
     for attempt, perturbation in enumerate(RELAXATIONS, start=1):
         solution = _solve_once(program, perturbation)
@@ -204,7 +218,11 @@ def _reduced_costs(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> 
     return cost_row
 
 
-def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
+def _solve_once(program: LinearProgram, level) -> LPSolution:
+    """One attempt: at relaxation `level`, or unrelaxed from the basis `level` (an index
+    array), one argument so that wrappers of (program, level), as the benchmark tracer's,
+    see every attempt."""
+    start, perturbation = (level, 0.0) if isinstance(level, np.ndarray) else (None, level)
     m_con, n = program.a.shape
     m = m_con + n
     # columns: structural | one slack per row | artificials | rhs.  Rows:
@@ -230,12 +248,17 @@ def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
     basis = np.arange(n, n + m)
     basis[art_rows] = art_cols
     allowed = np.ones(n + m + n_art, dtype=bool)
+    cost = np.zeros(n + m + n_art + 1)
+    cost[:n] = program.c if program.sense == "min" else -program.c
 
     iterations = 0
-    if n_art:
-        cost = np.zeros(n + m + n_art + 1)
-        cost[art_cols] = 1.0
-        cost_row = _reduced_costs(cost, tableau, basis)
+    if start is not None:
+        allowed[n + m:] = False
+        status, iterations = _from_basis(tableau, basis, original, cost, start, allowed)
+    elif n_art:
+        phase_one = np.zeros(n + m + n_art + 1)
+        phase_one[art_cols] = 1.0
+        cost_row = _reduced_costs(phase_one, tableau, basis)
         status, iterations = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET)
         if status == "unfinished":
             return LPSolution(status=status, value=None, x=None, iterations=iterations)
@@ -250,11 +273,10 @@ def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
                     _pivot(tableau, basis, r, int(pivot_cols[0]))
                     iterations += 1
 
-    cost = np.zeros(n + m + n_art + 1)
-    cost[:n] = program.c if program.sense == "min" else -program.c
-    cost_row = _reduced_costs(cost, tableau, basis)
-    status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
-    iterations += its
+    if start is None:
+        cost_row = _reduced_costs(cost, tableau, basis)
+        status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
+        iterations += its
     if status != "optimal":
         return LPSolution(status=status, value=None, x=None, iterations=iterations)
 
@@ -267,55 +289,73 @@ def _solve_once(program: LinearProgram, perturbation: float) -> LPSolution:
         values[basis] = tableau[:, -1]
     x = values[:n].copy()
     value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
+    final = basis.copy() if basis.max() < n + m else None
     if perturbation == 0.0:
-        return LPSolution(status="optimal", value=value, x=x, iterations=iterations)
-    start = n + np.arange(m)  # the starting basis, whose columns now hold B^-1
-    start[art_rows] = art_cols
+        return LPSolution(status="optimal", value=value, x=x, iterations=iterations, basis=final)
+    initial = n + np.arange(m)  # the starting basis, whose columns now hold B^-1
+    initial[art_rows] = art_cols
     unrelaxed = np.concatenate([program.b, np.ones(n)])
     unrelaxed[flip] *= -1.0
-    certified = _dual_bound(program, _reoptimize(tableau, basis, cost_row, allowed,
-                                                 tableau[:, start] @ unrelaxed)[n:n + m_con])
+    tableau[:, -1] = tableau[:, initial] @ unrelaxed
+    _reoptimize(tableau, basis, cost_row, allowed)
+    certified = _dual_bound(program, cost_row[n:n + m_con])
     tighter = max(value, certified) if program.sense == "min" else min(value, certified)
     return LPSolution(status="optimal", value=tighter, x=x, iterations=iterations,
-                      relaxed_value=value,
+                      basis=final, relaxed_value=value,
                       bound="certificate" if tighter == certified else "relaxed")
 
 
-def _reoptimize(tableau, basis, cost_row, allowed, rhs, budget: int = CLEANUP_PIVOTS):
-    """Reduced costs after re-optimising an optimal basis for the basic
-    solution `rhs` (B^-1 times a new right-hand side); works on copies.
+def _reoptimize(tableau, basis, cost_row, allowed, floor: float = 0.0) -> tuple[str, int]:
+    """(status, pivots) of re-optimising in place, within CLEANUP_PIVOTS, a
+    basis whose basic solution (the last column of `tableau`) may be infeasible.
 
-    While `rhs` has a negative entry a dual simplex pivot (Harris's
+    While it has an entry below `floor` a dual simplex pivot (Harris's
     two-pass ratio test) restores feasibility and keeps the reduced costs
     nonnegative; once it is feasible, primal pivots take out the reduced
     costs below -DUAL_TOL that the phase-2 optimality test (-PIVOT_TOL)
     accepted.  Each costs the weak-duality bound up to its size.
     """
-    tableau, basis, cost_row = tableau.copy(), basis.copy(), cost_row.copy()
-    tableau[:, -1] = rhs
-    for _ in range(budget):
+    for pivots in range(CLEANUP_PIVOTS):
         row = int(np.argmin(tableau[:, -1]))
-        if tableau[row, -1] < 0.0:
+        if tableau[row, -1] < floor:
             entries = tableau[row, :-1]
             cols = np.flatnonzero(allowed & (entries < -PIVOT_TOL))
             if cols.size == 0:
-                break
+                return "unfinished", pivots
             # the largest pivot among the columns whose ratio is within
             # DUAL_TOL of the smallest
-            reduced, pivots = np.maximum(cost_row[cols], 0.0), -entries[cols]
-            near = cols[reduced / pivots <= np.min((reduced + DUAL_TOL) / pivots)]
+            reduced, sizes = np.maximum(cost_row[cols], 0.0), -entries[cols]
+            near = cols[reduced / sizes <= np.min((reduced + DUAL_TOL) / sizes)]
             col = int(near[np.argmax(-entries[near])])
         else:
             cols = np.flatnonzero(allowed & (cost_row[:-1] < -DUAL_TOL))
             if cols.size == 0:
-                break
+                return "optimal", pivots
             col = int(cols[np.argmin(cost_row[cols])])
             row = _choose_leaving(tableau, basis, col)
             if row < 0:
-                break
+                return "unfinished", pivots
         _pivot(tableau, basis, row, col)
         cost_row -= cost_row[col] * tableau[row]
-    return cost_row
+    return "unfinished", CLEANUP_PIVOTS
+
+
+def _from_basis(tableau, basis, original, cost, start, allowed) -> tuple[str, int]:
+    """Carry the standard form, in place, from the basis `start` to an optimum (see `solve`)."""
+    matrix = original[:, start]
+    try:  # B x_B = rhs and B^T y = c_B
+        x_basic = np.linalg.solve(matrix, tableau[:, -1])
+        reduced = cost[:-1] - np.linalg.solve(matrix.T, cost[start]) @ original
+    except np.linalg.LinAlgError:
+        return "unfinished", 0
+    primal, dual = x_basic.min() >= -PIVOT_TOL, reduced[allowed].min() >= -PIVOT_TOL
+    if not (primal or dual):
+        return "unfinished", 0
+    basis[:] = start
+    if primal and dual:
+        return "optimal", 0
+    tableau[:] = np.linalg.solve(matrix, tableau)
+    return _reoptimize(tableau, basis, _reduced_costs(cost, tableau, basis), allowed, -PIVOT_TOL)
 
 
 def _dual_bound(program: LinearProgram, reduced: np.ndarray) -> float:

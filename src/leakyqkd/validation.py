@@ -371,22 +371,35 @@ def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
     return worst <= 1e-10, f"{nodes} vs {2 * nodes} nodes: largest mass/trace drift {worst:.1e}"
 
 
+def random_program(rng) -> lp.LinearProgram:
+    """A random feasible program: 3-5 variables and 4-8 <= rows, each with
+    slack at a common interior point of the unit box."""
+    n = int(rng.integers(3, 6))
+    m = int(rng.integers(4, 9))
+    interior = rng.uniform(0.2, 0.8, size=n)
+    a = rng.normal(size=(m, n))
+    slack = rng.uniform(0.05, 0.5, size=m)
+    b = a @ interior + slack
+    c = rng.normal(size=n)
+    sense = "min" if rng.integers(2) == 0 else "max"
+    return lp.LinearProgram(variables=tuple(f"x{i}" for i in range(n)), sense=sense, c=c, a=a,
+                            b=b, upper=np.ones(m, dtype=bool))
+
+
+def program_vertex_optimum(program: lp.LinearProgram):
+    """`vertex_enumeration_optimum` of a program in array form."""
+    rows = [(a_r, "<=" if upper else ">=", float(b_r))
+            for a_r, b_r, upper in zip(program.a, program.b, program.upper)]
+    return vertex_enumeration_optimum(len(program.variables), rows, program.c, program.sense)
+
+
 def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(4, 9))
-        interior = rng.uniform(0.2, 0.8, size=n)
-        a = rng.normal(size=(m, n))
-        slack = rng.uniform(0.05, 0.5, size=m)
-        b = a @ interior + slack
-        c = rng.normal(size=n)
-        sense = "min" if rng.integers(2) == 0 else "max"
-        got = lp.solve(lp.LinearProgram(variables=tuple(f"x{i}" for i in range(n)), sense=sense,
-                                        c=c, a=a, b=b, upper=np.ones(m, dtype=bool)))
-        reference = vertex_enumeration_optimum(
-            n, [(a[r], "<=", float(b[r])) for r in range(m)], c, sense)
+        program = random_program(rng)
+        got = lp.solve(program)
+        reference = program_vertex_optimum(program)
         if got.status != "optimal" or reference is None:
             return False, "solver or oracle failed on a feasible program"
         worst = max(worst, abs(got.value - reference))

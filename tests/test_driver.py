@@ -345,14 +345,44 @@ def test_lp_provenance_has_one_record_per_program():
         assert [r["label"] for r in records] == labels
         for record in records:
             assert set(record) == {"label", "status", "attempts", "relaxation", "bound",
-                                   "relaxed_value", "iterations", "rows", "cols"}
-            assert record["status"] == "optimal"
+                                   "relaxed_value", "iterations", "rows", "cols", "start"}
+            assert (record["status"], record["start"]) == ("optimal", "cold")
             assert record["relaxation"] in (0.0, 1e-10, 1e-8)
             assert (record["bound"] == "simplex") == (record["relaxed_value"] is None) \
                 == (record["relaxation"] == 0.0)
             assert record["rows"] > record["cols"] > 0
         assert report.provenance["lp_iterations"] == sum(r["iterations"] for r in records)
     assert refined.provenance["lp"][2]["cols"] == 84
+
+
+def test_oil_optimizer_probes_start_warm(monkeypatch):
+    real_solve = driver.lp.solve
+    started = []
+
+    def recorded(spec, start=None):
+        solution = real_solve(spec, start)
+        if start is not None:
+            started.append((spec, solution))
+        return solution
+
+    monkeypatch.setattr(driver.lp, "solve", recorded)
+    driver.optimize_point(OIL_CONFIG, 100.0, 120.0)
+    warm = [(spec, s) for spec, s in started if s.start == "warm"]
+    assert len(started) > 50 and len(warm) >= 0.9 * len(started)
+    assert all(s.attempts == 1 and s.relaxation == 0.0 for _, s in warm)
+    assert 10 * sum(s.iterations for _, s in warm) < sum(real_solve(spec).iterations
+                                                         for spec, _ in warm)
+
+
+def test_sweep_and_passive_production_reports_solve_cold():
+    reports = driver.sweep(dataclasses.replace(OIL_CONFIG, distances_km=(50.0, 100.0),
+                                               att_db=(30.0, 120.0)))
+    settings = driver.OptimizerSettings(passes=1, iterations=2, search_nodes=4)
+    _, passive_best = driver.optimize_point(
+        dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=8, optimizer=settings), 50.0, 120.0)
+    records = [r for report in [*reports, passive_best] for r in report.provenance["lp"]]
+    assert len(records) == 4 * 3 + 4
+    assert {r["start"] for r in records} == {"cold"}
 
 
 def test_failed_sweep_row_keeps_its_lp_records(monkeypatch):
@@ -500,6 +530,10 @@ def test_cli_invalid_config_exit_code(tmp_path):
     ("rate", {"mu_max": -1}),
     ("rate", {"transmitter": "oil", "mu_i1": 0.9}),
     ("optimize", {"optimizer": {"passes": "2"}}),
+    *[("optimize", {"optimizer": {name: bracket}})
+      for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket")
+      for bracket in ([0.5], [-1, 1], [0.5, 0.2], [0.1, 0.5, 0.9], ["a", 1])],
+    ("optimize", {"transmitter": "oil", "optimizer": {"oil_intensity_bracket": [-1, 1]}}),
 ])
 def test_cli_rejects_bad_config_values_before_evaluating(command, config, tmp_path, capsys,
                                                          monkeypatch):
