@@ -36,7 +36,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
 from .lp import INTENSITIES, INTENSITY_PAIRS, InfeasibleProgramError
-from .linalg import factor_fidelity, fidelity, pure_state_fidelity
+from .linalg import density_factor, factor_fidelity, fidelity, pure_state_fidelity
 
 BITS = (0, 1)
 BASES = ("Z", "X")
@@ -265,18 +265,6 @@ def _recorded(diagnostics: list, func, *args, label: str = ""):
     return result
 
 
-def _cross_fidelity(mom_i, mom_j, n: int) -> float:
-    """Exact fidelity on full blocks; projection chain bound on truncated ones."""
-    rho_i = mom_i.normalized_block(n)
-    rho_j = mom_j.normalized_block(n)
-    f_proj = fidelity(rho_i, rho_j)
-    t_i = mom_i.trace_fraction(n)
-    t_j = mom_j.trace_fraction(n)
-    if t_i >= 1.0 - 1e-12 and t_j >= 1.0 - 1e-12:
-        return f_proj
-    return coin.bures_chain_bound(t_i, t_j, f_proj)
-
-
 @dataclass(frozen=True)
 class _Estimation:
     """What `_estimate` needs from one transmitter at one grid point.
@@ -363,8 +351,17 @@ def _decoy_inputs(groups: list, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon probabilities and INTENSITY_PAIRS fidelities [group, I or pair,
     n] of groups of three region moments in INTENSITIES order."""
     probs = np.array([[m.photon_probabilities()[:n_cut + 1] for m in group] for group in groups])
-    fids = np.array([[[_cross_fidelity(group[i], group[j], n) for n in range(n_cut + 1)]
-                      for i, j in lp.PAIR_ENDS] for group in groups])
+    fids = np.empty((len(groups), len(lp.PAIR_ENDS), n_cut + 1))
+    for g, group in enumerate(groups):
+        for n in range(n_cut + 1):
+            # each block is checked and factored once, for both of its pairs
+            factors = [density_factor(m.normalized_block(n)) for m in group]
+            for p, (i, j) in enumerate(lp.PAIR_ENDS):
+                f_proj = float(factor_fidelity(factors[i], factors[j]))
+                t_i, t_j = group[i].trace_fraction(n), group[j].trace_fraction(n)
+                # exact on full blocks; projection chain bound on truncated ones
+                fids[g, p, n] = (f_proj if min(t_i, t_j) >= 1.0 - 1e-12
+                                 else coin.bures_chain_bound(t_i, t_j, f_proj))
     return probs, fids
 
 

@@ -81,17 +81,22 @@ def factor_fidelity(a: np.ndarray, b: np.ndarray):
     return np.where(same, 1.0, np.minimum(1.0, root * root))
 
 
+def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """PSD-root factor V D (rho = V D^2 V^H) of a unit-trace PSD matrix, for
+    `factor_fidelity`; `name` labels the matrix in the errors."""
+    return _psd_root_factor(_require_density(rho, name))[0]
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
     Both arguments must be unit-trace PSD matrices of the same dimension;
-    `factor_fidelity` of their PSD-root factors V D (rho = V D^2 V^H).
+    `factor_fidelity` of their `density_factor`s.
     """
-    rho = _require_density(rho, "rho")
-    sigma = _require_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return float(factor_fidelity(_psd_root_factor(rho)[0], _psd_root_factor(sigma)[0]))
+    a, b = density_factor(rho, "rho"), density_factor(sigma, "sigma")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(factor_fidelity(a, b))
 
 
 def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:

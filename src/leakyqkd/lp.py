@@ -4,23 +4,20 @@ Every program is one `LinearProgram` in array form (c, a, b, upper)
 over variables boxed to [0, 1], solved by a small two-phase simplex
 (Dantzig pricing with a deterministic switch to Bland's anti-cycling
 rule on stalls), or warm from a neighbouring program's optimal basis
-when it still passes the phase-2 optimality test; any other start falls
-back to the cold solve (`solve`).  Four builders write the estimation
-programs row by row into that form, from pre-computed fidelity (lower
-bounds) and channel-model reference points for the tangent linearisation:
+(`solve`).  The tableau is dense, but a pivot (`_pivot`) updates only
+the rows with a nonzero in the pivot column and the columns with a
+nonzero in the pivot row, at the median 135 of 516 and 10 of 610 in the
+refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
+every other entry would only lose an exact zero, so each value, pivot
+choice and basis is that of a full update.
 
-* baseline yield program: minimise the single-photon signal yield under
-  two-sided decoy constraints and tangent-relaxed coin constraints
-  linking intensities of equal photon number;
-* baseline bit-error program: maximise the single-photon error
-  probability under the same template;
-* refined yield / bit-error programs: additionally split each
-  single-photon state into its two dominant eigenvectors ("key"/"opp")
-  with mixture constraints and coin constraints among the eigenstates.
-
-Their inputs are arrays in one layout: rows in INTENSITIES order, pairs
-in INTENSITY_PAIRS order, columns by photon number (or by tag, in TAGS
-order); a bit or outcome axis, where there is one, leads.
+Four builders write the baseline and the refined (key/opp eigenstate)
+yield and bit-error programs row by row into that form, from fidelity
+lower bounds and channel-model reference points for the tangent
+linearisation.  Their inputs are arrays in one layout: rows in
+INTENSITIES order, pairs in INTENSITY_PAIRS order, columns by photon
+number (or by tag, in TAGS order); a bit or outcome axis, where there is
+one, leads.
 """
 
 from __future__ import annotations
@@ -98,14 +95,18 @@ class LPSolution:
     start: str = "cold"  # "warm": the solve that counted started from a given basis
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    # rows with a zero factor are unchanged: update only the others
-    nz = np.flatnonzero(factors)
-    tableau[nz] -= np.outer(factors[nz], tableau[row])
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Pivot the C-ordered `tableau` on (row, col); return the columns of the
+    pivot row's nonzeros, the only ones that change (see the module docstring)."""
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    cols = np.flatnonzero(pivot_row)
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cells = (rows * tableau.shape[1])[:, None] + cols  # flat: a third of a 2-D index's cost
+    tableau.reshape(-1)[cells] -= tableau[rows, col][:, None] * pivot_row[cols]
     basis[row] = col
+    return cols
 
 
 def _choose_entering(cost_row: np.ndarray, allowed: np.ndarray, bland: bool) -> int:
@@ -119,11 +120,10 @@ def _choose_entering(cost_row: np.ndarray, allowed: np.ndarray, bland: bool) -> 
 
 def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     column = tableau[:, col]
-    rhs = tableau[:, -1]
     rows = np.where(column > PIVOT_TOL)[0]
     if rows.size == 0:
         return -1
-    ratios = rhs[rows] / column[rows]
+    ratios = tableau[rows, -1] / column[rows]
     best = np.min(ratios)
     # tie band strictly relative to the winning ratio; any absolute band
     # merges genuinely different tiny ratios when column entries are large
@@ -150,8 +150,8 @@ def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, i
             return "unbounded", iterations
         if iterations >= budget:
             return "unfinished", iterations
-        _pivot(tableau, basis, row, col)
-        cost_row -= cost_row[col] * tableau[row]
+        changed = _pivot(tableau, basis, row, col)
+        cost_row[changed] -= cost_row[col] * tableau[row, changed]
         iterations += 1
         if cost_row[-1] > progress_mark + PIVOT_TOL:
             progress_mark = cost_row[-1]
@@ -245,16 +245,17 @@ def _solve_once(program: LinearProgram, level) -> LPSolution:
     tableau[art_rows, art_cols] = 1.0
     original = tableau[:, :-1].copy()  # for the final re-solve
     tableau[:, -1] = rhs
-    basis = np.arange(n, n + m)
-    basis[art_rows] = art_cols
+    initial = np.arange(n, n + m)  # the starting basis, whose columns come to hold B^-1
+    initial[art_rows] = art_cols
+    basis = initial.copy()
     allowed = np.ones(n + m + n_art, dtype=bool)
     cost = np.zeros(n + m + n_art + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
 
-    iterations = 0
+    iterations, x_basic = 0, None
     if start is not None:
         allowed[n + m:] = False
-        status, iterations = _from_basis(tableau, basis, original, cost, start, allowed)
+        status, iterations, x_basic = _from_basis(tableau, basis, original, cost, start, allowed)
     elif n_art:
         phase_one = np.zeros(n + m + n_art + 1)
         phase_one[art_cols] = 1.0
@@ -267,8 +268,7 @@ def _solve_once(program: LinearProgram, level) -> LPSolution:
         allowed[n + m:] = False
         for r in range(m):
             if basis[r] >= n + m:  # drive artificial out or accept the redundant row
-                pivot_cols = np.flatnonzero(allowed[:n + m]
-                                            & (np.abs(tableau[r, :n + m]) > PIVOT_TOL))
+                pivot_cols = np.flatnonzero(np.abs(tableau[r, :n + m]) > PIVOT_TOL)
                 if pivot_cols.size:
                     _pivot(tableau, basis, r, int(pivot_cols[0]))
                     iterations += 1
@@ -280,11 +280,11 @@ def _solve_once(program: LinearProgram, level) -> LPSolution:
     if status != "optimal":
         return LPSolution(status=status, value=None, x=None, iterations=iterations)
 
-    # re-solve the final basic system from the original data: pivoting
-    # through nearly parallel rows can leave O(1e-7) drift in the tableau
+    # re-solve the final basic system from the original data, as a start taken with no
+    # pivot already has: pivoting through nearly parallel rows can leave O(1e-7) drift
     values = np.zeros(n + m + n_art)
     try:
-        values[basis] = np.linalg.solve(original[:, basis], rhs)
+        values[basis] = np.linalg.solve(original[:, basis], rhs) if x_basic is None else x_basic
     except np.linalg.LinAlgError:
         values[basis] = tableau[:, -1]
     x = values[:n].copy()
@@ -292,8 +292,6 @@ def _solve_once(program: LinearProgram, level) -> LPSolution:
     final = basis.copy() if basis.max() < n + m else None
     if perturbation == 0.0:
         return LPSolution(status="optimal", value=value, x=x, iterations=iterations, basis=final)
-    initial = n + np.arange(m)  # the starting basis, whose columns now hold B^-1
-    initial[art_rows] = art_cols
     unrelaxed = np.concatenate([program.b, np.ones(n)])
     unrelaxed[flip] *= -1.0
     tableau[:, -1] = tableau[:, initial] @ unrelaxed
@@ -335,27 +333,29 @@ def _reoptimize(tableau, basis, cost_row, allowed, floor: float = 0.0) -> tuple[
             row = _choose_leaving(tableau, basis, col)
             if row < 0:
                 return "unfinished", pivots
-        _pivot(tableau, basis, row, col)
-        cost_row -= cost_row[col] * tableau[row]
+        changed = _pivot(tableau, basis, row, col)
+        cost_row[changed] -= cost_row[col] * tableau[row, changed]
     return "unfinished", CLEANUP_PIVOTS
 
 
-def _from_basis(tableau, basis, original, cost, start, allowed) -> tuple[str, int]:
-    """Carry the standard form, in place, from the basis `start` to an optimum (see `solve`)."""
+def _from_basis(tableau, basis, original, cost, start, allowed):
+    """(status, pivots, x_B) of carrying the standard form, in place, from the basis
+    `start` to an optimum (see `solve`); x_B, the start's basic values, if no pivot."""
     matrix = original[:, start]
     try:  # B x_B = rhs and B^T y = c_B
         x_basic = np.linalg.solve(matrix, tableau[:, -1])
         reduced = cost[:-1] - np.linalg.solve(matrix.T, cost[start]) @ original
     except np.linalg.LinAlgError:
-        return "unfinished", 0
+        return "unfinished", 0, None
     primal, dual = x_basic.min() >= -PIVOT_TOL, reduced[allowed].min() >= -PIVOT_TOL
     if not (primal or dual):
-        return "unfinished", 0
+        return "unfinished", 0, None
     basis[:] = start
     if primal and dual:
-        return "optimal", 0
+        return "optimal", 0, x_basic
     tableau[:] = np.linalg.solve(matrix, tableau)
-    return _reoptimize(tableau, basis, _reduced_costs(cost, tableau, basis), allowed, -PIVOT_TOL)
+    return *_reoptimize(tableau, basis, _reduced_costs(cost, tableau, basis), allowed,
+                        -PIVOT_TOL), None
 
 
 def _dual_bound(program: LinearProgram, reduced: np.ndarray) -> float:

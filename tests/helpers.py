@@ -6,8 +6,8 @@ amplitudes, a click probability from the channel statistics, an
 injection-locked state from its blocks instead of `oil.emission_sectors`,
 or from sampled seed phases, a coin tangent in scalar arithmetic instead
 of on arrays, the region of one target point, the textbook decoy bound
-that the yield program reduces to at unit fidelity), so that a test can
-check the two against each other.
+that the yield program reduces to at unit fidelity, a simplex pivot over
+the whole tableau), so that a test can check the two against each other.
 """
 
 from __future__ import annotations
@@ -233,3 +233,16 @@ def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
     objective = np.zeros(n_vars)
     objective[1] = 1.0
     return vertex_enumeration_optimum(n_vars, constraints, objective, "min")
+
+
+def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:
+    """`lp._pivot` as a dense update: every row with a nonzero factor, over
+    every column; returns every column as changed, so that callers update
+    the whole cost row too."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    nz = np.flatnonzero(factors)
+    tableau[nz] -= np.outer(factors[nz], tableau[row])
+    basis[row] = col
+    return np.arange(tableau.shape[1])
