@@ -232,7 +232,7 @@ def reference_error(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams,
 
 
 def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
-                            bit: int = 0, interfere: bool = True):
+                            bit: int = 0):
     """Exact channel-model yields and error probabilities per photon number.
 
     Works directly with the coherent amplitudes at each quadrature node,
@@ -240,9 +240,10 @@ def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
     placements are multinomial given the total count, which turns every
     click probability into a power of per-node intensities.  Returns
     (yields, error_probs) arrays over n = 0..n_max for the region covered
-    by `node_sets`; error probabilities are oriented to `bit`.  As the
-    channel-truth oracle it evaluates all four sign branches, so that it
-    does not rely on the phi-symmetry of the quadrature it checks.
+    by `node_sets`; error probabilities, of the interferometric readout,
+    are oriented to `bit`.  As the channel-truth oracle it evaluates all
+    four sign branches, so that it does not rely on the phi-symmetry of
+    the quadrature it checks.
     """
     from .passive import BRANCHES, _branch_amplitudes
 
@@ -266,14 +267,9 @@ def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
                                               s_e, s_l, params.omega, params.mu_max)
             total = nodes.mu + mu_leak
             base = 0.25 * nodes.weight * np.exp(-total)
-            if interfere:
-                i_plus = 0.5 * np.abs(amp[0] + amp[1]) ** 2
-                i_minus = 0.5 * np.abs(amp[0] - amp[1]) ** 2
-                i_corr, i_err = (i_plus, i_minus) if bit == 0 else (i_minus, i_plus)
-            else:
-                i_e = np.abs(amp[0]) ** 2
-                i_l = np.abs(amp[1]) ** 2
-                i_corr, i_err = (i_e, i_l) if bit == 0 else (i_l, i_e)
+            i_plus = 0.5 * np.abs(amp[0] + amp[1]) ** 2
+            i_minus = 0.5 * np.abs(amp[0] - amp[1]) ** 2
+            i_corr, i_err = (i_plus, i_minus) if bit == 0 else (i_minus, i_plus)
             accumulate(trace_n, base, total)
             accumulate(no_click_n, base, total - eta * nodes.mu)
             accumulate(no_corr_n, base, total - eta * i_corr)

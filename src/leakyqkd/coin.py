@@ -72,23 +72,6 @@ def transfer_bound(y, fid, side: str):
     raise ValueError("side must be 'L' or 'U'")
 
 
-def transfer_slope(y, fid, side: str):
-    """d/dy of transfer_bound on its smooth branch; 0 on the flat branch."""
-    y = _check_unit_interval(y, "y")
-    z = _check_unit_interval(fid, "fidelity")
-    if side not in ("L", "U"):
-        raise ValueError("side must be 'L' or 'U'")
-    sign = -1 if side == "L" else +1
-    flat = y <= 1.0 - z if side == "L" else y >= z
-    denom = y * (1.0 - y)
-    undefined = ~flat & (denom <= 0.0)
-    if undefined.any():
-        raise ValueError(f"slope undefined at y={np.broadcast_to(y, flat.shape)[undefined][0]}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z)) * (1.0 - 2.0 * y) / np.sqrt(denom)
-    return _scalar(np.where(flat, 0.0, slope))
-
-
 @dataclass(frozen=True)
 class TangentLine:
     """Tangent to a coin envelope: line(y) = intercept + slope * y.
@@ -99,8 +82,6 @@ class TangentLine:
 
     slope: float | np.ndarray
     intercept: float | np.ndarray
-    y_ref: float | np.ndarray
-    side: str
 
     def evaluate(self, y):
         return self.intercept + self.slope * y
@@ -129,9 +110,11 @@ def tangent_line(fid, y_ref, side: str) -> TangentLine:
     if not interior.all():
         raise ValueError(f"reference point {y_ref[~interior][0]} must be interior to (0, 1)")
     value = transfer_bound(y_ref, z, side)
-    slope = transfer_slope(y_ref, z, side)
-    return TangentLine(slope=slope, intercept=_scalar(value - slope * y_ref), y_ref=_scalar(y_ref),
-                       side=side)
+    # d/dy of the smooth branch; 0 on the flat branch
+    sign, flat = (-1, y_ref <= kink) if side == "L" else (+1, y_ref >= kink)
+    slope = _scalar(np.where(flat, 0.0, (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z))
+                             * (1.0 - 2.0 * y_ref) / np.sqrt(y_ref * (1.0 - y_ref))))
+    return TangentLine(slope=slope, intercept=_scalar(value - slope * y_ref))
 
 
 def safe_reference(y_ref, fid, side: str):
@@ -141,14 +124,6 @@ def safe_reference(y_ref, fid, side: str):
     kink = _kink(np.asarray(fid, dtype=float), side)
     shifted = np.clip(kink + KINK_SHIFT if side == "L" else kink - KINK_SHIFT, lo, hi)
     return _scalar(np.where(np.abs(y - kink) < KINK_TOL, shifted, y))
-
-
-def yield_transfer(y_known: float, fid: float) -> tuple[float, float]:
-    """Interval for the other branch's yield given one yield and fidelity.
-
-    Fidelity 1 collapses the interval to a point; fidelity 0 gives [0, 1].
-    """
-    return (transfer_bound(y_known, fid, "L"), transfer_bound(y_known, fid, "U"))
 
 
 def coin_adjusted_fidelity(re_overlap: float, y_coin_lower: float) -> float:

@@ -271,12 +271,13 @@ class _Estimation:
 
     `yield_specs` maps a basis to its yield program; the passive
     transmitter has both bases.  The injection-locked one has only "X",
-    and `fid_zx` gives its key yield through `coin.yield_transfer`.  The
-    mean of the `error_specs` maxima (label -> program) bounds the
-    test-basis error gain.  Programs are solved in dict order.  `sift`,
-    `p_region`, `p1`, `q_weight`, `gain_key` and `error_key` feed
-    the rate; `details` holds the transmitter's own report
-    fields and `diagnostics` the warnings recorded before the programs.
+    and `fid_zx` gives its key yield through the lower coin envelope
+    (`coin.transfer_bound`).  The mean of the `error_specs` maxima (label
+    -> program) bounds the test-basis error gain.  Programs are solved in
+    dict order.  `sift`, `p_region`, `p1`, `q_weight`, `gain_key` and
+    `error_key` feed the rate; `details` holds the transmitter's own
+    report fields and `diagnostics` the warnings recorded before the
+    programs.
     """
 
     yield_specs: dict
@@ -388,19 +389,23 @@ def passive_source(config: ProtocolConfig, att_db: float,
                                          for a in BITS], n_cut)
     weights = tag_fids = cross_tag = tag_fids_bit = cross_bit = None
     diagnostics: list = []
-    if config.analysis == "baseline":
-        eigendata = {(a, b): coin.state_eigendata(moments_bit[(a, b, "I0")].normalized_block(1))
-                     for a in BITS for b in BASES}
-        overlap = coin.purification_overlap(eigendata)
+    # spectra of the single-photon states: the baseline's coin overlap reads
+    # those of the I0 boxes, the refined analysis those of every box
+    refined = config.analysis == "refined"
+    eigendata = {(a, b, i): coin.state_eigendata(moments_bit[(a, b, i)].normalized_block(1))
+                 for b in BASES for i in (INTENSITIES if refined else ("I0",)) for a in BITS}
+    if not refined:
+        overlap = coin.purification_overlap({(a, b): eigendata[(a, b, "I0")]
+                                             for a in BITS for b in BASES})
         q_weight = 1.0
     else:
-        splits = {(a, basis, i): _recorded(diagnostics, lp.key_opp_split,
-                                           moments_bit[(a, basis, i)].normalized_block(1),
-                                           label=f"{basis}:{i} bit {a}: ")
-                  for basis in BASES for i in INTENSITIES for a in BITS}
-        weights = np.array([[[(splits[(a, b, i)].q_key, splits[(a, b, i)].q_opp)
-                              for i in INTENSITIES] for a in BITS] for b in BASES])
-        vectors = {key: (s.v_key, s.v_opp) for key, s in splits.items()}
+        # key and opp: the two dominant eigenvectors of each box
+        weights = np.array([[[eigendata[(a, b, i)].weights[:2] for i in INTENSITIES]
+                             for a in BITS] for b in BASES])
+        vectors = {key: (e.vectors[:, 0], e.vectors[:, 1]) for key, e in eigendata.items()}
+        diagnostics.extend(
+            f"{b}:{i} bit {a}: degenerate key/opp eigenvalues; ordering fixed by gauge"
+            for (a, b, i), e in eigendata.items() if e.weights[0] - e.weights[1] < 1e-12)
         # the bit-averaged key and opp eigenstates of each (basis, I)
         taus = {(b, i): [0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
                          for v0, v1 in zip(vectors[(0, b, i)], vectors[(1, b, i)])]
@@ -415,7 +420,7 @@ def passive_source(config: ProtocolConfig, att_db: float,
                                 for t in (0, 1)] for i in INTENSITIES] for a in BITS])
         overlap = coin.bb84_pair_overlap(vectors[(0, "Z", "I0")][0], vectors[(1, "Z", "I0")][0],
                                          test[(0, "I0")][0], test[(1, "I0")][0])
-        q_weight = 0.5 * (splits[(0, "Z", "I0")].q_key + splits[(1, "Z", "I0")].q_key)
+        q_weight = 0.5 * float(weights[0, 0, 0, 0] + weights[0, 1, 0, 0])
     return PassiveSource(
         analysis=config.analysis, params=params, nodes=nodes, node_sets=node_sets,
         moments_bit=moments_bit, moments_union=moments_union, probs=probs, fids=fids,
@@ -573,7 +578,7 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
         return _no_key_report(config, distance_km, att_db,
                               "zero-rate: vanishing test-basis yield bound", provenance, est)
     e_x_upper = min(1.0, gamma_key / y_test)
-    y_key = y_lower["Z"] if "Z" in y_lower else coin.yield_transfer(y_test, est.fid_zx)[0]
+    y_key = y_lower["Z"] if "Z" in y_lower else coin.transfer_bound(y_test, est.fid_zx, "L")
     y_coin = 0.5 * (y_key + y_test)
     if y_coin <= 0.0:
         return _no_key_report(config, distance_km, att_db, "zero-rate: vanishing coin yield",

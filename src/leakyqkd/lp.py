@@ -25,12 +25,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coin import safe_reference, state_eigendata, tangent_line
+from .coin import safe_reference, tangent_line
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
@@ -495,31 +494,6 @@ def bit_error_program(error_gains: np.ndarray, probs: np.ndarray, fidelities: np
                       references: np.ndarray) -> LinearProgram:
     """Baseline bit-error program (maximise the n=1 error probability)."""
     return replace(yield_program(error_gains, probs, fidelities, references), sense="max")
-
-
-@dataclass(frozen=True)
-class KeyOppSplit:
-    """Two dominant eigenvalues/eigenvectors of a single-photon state."""
-
-    q_key: float
-    q_opp: float
-    v_key: np.ndarray
-    v_opp: np.ndarray
-
-
-def key_opp_split(rho: np.ndarray) -> KeyOppSplit:
-    """Split a state into its two largest eigenvector contributions."""
-    eig = state_eigendata(rho)
-    if eig.weights.size < 2:
-        raise ValueError("state must have dimension >= 2")
-    q_key, q_opp = float(eig.weights[0]), float(eig.weights[1])
-    if q_key + q_opp > 1.0 + 1e-10:
-        raise ValueError("eigenvalue weights exceed unit trace")
-    if q_key - q_opp < 1e-12:
-        warnings.warn("degenerate key/opp eigenvalues; ordering fixed by gauge",
-                      RuntimeWarning, stacklevel=2)
-    return KeyOppSplit(q_key=q_key, q_opp=q_opp,
-                       v_key=eig.vectors[:, 0], v_opp=eig.vectors[:, 1])
 
 
 def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,

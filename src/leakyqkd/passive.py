@@ -187,6 +187,23 @@ def target_from_phases(phi1, phi2, phi3, phi4, mu_max) -> TargetPoint:
     return TargetPoint(theta=theta, phi=phi, mu=mu, phi_e=float(wrap_phase(phi_e)))
 
 
+def sample_target_variables(rng, count: int, mu_max: float):
+    """`count` uniform draws ph (4, count) of the four raw pulse phases,
+    mapped as in `target_from_phases`.  Returns the target variables theta,
+    phi, mu, then the bin intensities mu_e, mu_l, the unwrapped early-bin
+    phase phi_e and ph."""
+    ph = rng.uniform(0.0, TWO_PI, size=(4, count))
+    mu_e = mu_max * (1.0 + np.cos(ph[0] - ph[1])) / 2.0
+    mu_l = mu_max * (1.0 + np.cos(ph[2] - ph[3])) / 2.0
+    mu = mu_e + mu_l
+    safe = np.where(mu > 0.0, mu, 1.0)
+    theta = 2.0 * np.arccos(np.sqrt(np.clip(mu_e / safe, 0.0, 1.0)))
+    phi_e = 0.5 * (ph[0] + ph[1]) + halfway_shift(ph[0] - ph[1])
+    phi_l = 0.5 * (ph[2] + ph[3]) + halfway_shift(ph[2] - ph[3])
+    phi = wrap_phase(phi_l - phi_e)
+    return theta, phi, mu, mu_e, mu_l, phi_e, ph
+
+
 def _half_angles(point: TargetPoint, mu_max: float) -> tuple[float, float]:
     for part, name in ((point.mu_e, "mu_e"), (point.mu_l, "mu_l")):
         if part > mu_max * (1.0 + 1e-12):
@@ -653,15 +670,8 @@ def monte_carlo_region_estimate(params: PassiveParams, region: RegionSpec, n: in
     while done < samples:
         count = min(chunk, samples - done)
         done += count
-        ph = rng.uniform(0.0, TWO_PI, size=(4, count))
-        mu_e = params.mu_max * (1.0 + np.cos(ph[0] - ph[1])) / 2.0
-        mu_l = params.mu_max * (1.0 + np.cos(ph[2] - ph[3])) / 2.0
-        mu = mu_e + mu_l
-        safe = np.where(mu > 0.0, mu, 1.0)
-        theta = 2.0 * np.arccos(np.sqrt(np.clip(mu_e / safe, 0.0, 1.0)))
-        phi_e = 0.5 * (ph[0] + ph[1]) + halfway_shift(ph[0] - ph[1])
-        phi_l = 0.5 * (ph[2] + ph[3]) + halfway_shift(ph[2] - ph[3])
-        phi = wrap_phase(phi_l - phi_e)
+        theta, phi, mu, mu_e, mu_l, phi_e, ph = sample_target_variables(rng, count,
+                                                                        params.mu_max)
         bit, basis_code, intensity = _classify_arrays(theta, phi, mu,
                                                       params.geometry, params.mu_max)
         mask = (basis_code == want_basis) & (intensity == want_int)

@@ -51,43 +51,30 @@ def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 60) -> np.ndarray:
     return np.sort(a.diagonal().real)
 
 
-def vertex_enumeration_optimum(n_vars: int, constraints, objective, sense: str):
-    """Exact LP optimum over [0,1]^n by enumerating basic feasible points.
+def vertex_enumeration_optimum(program: lp.LinearProgram):
+    """Exact optimum of `program` by enumerating its basic feasible points.
 
-    constraints: list of (coeffs array, sense, rhs).  Only for tiny
-    programs; the hyperplane pool is all constraint boundaries plus the
-    box faces.
+    Only for tiny programs; the hyperplane pool is all constraint
+    boundaries plus the faces of the unit box.
     """
-    planes = [(np.asarray(a, dtype=float), float(b)) for a, _, b in constraints]
-    for i in range(n_vars):
-        e = np.zeros(n_vars)
-        e[i] = 1.0
-        planes.append((e.copy(), 0.0))
-        planes.append((e.copy(), 1.0))
+    n_vars = len(program.variables)
+    planes = np.vstack([program.a, np.repeat(np.eye(n_vars), 2, axis=0)])
+    levels = np.concatenate([program.b, np.tile([0.0, 1.0], n_vars)])
+    signs = np.where(program.upper, 1.0, -1.0)  # rows as signs * a x <= signs * b
     best = None
-    for combo in itertools.combinations(range(len(planes)), n_vars):
-        a = np.array([planes[k][0] for k in combo])
-        b = np.array([planes[k][1] for k in combo])
+    for combo in map(list, itertools.combinations(range(len(planes)), n_vars)):
+        a = planes[combo]
         if abs(np.linalg.det(a)) < 1e-12:
             continue
-        x = np.linalg.solve(a, b)
+        x = np.linalg.solve(a, levels[combo])
         if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
             continue
-        ok = True
-        for coeffs, s, rhs in constraints:
-            lhs = float(np.dot(coeffs, x))
-            if s == "<=" and lhs > rhs + 1e-9:
-                ok = False
-                break
-            if s == ">=" and lhs < rhs - 1e-9:
-                ok = False
-                break
-        if not ok:
+        if np.any(signs * (program.a @ x - program.b) > 1e-9):
             continue
-        value = float(np.dot(objective, x))
+        value = float(np.dot(program.c, x))
         if best is None:
             best = value
-        elif sense == "min":
+        elif program.sense == "min":
             best = min(best, value)
         else:
             best = max(best, value)
@@ -210,19 +197,6 @@ def density_box_mass(mu_max: float, theta_box, phi_box, mu_box, n_grid: int = 60
     return float(np.sum(f) * d_t * d_m * phi_fraction)
 
 
-def sample_target_variables(rng, count: int, mu_max: float):
-    ph = rng.uniform(0.0, 2.0 * math.pi, size=(4, count))
-    mu_e = mu_max * (1.0 + np.cos(ph[0] - ph[1])) / 2.0
-    mu_l = mu_max * (1.0 + np.cos(ph[2] - ph[3])) / 2.0
-    mu = mu_e + mu_l
-    safe = np.where(mu > 0.0, mu, 1.0)
-    theta = 2.0 * np.arccos(np.sqrt(np.clip(mu_e / safe, 0.0, 1.0)))
-    phi_e = 0.5 * (ph[0] + ph[1]) + passive.halfway_shift(ph[0] - ph[1])
-    phi_l = 0.5 * (ph[2] + ph[3]) + passive.halfway_shift(ph[2] - ph[3])
-    phi = passive.wrap_phase(phi_l - phi_e)
-    return theta, phi, mu
-
-
 # ---------------------------------------------------------------------------
 # Named checks
 # ---------------------------------------------------------------------------
@@ -279,7 +253,7 @@ def check_density_normalisation(seed: int = 2, samples: int = 1_000_000) -> tupl
     box_mu = (0.1 * mu_max, 0.8 * mu_max)
     expected = density_box_mass(mu_max, box_theta, box_phi, box_mu)
     rng = np.random.default_rng(seed)
-    theta, phi, mu = sample_target_variables(rng, samples, mu_max)
+    theta, phi, mu, *_ = passive.sample_target_variables(rng, samples, mu_max)
     hits = ((theta > box_theta[0]) & (theta < box_theta[1])
             & (phi > box_phi[0]) & (phi < box_phi[1])
             & (mu > box_mu[0]) & (mu < box_mu[1]))
@@ -386,20 +360,13 @@ def random_program(rng) -> lp.LinearProgram:
                             b=b, upper=np.ones(m, dtype=bool))
 
 
-def program_vertex_optimum(program: lp.LinearProgram):
-    """`vertex_enumeration_optimum` of a program in array form."""
-    rows = [(a_r, "<=" if upper else ">=", float(b_r))
-            for a_r, b_r, upper in zip(program.a, program.b, program.upper)]
-    return vertex_enumeration_optimum(len(program.variables), rows, program.c, program.sense)
-
-
 def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
         program = random_program(rng)
         got = lp.solve(program)
-        reference = program_vertex_optimum(program)
+        reference = vertex_enumeration_optimum(program)
         if got.status != "optimal" or reference is None:
             return False, "solver or oracle failed on a feasible program"
         worst = max(worst, abs(got.value - reference))
@@ -408,16 +375,14 @@ def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
 
 def check_tangent_dominance(grid: int = 1000) -> tuple[bool, str]:
     ys = np.linspace(0.0, 1.0, grid)
-    worst = 0.0
     for z in (0.03, 0.3, 0.62, 0.9, 0.99, 0.999, 1.0):
         for y_ref in (1e-4, 0.01, 0.2, 0.5, 0.8, 0.97):
             for side, sign in (("L", 1.0), ("U", -1.0)):
                 line = coin.tangent_line(z, coin.safe_reference(y_ref, z, side), side)
-                for y in ys:
-                    gap = sign * (coin.transfer_bound(float(y), z, side) - line.evaluate(float(y)))
-                    worst = min(worst, gap) if worst < gap else worst
-                    if gap < -1e-12:
-                        return False, f"dominance violated at z={z}, y_ref={y_ref}, y={y}"
+                below = sign * (coin.transfer_bound(ys, z, side) - line.evaluate(ys)) < -1e-12
+                if below.any():
+                    return False, (f"dominance violated at z={z}, y_ref={y_ref}, "
+                                   f"y={ys[np.argmax(below)]}")
     return True, "all tangent lines dominate their envelopes"
 
 

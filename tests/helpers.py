@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from leakyqkd import coin, oil, passive
+from leakyqkd import coin, lp, oil, passive
 from leakyqkd.channel import transmittance
 from leakyqkd.coin import bures_chain_bound
 from leakyqkd.fock import coherent_components
@@ -224,15 +224,12 @@ def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
     to all intensities; solved exactly by vertex enumeration.
     """
     n_vars = n_cut + 1
-    constraints = []
-    for label in ("I0", "I1", "I2"):
-        p = np.asarray(probs[label][:n_vars], dtype=float)
-        q = float(gains[label])
-        constraints.append((p, "<=", q))
-        constraints.append((p, ">=", q - (1.0 - float(np.sum(p)))))
-    objective = np.zeros(n_vars)
-    objective[1] = 1.0
-    return vertex_enumeration_optimum(n_vars, constraints, objective, "min")
+    p = np.array([probs[label][:n_vars] for label in lp.INTENSITIES], dtype=float)
+    q = np.array([gains[label] for label in lp.INTENSITIES], dtype=float)
+    return vertex_enumeration_optimum(lp.LinearProgram(
+        variables=tuple(f"Y_{n}" for n in range(n_vars)), sense="min", c=np.eye(n_vars)[1],
+        a=np.repeat(p, 2, axis=0), b=np.column_stack([q, q - (1.0 - p.sum(axis=1))]).ravel(),
+        upper=np.tile([True, False], len(q))))
 
 
 def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:

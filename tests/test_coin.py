@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import projected_fidelity_bound, scalar_safe_reference, scalar_tangent
+from helpers import (projected_fidelity_bound, region_average, scalar_safe_reference,
+                     scalar_tangent)
 from leakyqkd import coin, passive
 from leakyqkd.linalg import fidelity
 
@@ -69,12 +70,19 @@ def test_tangent_touches_envelope():
 
 
 def test_tangent_slope_matches_finite_difference():
-    z, y_ref = 0.9, 0.5
-    line = coin.tangent_line(z, y_ref, "U")
+    # both sides, on the smooth and on the flat branch, for each reference
+    # alone and for all at once
+    z, y_ref = (g.ravel() for g in np.meshgrid((0.3, 0.9), (0.05, 0.2, 0.5, 0.8, 0.95)))
     h = 1e-6
-    numeric = (coin.transfer_bound(y_ref + h, z, "U")
-               - coin.transfer_bound(y_ref - h, z, "U")) / (2.0 * h)
-    assert line.slope == pytest.approx(numeric, abs=1e-6)
+    for side in ("L", "U"):
+        flat = y_ref < 1.0 - z if side == "L" else y_ref > z
+        assert flat.any() and not flat.all()
+        numeric = (coin.transfer_bound(y_ref + h, z, side)
+                   - coin.transfer_bound(y_ref - h, z, side)) / (2.0 * h)
+        assert coin.tangent_line(z, y_ref, side).slope == pytest.approx(numeric, abs=1e-6)
+        singles = [coin.tangent_line(float(z_k), float(y_k), side).slope
+                   for z_k, y_k in zip(z, y_ref)]
+        assert singles == pytest.approx(numeric.tolist(), abs=1e-6)
 
 
 def test_tangent_dominance_on_grid():
@@ -125,11 +133,14 @@ def test_array_tangents_reject_what_scalar_tangents_reject(z, side, k):
 
 
 def test_yield_transfer_limits():
-    assert coin.yield_transfer(0.37, 1.0) == pytest.approx((0.37, 0.37), abs=1e-12)
-    assert coin.yield_transfer(0.4, 0.0) == (0.0, 1.0)
-    low, high = coin.yield_transfer(0.2, 0.9)
-    assert low == pytest.approx(0.02, abs=1e-12)
-    assert high == pytest.approx(0.5, abs=1e-12)
+    # the interval the envelopes give the other yield: a point at fidelity 1,
+    # all of [0, 1] at fidelity 0
+    def interval(y, z):
+        return tuple(coin.transfer_bound(y, z, side) for side in ("L", "U"))
+
+    assert interval(0.37, 1.0) == pytest.approx((0.37, 0.37), abs=1e-12)
+    assert interval(0.4, 0.0) == (0.0, 1.0)
+    assert interval(0.2, 0.9) == pytest.approx((0.02, 0.5), abs=1e-12)
 
 
 def test_coin_adjusted_fidelity_cases():
@@ -308,3 +319,41 @@ def test_gauge_fix_anchors_first_near_maximal_component():
     out = coin.fix_vector_gauge(vec)
     assert out[0].real > 0.0
     assert abs(out[0].imag) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Key/opp split: the two dominant eigenvectors of `state_eigendata`
+# ---------------------------------------------------------------------------
+
+def test_split_of_maximally_mixed_qubit():
+    eig = coin.state_eigendata(np.eye(2) / 2.0)
+    assert eig.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert eig.weights[0] - eig.weights[1] < 1e-12  # the degenerate case
+    assert 1.0 - eig.weights.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_split_of_rank_one_state():
+    vec = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    eig = coin.state_eigendata(np.outer(vec, vec.conj()))
+    assert eig.weights == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def test_split_residual_is_psd():
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = raw @ raw.conj().T
+    rho /= np.trace(rho).real
+    eig = coin.state_eigendata(rho)
+    (q_key, q_opp), v_key, v_opp = eig.weights[:2], eig.vectors[:, 0], eig.vectors[:, 1]
+    rest = rho - q_key * np.outer(v_key, v_key.conj()) - q_opp * np.outer(v_opp, v_opp.conj())
+    assert np.linalg.eigvalsh(rest).min() > -1e-9
+
+
+def test_split_of_small_key_region():
+    geometry = passive.RegionGeometry(delta_theta_z=0.02)
+    params = passive.PassiveParams(mu_max=0.5, omega=0.0, geometry=geometry)
+    rho, _, _ = region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
+                               nodes=(16, 16, 16))
+    eig = coin.state_eigendata(rho)
+    assert eig.weights[0] > 0.99
+    assert abs(eig.vectors[0, 0]) ** 2 > 0.99

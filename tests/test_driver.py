@@ -310,17 +310,20 @@ def test_degenerate_coin_is_recorded_not_warned():
 
 
 def test_degenerate_key_opp_split_is_recorded_in_every_report(monkeypatch):
-    real_split = driver.lp.key_opp_split
+    # the first box's key eigenvalue lowered onto its opp eigenvalue
+    real_eigendata = driver.coin.state_eigendata
     calls = []
 
-    def split(rho):
+    def eigendata(rho):
+        eig = real_eigendata(rho)
         calls.append(None)
-        if len(calls) == 1:
-            warnings.warn("degenerate key/opp eigenvalues; ordering fixed by gauge",
-                          RuntimeWarning)
-        return real_split(rho)
+        if len(calls) > 1:
+            return eig
+        weights = eig.weights.copy()
+        weights[0] = weights[1]
+        return dataclasses.replace(eig, weights=weights)
 
-    monkeypatch.setattr(driver.lp, "key_opp_split", split)
+    monkeypatch.setattr(driver.coin, "state_eigendata", eigendata)
     config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

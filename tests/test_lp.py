@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import dense_pivot, region_average, textbook_decoy_bound
-from leakyqkd import driver, lp, passive, validation
+from helpers import dense_pivot, textbook_decoy_bound
+from leakyqkd import driver, lp, validation
 from leakyqkd.validation import vertex_enumeration_optimum
 
 DATA = Path(__file__).parent / "data"
@@ -174,7 +174,7 @@ def test_warm_start_from_a_perturbed_program_matches_vertex_enumeration():
         moved = dataclasses.replace(program, **{
             name: getattr(program, name) + 0.1 * rng.normal(size=getattr(program, name).shape)
             for name in ("a", "b", "c")})
-        reference = validation.program_vertex_optimum(moved)
+        reference = vertex_enumeration_optimum(moved)
         solution = lp.solve(moved, basis)
         assert reference is not None and solution.status == "optimal"
         assert abs(solution.value - reference) < 1e-7
@@ -323,11 +323,11 @@ def test_zero_fidelity_decouples_to_single_intensity_bound():
     gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
     spec = lp.yield_program(gains, probs, np.zeros_like(fids), refs)
     decoupled = lp.solve(spec).value
-    single = vertex_enumeration_optimum(
-        n_cut + 1,
-        [(probs[0], "<=", gains[0]),
-         (probs[0], ">=", gains[0] - (1.0 - float(probs[0].sum())))],
-        np.eye(n_cut + 1)[1], "min")
+    single = vertex_enumeration_optimum(lp.LinearProgram(
+        variables=tuple(f"Y_{n}" for n in range(n_cut + 1)), sense="min",
+        c=np.eye(n_cut + 1)[1], a=np.array([probs[0], probs[0]]),
+        b=np.array([gains[0], gains[0] - (1.0 - float(probs[0].sum()))]),
+        upper=np.array([True, False])))
     assert decoupled == pytest.approx(single, abs=1e-7)
 
 
@@ -399,46 +399,6 @@ def test_pair_fidelity_reaches_only_its_coin_rows():
     base, other = (lp.refined_yield_program(gains, probs, fids, refs, weights, t, cross_tag)
                    for t in (tag_fids, changed))
     assert_only_coin_rows_differ(base, other, ("Y_I1_opp", "Y_I2_opp"))
-
-
-# ---------------------------------------------------------------------------
-# Key/opp split
-# ---------------------------------------------------------------------------
-
-def test_split_of_maximally_mixed_qubit():
-    with pytest.warns(RuntimeWarning, match="degenerate"):
-        split = lp.key_opp_split(np.eye(2) / 2.0)
-    assert split.q_key == pytest.approx(0.5, abs=1e-12)
-    assert split.q_opp == pytest.approx(0.5, abs=1e-12)
-    assert 1.0 - split.q_key - split.q_opp == pytest.approx(0.0, abs=1e-12)
-
-
-def test_split_of_rank_one_state():
-    vec = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    split = lp.key_opp_split(np.outer(vec, vec.conj()))
-    assert split.q_key == pytest.approx(1.0, abs=1e-12)
-    assert split.q_opp == pytest.approx(0.0, abs=1e-12)
-
-
-def test_split_residual_is_psd():
-    rng = np.random.default_rng(5)
-    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = raw @ raw.conj().T
-    rho /= np.trace(rho).real
-    split = lp.key_opp_split(rho)
-    rest = (rho - split.q_key * np.outer(split.v_key, split.v_key.conj())
-            - split.q_opp * np.outer(split.v_opp, split.v_opp.conj()))
-    assert np.linalg.eigvalsh(rest).min() > -1e-9
-
-
-def test_split_of_small_key_region():
-    geometry = passive.RegionGeometry(delta_theta_z=0.02)
-    params = passive.PassiveParams(mu_max=0.5, omega=0.0, geometry=geometry)
-    rho, _, _ = region_average(passive.RegionSpec(0, "Z", "I0"), 1, params,
-                               nodes=(16, 16, 16))
-    split = lp.key_opp_split(rho)
-    assert split.q_key > 0.99
-    assert abs(split.v_key[0]) ** 2 > 0.99
 
 
 # ---------------------------------------------------------------------------

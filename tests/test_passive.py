@@ -9,8 +9,7 @@ from helpers import (ConvergenceError, classify_region, joint_pdf, leakage_funct
                      region_average)
 from leakyqkd import channel, passive
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
-                                 passive_block_oracle, sample_target_variables,
-                                 total_density_mass)
+                                 passive_block_oracle, total_density_mass)
 
 MU_MAX = 0.5
 GEOMETRY = passive.RegionGeometry(delta_theta_z=0.15)
@@ -108,7 +107,7 @@ def test_density_matches_sampled_box_frequency():
     expected = density_box_mass(MU_MAX, box_theta, box_phi, box_mu)
     rng = np.random.default_rng(42)
     samples = 1_000_000
-    theta, phi, mu = sample_target_variables(rng, samples, MU_MAX)
+    theta, phi, mu, *_ = passive.sample_target_variables(rng, samples, MU_MAX)
     hits = ((theta > box_theta[0]) & (theta < box_theta[1])
             & (phi > box_phi[0]) & (phi < box_phi[1])
             & (mu > box_mu[0]) & (mu < box_mu[1]))
