@@ -37,6 +37,8 @@ class ChannelParams:
     def __post_init__(self):
         if self.distance_km < 0.0:
             raise ValueError("distance must be >= 0")
+        if not self.alpha_db_per_km >= 0.0:
+            raise ValueError("alpha_db_per_km must be >= 0")
         if not 0.0 <= self.p_dark < 1.0:
             raise ValueError("p_dark must be in [0, 1)")
         if not 0.0 < self.detector_efficiency <= 1.0:

@@ -125,6 +125,9 @@ class ProtocolConfig:
             if not all(isinstance(v, (int, float)) and 0.0 <= v < math.inf
                        for v in getattr(self, name)):
                 raise ValueError(f"{name} must be a list of finite numbers >= 0")
+        _channel(self, 0.0)  # the checks of the channel and of the passive geometry
+        if self.transmitter == "passive":
+            _geometry(self)
 
 
 def _no_oil_source(config: ProtocolConfig) -> bool:
@@ -321,10 +324,10 @@ class PassiveSource:
     test-basis boxes.  The refined analysis adds the key/opp `weights`
     [basis, bit, I, tag] of every box, `tag_fids` [basis, pair, tag] and
     `cross_tag` [basis, I] of the bit-averaged eigenstates, and
-    `tag_fids_bit` [bit, pair, tag] and `cross_bit` [bit, I, tag] (see
-    `lp.refined_error_program`) of the test-basis ones; the baseline
-    leaves them None.  `diagnostics` holds the degenerate-bound warnings
-    of the source stage; every report built from the source lists them.
+    `tag_fids_bit` [bit, pair, tag] and `cross_bit` [bit, I, tag] of the
+    test-basis ones, read whole by each bit's `lp.refined_error_program`;
+    the baseline leaves them None.  `diagnostics` holds the source stage's
+    degenerate-bound warnings; every report built from the source lists them.
     """
 
     analysis: str
@@ -458,20 +461,19 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
                                 m.normalized_block(n) * m.trace_fraction(n), m.bases[n], chan,
                                 bit=a, interfere=True) for n in range(n_cut + 1)]
                            for a, m in enumerate(test_states)])
-    if not refined:
-        error_specs = {f"bit-{a} error": lp.bit_error_program(
-                           np.array([observables[(a, "X", i)].error_gain for i in INTENSITIES]),
-                           source.probs_bit[a], source.fids_bit[a], error_refs[a])
-                       for a in BITS}
-    else:
-        outcome_gains = np.array([[[observables[(a, "X", i)].outcome_gain(b != a)
-                                    for i in INTENSITIES] for b in BITS] for a in BITS])
-        # (bit a, outcome b, n): the error reference when b != a, its complement otherwise
-        outcome_refs = np.array([[error_refs[a] if b != a else references - error_refs[a]
-                                  for b in BITS] for a in BITS])
-        error_specs = {"refined error": lp.refined_error_program(
-            outcome_gains, source.probs_bit, source.fids_bit, outcome_refs, source.weights[1],
-            source.tag_fids_bit, source.cross_bit)}
+    # gains and references [bit, a, ...] of each bit's error outcome 1 - bit for the
+    # states of bit a: the error ones where a == bit, their complements otherwise
+    outcome_gains = np.array([[[observables[(a, "X", i)].outcome_gain(a == bit)
+                                for i in INTENSITIES] for a in BITS] for bit in BITS])
+    outcome_refs = np.array([[error_refs[a] if a == bit else references - error_refs[a]
+                              for a in BITS] for bit in BITS])
+    error_specs = {f"bit-{bit} error": lp.refined_error_program(
+                       bit, outcome_gains[bit], source.probs_bit, source.fids_bit,
+                       outcome_refs[bit], source.weights[1], source.tag_fids_bit,
+                       source.cross_bit) if refined else lp.bit_error_program(
+                       outcome_gains[bit, bit], source.probs_bit[bit], source.fids_bit[bit],
+                       outcome_refs[bit, bit])
+                   for bit in BITS}
 
     key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass

@@ -6,8 +6,8 @@ over variables boxed to [0, 1], solved by a small two-phase simplex
 rule on stalls), or warm from a neighbouring program's optimal basis
 (`solve`).  The tableau is dense, but a pivot (`_pivot`) updates only
 the rows with a nonzero in the pivot column and the columns with a
-nonzero in the pivot row, at the median 135 of 516 and 10 of 610 in the
-refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
+nonzero in the pivot row, at the median 120-135 of 258 and 9-13 of 306 in
+a refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
 every other entry would only lose an exact zero, so each value, pivot
 choice and basis is that of a full update.
 
@@ -16,8 +16,8 @@ yield and bit-error programs row by row into that form, from fidelity
 lower bounds and channel-model reference points for the tangent
 linearisation.  Their inputs are arrays in one layout: rows in
 INTENSITIES order, pairs in INTENSITY_PAIRS order, columns by photon
-number (or by tag, in TAGS order); a bit or outcome axis, where there is
-one, leads.
+number (or by tag, in TAGS order); a bit axis, where there is one,
+leads.
 """
 
 from __future__ import annotations
@@ -518,34 +518,30 @@ def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.n
     return _program(variables, "min", {tag_cols[0, 0]: 1.0}, rows)
 
 
-def refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,
+def refined_error_program(bit: int, outcome_gains: np.ndarray, probs: np.ndarray,
                           fidelities: np.ndarray, references: np.ndarray, weights: np.ndarray,
                           tag_fidelities: np.ndarray, cross_bit: np.ndarray) -> LinearProgram:
-    """Bit-error program with key/opp refinement over both bits.
+    """Bit-error program of `bit` with key/opp refinement: maximise the
+    key-eigenstate probability Y{bit}{b}_I0_key of its error outcome
+    b = 1 - bit.
 
-    Variables carry (bit a, Bob outcome b, intensity, photon number or
-    tag), and so do the inputs, in that axis order: outcome_gains
-    (2, 2, 3) and references (2, 2, n+1) by (a, b); probs, fidelities
-    (2, 3, n+1), weights and tag_fidelities (2, 3, 2) of the same-bit
-    states by a, as in `refined_yield_program`; cross_bit (2, 3, 2)
-    [a, I, t]: fidelity between eigenstate t of bit a and eigenstate 1 - t
-    of bit 1 - a.  Columns: Y{a}{b}_I_n for each (a, b) in turn, then
-    Y{a}{b}_I_t likewise.  Objective: maximise the average, over bits, of
-    the key-eigenstate probability of the error outcome b = 1 - a at I0.
+    Its rows link only the yields of outcome b, of both bits' states, so
+    every input leads with the bit a of the state: outcome_gains (2, 3)
+    and references (2, n+1) of outcome b; probs, fidelities (2, 3, n+1),
+    weights and tag_fidelities (2, 3, 2) as in `refined_yield_program`;
+    cross_bit (2, 3, 2) [a, I, t]: fidelity between eigenstate t of bit a
+    and eigenstate 1 - t of bit 1 - a.  Columns: Y{a}{b}_I_n for a = 0, 1,
+    then Y{a}{b}_I_t likewise.
     """
-    outcomes = ((0, 0), (0, 1), (1, 0), (1, 1))
+    b = 1 - bit
     variables, rows = [], []
-    cols, tag_cols = (np.array([_add_columns(variables, "Y%d%d" % ab, entries)
-                                for ab in outcomes]).reshape(2, 2, len(INTENSITIES), -1)
+    cols, tag_cols = (np.array([_add_columns(variables, f"Y{a}{b}", entries) for a in (0, 1)])
                       for entries in (range(probs.shape[-1]), TAGS))
-    for a, b in outcomes:
-        _decoy_block(rows, cols[a, b], outcome_gains[a, b], probs[a], fidelities[a],
-                     references[a, b])
-        _tag_block(rows, cols[a, b], tag_cols[a, b], weights[a], tag_fidelities[a],
-                   references[a, b, 1])
-    # per outcome and intensity: key of bit a -> opp of bit 1 - a, then opp -> key
-    b, i, a, t = np.indices((2, len(INTENSITIES), 2, 2)).reshape(4, -1)
-    _sandwich(rows, np.stack([tag_cols[a, b, i, t], tag_cols[1 - a, b, i, 1 - t]], axis=1),
-              cross_bit[a, i, t], references[a, b, 1])
-    return _program(variables, "max", {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5},
-                    rows)
+    for a in (0, 1):
+        _decoy_block(rows, cols[a], outcome_gains[a], probs[a], fidelities[a], references[a])
+        _tag_block(rows, cols[a], tag_cols[a], weights[a], tag_fidelities[a], references[a, 1])
+    # per intensity: key of bit a -> opp of bit 1 - a, then opp -> key
+    i, a, t = np.indices((len(INTENSITIES), 2, 2)).reshape(3, -1)
+    _sandwich(rows, np.stack([tag_cols[a, i, t], tag_cols[1 - a, i, 1 - t]], axis=1),
+              cross_bit[a, i, t], references[a, 1])
+    return _program(variables, "max", {tag_cols[bit, 0, 0]: 1.0}, rows)

@@ -243,3 +243,38 @@ def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> n
     tableau[nz] -= np.outer(factors[nz], tableau[row])
     basis[row] = col
     return np.arange(tableau.shape[1])
+
+
+def joint_refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,
+                                fidelities: np.ndarray, references: np.ndarray,
+                                weights: np.ndarray, tag_fidelities: np.ndarray,
+                                cross_bit: np.ndarray) -> lp.LinearProgram:
+    """The refined bit-error program over both bits as one program, whose
+    two independent blocks `lp.refined_error_program` builds one at a time.
+
+    Variables carry (bit a, Bob outcome b, intensity, photon number or
+    tag), and so do the inputs, in that axis order: outcome_gains
+    (2, 2, 3) and references (2, 2, n+1) by (a, b); probs, fidelities
+    (2, 3, n+1), weights and tag_fidelities (2, 3, 2) of the same-bit
+    states by a, as in `refined_yield_program`; cross_bit (2, 3, 2)
+    [a, I, t]: fidelity between eigenstate t of bit a and eigenstate 1 - t
+    of bit 1 - a.  Columns: Y{a}{b}_I_n for each (a, b) in turn, then
+    Y{a}{b}_I_t likewise.  Objective: maximise the average, over bits, of
+    the key-eigenstate probability of the error outcome b = 1 - a at I0.
+    """
+    outcomes = ((0, 0), (0, 1), (1, 0), (1, 1))
+    variables, rows = [], []
+    cols, tag_cols = (np.array([lp._add_columns(variables, "Y%d%d" % ab, entries)
+                                for ab in outcomes]).reshape(2, 2, len(lp.INTENSITIES), -1)
+                      for entries in (range(probs.shape[-1]), lp.TAGS))
+    for a, b in outcomes:
+        lp._decoy_block(rows, cols[a, b], outcome_gains[a, b], probs[a], fidelities[a],
+                        references[a, b])
+        lp._tag_block(rows, cols[a, b], tag_cols[a, b], weights[a], tag_fidelities[a],
+                      references[a, b, 1])
+    # per outcome and intensity: key of bit a -> opp of bit 1 - a, then opp -> key
+    b, i, a, t = np.indices((2, len(lp.INTENSITIES), 2, 2)).reshape(4, -1)
+    lp._sandwich(rows, np.stack([tag_cols[a, b, i, t], tag_cols[1 - a, b, i, 1 - t]], axis=1),
+                 cross_bit[a, i, t], references[a, b, 1])
+    return lp._program(variables, "max",
+                       {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5}, rows)

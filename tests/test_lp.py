@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import dense_pivot, textbook_decoy_bound
+from helpers import dense_pivot, joint_refined_error_program, textbook_decoy_bound
 from leakyqkd import driver, lp, validation
 from leakyqkd.validation import vertex_enumeration_optimum
 
@@ -109,11 +109,12 @@ def test_dual_bound_is_rounded_outward(monkeypatch):
 
 
 def test_phase_one_crawl_ends_at_the_pivot_budget(monkeypatch):
-    # refined error program of the 8-node passive search at 50 km and 70 dB
-    # (mu_max 0.7346, delta_theta_z 0.4896), `a` stored by its nonzero
-    # entries: unrelaxed, phase 1 crawls for 39,687 pivots and then declares
-    # it infeasible; the 1e-10 retry needs 133 and has the optimum `value`,
-    # its dual certificate a tighter maximum
+    # an LP stress case: the former joint refined error program over both
+    # bits (`helpers.joint_refined_error_program`) of the 8-node passive
+    # search at 50 km and 70 dB (mu_max 0.7346, delta_theta_z 0.4896), `a`
+    # stored by its nonzero entries: unrelaxed, phase 1 crawls for 39,687
+    # pivots and then declares it infeasible; the 1e-10 retry needs 133 and
+    # has the optimum `value`, its dual certificate a tighter maximum
     data = json.loads((DATA / "refined_error_crawl.json").read_text())
     a = np.zeros((len(data["b"]), len(data["variables"])))
     a[data["a_rows"], data["a_cols"]] = data["a_values"]
@@ -239,7 +240,7 @@ def golden_refined_programs():
 def test_sparse_pivot_solves_the_golden_refined_programs_bit_identically(monkeypatch):
     # each solve as the dense update gives it: the same iterations and basis,
     # bitwise the same x and value; where the optimal basis as a start takes
-    # no pivot (5 of the 6 at present), it gives bitwise the same x again
+    # no pivot (7 of the 8 at present), it gives bitwise the same x again
     accepted = 0
     for program in golden_refined_programs():
         with monkeypatch.context() as patch:
@@ -255,7 +256,7 @@ def test_sparse_pivot_solves_the_golden_refined_programs_bit_identically(monkeyp
         if warm.iterations == 0:
             accepted += 1
             assert warm.x.tobytes() == solution.x.tobytes()
-    assert accepted >= 5
+    assert accepted >= 7
 
 
 def test_solve_once_takes_the_program_and_level_positionally(monkeypatch):
@@ -423,17 +424,48 @@ def test_refined_yield_dominates_baseline():
 def test_refined_error_program_symmetric_under_bit_swap():
     # an exactly bit-symmetric channel needs vanishing leakage: the middle
     # leakage pulse intensity differs between the two test-bit windows
-    spec = refined_setup(att=600.0).error_specs["refined error"]
-    solution = lp.solve(spec)
-    assert solution.status == "optimal"
-    key0, key1 = (solution.x[spec.variables.index(name)] for name in ("Y01_I0_key", "Y10_I0_key"))
-    # the two bit windows are mirror images of each other; a relaxed attempt
-    # reports its certificate, and its point attains the relaxed optimum
-    attained = solution.value if solution.relaxed_value is None else solution.relaxed_value
-    assert attained == pytest.approx(0.5 * (key0 + key1), abs=1e-12)
-    single = {}
-    for a, b in ((0, 1), (1, 0)):
-        c = np.zeros(len(spec.variables))
-        c[spec.variables.index(f"Y{a}{b}_I0_key")] = 1.0
-        single[a] = lp.solve(dataclasses.replace(spec, c=c)).value
-    assert single[0] == pytest.approx(single[1], rel=1e-6)
+    specs = refined_setup(att=600.0).error_specs
+    solutions = [lp.solve(specs[f"bit-{bit} error"]) for bit in (0, 1)]
+    assert [s.status for s in solutions] == ["optimal", "optimal"]
+    # the two bit windows are mirror images of each other
+    assert solutions[0].value == pytest.approx(solutions[1].value, rel=1e-6)
+
+
+def test_refined_error_halves_are_the_blocks_of_the_joint_program(monkeypatch):
+    """At the golden refined points each bit's program is bitwise the
+    joint program's block of its error outcome, no joint row links the two
+    blocks, and the mean of the halves' optima is the joint optimum."""
+    config = driver.ProtocolConfig(transmitter="passive", analysis="refined",
+                                   quadrature_nodes=16)
+    inputs = {}
+    real = lp.refined_error_program
+
+    def recorded(bit, *args):
+        inputs[bit] = args
+        return real(bit, *args)
+
+    monkeypatch.setattr(lp, "refined_error_program", recorded)
+    for att_db in (70.0, 120.0):
+        est = driver._passive_estimation(config, driver.passive_source(config, att_db), 100.0)
+        halves = [est.error_specs[f"bit-{bit} error"] for bit in (0, 1)]
+        _, probs, fids, _, weights, tag_fids, cross_bit = inputs[0]
+        # the joint inputs' outcome axis b: outcome b is the error outcome of bit 1 - b
+        joint = joint_refined_error_program(
+            np.stack([inputs[1][0], inputs[0][0]], axis=1), probs, fids,
+            np.stack([inputs[1][3], inputs[0][3]], axis=1), weights, tag_fids, cross_bit)
+        blocks = []
+        for half in halves:
+            cols = np.array([joint.variables.index(name) for name in half.variables])
+            rows = np.flatnonzero(np.any(joint.a[:, cols] != 0.0, axis=1))
+            assert joint.a[np.ix_(rows, cols)].tobytes() == half.a.tobytes()
+            assert joint.b[rows].tobytes() == half.b.tobytes()
+            assert np.array_equal(joint.upper[rows], half.upper)
+            assert np.array_equal(2.0 * joint.c[cols], half.c)
+            blocks.append((set(rows), set(cols)))
+        (rows0, cols0), (rows1, cols1) = blocks
+        assert not rows0 & rows1 and len(rows0 | rows1) == len(joint.b)
+        assert not cols0 & cols1 and len(cols0 | cols1) == len(joint.variables)
+        optima = [lp.solve(spec) for spec in (*halves, joint)]
+        assert all(s.status == "optimal" for s in optima)
+        assert 0.5 * (optima[0].value + optima[1].value) == pytest.approx(optima[2].value,
+                                                                          rel=1e-8)
