@@ -173,64 +173,50 @@ def error_projector_diagonal(m: int, eta: float, p_dark: float) -> np.ndarray:
     return no_corr - both + 0.5 * (1.0 - no_corr - no_err + both)
 
 
-def trace_out_leakage(rho: np.ndarray, basis: NPhotonBasis) -> dict[int, np.ndarray]:
-    """Partial trace over the leakage modes of a sector operator.
-
-    Returns {m: block} over the signal-photon number m, each block on the
-    two-mode sector basis |m - i, i>.  Assumes exactly two signal modes.
-    """
-    out = {}
-    for m, (rows, cols, dst_rows, dst_cols) in _leakage_trace_plan(basis.configs,
-                                                                   basis.leak_modes):
-        blk = np.zeros((m + 1, m + 1), dtype=complex)
-        np.add.at(blk, (dst_rows, dst_cols), rho[rows, cols])
-        out[m] = blk
-    return out
-
-
 @lru_cache(maxsize=64)
-def _leakage_trace_plan(configs: tuple, leak_modes: frozenset) -> tuple:
-    """Index plan of `trace_out_leakage`: per signal-photon number m, the
-    entries (i, k) of rho that share their leakage occupations and the
-    block entry they add to, in row-major order of (i, k)."""
-    k_modes = len(configs[0])
-    signal = [i for i in range(k_modes) if i not in leak_modes]
+def _error_operator(configs: tuple, leak_modes: frozenset, eta: float, p_dark: float,
+                    bit: int, interfere: bool) -> np.ndarray:
+    """Bit-error POVM element W on an n-photon sector, Tr[rho W] = error.
+
+    W acts trivially on the leakage modes: entry (i, k) is nonzero only
+    when configurations i and k share their leakage occupations and their
+    signal photon number m, and then it is (U^T D U)[l_i, l_k], with l the
+    late-mode occupation, D the diagonal click projector oriented to `bit`
+    and U the beamsplitter block when the basis is read interferometrically
+    (the identity otherwise).  Assumes exactly two signal modes.
+    """
+    signal = [i for i in range(len(configs[0])) if i not in leak_modes]
     if len(signal) != 2:
         raise ValueError("expected exactly two signal modes")
     e_idx, l_idx = signal
     leak_sorted = sorted(leak_modes)
-    plan: dict[int, list] = {}
-    for i, ci in enumerate(configs):
-        mi = ci[e_idx] + ci[l_idx]
-        leak_i = tuple(ci[j] for j in leak_sorted)
-        for k, ck in enumerate(configs):
-            if tuple(ck[j] for j in leak_sorted) == leak_i and ck[e_idx] + ck[l_idx] == mi:
-                plan.setdefault(mi, []).append((i, k, ci[l_idx], ck[l_idx]))
-    return tuple((m, tuple(np.array(col, dtype=np.intp) for col in zip(*entries)))
-                 for m, entries in plan.items())
+    blocks: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = (c[e_idx] + c[l_idx], tuple(c[j] for j in leak_sorted))
+        blocks.setdefault(key, []).append(i)
+    out = np.zeros((len(configs), len(configs)))
+    for (m, _), members in blocks.items():
+        diag = error_projector_diagonal(m, eta, p_dark)
+        if bit == 1:
+            diag = diag[::-1]
+        u = beamsplitter_block(m) if interfere else np.eye(m + 1)
+        late = [configs[i][l_idx] for i in members]
+        out[np.ix_(members, members)] = ((u.T * diag) @ u)[np.ix_(late, late)]
+    out.flags.writeable = False
+    return out
 
 
 def reference_error(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams,
                     bit: int, interfere: bool) -> float:
-    """Expected bit-error probability of one n-photon state.
+    """Expected bit-error probability Tr[rho W] of one n-photon state.
 
-    Leakage modes are traced out (Bob never gates on them), the signal
-    block is rotated into the measurement eigenbasis when the basis is
-    read interferometrically, and the diagonal click projectors are
-    applied with the correct detector oriented to `bit`.
+    W (`_error_operator`) ignores the leakage modes, which Bob never gates
+    on, and applies the click projectors of the basis readout with the
+    correct detector oriented to `bit`.
     """
-    eta = transmittance(params)
-    blocks = trace_out_leakage(rho, basis)
-    total = 0.0
-    for m, blk in blocks.items():
-        if interfere:
-            u = beamsplitter_block(m)
-            blk = u @ blk @ u.T
-        diag = blk.diagonal().real
-        if bit == 1:
-            diag = diag[::-1]
-        total += float(np.dot(error_projector_diagonal(m, eta, params.p_dark), diag))
-    return total
+    w = _error_operator(basis.configs, basis.leak_modes, transmittance(params),
+                        params.p_dark, bit, interfere)
+    return float(np.sum(rho.real * w))
 
 
 def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,

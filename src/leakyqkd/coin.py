@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import bures_from_fidelity, fidelity
+from .linalg import bures_from_fidelity
 
 KINK_TOL = 1e-9
 KINK_SHIFT = 1e-6
@@ -251,20 +251,11 @@ def purification_overlap(eigendata: dict[tuple[int, str], StateEigenData],
     if phases is None:
         phases = default_purification_phases(dim)
 
-    def leg(a, beta, j):
+    def purified(a, beta):
+        # column j is eigenvector j times sqrt(q_j) e^{i xi_j}; flattening
+        # contracts matching shield indices inside `bb84_pair_overlap`
         e = eigendata[(a, beta)]
-        q = e.weights[j] if j < e.weights.size else 0.0
-        xi = phases[(a, beta)][j] if j < len(phases[(a, beta)]) else 0.0
-        return math.sqrt(max(0.0, q)), xi, e.vectors[:, j]
+        xi = np.asarray(phases[(a, beta)], dtype=float)
+        return (e.vectors * (np.sqrt(np.maximum(e.weights, 0.0)) * np.exp(1j * xi))).ravel()
 
-    total = 0.0 + 0.0j
-    for j in range(dim):
-        rq0z, xi0z, v0z = leg(0, "Z", j)
-        rq1z, xi1z, v1z = leg(1, "Z", j)
-        rq0x, xi0x, v0x = leg(0, "X", j)
-        rq1x, xi1x, v1x = leg(1, "X", j)
-        total += rq0z * rq0x * np.exp(1j * (xi0x - xi0z)) * np.vdot(v0z, v0x)
-        total += rq0z * rq1x * np.exp(1j * (xi1x - xi0z)) * np.vdot(v0z, v1x)
-        total += rq1z * rq0x * np.exp(1j * (xi0x - xi1z)) * np.vdot(v1z, v0x)
-        total -= rq1z * rq1x * np.exp(1j * (xi1x - xi1z)) * np.vdot(v1z, v1x)
-    return _INV_2SQRT2 * total
+    return bb84_pair_overlap(*(purified(a, beta) for beta in ("Z", "X") for a in (0, 1)))

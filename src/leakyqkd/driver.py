@@ -71,6 +71,8 @@ class OptimizerSettings:
             ends = getattr(self, name)
             if len(ends) != 2 or not 0.0 < ends[0] < ends[1] < math.inf:
                 raise ValueError(f"{name} must be two numbers with 0 < lo < hi")
+        if self.delta_theta_z_bracket[1] >= math.pi / 2.0:
+            raise ValueError("delta_theta_z_bracket must end below pi/2")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ state from `region_moments`, a leakage intensity from the branch
 amplitudes, a click probability from the channel statistics, an
 injection-locked state from its blocks instead of `oil.emission_sectors`,
 or from sampled seed phases, a coin tangent in scalar arithmetic instead
-of on arrays, the region of one target point, the textbook decoy bound
+of on arrays, a reference bit error by partial trace over the leakage
+modes instead of from one click operator, the region of one target point,
+the textbook decoy bound
 that the yield program reduces to at unit fidelity, a simplex pivot over
 the whole tableau), so that a test can check the two against each other.
 """
@@ -13,11 +15,12 @@ the whole tableau), so that a test can check the two against each other.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from leakyqkd import coin, lp, oil, passive
-from leakyqkd.channel import transmittance
+from leakyqkd.channel import beamsplitter_block, error_projector_diagonal, transmittance
 from leakyqkd.coin import bures_chain_bound
 from leakyqkd.fock import coherent_components
 from leakyqkd.linalg import _psd_root_factor, bures_from_fidelity, fidelity
@@ -113,6 +116,62 @@ def expected_yield(rho, basis, params):
     no_click = sum(diag[i] * (1.0 - eta) ** sum(cfg[j] for j in signal)
                    for i, cfg in enumerate(basis.configs))
     return 1.0 - (1.0 - params.p_dark) ** 2 * no_click
+
+
+def trace_out_leakage(rho: np.ndarray, basis) -> dict[int, np.ndarray]:
+    """Partial trace over the leakage modes of a sector operator.
+
+    Returns {m: block} over the signal-photon number m, each block on the
+    two-mode sector basis |m - i, i>.  Assumes exactly two signal modes.
+    """
+    out = {}
+    for m, (rows, cols, dst_rows, dst_cols) in _leakage_trace_plan(basis.configs,
+                                                                   basis.leak_modes):
+        blk = np.zeros((m + 1, m + 1), dtype=complex)
+        np.add.at(blk, (dst_rows, dst_cols), rho[rows, cols])
+        out[m] = blk
+    return out
+
+
+@lru_cache(maxsize=64)
+def _leakage_trace_plan(configs: tuple, leak_modes: frozenset) -> tuple:
+    """Index plan of `trace_out_leakage`: per signal-photon number m, the
+    entries (i, k) of rho that share their leakage occupations and the
+    block entry they add to, in row-major order of (i, k)."""
+    k_modes = len(configs[0])
+    signal = [i for i in range(k_modes) if i not in leak_modes]
+    if len(signal) != 2:
+        raise ValueError("expected exactly two signal modes")
+    e_idx, l_idx = signal
+    leak_sorted = sorted(leak_modes)
+    plan: dict[int, list] = {}
+    for i, ci in enumerate(configs):
+        mi = ci[e_idx] + ci[l_idx]
+        leak_i = tuple(ci[j] for j in leak_sorted)
+        for k, ck in enumerate(configs):
+            if tuple(ck[j] for j in leak_sorted) == leak_i and ck[e_idx] + ck[l_idx] == mi:
+                plan.setdefault(mi, []).append((i, k, ci[l_idx], ck[l_idx]))
+    return tuple((m, tuple(np.array(col, dtype=np.intp) for col in zip(*entries)))
+                 for m, entries in plan.items())
+
+
+def partial_trace_reference_error(rho, basis, params, bit, interfere):
+    """`channel.reference_error` by partial trace: leakage modes are traced
+    out, each signal block is rotated into the measurement eigenbasis when
+    the basis is read interferometrically, and the diagonal click
+    projectors are applied with the correct detector oriented to `bit`."""
+    eta = transmittance(params)
+    blocks = trace_out_leakage(rho, basis)
+    total = 0.0
+    for m, blk in blocks.items():
+        if interfere:
+            u = beamsplitter_block(m)
+            blk = u @ blk @ u.T
+        diag = blk.diagonal().real
+        if bit == 1:
+            diag = diag[::-1]
+        total += float(np.dot(error_projector_diagonal(m, eta, params.p_dark), diag))
+    return total
 
 
 def bures_distance(rho, sigma):

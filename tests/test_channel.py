@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import expected_yield, region_average
+from helpers import (expected_yield, partial_trace_reference_error, region_average,
+                     trace_out_leakage)
 from leakyqkd import channel, oil, passive
 from leakyqkd.channel import ChannelParams, transmittance
+from leakyqkd.fock import leak_truncated_subbasis
 
 
 def make_channel(distance, **kwargs):
@@ -94,9 +96,38 @@ def test_trace_out_leakage_preserves_trace():
                                    geometry=passive.RegionGeometry(delta_theta_z=0.1))
     rho, _, _ = region_average(passive.RegionSpec(0, "X", "I0"), 2, params,
                                nodes=(12, 12, 12))
-    blocks = channel.trace_out_leakage(rho, passive.passive_basis(2))
+    blocks = trace_out_leakage(rho, passive.passive_basis(2))
     total = sum(np.trace(b).real for b in blocks.values())
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _differential_bases():
+    for n in range(5):
+        yield passive.passive_basis(n)
+        for cut in range(n):
+            yield leak_truncated_subbasis(passive.passive_basis(n), cut)
+        yield oil.oil_basis(n)
+
+
+def test_reference_error_matches_partial_trace_route():
+    # Tr[rho W] against tracing out the leakage modes block by block, on
+    # random non-diagonal states of full, leak-truncated and oil bases
+    rng = np.random.default_rng(11)
+    chan = make_channel(30.0, p_dark=0.01)
+    for basis in _differential_bases():
+        amp = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+        rho = amp @ amp.conj().T
+        rho /= np.trace(rho).real
+        for bit in (0, 1):
+            for interfere in (False, True):
+                ours = channel.reference_error(rho, basis, chan, bit, interfere)
+                ref = partial_trace_reference_error(rho, basis, chan, bit, interfere)
+                assert abs(ours - ref) <= 1e-14, (basis.n, basis.dim, bit, interfere)
+                w = channel._error_operator(basis.configs, basis.leak_modes,
+                                            transmittance(chan), chan.p_dark, bit, interfere)
+                assert np.max(np.abs(w - w.T)) <= 1e-15
+                eig = np.linalg.eigvalsh(w)
+                assert eig.min() >= -1e-14 and eig.max() <= 1.0 + 1e-14
 
 
 # ---------------------------------------------------------------------------

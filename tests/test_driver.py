@@ -543,6 +543,7 @@ def test_cli_invalid_config_exit_code(tmp_path):
                      {"alpha_db_per_km": -0.2})],
     *[(command, values) for command in ("rate", "sweep")
       for values in ({"delta_theta_z": 2.0}, {"t1": 0.01, "t2": 0.01}, {"t1": 0.01, "t2": 0.05})],
+    ("optimize", {"optimizer": {"delta_theta_z_bracket": [0.1, 3.0]}}),
 ])
 def test_cli_rejects_bad_config_values_before_evaluating(command, config, tmp_path, capsys,
                                                          monkeypatch):
