@@ -16,7 +16,6 @@ that feed the phase-error transfer bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +46,19 @@ def _scalar(value):
 # The envelope functions take scalars or arrays (broadcast against each
 # other) and return a float or an array to match; checks are elementwise.
 
+def _curve(y, z, sign: int):
+    """Smooth branch of `transfer_curve`, unchecked and array-valued."""
+    radical = 2.0 * np.sqrt(np.maximum(0.0, z * (1.0 - z) * y * (1.0 - y)))
+    return y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical
+
+
 def transfer_curve(y, fid, sign: int):
     """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y))."""
     y = _check_unit_interval(y, "y")
     z = _check_unit_interval(fid, "fidelity")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    radical = 2.0 * np.sqrt(np.maximum(0.0, z * (1.0 - z) * y * (1.0 - y)))
-    return _scalar(y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical)
+    return _scalar(_curve(y, z, sign))
 
 
 def transfer_bound(y, fid, side: str):
@@ -66,9 +70,9 @@ def transfer_bound(y, fid, side: str):
     y = _check_unit_interval(y, "y")
     z = _check_unit_interval(fid, "fidelity")
     if side == "L":
-        return _scalar(np.where(y > 1.0 - z, transfer_curve(y, z, -1), 0.0))
+        return _scalar(np.where(y > 1.0 - z, _curve(y, z, -1), 0.0))
     if side == "U":
-        return _scalar(np.where(y < z, transfer_curve(y, z, +1), 1.0))
+        return _scalar(np.where(y < z, _curve(y, z, +1), 1.0))
     raise ValueError("side must be 'L' or 'U'")
 
 
@@ -87,43 +91,34 @@ class TangentLine:
         return self.intercept + self.slope * y
 
 
-def _kink(fid, side: str):
-    return 1.0 - fid if side == "L" else fid
-
-
 def tangent_line(fid, y_ref, side: str) -> TangentLine:
     """Tangent-line relaxation of the coin envelope at y_ref.
 
-    y_ref must sit strictly inside one of the piecewise branches; a
-    reference at the kink (or at 0/1 where the slope diverges) is
-    rejected so the caller can perturb it.
+    Any reference in [0, 1] will do: it is clipped to [KINK_SHIFT,
+    1 - KINK_SHIFT], where the slope is finite, and a reference within
+    KINK_TOL of the envelope's kink moves KINK_SHIFT onto its smooth
+    branch.  A kink that this shift cannot clear, one at a clip bound, is
+    an error.
     """
     z = _check_unit_interval(fid, "fidelity")
     if side not in ("L", "U"):
         raise ValueError("side must be 'L' or 'U'")
-    y_ref, kink = np.broadcast_arrays(np.asarray(y_ref, dtype=float), _kink(z, side))
-    at_kink = (np.abs(y_ref - kink) < KINK_TOL) & (0.0 < kink) & (kink < 1.0)
-    if at_kink.any():
-        raise ValueError(f"reference point {y_ref[at_kink][0]} sits at the envelope kink "
-                         f"{kink[at_kink][0]}; perturb it")
-    interior = (0.0 < y_ref) & (y_ref < 1.0)
-    if not interior.all():
-        raise ValueError(f"reference point {y_ref[~interior][0]} must be interior to (0, 1)")
-    value = transfer_bound(y_ref, z, side)
-    # d/dy of the smooth branch; 0 on the flat branch
-    sign, flat = (-1, y_ref <= kink) if side == "L" else (+1, y_ref >= kink)
-    slope = _scalar(np.where(flat, 0.0, (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z))
-                             * (1.0 - 2.0 * y_ref) / np.sqrt(y_ref * (1.0 - y_ref))))
-    return TangentLine(slope=slope, intercept=_scalar(value - slope * y_ref))
-
-
-def safe_reference(y_ref, fid, side: str):
-    """Nudge reference points off kinks/extremes before building tangents."""
+    lower = side == "L"
+    kink = 1.0 - z if lower else z
     lo, hi = KINK_SHIFT, 1.0 - KINK_SHIFT
     y = np.clip(y_ref, lo, hi)
-    kink = _kink(np.asarray(fid, dtype=float), side)
-    shifted = np.clip(kink + KINK_SHIFT if side == "L" else kink - KINK_SHIFT, lo, hi)
-    return _scalar(np.where(np.abs(y - kink) < KINK_TOL, shifted, y))
+    shifted = np.clip(kink + KINK_SHIFT if lower else kink - KINK_SHIFT, lo, hi)
+    y, kink = np.broadcast_arrays(np.where(np.abs(y - kink) < KINK_TOL, shifted, y), kink)
+    at_kink = (np.abs(y - kink) < KINK_TOL) & (0.0 < kink) & (kink < 1.0)
+    if at_kink.any():
+        raise ValueError(f"reference point {y[at_kink][0]} sits at the envelope kink "
+                         f"{kink[at_kink][0]} and no shift clears it")
+    # value and d/dy of the smooth branch; the flat branch is 0 or 1, slope 0
+    sign, flat = (-1, y <= kink) if lower else (+1, y >= kink)
+    value = np.where(flat, 0.0 if lower else 1.0, _curve(y, z, sign))
+    slope = _scalar(np.where(flat, 0.0, (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z))
+                             * (1.0 - 2.0 * y) / np.sqrt(y * (1.0 - y))))
+    return TangentLine(slope=slope, intercept=_scalar(value - slope * y))
 
 
 def coin_adjusted_fidelity(re_overlap: float, y_coin_lower: float) -> float:
@@ -132,18 +127,14 @@ def coin_adjusted_fidelity(re_overlap: float, y_coin_lower: float) -> float:
     The coin imbalance is (1 - re_overlap)/2; dividing the full imbalance
     by the coin-round yield lower bound accounts for post-selecting on
     detected rounds.  When the imbalance exceeds the yield the bound
-    degenerates and 0 is returned with a warning.
+    degenerates: 0 is returned, and the phase-error bound is then 1.
     """
     if not -1.0 - 1e-12 <= re_overlap <= 1.0 + 1e-12:
         raise ValueError(f"overlap {re_overlap} outside [-1, 1]")
     if not 0.0 < y_coin_lower <= 1.0:
         raise ValueError(f"coin yield lower bound {y_coin_lower} outside (0, 1]")
     ratio = (1.0 - min(1.0, re_overlap)) / y_coin_lower
-    if ratio > 1.0:
-        warnings.warn("coin imbalance exceeds yield; phase-error bound degenerates to 1",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    return (1.0 - ratio) ** 2
+    return 0.0 if ratio > 1.0 else (1.0 - ratio) ** 2
 
 
 def phase_error_upper(e_x_upper: float, f_prime: float) -> float:

@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +177,7 @@ def config_to_dict(config: ProtocolConfig) -> dict:
 
 
 def config_hash(config: ProtocolConfig) -> str:
-    text = json.dumps(config_to_dict(config), sort_keys=True)
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -260,16 +259,6 @@ def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list,
     return float(solution.value)
 
 
-def _recorded(diagnostics: list, func, *args, label: str = ""):
-    """func(*args), with the warnings it raises (degenerate bounds) recorded
-    in `diagnostics`, prefixed by `label`, instead of raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        result = func(*args)
-    diagnostics.extend(f"{label}{w.message}" for w in caught)
-    return result
-
-
 @dataclass(frozen=True)
 class _Estimation:
     """What `_estimate` needs from one transmitter at one grid point.
@@ -281,8 +270,8 @@ class _Estimation:
     -> program) bounds the test-basis error gain.  Programs are solved in
     dict order.  `sift`, `p_region`, `p1`, `q_weight`, `gain_key` and
     `error_key` feed the rate; `details` holds the transmitter's own
-    report fields and `diagnostics` the warnings recorded before the
-    programs.
+    report fields and `diagnostics` the degenerate-bound notes recorded
+    before the programs.
     """
 
     yield_specs: dict
@@ -329,7 +318,7 @@ class PassiveSource:
     `tag_fids_bit` [bit, pair, tag] and `cross_bit` [bit, I, tag] of the
     test-basis ones, read whole by each bit's `lp.refined_error_program`;
     the baseline leaves them None.  `diagnostics` holds the source stage's
-    degenerate-bound warnings; every report built from the source lists them.
+    degenerate-bound notes; every report built from the source lists them.
     """
 
     analysis: str
@@ -516,8 +505,12 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     references = channel_mod.reference_yields(n_cut, chan)
 
     intensities = {i: params.intensity(i) for i in INTENSITIES}
-    gains = [channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan).gain
-             for i in INTENSITIES]
+    # the test basis is read by time of arrival: both bits see the same
+    # observables, with no signal intensity in the wrong bin
+    observables = [channel_mod.oil_point_observables(intensities[i], 0.0, "X", 0, chan)
+                   for i in INTENSITIES]
+    gains = [obs.gain for obs in observables]
+    error_gains = np.array([obs.error_gain for obs in observables])
     probs = np.array([oil.photon_probabilities(intensities[i], omega, n_cut)
                       for i in INTENSITIES])
     # every setting's n-photon components: one column per oil.SETTINGS entry
@@ -532,9 +525,6 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
 
     error_specs = {}
     for a in BITS:
-        error_gains = np.array([channel_mod.oil_point_observables(
-                                    intensities[i], 0.0, "X", a, chan).error_gain
-                                for i in INTENSITIES])
         column = np.array([oil.SETTINGS.index((a, "X", i)) for i in INTENSITIES])
         fids_bit = pure_fids[:, column[first], column[second]].T
         fids_bit[:, 0] = 1.0  # the vacuum sector
@@ -588,7 +578,9 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
         return _no_key_report(config, distance_km, att_db, "zero-rate: vanishing coin yield",
                               provenance, est)
     diagnostics = list(est.diagnostics)
-    f_prime = _recorded(diagnostics, coin.coin_adjusted_fidelity, float(est.overlap.real), y_coin)
+    f_prime = coin.coin_adjusted_fidelity(float(est.overlap.real), y_coin)
+    if f_prime == 0.0:
+        diagnostics.append("coin imbalance exceeds yield; phase-error bound degenerates to 1")
     e_ph_upper = coin.phase_error_upper(e_x_upper, f_prime)
     privacy = 1.0 - binary_entropy(min(0.5, e_ph_upper))
     raw = est.sift * est.p_region * (est.p1 * est.q_weight * y_key * privacy

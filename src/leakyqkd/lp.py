@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coin import safe_reference, tangent_line
+from .coin import tangent_line
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
@@ -444,8 +444,7 @@ def _sandwich(rows: list, ends, fid, y_ref):
     spurious infeasibility.
     """
     fid = np.minimum(fid, 1.0 - 1e-14)
-    low = tangent_line(fid, safe_reference(y_ref, fid, "L"), "L")
-    high = tangent_line(fid, safe_reference(y_ref, fid, "U"), "U")
+    low, high = tangent_line(fid, y_ref, "L"), tangent_line(fid, y_ref, "U")
     minus = -np.ones_like(fid)
     coeffs = np.stack([low.slope, minus, high.slope, minus], axis=1).reshape(-1, 2, 2)
     _pairs(rows, ends, coeffs, -np.stack([low.intercept, high.intercept], axis=1))

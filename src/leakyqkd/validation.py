@@ -378,7 +378,7 @@ def check_tangent_dominance(grid: int = 1000) -> tuple[bool, str]:
     for z in (0.03, 0.3, 0.62, 0.9, 0.99, 0.999, 1.0):
         for y_ref in (1e-4, 0.01, 0.2, 0.5, 0.8, 0.97):
             for side, sign in (("L", 1.0), ("U", -1.0)):
-                line = coin.tangent_line(z, coin.safe_reference(y_ref, z, side), side)
+                line = coin.tangent_line(z, y_ref, side)
                 below = sign * (coin.transfer_bound(ys, z, side) - line.evaluate(ys)) < -1e-12
                 if below.any():
                     return False, (f"dominance violated at z={z}, y_ref={y_ref}, "

@@ -209,7 +209,9 @@ def mixed_state(basis_label, intensity, params, n):
 
 
 def scalar_safe_reference(y_ref, fid, side):
-    """`coin.safe_reference` of one entry, in scalar arithmetic."""
+    """The reference `coin.tangent_line` takes its tangent at, for one
+    entry: its clip to the interior and its nudge off the kink, in scalar
+    arithmetic."""
     lo, hi = coin.KINK_SHIFT, 1.0 - coin.KINK_SHIFT
     y = min(hi, max(lo, y_ref))
     kink = 1.0 - fid if side == "L" else fid

@@ -153,6 +153,15 @@ def test_oil_observables_examples():
     assert vacuum.gain == pytest.approx(1.0 - (1.0 - 1e-6) ** 2, rel=1e-9)
 
 
+def test_oil_test_basis_observables_do_not_depend_on_the_bit():
+    # read by time of arrival, each bit's signal lands in its own bin: the
+    # injection-locked estimation builds one set of test-basis observables
+    chan = make_channel(50.0, p_dark=1e-6)
+    for mu in (1e-4, 0.1, 0.5):
+        zero, one = (channel.oil_point_observables(mu, 0.0, "X", bit, chan) for bit in (0, 1))
+        assert zero == one
+
+
 def test_outcome_gains_partition_gain():
     chan = make_channel(50.0)
     obs = channel.oil_point_observables(0.4, math.pi / 2, "Z", 1, chan)

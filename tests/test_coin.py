@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,12 +62,14 @@ def test_tangent_identity_line_at_unit_fidelity():
 
 
 def test_tangent_touches_envelope():
+    # at the reference itself, or where the kink and edge nudges move it
     for z in (0.3, 0.9, 0.999):
         for side in ("L", "U"):
-            y_ref = coin.safe_reference(0.4, z, side)
-            line = coin.tangent_line(z, y_ref, side)
-            assert line.evaluate(y_ref) == pytest.approx(
-                coin.transfer_bound(y_ref, z, side), abs=1e-12)
+            for raw in (0.4, 1.0 - z if side == "L" else z, 0.0, 1.0):
+                y_ref = scalar_safe_reference(raw, z, side)
+                line = coin.tangent_line(z, raw, side)
+                assert line.evaluate(y_ref) == pytest.approx(
+                    coin.transfer_bound(y_ref, z, side), abs=1e-12)
 
 
 def test_tangent_slope_matches_finite_difference():
@@ -88,47 +91,76 @@ def test_tangent_slope_matches_finite_difference():
 def test_tangent_dominance_on_grid():
     ys = np.linspace(0.0, 1.0, 1000)
     for z in (0.05, 0.5, 0.9, 0.999, 1.0):
-        for y_ref in (1e-4, 0.2, 0.5, 0.97):
-            low = coin.tangent_line(z, coin.safe_reference(y_ref, z, "L"), "L")
-            high = coin.tangent_line(z, coin.safe_reference(y_ref, z, "U"), "U")
+        for y_ref in (0.0, 1e-4, 0.2, 0.5, 0.97, 1.0, 1.0 - z, z):
+            low, high = coin.tangent_line(z, y_ref, "L"), coin.tangent_line(z, y_ref, "U")
             for y in ys:
                 y = float(y)
                 assert low.evaluate(y) <= coin.transfer_bound(y, z, "L") + 1e-12
                 assert high.evaluate(y) >= coin.transfer_bound(y, z, "U") - 1e-12
 
 
+def test_tangent_nudges_kink_and_edge_references():
+    # 0 and 1 clip to KINK_SHIFT and 1 - KINK_SHIFT; a reference within
+    # KINK_TOL of the kink moves KINK_SHIFT onto the smooth branch
+    shift, near = coin.KINK_SHIFT, 0.5 * coin.KINK_TOL
+    for side, kink in (("L", 1.0 - 0.9), ("U", 0.9)):
+        nudged = kink + shift if side == "L" else kink - shift
+        for raw, ref in ((0.0, shift), (1.0, 1.0 - shift), (kink, nudged),
+                         (kink + near, nudged), (kink - near, nudged)):
+            assert coin.tangent_line(0.9, raw, side) == coin.tangent_line(0.9, ref, side)
+
+
 def test_tangent_rejects_kink_reference():
+    # the kink 1 - z sits at the upper clip bound, where no shift clears it
     with pytest.raises(ValueError, match="kink"):
-        coin.tangent_line(0.9, 0.1, "L")  # kink at 1 - z = 0.1
+        coin.tangent_line(1e-6, 1.0 - 1e-6, "L")
 
 
-@settings(max_examples=100, derandomize=True)
-@given(entries=st.lists(st.tuples(probabilities, probabilities), min_size=1, max_size=12),
+def _uncleared(z, y_ref, side):
+    """Whether the nudged reference still sits at an interior kink."""
+    kink = 1.0 - z if side == "L" else z
+    return abs(scalar_safe_reference(y_ref, z, side) - kink) < coin.KINK_TOL and 0.0 < kink < 1.0
+
+
+# raw references: anywhere in [0, 1], or within KINK_TOL of the kink
+references = st.one_of(probabilities.map(lambda y: (y, None)),
+                       st.floats(-coin.KINK_TOL, coin.KINK_TOL, exclude_min=True,
+                                 exclude_max=True).map(lambda offset: (None, offset)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(entries=st.lists(st.tuples(probabilities, references), min_size=1, max_size=12),
        side=st.sampled_from(("L", "U")))
 def test_array_tangents_equal_scalar_tangents_bit_for_bit(entries, side):
+    entries = [(z, y if offset is None else (1.0 - z if side == "L" else z) + offset)
+               for z, (y, offset) in entries]
+    entries = [(z, y) for z, y in entries if not _uncleared(z, y, side)]
+    if not entries:
+        return
     z, y = (np.array(column) for column in zip(*entries))
-    refs = coin.safe_reference(y, z, side)
-    scalar_refs = [scalar_safe_reference(y_k, z_k, side) for z_k, y_k in entries]
-    assert refs.tolist() == scalar_refs
-    assert [coin.safe_reference(y_k, z_k, side) for z_k, y_k in entries] == scalar_refs
-    batch = coin.tangent_line(z, refs, side)
-    expected = [scalar_tangent(z_k, r, side) for (z_k, _), r in zip(entries, scalar_refs)]
+    expected = [scalar_tangent(z_k, scalar_safe_reference(y_k, z_k, side), side)
+                for z_k, y_k in entries]
+    batch = coin.tangent_line(z, y, side)
     assert list(zip(batch.slope.tolist(), batch.intercept.tolist())) == expected
-    singles = [coin.tangent_line(z_k, r, side) for (z_k, _), r in zip(entries, scalar_refs)]
+    singles = [coin.tangent_line(z_k, y_k, side) for z_k, y_k in entries]
     assert all(type(line.slope) is float and type(line.intercept) is float for line in singles)
     assert [(line.slope, line.intercept) for line in singles] == expected
 
 
 @settings(max_examples=50, derandomize=True)
-@given(z=st.floats(0.01, 0.99), side=st.sampled_from(("L", "U")), k=st.integers(0, 3))
+@given(z=st.floats(1e-6 - 0.5 * coin.KINK_TOL, 1e-6 + 0.5 * coin.KINK_TOL),
+       side=st.sampled_from(("L", "U")), k=st.integers(0, 3))
 def test_array_tangents_reject_what_scalar_tangents_reject(z, side, k):
+    # a kink within KINK_TOL of a clip bound: the nudge cannot clear it,
+    # whether the reference sits at the kink or at the edge beyond it
     kink = 1.0 - z if side == "L" else z
-    for bad, match in ((kink, "kink"), (0.0, "interior"), (1.0, "interior")):
+    for bad in (kink, 1.0 if side == "L" else 0.0):
+        assert _uncleared(z, bad, side)
         fids, refs = np.full(4, 0.5), np.full(4, 0.3)
         fids[k], refs[k] = z, bad
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="kink"):
             coin.tangent_line(z, bad, side)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="kink"):
             coin.tangent_line(fids, refs, side)
 
 
@@ -146,7 +178,9 @@ def test_yield_transfer_limits():
 def test_coin_adjusted_fidelity_cases():
     assert coin.coin_adjusted_fidelity(1.0, 0.01) == pytest.approx(1.0, abs=1e-12)
     assert coin.coin_adjusted_fidelity(0.999, 0.01) == pytest.approx(0.81, abs=1e-12)
-    with pytest.warns(RuntimeWarning, match="imbalance exceeds"):
+    # a degenerate bound is a value, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert coin.coin_adjusted_fidelity(0.9, 0.05) == 0.0
 
 
