@@ -43,8 +43,8 @@ class ChannelParams:
             raise ValueError("p_dark must be in [0, 1)")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError("f_ec must be finite and >= 1")
 
 
 def transmittance(params: ChannelParams) -> float:

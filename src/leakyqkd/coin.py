@@ -47,18 +47,10 @@ def _scalar(value):
 # other) and return a float or an array to match; checks are elementwise.
 
 def _curve(y, z, sign: int):
-    """Smooth branch of `transfer_curve`, unchecked and array-valued."""
+    """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y)), unchecked and
+    array-valued."""
     radical = 2.0 * np.sqrt(np.maximum(0.0, z * (1.0 - z) * y * (1.0 - y)))
     return y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical
-
-
-def transfer_curve(y, fid, sign: int):
-    """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y))."""
-    y = _check_unit_interval(y, "y")
-    z = _check_unit_interval(fid, "fidelity")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _scalar(_curve(y, z, sign))
 
 
 def transfer_bound(y, fid, side: str):

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
-from .lp import INTENSITIES, INTENSITY_PAIRS, InfeasibleProgramError
-from .linalg import density_factor, factor_fidelity, fidelity, pure_state_fidelity
+from .lp import INTENSITIES, InfeasibleProgramError
+from .linalg import density_factor, factor_fidelity
 
 BITS = (0, 1)
 BASES = ("Z", "X")
@@ -68,7 +68,8 @@ class OptimizerSettings:
             raise ValueError(f"search_nodes must be >= {passive.MIN_NODES}")
         for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket"):
             ends = getattr(self, name)
-            if len(ends) != 2 or not 0.0 < ends[0] < ends[1] < math.inf:
+            if (len(ends) != 2 or any(isinstance(e, bool) for e in ends)
+                    or not 0.0 < ends[0] < ends[1] < math.inf):
                 raise ValueError(f"{name} must be two numbers with 0 < lo < hi")
         if self.delta_theta_z_bracket[1] >= math.pi / 2.0:
             raise ValueError("delta_theta_z_bracket must end below pi/2")
@@ -120,11 +121,11 @@ class ProtocolConfig:
             raise ValueError("n_cut must be >= 1")
         if self.quadrature_nodes < passive.MIN_NODES:
             raise ValueError(f"quadrature_nodes must be >= {passive.MIN_NODES}")
-        if not self.mu_max > 0.0:
-            raise ValueError("mu_max must be positive")
+        if not 0.0 < self.mu_max < math.inf:
+            raise ValueError("mu_max must be positive and finite")
         for name in ("distances_km", "att_db"):
-            if not all(isinstance(v, (int, float)) and 0.0 <= v < math.inf
-                       for v in getattr(self, name)):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and 0.0 <= v < math.inf for v in getattr(self, name)):
                 raise ValueError(f"{name} must be a list of finite numbers >= 0")
         _channel(self, 0.0)  # the checks of the channel and of the passive geometry
         if self.transmitter == "passive":
@@ -133,16 +134,16 @@ class ProtocolConfig:
 
 def _no_oil_source(config: ProtocolConfig) -> bool:
     """Whether the injection-locked intensities describe no source: a signal
-    that is not positive, or a decoy below zero or above the signal."""
+    that is not positive and finite, or a decoy outside [0, signal]."""
     decoys = (config.mu_i1, config.mu_i2)
     return config.transmitter == "oil" and not (
-        config.mu_in > 0.0 and 0.0 <= min(decoys) and max(decoys) <= config.mu_in)
+        0.0 < config.mu_in < math.inf and all(0.0 <= mu <= config.mu_in for mu in decoys))
 
 
 def _from_dict(cls, data, what: str):
     """A `cls` dataclass from a JSON object: a list becomes a tuple, a nested
     object fills a dataclass field, and every other value has the type of
-    the field's default (an int serves for a float)."""
+    the field's default (an int serves for a float, a bool only for a bool)."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
@@ -155,7 +156,8 @@ def _from_dict(cls, data, what: str):
             value = _from_dict(type(default), value, name)
         elif isinstance(value, list):
             value = tuple(value)
-        if not isinstance(value, (int, float) if type(default) is float else type(default)):
+        if (isinstance(value, bool) is not isinstance(default, bool) or not isinstance(
+                value, (int, float) if type(default) is float else type(default))):
             raise ValueError(f"{what} key {name!r} must be of type "
                              f"{type(default).__name__}, got {value!r}")
         values[name] = value
@@ -167,7 +169,7 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     of the wrong type and injection-locked intensities with no source."""
     config = _from_dict(ProtocolConfig, data, "config")
     if _no_oil_source(config):
-        raise ValueError("oil intensities need mu_in > 0 and mu_i1, mu_i2 in [0, mu_in]")
+        raise ValueError("oil intensities need 0 < mu_in < inf and mu_i1, mu_i2 in [0, mu_in]")
     return config
 
 
@@ -393,27 +395,27 @@ def passive_source(config: ProtocolConfig, att_db: float,
                                              for a in BITS for b in BASES})
         q_weight = 1.0
     else:
-        # key and opp: the two dominant eigenvectors of each box
-        weights = np.array([[[eigendata[(a, b, i)].weights[:2] for i in INTENSITIES]
-                             for a in BITS] for b in BASES])
-        vectors = {key: (e.vectors[:, 0], e.vectors[:, 1]) for key, e in eigendata.items()}
+        # key and opp: the two dominant eigenpairs of each box, weights [basis,
+        # bit, I, tag] and vectors [basis, bit, I, dim, tag]
+        weights, vectors = (np.array([[[getattr(eigendata[(a, b, i)], name)[..., :2]
+                                        for i in INTENSITIES] for a in BITS] for b in BASES])
+                            for name in ("weights", "vectors"))
         diagnostics.extend(
             f"{b}:{i} bit {a}: degenerate key/opp eigenvalues; ordering fixed by gauge"
             for (a, b, i), e in eigendata.items() if e.weights[0] - e.weights[1] < 1e-12)
-        # the bit-averaged key and opp eigenstates of each (basis, I)
-        taus = {(b, i): [0.5 * (np.outer(v0, v0.conj()) + np.outer(v1, v1.conj()))
-                         for v0, v1 in zip(vectors[(0, b, i)], vectors[(1, b, i)])]
-                for b in BASES for i in INTENSITIES}
-        tag_fids = np.array([[[fidelity(taus[(b, i)][t], taus[(b, j)][t]) for t in (0, 1)]
-                              for i, j in INTENSITY_PAIRS] for b in BASES])
-        cross_tag = np.array([[fidelity(*taus[(b, i)]) for i in INTENSITIES] for b in BASES])
-        test = {(a, i): vectors[(a, "X", i)] for a in BITS for i in INTENSITIES}
-        tag_fids_bit = np.array([[[pure_state_fidelity(test[(a, i)][t], test[(a, j)][t])
-                                   for t in (0, 1)] for i, j in INTENSITY_PAIRS] for a in BITS])
-        cross_bit = np.array([[[pure_state_fidelity(test[(a, i)][t], test[(1 - a, i)][1 - t])
-                                for t in (0, 1)] for i in INTENSITIES] for a in BITS])
-        overlap = coin.bb84_pair_overlap(vectors[(0, "Z", "I0")][0], vectors[(1, "Z", "I0")][0],
-                                         test[(0, "I0")][0], test[(1, "I0")][0])
+        # the bit-averaged key and opp eigenstates of each (basis, I) as rank-2
+        # factors [v_bit0, v_bit1]/sqrt(2), [basis, I, tag, dim, bit]
+        factors = vectors.transpose(0, 2, 4, 3, 1) / math.sqrt(2.0)
+        first, second = lp.PAIR_ENDS.T
+        tag_fids = factor_fidelity(factors[:, first], factors[:, second])
+        cross_tag = factor_fidelity(factors[:, :, 0], factors[:, :, 1])
+        # |<.|.>|^2 of the test-basis eigenvectors [bit, I, dim, tag] off the overlap
+        # diagonals: same tag across each pair; the other bit's other tag
+        test = vectors[1]
+        bras = np.swapaxes(test, -1, -2).conj()
+        tag_fids_bit, cross_bit = (np.abs(np.diagonal(gram, axis1=-2, axis2=-1)) ** 2 for gram in (
+            bras[:, first] @ test[:, second], bras @ test[::-1, ..., ::-1]))
+        overlap = coin.bb84_pair_overlap(*vectors[:, :, 0, :, 0].reshape(4, -1))
         q_weight = 0.5 * float(weights[0, 0, 0, 0] + weights[0, 1, 0, 0])
     return PassiveSource(
         analysis=config.analysis, params=params, nodes=nodes, node_sets=node_sets,
@@ -689,24 +691,18 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
     is returned as it is.
     """
     settings = config.optimizer
-    cache, bases = {}, {}  # bases: program label -> its latest final basis
-    reports: dict = {}  # injection-locked: the reports of the latest line search
+    probes, bases = {}, {}  # parameters -> report; program label -> its latest final basis
 
-    def evaluate(cfg: ProtocolConfig) -> float:
+    def probe(cfg: ProtocolConfig) -> KeyRateReport | None:
         key = (round(cfg.mu_max, 12), round(cfg.delta_theta_z, 12),
                round(cfg.mu_in, 12), round(cfg.mu_i1, 12))
-        if key not in cache:
-            if _no_oil_source(cfg):  # a probe with a decoy above the signal scores zero
-                cache[key] = 0.0
-            else:
-                try:
-                    report = key_rate(cfg, distance_km, att_db, settings.search_nodes, starts=bases)
-                    cache[key] = report.rate
-                    if cfg.transmitter == "oil":
-                        reports[cfg] = report
-                except FAILURES:
-                    cache[key] = 0.0
-        return cache[key]
+        if key not in probes:
+            try:  # None, which scores zero: a decoy above the signal, or a failure
+                probes[key] = None if _no_oil_source(cfg) else key_rate(
+                    cfg, distance_km, att_db, settings.search_nodes, starts=bases)
+            except FAILURES:
+                probes[key] = None
+        return probes[key]
 
     best = config
     if config.transmitter == "passive":
@@ -723,12 +719,12 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 lo = max(lo, best.mu_i2 * 1.001)
                 if lo >= hi:
                     continue
-            reports.clear()  # the winner is a probe of the last search
             value, _ = _golden_max(
-                lambda x: evaluate(dataclasses.replace(best, **{name: x})),
+                lambda x: getattr(probe(dataclasses.replace(best, **{name: x})), "rate", 0.0),
                 lo, hi, settings.iterations)
             best = dataclasses.replace(best, **{name: value})
-    report = reports[best] if best in reports else key_rate(best, distance_km, att_db)
+    oil_winner = probe(best) if config.transmitter == "oil" else None
+    report = oil_winner or key_rate(best, distance_km, att_db)
     if report.rate <= 0.0 and report.status == "ok":
         report.status = "no positive rate over the search grid"
     report.details["optimized"] = {name: getattr(best, name) for name in (

@@ -87,23 +87,6 @@ def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return _psd_root_factor(_require_density(rho, name))[0]
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
-
-    Both arguments must be unit-trace PSD matrices of the same dimension;
-    `factor_fidelity` of their `density_factor`s.
-    """
-    a, b = density_factor(rho, "rho"), density_factor(sigma, "sigma")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(factor_fidelity(a, b))
-
-
-def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
-    """|<psi|chi>|^2 for normalised state vectors."""
-    return float(abs(np.vdot(psi, chi)) ** 2)
-
-
 def bures_from_fidelity(fid: float) -> float:
     fid = min(1.0, max(0.0, fid))
     return math.sqrt(2.0 * (1.0 - math.sqrt(fid)))

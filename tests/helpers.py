@@ -9,7 +9,10 @@ of on arrays, a reference bit error by partial trace over the leakage
 modes instead of from one click operator, the region of one target point,
 the textbook decoy bound
 that the yield program reduces to at unit fidelity, a simplex pivot over
-the whole tableau), so that a test can check the two against each other.
+the whole tableau, the fidelity of two density matrices or of two pure
+states instead of from the factors `linalg.factor_fidelity` takes, the
+smooth coin branches without the envelopes' flat parts), so that a test
+can check the two against each other.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import numpy as np
 
 from leakyqkd import coin, lp, oil, passive
 from leakyqkd.channel import beamsplitter_block, error_projector_diagonal, transmittance
-from leakyqkd.coin import bures_chain_bound
+from leakyqkd.coin import _check_unit_interval, _curve, _scalar, bures_chain_bound
 from leakyqkd.fock import coherent_components
-from leakyqkd.linalg import _psd_root_factor, bures_from_fidelity, fidelity
+from leakyqkd.linalg import (_psd_root_factor, bures_from_fidelity, density_factor,
+                             factor_fidelity)
 from leakyqkd.validation import vertex_enumeration_optimum
 
 
@@ -83,6 +87,23 @@ def leakage_functions(point, signs, omega, mu_max):
     h = math.atan2(-math.sin(c_off) + math.sin(point.phi + s_off),
                    math.cos(c_off) + math.cos(point.phi + s_off))
     return c_off, s_off, r, h, omega + r * r
+
+
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
+
+    Both arguments must be unit-trace PSD matrices of the same dimension;
+    `factor_fidelity` of their `density_factor`s.
+    """
+    a, b = density_factor(rho, "rho"), density_factor(sigma, "sigma")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(factor_fidelity(a, b))
+
+
+def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
+    """|<psi|chi>|^2 for normalised state vectors."""
+    return float(abs(np.vdot(psi, chi)) ** 2)
 
 
 def projected_fidelity_bound(rho_i, rho_j, leak_counts, cut):
@@ -206,6 +227,15 @@ def mixed_state(basis_label, intensity, params, n):
         raise ValueError("mixture has zero weight in this photon sector")
     rho = mix / tr
     return (rho + rho.conj().T) / 2.0
+
+
+def transfer_curve(y, fid, sign: int):
+    """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y))."""
+    y = _check_unit_interval(y, "y")
+    z = _check_unit_interval(fid, "fidelity")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return _scalar(_curve(y, z, sign))
 
 
 def scalar_safe_reference(y_ref, fid, side):

@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from leakyqkd import cli, driver, passive
+from helpers import fidelity, pure_state_fidelity
+from leakyqkd import cli, coin, driver, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
-from leakyqkd.lp import InfeasibleProgramError
+from leakyqkd.lp import INTENSITY_PAIRS, InfeasibleProgramError
 
 
 def test_binary_entropy_values():
@@ -377,6 +380,22 @@ def test_oil_optimizer_probes_start_warm(monkeypatch):
                                                          for spec, _ in warm)
 
 
+def test_oil_optimizer_returns_its_winning_probe(monkeypatch):
+    """At 100 km/30 dB the winner repeats an earlier probe (a memo hit)."""
+    real_key_rate = driver.key_rate
+    probes = []
+
+    def recorded(*args, **kwargs):
+        report = real_key_rate(*args, **kwargs)
+        if kwargs.get("starts") is not None:
+            probes.append(report)
+        return report
+
+    monkeypatch.setattr(driver, "key_rate", recorded)
+    _, report = driver.optimize_point(OIL_CONFIG, 100.0, 30.0)
+    assert any(report is probe for probe in probes)
+
+
 def test_sweep_and_passive_production_reports_solve_cold():
     reports = driver.sweep(dataclasses.replace(OIL_CONFIG, distances_km=(50.0, 100.0),
                                                att_db=(30.0, 120.0)))
@@ -467,6 +486,42 @@ def test_golden_grid_csv_is_byte_identical():
     assert golden_csv().encode() == GOLDEN_GRID.read_bytes()
 
 
+@pytest.mark.parametrize("att_db", [10.0, 30.0, 70.0, 120.0])
+def test_refined_source_fidelities_from_its_eigenvectors(att_db):
+    """The tag fidelities of the bit-averaged eigenstates against the closed
+    form F = |M|_F^2 + 2 |det M|, M = A^H B of their rank-2 factors, and
+    against the fidelity of their density matrices; the test-basis ones
+    against |<.|.>|^2."""
+    source = driver.passive_source(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
+                                   att_db)
+    vectors = {key: coin.state_eigendata(m.normalized_block(1)).vectors[:, :2]
+               for key, m in source.moments_bit.items()}
+
+    def check(fid, basis, i, j, t, u):
+        a, b = (np.column_stack([vectors[(bit, basis, k)][:, tag] for bit in driver.BITS])
+                / math.sqrt(2.0) for k, tag in ((i, t), (j, u)))
+        m = a.conj().T @ b
+        assert abs(fid - min(1.0, np.linalg.norm(m) ** 2 + 2.0 * abs(np.linalg.det(m)))) <= 2e-15
+        assert abs(fid - fidelity(a @ a.conj().T, b @ b.conj().T)) <= 1e-12
+
+    for s, basis in enumerate(driver.BASES):
+        for t in (0, 1):
+            for p, (i, j) in enumerate(INTENSITY_PAIRS):
+                check(source.tag_fids[s, p, t], basis, i, j, t, t)
+        for k, i in enumerate(driver.INTENSITIES):
+            check(source.cross_tag[s, k], basis, i, i, 0, 1)
+    for bit in driver.BITS:
+        test = {i: vectors[(bit, "X", i)] for i in driver.INTENSITIES}
+        other = {i: vectors[(1 - bit, "X", i)] for i in driver.INTENSITIES}
+        for t in (0, 1):
+            for p, (i, j) in enumerate(INTENSITY_PAIRS):
+                assert abs(source.tag_fids_bit[bit, p, t]
+                           - pure_state_fidelity(test[i][:, t], test[j][:, t])) <= 2.3e-16
+            for k, i in enumerate(driver.INTENSITIES):
+                assert abs(source.cross_bit[bit, k, t]
+                           - pure_state_fidelity(test[i][:, t], other[i][:, 1 - t])) <= 2.3e-16
+
+
 def test_passive_key_rate_rejects_a_foreign_source():
     source = driver.passive_source(PASSIVE_CONFIG, 120.0, nodes=12)
     with pytest.raises(ValueError, match="another configuration"):
@@ -544,6 +599,14 @@ def test_cli_invalid_config_exit_code(tmp_path):
     *[(command, values) for command in ("rate", "sweep")
       for values in ({"delta_theta_z": 2.0}, {"t1": 0.01, "t2": 0.01}, {"t1": 0.01, "t2": 0.05})],
     ("optimize", {"optimizer": {"delta_theta_z_bracket": [0.1, 3.0]}}),
+    # a JSON boolean is no number; f_ec and the intensities must be finite
+    *[(command, values) for command in ("rate", "optimize")
+      for values in ({"n_cut": True}, {"distances_km": [True]}, {"p_zb": False})],
+    ("optimize", {"optimizer": {"passes": True}}),
+    ("optimize", {"optimizer": {"mu_max_bracket": [0.5, True]}}),
+    *[("rate", {"transmitter": "oil", **values}) for values in (
+        {"f_ec": math.nan}, {"f_ec": math.inf}, {"mu_i2": math.nan}, {"mu_in": math.inf})],
+    ("rate", {"mu_max": math.inf}),
 ])
 def test_cli_rejects_bad_config_values_before_evaluating(command, config, tmp_path, capsys,
                                                          monkeypatch):

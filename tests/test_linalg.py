@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bures_distance, psd_sqrt
-from leakyqkd.linalg import (factor_fidelity, fidelity, hermitian_eigen, pure_state_fidelity,
-                             require_hermitian)
+from helpers import bures_distance, fidelity, psd_sqrt, pure_state_fidelity
+from leakyqkd.linalg import factor_fidelity, hermitian_eigen, require_hermitian
 from leakyqkd.validation import jacobi_eigenvalues
 
 

@@ -19,12 +19,29 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
-                                                 for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules `sources` (module name
+    -> source) whose name no module reads, as a name or an attribute, and no
+    `__all__` lists: code that only the tests use."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= exported(tree)
+        read.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
 
 
 def test_unused_import_detector():
@@ -36,3 +53,14 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unread_definition_detector():
+    assert unread_definitions({"a": "def f():\n    pass\ndef g():\n    f()\nclass C:\n    pass\n",
+                               "b": "import a\na.g()\n__all__ = ['C']\n"}) == []
+    assert unread_definitions({"a": "def f():\n    pass\nclass C:\n    pass\n",
+                               "b": "from a import C\nC()\n"}) == ["a.f"]
+
+
+def test_no_definitions_only_tests_use():
+    assert unread_definitions({path.stem: path.read_text() for path in SOURCES}) == []

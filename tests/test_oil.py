@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mixed_state, setting_intensity, state_vector
+from helpers import fidelity, mixed_state, setting_intensity, state_vector
 from leakyqkd import oil
 from leakyqkd.fock import basis_index
-from leakyqkd.linalg import factor_fidelity, fidelity
+from leakyqkd.linalg import factor_fidelity
 from leakyqkd.validation import oil_block_oracle
 
 
