@@ -64,6 +64,8 @@ class OptimizerSettings:
     oil_intensity_bracket: tuple = (1e-3, 1.0)
 
     def __post_init__(self):
+        if self.passes < 1 or self.iterations < 0:
+            raise ValueError("need passes >= 1 and iterations >= 0")
         if self.search_nodes < passive.MIN_NODES:
             raise ValueError(f"search_nodes must be >= {passive.MIN_NODES}")
         for name in ("mu_max_bracket", "delta_theta_z_bracket", "oil_intensity_bracket"):

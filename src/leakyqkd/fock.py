@@ -7,14 +7,13 @@ leakage photons come first.  Truncating the operator support to at most
 ``cut`` leakage photons is then a simple prefix operation on the basis.
 
 Also provides the photon-number components of product coherent states,
-built by one recursion over photon number (`coherent_sectors`), and the
-n-photon block of a product coherent-state projector: the single
-state-construction primitive both transmitters use.
+built by one recursion over photon number (`coherent_sectors`): the
+single state-construction primitive both transmitters use, on whole
+arrays of evaluation points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,9 +54,6 @@ class NPhotonBasis:
     @property
     def dim(self) -> int:
         return len(self.configs)
-
-    def leak_counts(self) -> np.ndarray:
-        return np.array([leak_count(c, self.leak_modes) for c in self.configs])
 
 
 def enumerate_basis(n: int, k: int, leak_modes=()) -> NPhotonBasis:
@@ -189,35 +185,3 @@ def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
         level = level[parents] * table[factors]
         levels.append(level)
     return [levels[b.n][:b.dim] for b in bases]
-
-
-def coherent_components(alphas: np.ndarray, basis: NPhotonBasis) -> np.ndarray:
-    """Un-normalised n-photon amplitudes of product coherent states.
-
-    Parameters
-    ----------
-    alphas : (k,) or (k, N) complex array
-        Per-mode coherent amplitudes, one column per evaluation point.
-    basis : NPhotonBasis
-
-    Returns
-    -------
-    (dim,) or (dim, N) complex array with rows
-        prod_j alphas[j]**c_j / sqrt(c_j!), for each configuration c
-        (see `coherent_sectors`).
-    """
-    alphas = np.asarray(alphas, dtype=complex)
-    squeeze = alphas.ndim == 1
-    out = coherent_sectors(alphas[:, None] if squeeze else alphas, [basis])[0]
-    return out[:, 0] if squeeze else out
-
-
-def coherent_block(alphas, basis: NPhotonBasis) -> np.ndarray:
-    """n-photon block of |alpha><alpha| for a product coherent state.
-
-    Sub-normalised: its trace is the Poisson weight
-    exp(-|alpha|^2) |alpha|^(2n) / n!.
-    """
-    v = coherent_components(alphas, basis)
-    total = float(np.sum(np.abs(np.asarray(alphas, dtype=complex)) ** 2))
-    return math.exp(-total) * np.outer(v, v.conj())

@@ -1,28 +1,20 @@
 """Dense complex Hermitian linear algebra used throughout the pipeline.
 
-Small matrices only (dimension <= ~70): eigendecompositions, PSD square
-roots, Uhlmann fidelity and the Bures distance, with explicit validation
-so that malformed operators fail loudly instead of propagating NaNs.
+Small matrices only (dimension <= ~70): the PSD-root factors of density
+matrices, the Uhlmann fidelity of two such factors and the Bures
+distance, with explicit validation so that malformed operators fail
+loudly instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order, orthonormal eigenvectors as columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -40,34 +32,6 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nd
     return (matrix + matrix.conj().T) / 2.0
 
 
-def hermitian_eigen(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    h = require_hermitian(matrix)
-    values, vectors = np.linalg.eigh(h)
-    return EigenDecomposition(values=values, vectors=vectors)
-
-
-def _psd_root_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V D, V) with matrix = V D^2 V^H, D the roots of the eigenvalues.
-
-    Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero
-    (quadrature noise); anything below the floor is an error.
-    """
-    eig = hermitian_eigen(matrix)
-    lo = float(eig.values[0])
-    if lo < PSD_EIGENVALUE_FLOOR * max(1.0, float(eig.values[-1])):
-        raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e}")
-    return eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors
-
-
-def _require_density(matrix: np.ndarray, name: str) -> np.ndarray:
-    h = require_hermitian(matrix, tol=1e-8)
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr:.12f}, expected 1 within {TRACE_TOL}")
-    return h
-
-
 def factor_fidelity(a: np.ndarray, b: np.ndarray):
     """Uhlmann fidelity of rho = a a^H and sigma = b b^H (unit-norm factors).
 
@@ -82,9 +46,21 @@ def factor_fidelity(a: np.ndarray, b: np.ndarray):
 
 
 def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """PSD-root factor V D (rho = V D^2 V^H) of a unit-trace PSD matrix, for
-    `factor_fidelity`; `name` labels the matrix in the errors."""
-    return _psd_root_factor(_require_density(rho, name))[0]
+    """PSD-root factor V D (rho = V D^2 V^H, D the roots of the ascending
+    eigenvalues) of a unit-trace PSD matrix, for `factor_fidelity`; `name`
+    labels the matrix in the errors.
+
+    Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero
+    (quadrature noise); anything below the floor is an error.
+    """
+    h = require_hermitian(rho, tol=1e-8)
+    tr = float(np.trace(h).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"{name} has trace {tr:.12f}, expected 1 within {TRACE_TOL}")
+    values, vectors = np.linalg.eigh(h)
+    if values[0] < PSD_EIGENVALUE_FLOOR * max(1.0, float(values[-1])):
+        raise ValueError(f"{name} is not PSD: eigenvalue {values[0]:.3e}")
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
 def bures_from_fidelity(fid: float) -> float:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NPhotonBasis, coherent_block, coherent_sectors, enumerate_basis
+from .fock import NPhotonBasis, coherent_sectors, enumerate_basis
 
 MODE_COUNT = 4
 LEAK_MODES = frozenset({2, 3})
@@ -144,19 +144,6 @@ def setting_amplitudes(setting: OilSetting, params: OilParams) -> np.ndarray:
     ])
 
 
-def state_block(setting: OilSetting, params: OilParams, n: int,
-                basis: NPhotonBasis | None = None) -> np.ndarray:
-    """Sub-normalised n-photon block of one setting's emitted state.
-
-    Trace is Poisson: e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
-    """
-    if n > params.n_cut:
-        raise ValueError(f"n={n} exceeds n_cut={params.n_cut}")
-    if basis is None:
-        basis = oil_basis(n)
-    return coherent_block(setting_amplitudes(setting, params), basis)
-
-
 # The eight emission settings, in the column order of `emission_sectors`:
 # the key basis at I0 and the test basis at every intensity, bits adjacent.
 SETTINGS = tuple((bit, basis, i) for basis in ("Z", "X") for i in INTENSITIES
@@ -167,8 +154,10 @@ def emission_sectors(params: OilParams) -> list[np.ndarray]:
     """Sub-normalised n-photon components of every setting, n = 0..n_cut.
 
     One (dim_n, 8) array per n from a single `coherent_sectors` call,
-    column k for SETTINGS[k]: the outer product of a column with itself
-    is that setting's `state_block`.
+    column k for SETTINGS[k], with the coherent-state normalisation folded
+    into the vacuum: the outer product of a column with itself is that
+    setting's sub-normalised n-photon block, of trace
+    e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
     """
     alphas = np.stack([setting_amplitudes(setting_phases(*key, params), params)
                        for key in SETTINGS], axis=1)

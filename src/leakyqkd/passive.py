@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (NPhotonBasis, coherent_components, coherent_sectors, enumerate_basis,
-                   leak_truncated_subbasis)
+from .fock import NPhotonBasis, coherent_sectors, enumerate_basis, leak_truncated_subbasis
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,7 +252,7 @@ def _classify_arrays(theta, phi, mu, geometry, mu_max):
 
 
 # ---------------------------------------------------------------------------
-# Leakage amplitudes and photon-number blocks
+# Leakage amplitudes
 # ---------------------------------------------------------------------------
 
 def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max):
@@ -277,26 +276,6 @@ def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max):
     amp[4] = math.sqrt(omega / 2.0) * np.exp(1j * (phi - s_off))
     mu_leak = omega + np.abs(amp[3]) ** 2
     return amp, mu_leak
-
-
-def photon_number_block(point: TargetPoint, n: int, omega: float, mu_max: float,
-                        basis: NPhotonBasis | None = None) -> np.ndarray:
-    """Branch-averaged sub-normalised n-photon block at one target point.
-
-    Trace equals the branch average of e^-(mu+mu_L) (mu+mu_L)^n / n!.
-    """
-    if basis is None:
-        basis = passive_basis(n)
-    if basis.k != MODE_COUNT:
-        raise ValueError(f"expected a {MODE_COUNT}-mode basis, got k={basis.k}")
-    if basis.n != n:
-        raise ValueError(f"basis is for n={basis.n}, requested n={n}")
-    # one column per sign branch
-    s_e, s_l = (np.array(signs, dtype=float) for signs in zip(*BRANCHES))
-    amp, mu_leak = _branch_amplitudes(np.full(4, float(point.theta)), np.full(4, float(point.phi)),
-                                      np.full(4, float(point.mu)), s_e, s_l, omega, mu_max)
-    comp = coherent_components(amp, basis)
-    return (comp * (0.25 * np.exp(-(point.mu + mu_leak)))) @ comp.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +673,7 @@ def monte_carlo_region_estimate(params: PassiveParams, region: RegionSpec, n: in
         total = mu[mask] + mu_leak
         wfac = np.exp(-total)
 
-        comp = coherent_components(amp, basis)
+        comp = coherent_sectors(amp, [basis])[0]
         sum_e += (comp * wfac) @ comp.conj().T
         comp2 = comp * comp
         sum_e2 += (comp2 * wfac ** 2) @ comp2.conj().T

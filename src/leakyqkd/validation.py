@@ -16,7 +16,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, driver, lp, oil, passive
 from .fock import basis_index, enumerate_basis
-from .linalg import hermitian_eigen
+from .linalg import density_factor
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,16 @@ def density_box_mass(mu_max: float, theta_box, phi_box, mu_box, n_grid: int = 60
 # ---------------------------------------------------------------------------
 
 def check_eigen_oracle(seed: int = 0) -> tuple[bool, str]:
+    """The squared column norms of `density_factor` (the eigenvalues, in
+    ascending order) on random density matrices against Jacobi sweeps."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
         raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (raw + raw.conj().T) / 2.0
-        ours = hermitian_eigen(h).values
-        reference = jacobi_eigenvalues(h)
+        rho = raw @ raw.conj().T
+        rho /= np.trace(rho).real
+        ours = np.sum(np.abs(density_factor(rho)) ** 2, axis=0)
+        reference = jacobi_eigenvalues(rho)
         worst = max(worst, float(np.max(np.abs(ours - reference))))
     return worst < 1e-9, f"max eigenvalue deviation {worst:.2e}"
 
@@ -265,31 +268,43 @@ def check_density_normalisation(seed: int = 2, samples: int = 1_000_000) -> tupl
 
 
 def check_block_expansion(seed: int = 3) -> tuple[bool, str]:
+    """`passive.region_moments` without leakage cuts on the two nodes
+    (theta, +-phi, mu) of weight 1/2 against the mean of the direct
+    expansions at phi and -phi."""
     rng = np.random.default_rng(seed)
     mu_max = 0.5
     omega = 0.01
+    params = passive.PassiveParams(mu_max=mu_max, omega=omega, leak_cuts={},
+                                   geometry=passive.RegionGeometry(delta_theta_z=0.1))
     worst = 0.0
     for _ in range(2):
-        point = passive.TargetPoint(theta=float(rng.uniform(0.3, 2.8)),
-                                    phi=float(rng.uniform(-3.0, 3.0)),
-                                    mu=float(rng.uniform(0.1, 0.9) * mu_max))
+        theta, phi, mu = (float(rng.uniform(0.3, 2.8)), float(rng.uniform(-3.0, 3.0)),
+                          float(rng.uniform(0.1, 0.9) * mu_max))
+        pair = passive.RegionNodes(theta=np.full(2, theta), phi=np.array([phi, -phi]),
+                                   mu=np.full(2, mu), weight=np.full(2, 0.5))
+        ours = passive.region_moments(passive.RegionSpec(0, "Z", "I0"), params,
+                                      node_sets=[pair]).blocks
         for n in (1, 2):
-            ours = passive.photon_number_block(point, n, omega, mu_max)
-            reference = passive_block_oracle(point, n, omega, mu_max)
-            worst = max(worst, float(np.max(np.abs(ours - reference))))
+            reference = sum(0.5 * passive_block_oracle(passive.TargetPoint(theta, p, mu), n,
+                                                       omega, mu_max) for p in (phi, -phi))
+            worst = max(worst, float(np.max(np.abs(ours[n] - reference))))
     return worst < 1e-10, f"max block deviation {worst:.2e}"
 
 
 def check_oil_expansion(seed: int = 4) -> tuple[bool, str]:
+    """The outer product of each setting's `oil.emission_sectors` column
+    against the direct expansion."""
     params = oil.params_for_intensities(0.5, 0.2, 1e-4, omega=0.02)
+    sectors = oil.emission_sectors(params)
     worst = 0.0
     for bit in (0, 1):
         for basis_label, intensity in (("Z", "I0"), ("X", "I1")):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
+            column = oil.SETTINGS.index((bit, basis_label, intensity))
             for n in (1, 2):
-                ours = oil.state_block(setting, params, n)
+                vec = sectors[n][:, column]
                 reference = oil_block_oracle(setting, params, n)
-                worst = max(worst, float(np.max(np.abs(ours - reference))))
+                worst = max(worst, float(np.max(np.abs(np.outer(vec, vec.conj()) - reference))))
     return worst < 1e-10, f"max block deviation {worst:.2e}"
 
 

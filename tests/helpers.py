@@ -1,18 +1,20 @@
 """Reference formulas that only the tests use.
 
 Each one restates a quantity the package computes another way (a region
-state from `region_moments`, a leakage intensity from the branch
-amplitudes, a click probability from the channel statistics, an
-injection-locked state from its blocks instead of `oil.emission_sectors`,
-or from sampled seed phases, a coin tangent in scalar arithmetic instead
-of on arrays, a reference bit error by partial trace over the leakage
-modes instead of from one click operator, the region of one target point,
-the textbook decoy bound
-that the yield program reduces to at unit fidelity, a simplex pivot over
-the whole tableau, the fidelity of two density matrices or of two pure
-states instead of from the factors `linalg.factor_fidelity` takes, the
-smooth coin branches without the envelopes' flat parts), so that a test
-can check the two against each other.
+state from `region_moments`, the four-branch block at one target point
+that the two-branch quadrature must sum to, a leakage intensity from the
+branch amplitudes, the leakage photon counts of a basis, a click
+probability from the channel statistics, an injection-locked state from
+its own amplitudes instead of `oil.emission_sectors`, or from sampled
+seed phases, a PSD square root from one eigensolve, a coin tangent in
+scalar arithmetic instead of on arrays, a reference bit error by partial
+trace over the leakage modes instead of from one click operator, the
+region of one target point, the textbook decoy bound that the yield
+program reduces to at unit fidelity, a simplex pivot over the whole
+tableau, the fidelity of two density matrices or of two pure states
+instead of from the factors `linalg.factor_fidelity` takes, the smooth
+coin branches without the envelopes' flat parts), so that a test can
+check the two against each other.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 from leakyqkd import coin, lp, oil, passive
 from leakyqkd.channel import beamsplitter_block, error_projector_diagonal, transmittance
 from leakyqkd.coin import _check_unit_interval, _curve, _scalar, bures_chain_bound
-from leakyqkd.fock import coherent_components
-from leakyqkd.linalg import (_psd_root_factor, bures_from_fidelity, density_factor,
-                             factor_fidelity)
+from leakyqkd.fock import coherent_sectors, leak_count
+from leakyqkd.linalg import (PSD_EIGENVALUE_FLOOR, bures_from_fidelity, density_factor,
+                             factor_fidelity, require_hermitian)
 from leakyqkd.validation import vertex_enumeration_optimum
 
 
@@ -89,6 +91,26 @@ def leakage_functions(point, signs, omega, mu_max):
     return c_off, s_off, r, h, omega + r * r
 
 
+def photon_number_block(point, n: int, omega: float, mu_max: float, basis=None) -> np.ndarray:
+    """Branch-averaged sub-normalised n-photon block at one target point.
+
+    Trace equals the branch average of e^-(mu+mu_L) (mu+mu_L)^n / n!.
+    """
+    if basis is None:
+        basis = passive.passive_basis(n)
+    if basis.k != passive.MODE_COUNT:
+        raise ValueError(f"expected a {passive.MODE_COUNT}-mode basis, got k={basis.k}")
+    if basis.n != n:
+        raise ValueError(f"basis is for n={basis.n}, requested n={n}")
+    # one column per sign branch
+    s_e, s_l = (np.array(signs, dtype=float) for signs in zip(*passive.BRANCHES))
+    amp, mu_leak = passive._branch_amplitudes(
+        np.full(4, float(point.theta)), np.full(4, float(point.phi)),
+        np.full(4, float(point.mu)), s_e, s_l, omega, mu_max)
+    comp = coherent_sectors(amp, [basis])[0]
+    return (comp * (0.25 * np.exp(-(point.mu + mu_leak)))) @ comp.conj().T
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
@@ -106,14 +128,19 @@ def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
     return float(abs(np.vdot(psi, chi)) ** 2)
 
 
-def projected_fidelity_bound(rho_i, rho_j, leak_counts, cut):
+def leak_counts(basis) -> np.ndarray:
+    """Leakage photon number of each configuration of `basis`."""
+    return np.array([leak_count(c, basis.leak_modes) for c in basis.configs])
+
+
+def projected_fidelity_bound(rho_i, rho_j, counts, cut):
     """Fidelity lower bound keeping only entries with <= cut leakage photons.
 
-    `leak_counts` gives the leakage photon number of each basis index;
+    `counts` gives the leakage photon number of each basis index;
     the basis ordering must make the kept entries a contiguous prefix.
     With cut >= max leak count the bound equals the exact fidelity.
     """
-    keep = int(np.searchsorted(leak_counts, cut + 0.5))
+    keep = int(np.searchsorted(counts, cut + 0.5))
     if keep == 0:
         raise ValueError("projection annihilates the state (no kept entries)")
     t_i = float(np.trace(rho_i[:keep, :keep]).real)
@@ -209,17 +236,35 @@ def setting_intensity(setting, params):
 def state_vector(setting, params, n):
     """Normalised pure n-photon state of one injection-locked setting
     (n >= 1), in the phase convention of the printed amplitudes."""
-    vec = coherent_components(oil.setting_amplitudes(setting, params), oil.oil_basis(n))
+    vec = _setting_components(oil.setting_amplitudes(setting, params), n)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("n-photon component has zero weight")
     return vec / norm
 
 
+def _setting_components(alphas, n):
+    """Un-normalised n-photon components of one injection-locked coherent
+    amplitude vector."""
+    return coherent_sectors(alphas[:, None], [oil.oil_basis(n)])[0][:, 0]
+
+
+def state_block(setting, params, n):
+    """Sub-normalised n-photon block of one injection-locked setting's
+    emitted state, from its amplitudes alone instead of from the
+    `oil.emission_sectors` of every setting.
+
+    Trace is Poisson: e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
+    """
+    alphas = oil.setting_amplitudes(setting, params)
+    v = _setting_components(alphas, n)
+    return math.exp(-float(np.sum(np.abs(alphas) ** 2))) * np.outer(v, v.conj())
+
+
 def mixed_state(basis_label, intensity, params, n):
     """Normalised equal-bit mixture of two injection-locked n-photon
-    settings, from their `oil.state_block`s."""
-    blocks = [oil.state_block(oil.setting_phases(bit, basis_label, intensity, params), params, n)
+    settings, from their `state_block`s."""
+    blocks = [state_block(oil.setting_phases(bit, basis_label, intensity, params), params, n)
               for bit in (0, 1)]
     mix = 0.5 * (blocks[0] + blocks[1])
     tr = float(np.trace(mix).real)
@@ -267,8 +312,10 @@ def scalar_tangent(fid, y_ref, side):
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix (negative noise clamped to zero)."""
-    factor, v = _psd_root_factor(matrix)
-    out = factor @ v.conj().T
+    values, v = np.linalg.eigh(require_hermitian(matrix))
+    if values[0] < PSD_EIGENVALUE_FLOOR * max(1.0, float(values[-1])):
+        raise ValueError(f"matrix is not PSD: eigenvalue {values[0]:.3e}")
+    out = (v * np.sqrt(np.clip(values, 0.0, None))) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -299,7 +346,7 @@ def oil_monte_carlo_estimate(setting, params, n: int, samples: int, seed: int):
     mean = np.zeros((basis.dim, basis.dim), dtype=complex)
     sq = np.zeros((basis.dim, basis.dim))
     for phase in rng.uniform(0.0, 2.0 * math.pi, size=samples):
-        vec = coherent_components(base * np.exp(1j * phase), basis)
+        vec = _setting_components(base * np.exp(1j * phase), n)
         block = norm * np.outer(vec, vec.conj())
         mean += block
         sq += block.real ** 2

@@ -607,6 +607,9 @@ def test_cli_invalid_config_exit_code(tmp_path):
     *[("rate", {"transmitter": "oil", **values}) for values in (
         {"f_ec": math.nan}, {"f_ec": math.inf}, {"mu_i2": math.nan}, {"mu_in": math.inf})],
     ("rate", {"mu_max": math.inf}),
+    # the optimizer must search: at least one pass, no negative iteration count
+    ("optimize", {"transmitter": "oil", "optimizer": {"passes": 0}}),
+    ("optimize", {"transmitter": "oil", "optimizer": {"iterations": -1}}),
 ])
 def test_cli_rejects_bad_config_values_before_evaluating(command, config, tmp_path, capsys,
                                                          monkeypatch):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import bures_distance, fidelity, psd_sqrt, pure_state_fidelity
-from leakyqkd.linalg import factor_fidelity, hermitian_eigen, require_hermitian
+from leakyqkd.linalg import density_factor, factor_fidelity, require_hermitian
 from leakyqkd.validation import jacobi_eigenvalues
-
-
-def random_hermitian(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (raw + raw.conj().T) / 2.0
 
 
 def random_density(rng, dim):
@@ -19,38 +14,46 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+def eigenvalues(rho):
+    """The eigenvalues of rho in ascending order, as `density_factor` gives
+    them: its squared column norms."""
+    return np.sum(np.abs(density_factor(rho)) ** 2, axis=0)
+
+
 def test_identity_eigenvalues():
-    eig = hermitian_eigen(np.eye(3))
-    assert np.allclose(eig.values, 1.0)
+    assert np.allclose(eigenvalues(np.eye(3) / 3.0), 1.0 / 3.0)
 
 
 def test_analytic_two_by_two():
-    eig = hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(eig.values, [-1.0, 1.0])
+    assert np.allclose(eigenvalues(np.array([[0.5, 0.5], [0.5, 0.5]])), [0.0, 1.0])
 
 
 def test_eigen_matches_jacobi_oracle():
     rng = np.random.default_rng(7)
     for _ in range(4):
-        h = random_hermitian(rng, 6)
-        ours = hermitian_eigen(h).values
-        assert np.max(np.abs(ours - jacobi_eigenvalues(h))) < 1e-9
+        rho = random_density(rng, 6)
+        assert np.max(np.abs(eigenvalues(rho) - jacobi_eigenvalues(rho))) < 1e-9
 
 
 def test_eigen_reconstruction_and_orthonormality():
+    # rho = A A^H with orthogonal columns in ascending norm
     rng = np.random.default_rng(8)
-    h = random_hermitian(rng, 7)
-    eig = hermitian_eigen(h)
-    v, w = eig.vectors, eig.values
-    scale = max(1.0, np.max(np.abs(h)))
-    assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(7))) <= 1e-10
-    assert np.all(np.diff(w) >= 0)
+    rho = random_density(rng, 7)
+    a = density_factor(rho)
+    gram = a.conj().T @ a
+    assert np.max(np.abs(a @ a.conj().T - rho)) <= 1e-10
+    assert np.max(np.abs(gram - np.diag(gram.diagonal()))) <= 1e-10
+    assert np.all(np.diff(gram.diagonal().real) >= 0)
 
 
 def test_non_hermitian_rejected_with_asymmetry():
     with pytest.raises(ValueError, match="asymmetry"):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        density_factor(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def test_density_factor_rejects_negative_eigenvalue():
+    with pytest.raises(ValueError, match="sigma is not PSD"):
+        density_factor(np.diag([1.0 + 1e-6, -1e-6]), "sigma")
 
 
 def test_psd_sqrt_identity_and_diagonal():

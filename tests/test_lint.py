@@ -31,17 +31,22 @@ def exported(tree: ast.Module) -> set[str]:
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes of the modules `sources` (module name
-    -> source) whose name no module reads, as a name or an attribute, and no
-    `__all__` lists: code that only the tests use."""
+    """Top-level functions and classes, and public methods of those classes,
+    of the modules `sources` (module name -> source) whose name no module
+    reads, as a name or an attribute, and no `__all__` lists: code that only
+    the tests use."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
         read |= exported(tree)
         read.update(node.id if isinstance(node, ast.Name) else node.attr
                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
+    definitions = [(f"{module}.{node.name}", node) for module, tree in trees.items()
+                   for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    definitions += [(f"{name}.{node.name}", node) for name, cls in definitions
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    return [name for name, node in definitions if node.name not in read]
 
 
 def test_unused_import_detector():
@@ -60,6 +65,9 @@ def test_unread_definition_detector():
                                "b": "import a\na.g()\n__all__ = ['C']\n"}) == []
     assert unread_definitions({"a": "def f():\n    pass\nclass C:\n    pass\n",
                                "b": "from a import C\nC()\n"}) == ["a.f"]
+    methods = "class C:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+    assert unread_definitions({"a": methods + "    def _p(self):\n        pass\n",
+                               "b": "from a import C\nC().n()\n"}) == ["a.C.m"]
 
 
 def test_no_definitions_only_tests_use():

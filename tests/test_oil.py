@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fidelity, mixed_state, setting_intensity, state_vector
+from helpers import fidelity, mixed_state, setting_intensity, state_block, state_vector
 from leakyqkd import oil
 from leakyqkd.fock import basis_index
 from leakyqkd.linalg import factor_fidelity
@@ -12,6 +12,13 @@ from leakyqkd.validation import oil_block_oracle
 
 def make_params(omega=0.01, mu_in=0.5):
     return oil.params_for_intensities(mu_in, 0.2 * mu_in, 1e-4, omega=omega)
+
+
+def emitted_block(key, params, n):
+    """Sub-normalised n-photon block of the setting `key` (bit, basis,
+    intensity): the outer product of its `oil.emission_sectors` column."""
+    vec = oil.emission_sectors(params)[n][:, oil.SETTINGS.index(key)]
+    return np.outer(vec, vec.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +79,7 @@ def test_kappa_inversion_roundtrip():
 def test_vacuum_block_scalar():
     params = make_params()
     setting = oil.setting_phases(0, "Z", "I0", params)
-    block = oil.state_block(setting, params, 0)
+    block = emitted_block((0, "Z", "I0"), params, 0)
     mu = setting_intensity(setting, params)
     assert block[0, 0].real == pytest.approx(math.exp(-(mu + 2 * params.omega)), abs=1e-14)
 
@@ -95,7 +102,7 @@ def test_poisson_traces():
     mu = setting_intensity(setting, params)
     lam = mu + 2 * params.omega
     for n in range(4):
-        block = oil.state_block(setting, params, n)
+        block = emitted_block((0, "X", "I1"), params, n)
         assert np.trace(block).real == pytest.approx(
             math.exp(-lam) * lam ** n / math.factorial(n), rel=1e-12)
     probs = oil.photon_probabilities(mu, params.omega, 20)
@@ -103,9 +110,8 @@ def test_poisson_traces():
 
 
 def test_leak_free_states_have_no_leak_support():
-    params = oil.OilParams(mu_in=0.4, omega=0.0)
-    setting = oil.setting_phases(0, "Z", "I0", params)
-    block = oil.state_block(setting, params, 2)
+    params = make_params(omega=0.0, mu_in=0.4)
+    block = emitted_block((0, "Z", "I0"), params, 2)
     basis = oil.oil_basis(2)
     for i, cfg in enumerate(basis.configs):
         if cfg[2] + cfg[3] > 0:
@@ -118,7 +124,7 @@ def test_block_matches_phase_average_oracle():
         for basis_label, intensity in (("Z", "I0"), ("X", "I1")):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
             for n in (1, 2):
-                ours = oil.state_block(setting, params, n)
+                ours = emitted_block((bit, basis_label, intensity), params, n)
                 reference = oil_block_oracle(setting, params, n, phase_nodes=128)
                 assert np.max(np.abs(ours - reference)) < 1e-10
 
@@ -162,8 +168,7 @@ def test_leakage_marginal_is_setting_independent_at_signal_intensity():
     marginals = []
     for bit in (0, 1):
         for basis_label in ("Z", "X"):
-            setting = oil.setting_phases(bit, basis_label, "I0", params)
-            marginals.append(leak_marginal(oil.state_block(setting, params, 1)))
+            marginals.append(leak_marginal(emitted_block((bit, basis_label, "I0"), params, 1)))
     for other in marginals[1:]:
         for key, value in marginals[0].items():
             assert abs(other[key] - value) < 1e-14
@@ -191,7 +196,7 @@ def test_emission_sector_columns_are_the_setting_blocks():
     for n, sector in enumerate(oil.emission_sectors(params)):
         assert sector.shape == (oil.oil_basis(n).dim, len(oil.SETTINGS))
         for k, key in enumerate(oil.SETTINGS):
-            block = oil.state_block(oil.setting_phases(*key, params), params, n)
+            block = state_block(oil.setting_phases(*key, params), params, n)
             assert np.max(np.abs(np.outer(sector[:, k], sector[:, k].conj()) - block)) <= 1e-15
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from helpers import (ConvergenceError, classify_region, joint_pdf, leakage_functions,
-                     region_average)
+                     photon_number_block, region_average)
 from leakyqkd import channel, passive
+from leakyqkd.fock import coherent_sectors
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
                                  passive_block_oracle, total_density_mass)
 
@@ -178,10 +179,21 @@ def test_leak_intensity_matches_pulse_amplitudes(raw):
     assert mu_leak == pytest.approx(expected, abs=1e-12)
 
 
+def pair_blocks(point, omega):
+    """`region_moments` blocks, without leakage cuts, on the two nodes
+    (theta, +-phi, mu) of weight 1/2: the real part of the four-branch
+    block at the point."""
+    nodes = passive.RegionNodes(theta=np.full(2, point.theta),
+                                phi=np.array([point.phi, -point.phi]),
+                                mu=np.full(2, point.mu), weight=np.full(2, 0.5))
+    return passive.region_moments(passive.RegionSpec(0, "Z", "I0"),
+                                  make_params(omega, leak_cuts={}), node_sets=[nodes]).blocks
+
+
 def test_leak_free_single_photon_block_is_pure_qubit():
     mu = 0.3
     point = passive.TargetPoint(theta=math.pi / 2, phi=0.0, mu=mu)
-    block = passive.photon_number_block(point, 1, 0.0, MU_MAX)
+    block = pair_blocks(point, 0.0)[1]
     vec = np.zeros(5, dtype=complex)
     vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
     expected = math.exp(-mu) * mu * np.outer(vec, vec.conj())
@@ -191,7 +203,7 @@ def test_leak_free_single_photon_block_is_pure_qubit():
 def test_vacuum_block_value():
     omega = 0.01
     point = passive.TargetPoint(theta=1.0, phi=0.7, mu=0.2)
-    block = passive.photon_number_block(point, 0, omega, MU_MAX)
+    block = pair_blocks(point, omega)[0]
     expected = 0.0
     for signs in passive.BRANCHES:
         _, _, _, _, mu_leak = leakage_functions(point, signs, omega, MU_MAX)
@@ -202,13 +214,16 @@ def test_vacuum_block_value():
 
 def test_block_matches_direct_expansion_oracle():
     point = passive.TargetPoint(theta=1.2, phi=-0.8, mu=0.21)
+    mirror = passive.TargetPoint(theta=1.2, phi=0.8, mu=0.21)
+    blocks = pair_blocks(point, 0.01)
     for n in (1, 2):
-        ours = passive.photon_number_block(point, n, 0.01, MU_MAX)
-        reference = passive_block_oracle(point, n, 0.01, MU_MAX, phase_nodes=128)
-        assert np.max(np.abs(ours - reference)) < 1e-10
+        reference = sum(0.5 * passive_block_oracle(p, n, 0.01, MU_MAX, phase_nodes=128)
+                        for p in (point, mirror))
+        assert np.max(np.abs(blocks[n] - reference)) < 1e-10
 
 
 def test_branch_average_order_invariance():
+    # the four branches summed in reverse order against the two-branch kernel
     point = passive.TargetPoint(theta=1.2, phi=-0.8, mu=0.21)
     basis = passive.passive_basis(1)
     total = np.zeros((5, 5), dtype=complex)
@@ -216,10 +231,9 @@ def test_branch_average_order_invariance():
         amp, mu_leak = passive._branch_amplitudes(
             np.atleast_1d(point.theta), np.atleast_1d(point.phi),
             np.atleast_1d(point.mu), s_e, s_l, 0.01, MU_MAX)
-        from leakyqkd.fock import coherent_components
-        vec = coherent_components(amp[:, 0], basis)
+        vec = coherent_sectors(amp, [basis])[0][:, 0]
         total += 0.25 * math.exp(-(point.mu + float(mu_leak[0]))) * np.outer(vec, vec.conj())
-    assert np.max(np.abs(total - passive.photon_number_block(point, 1, 0.01, MU_MAX))) < 1e-15
+    assert np.max(np.abs(total.real - pair_blocks(point, 0.01)[1])) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +251,8 @@ def test_region_moments_match_per_node_block_sum(bit, basis):
     assert moments.mass == pytest.approx(nodes.mass, rel=1e-15)
     for n in range(params.n_cut + 1):
         basis_n = params.block_basis(n)
-        expected = sum(w * passive.photon_number_block(passive.TargetPoint(t, p, m), n,
-                                                       params.omega, MU_MAX, basis=basis_n)
+        expected = sum(w * photon_number_block(passive.TargetPoint(t, p, m), n,
+                                               params.omega, MU_MAX, basis=basis_n)
                        for t, p, m, w in zip(nodes.theta, nodes.phi, nodes.mu, nodes.weight))
         assert moments.bases[n].configs == basis_n.configs
         scale = np.max(np.abs(expected))
