@@ -252,9 +252,7 @@ def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list,
     solution = lp.solve(spec) if starts is None else lp.solve(spec, starts.get(label))
     if starts is not None:
         starts[label] = solution.basis
-    lp_log.append({"label": label, "status": solution.status, "attempts": solution.attempts,
-                   "relaxation": solution.relaxation, "bound": solution.bound,
-                   "relaxed_value": solution.relaxed_value, "iterations": solution.iterations,
+    lp_log.append({"label": label, "status": solution.status, "iterations": solution.iterations,
                    "rows": len(spec.b), "cols": len(spec.variables), "start": solution.start})
     if solution.status != "optimal":
         exc = InfeasibleProgramError(f"{label} program is {solution.status}")
@@ -603,9 +601,8 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
 
 def _provenance(config: ProtocolConfig, lp_log: list, nodes: int, solve_s: float) -> dict:
     """Config hash, grid, one record per solved program (label, status,
-    attempts, relaxation, bound, relaxed_value and start (see `lp.solve`),
-    iterations, rows, columns), their summed `lp_iterations` (a CSV column)
-    and their time, `timings["solve_s"]`."""
+    iterations, rows, columns and start, see `lp.solve`), their summed
+    `lp_iterations` (a CSV column) and their time, `timings["solve_s"]`."""
     return {"config_hash": config_hash(config), "nodes": nodes,
             "lp_iterations": sum(r["iterations"] for r in lp_log), "lp": lp_log,
             "timings": {"solve_s": solve_s}}

@@ -3,7 +3,8 @@
 Every program is one `LinearProgram` in array form (c, a, b, upper)
 over variables boxed to [0, 1], solved by a small two-phase simplex
 (Dantzig pricing with a deterministic switch to Bland's anti-cycling
-rule on stalls), or warm from a neighbouring program's optimal basis
+rule on stalls) whose verdicts rest on values re-solved from the
+original data, or warm from a neighbouring program's optimal basis
 (`solve`).  The tableau is dense, but a pivot (`_pivot`) updates only
 the rows with a nonzero in the pivot column and the columns with a
 nonzero in the pivot row, at the median 120-135 of 258 and 9-13 of 306 in
@@ -22,9 +23,7 @@ leads.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,14 +31,10 @@ import numpy as np
 from .coin import tangent_line
 
 PIVOT_TOL = 1e-9
-FEASIBILITY_TOL = 1e-8
 STALL_LIMIT = 40
-# pivots one attempt may take: ten times the longest successful attempt of
-# the test suite (250); a phase 1 crawling through a sliver polytope takes ~40,000
+# pivots one solve may take: ten times the longest of the test suite (250)
 PIVOT_BUDGET = 2_500
-RELAXATIONS = (0.0, 1e-10, 1e-8)
-# pivots that carry a relaxed optimum's multipliers to the unrelaxed program, and
-# the reduced-cost tolerance they work to
+# pivots that repair a warm start, and the tolerance of the check every solve ends in
 CLEANUP_PIVOTS = 100
 DUAL_TOL = 1e-12
 
@@ -80,16 +75,10 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"; "unfinished" (one attempt only)
+    status: str  # "optimal" | "infeasible" | "unbounded" | "unfinished" (see `solve`)
     value: float | None
     x: np.ndarray | None  # the optimal point, in column order
     iterations: int
-    relaxation: float = 0.0  # constraint relaxation level of the returned attempt
-    attempts: int = 1
-    # a relaxed attempt reports the tighter of its optimum (kept here) and the
-    # dual certificate of the unrelaxed program; `bound` names the winner
-    relaxed_value: float | None = None
-    bound: str = "simplex"  # "simplex" (unrelaxed) | "relaxed" | "certificate"
     basis: np.ndarray | None = None  # the final basis; None if an artificial stays basic
     start: str = "cold"  # "warm": the solve that counted started from a given basis
 
@@ -112,31 +101,25 @@ def _choose_entering(cost_row: np.ndarray, allowed: np.ndarray, bland: bool) -> 
     candidates = np.where(allowed & (cost_row[:-1] < -PIVOT_TOL))[0]
     if candidates.size == 0:
         return -1
-    if bland:
-        return int(candidates[0])
-    return int(candidates[np.argmin(cost_row[candidates])])
+    return int(candidates[0] if bland else candidates[np.argmin(cost_row[candidates])])
 
 
 def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     column = tableau[:, col]
-    rows = np.where(column > PIVOT_TOL)[0]
+    # pivots relative to the column's largest: tiny ones end phases on singular bases
+    rows = np.where(column > PIVOT_TOL * max(1.0, column.max()))[0]
     if rows.size == 0:
         return -1
     ratios = tableau[rows, -1] / column[rows]
     best = np.min(ratios)
-    # tie band strictly relative to the winning ratio; any absolute band
-    # merges genuinely different tiny ratios when column entries are large
+    # a tie band relative to the winning ratio: an absolute one merges distinct tiny ratios
     ties = rows[ratios <= best + 1e-7 * abs(best)]
-    if ties.size > 1:
-        # prefer the largest pivot element for numerical stability
-        pivots = column[ties]
-        ties = ties[pivots >= 0.999 * np.max(pivots)]
+    ties = ties[column[ties] >= 0.999 * column[ties].max()]  # the largest pivots, for stability
     return int(ties[np.argmin(basis[ties])])
 
 
 def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, int]:
-    iterations = 0
-    stall = 0
+    iterations = stall = 0
     bland = False
     # cost_row[-1] holds minus the current objective; it increases on progress
     progress_mark = cost_row[-1]
@@ -153,86 +136,47 @@ def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, i
         cost_row[changed] -= cost_row[col] * tableau[row, changed]
         iterations += 1
         if cost_row[-1] > progress_mark + PIVOT_TOL:
-            progress_mark = cost_row[-1]
-            stall = 0
+            progress_mark, stall = cost_row[-1], 0
         else:
             stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
+            bland = bland or stall >= STALL_LIMIT
 
 
 def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
     """Two-phase simplex; deterministic for identical input.
 
-    Sliver polytopes (all observables far below the box bounds) can defeat
-    the plain ratio test, so when phase 1 finds no feasible point, an
-    attempt runs out of PIVOT_BUDGET, or the solution fails the
-    feasibility check, the solve is retried with every constraint relaxed
-    by the next level of RELAXATIONS (recorded with the attempts);
-    "infeasible" stands only after the last.  Relaxing is safe here: minima
-    only decrease and maxima only increase.  A relaxed attempt reports the
-    tighter of its optimum and a weak-duality bound on the unrelaxed
-    program (`_dual_bound`) from its final basis's multipliers, re-optimised
-    for the unrelaxed right-hand side (`_reoptimize`).
+    Both phases are judged on values re-solved from the original data, not
+    on the tableau's, which drift pivot by pivot (Maros, Computational
+    Techniques of the Simplex Method, 2003).  Phase 1 ends only when no
+    artificial exceeds DUAL_TOL, else the tableau is rebuilt from the data at
+    its basis and phase 1 goes on.  Every solve ends in one check (`_settle`):
+    its final basis's basic values and reduced costs must all be >= -DUAL_TOL,
+    so its point meets every row and bound to DUAL_TOL and the solve's
+    residual.  A solve that spends PIVOT_BUDGET or ends on a singular basis
+    is "unfinished".
 
     `start`, the `basis` of a solution of a program of the same shape, is
-    tried first, unrelaxed and factored on this program's data: it counts
-    with no pivot when its basic values and reduced costs are all >=
-    -PIVOT_TOL (the phase-2 test), else after dual, then primal pivots
-    (`_reoptimize`) within CLEANUP_PIVOTS.  A start of another length, or
-    singular, neither primal nor dual feasible, over that budget, or with
-    an optimum failing the feasibility check, gives way to the cold ones.
+    tried first, and repaired within CLEANUP_PIVOTS if it fails that check;
+    one of another length, singular, neither primal nor dual feasible (to
+    -PIVOT_TOL) or not optimal within that budget gives way to the cold solve.
     """
     if start is not None and len(start) == len(program.b) + len(program.variables):
         solution = _solve_once(program, np.asarray(start))
         if solution.status == "optimal":
-            with contextlib.suppress(RuntimeError):
-                _verify_feasible(program, solution.x)
-                return replace(solution, start="warm")
-    outcome: LPSolution | Exception | None = None
-    for attempt, perturbation in enumerate(RELAXATIONS, start=1):
-        solution = _solve_once(program, perturbation)
-        solution.relaxation, solution.attempts = perturbation, attempt
-        if solution.status == "unbounded":
-            return solution
-        outcome = solution
-        if solution.status == "unfinished":
-            outcome = RuntimeError(f"simplex exceeded its budget of {PIVOT_BUDGET} pivots")
-        elif solution.status == "optimal":
-            allowance = perturbation * (len(program.b) + len(program.variables) + 2)
-            try:
-                _verify_feasible(program, solution.x, allowance)
-                return solution
-            except RuntimeError as exc:
-                outcome = exc
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+            return replace(solution, start="warm")
+    return _solve_once(program, None)
 
 
-def _reduced_costs(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    cost_row = cost.copy()
-    for r in np.flatnonzero(cost[basis]):
-        cost_row -= cost[basis[r]] * tableau[r]
-    return cost_row
-
-
-def _solve_once(program: LinearProgram, level) -> LPSolution:
-    """One attempt: at relaxation `level`, or unrelaxed from the basis `level` (an index
-    array), one argument so that wrappers of (program, level), as the benchmark tracer's,
-    see every attempt."""
-    start, perturbation = (level, 0.0) if isinstance(level, np.ndarray) else (None, level)
+def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
+    """One solve: cold, or from the basis `start`; two positional arguments, so that
+    wrappers of (program, start), as the benchmark tracer's, see every solve."""
     m_con, n = program.a.shape
     m = m_con + n
-    # columns: structural | one slack per row | artificials | rhs.  Rows:
-    # the constraints, each relaxed by perturbation * (row + 1), then the
-    # upper box bounds; lower bounds are native
-    signs = np.where(program.upper, 1.0, -1.0)
-    rhs = np.concatenate([program.b + signs * (perturbation * np.arange(1, m_con + 1)),
-                          np.ones(n)])
-    slack = np.concatenate([signs, np.ones(n)])
+    # columns: structural | one slack per row | artificials | rhs.  Rows: the
+    # constraints, then the upper box bounds; lower bounds are native
+    rhs = np.concatenate([program.b, np.ones(n)])
+    slack = np.concatenate([np.where(program.upper, 1.0, -1.0), np.ones(n)])
     flip = rhs < 0.0  # rows negated to a nonnegative rhs
-    rhs[flip] *= -1.0
     art_rows = np.flatnonzero(np.where(flip, -slack, slack) < 0.0)  # surplus can't start basic
     n_art = art_rows.size
     art_cols = n + m + np.arange(n_art)
@@ -240,81 +184,155 @@ def _solve_once(program: LinearProgram, level) -> LPSolution:
     tableau[:m_con, :n] = program.a
     tableau[m_con:, :n] = np.eye(n)
     tableau[np.arange(m), n + np.arange(m)] = slack
-    tableau[flip, :n + m] *= -1.0
-    tableau[art_rows, art_cols] = 1.0
-    original = tableau[:, :-1].copy()  # for the final re-solve
     tableau[:, -1] = rhs
-    initial = np.arange(n, n + m)  # the starting basis, whose columns come to hold B^-1
+    tableau[flip] *= -1.0
+    tableau[art_rows, art_cols] = 1.0
+    original = tableau.copy()  # the data every verdict is re-solved on
+    # the starting basis, the identity in `original`: its columns come to hold B^-1
+    initial = np.arange(n, n + m)
     initial[art_rows] = art_cols
     basis = initial.copy()
     allowed = np.ones(n + m + n_art, dtype=bool)
     cost = np.zeros(n + m + n_art + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
 
-    iterations, x_basic = 0, None
-    if start is not None:
+    form = (tableau, basis, original, initial, allowed)
+    if start is not None:  # factor the start on this program's data: B x_B = rhs, B^T y = c_B
         allowed[n + m:] = False
-        status, iterations, x_basic = _from_basis(tableau, basis, original, cost, start, allowed)
-    elif n_art:
-        phase_one = np.zeros(n + m + n_art + 1)
-        phase_one[art_cols] = 1.0
-        cost_row = _reduced_costs(phase_one, tableau, basis)
-        status, iterations = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET)
-        if status == "unfinished":
-            return LPSolution(status=status, value=None, x=None, iterations=iterations)
-        if status != "optimal" or -cost_row[-1] > 1e-7:
-            return LPSolution(status="infeasible", value=None, x=None, iterations=iterations)
+        matrix = original[:, start]
+        x_basic, y = _factored(matrix, original[:, -1]), _factored(matrix.T, cost[start])
+        if x_basic is None or y is None:  # singular
+            return LPSolution("unfinished", None, None, 0)
+        reduced = (cost - y @ original)[:-1]
+        if x_basic.min() < -PIVOT_TOL and reduced[allowed].min() < -PIVOT_TOL:
+            return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
+        basis[:] = start
+        if min(x_basic.min(), reduced[allowed].min()) < -DUAL_TOL:  # to be repaired
+            tableau[:] = np.linalg.solve(matrix, original)
+        status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
+    else:
+        status, iterations = _phase_one(form, art_cols) if n_art else ("optimal", 0)
         allowed[n + m:] = False
-        for r in range(m):
-            if basis[r] >= n + m:  # drive artificial out or accept the redundant row
-                pivot_cols = np.flatnonzero(np.abs(tableau[r, :n + m]) > PIVOT_TOL)
-                if pivot_cols.size:
-                    _pivot(tableau, basis, r, int(pivot_cols[0]))
+        if status == "optimal":
+            for r in np.flatnonzero(basis >= n + m):  # drive artificials out, or keep the row
+                entries = np.abs(tableau[r, :n + m])
+                if entries.max() > PIVOT_TOL:
+                    _pivot(tableau, basis, r, int(np.argmax(entries)))
                     iterations += 1
-
-    if start is None:
-        cost_row = _reduced_costs(cost, tableau, basis)
-        status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
-        iterations += its
+            cost_row = cost - cost[basis] @ tableau
+            status, its = _run_simplex(tableau, basis, cost_row, allowed,
+                                       PIVOT_BUDGET - iterations)
+            iterations += its
+        if status == "optimal":
+            status, its, x_basic = _settle(form, cost, PIVOT_BUDGET - iterations)
+            iterations += its
     if status != "optimal":
-        return LPSolution(status=status, value=None, x=None, iterations=iterations)
-
-    # re-solve the final basic system from the original data, as a start taken with no
-    # pivot already has: pivoting through nearly parallel rows can leave O(1e-7) drift
+        return LPSolution(status, None, None, iterations)
     values = np.zeros(n + m + n_art)
-    try:
-        values[basis] = np.linalg.solve(original[:, basis], rhs) if x_basic is None else x_basic
-    except np.linalg.LinAlgError:
-        values[basis] = tableau[:, -1]
+    values[basis] = x_basic
     x = values[:n].copy()
     value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
     final = basis.copy() if basis.max() < n + m else None
-    if perturbation == 0.0:
-        return LPSolution(status="optimal", value=value, x=x, iterations=iterations, basis=final)
-    unrelaxed = np.concatenate([program.b, np.ones(n)])
-    unrelaxed[flip] *= -1.0
-    tableau[:, -1] = tableau[:, initial] @ unrelaxed
-    _reoptimize(tableau, basis, cost_row, allowed)
-    certified = _dual_bound(program, cost_row[n:n + m_con])
-    tighter = max(value, certified) if program.sense == "min" else min(value, certified)
-    return LPSolution(status="optimal", value=tighter, x=x, iterations=iterations,
-                      basis=final, relaxed_value=value,
-                      bound="certificate" if tighter == certified else "relaxed")
+    return LPSolution("optimal", value, x, iterations, basis=final)
 
 
-def _reoptimize(tableau, basis, cost_row, allowed, floor: float = 0.0) -> tuple[str, int]:
-    """(status, pivots) of re-optimising in place, within CLEANUP_PIVOTS, a
-    basis whose basic solution (the last column of `tableau`) may be infeasible.
+def _phase_one(form, art_cols: np.ndarray) -> tuple[str, int]:
+    """(status, pivots) of phase 1: "optimal" once no artificial, re-solved
+    on the original data, exceeds DUAL_TOL; "infeasible" once one does and a
+    tableau rebuilt from that data takes no pivot."""
+    tableau, basis, original, initial, allowed = form
+    phase_one = np.zeros(tableau.shape[1])
+    phase_one[art_cols] = 1.0
+    iterations, rebuilt = 0, None
+    while True:
+        cost_row = phase_one - phase_one[basis] @ tableau
+        status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
+        iterations += its
+        x_basic = (_refined(tableau[:, initial], original[:, basis], original[:, -1])
+                   if status != "unfinished" else None)
+        if x_basic is None:
+            return "unfinished", iterations
+        if status == "optimal" and (x_basic * phase_one[basis]).max() <= DUAL_TOL:
+            return "optimal", iterations
+        if rebuilt is not None and its == 0:
+            return "infeasible", iterations
+        rebuilt = _factored(original[:, basis], original)
+        if rebuilt is None:
+            return "unfinished", iterations
+        tableau[:] = rebuilt
 
-    While it has an entry below `floor` a dual simplex pivot (Harris's
-    two-pass ratio test) restores feasibility and keeps the reduced costs
-    nonnegative; once it is feasible, primal pivots take out the reduced
-    costs below -DUAL_TOL that the phase-2 optimality test (-PIVOT_TOL)
-    accepted.  Each costs the weak-duality bound up to its size.
-    """
-    for pivots in range(CLEANUP_PIVOTS):
+
+def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x_B, reduced costs) of the tableau's basis re-solved on the original
+    data, refined from the drifted B^-1 in the tableau's `initial` columns;
+    None if the basis is singular there."""
+    tableau, basis, original, initial, _ = form
+    inverse, matrix = tableau[:, initial], original[:, basis]
+    x, y = _refined(inverse, matrix, original[:, -1]), _refined(inverse.T, matrix.T, cost[basis])
+    return None if x is None or y is None else (x, (cost - y @ original)[:-1])
+
+
+def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray):
+    """matrix^-1 rhs by iterative refinement from 0 with the approximate `inverse`
+    until a step is below DUAL_TOL; if none of four is, `_factored`."""
+    z, residual = 0.0, rhs
+    for _ in range(4):
+        step = inverse @ residual
+        z = z + step
+        if np.abs(step).max() <= DUAL_TOL:
+            return z
+        residual = rhs - matrix @ z
+    return _factored(matrix, rhs)
+
+
+def _factored(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """matrix^-1 rhs from a fresh factorisation; None if `matrix` is singular."""
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]:
+    """(status, pivots, x_B) of the check every solve ends in: the basic values
+    and reduced costs of the tableau's basis, re-solved on the original data,
+    must all be >= -DUAL_TOL, first as `_resolved` gives them, then with x_B
+    factored afresh, as it is reported (`values`, if given, are factored).  A
+    failing basis is repaired by `_reoptimize` within `budget` pivots, on the
+    tableau with only its basic values and cost row overwritten by the
+    re-solved ones, and checked again."""
+    tableau, basis, original, _, allowed = form
+    pivots, factored = 0, values is not None
+    while True:
+        values = values or _resolved(form, cost)
+        if values is None:
+            return "unfinished", pivots, None
+        x_basic, reduced = values
+        if min(x_basic.min(), reduced[allowed].min()) >= -DUAL_TOL:
+            if factored:
+                return "optimal", pivots, x_basic
+            x_basic = _factored(original[:, basis], original[:, -1])
+            if x_basic is None:
+                return "unfinished", pivots, None
+            values, factored = (x_basic, reduced), True
+            continue
+        tableau[:, -1] = x_basic
+        status, its = _reoptimize(tableau, basis, np.append(reduced, 0.0), allowed,
+                                  budget - pivots)
+        pivots += its
+        if status != "optimal":
+            return status, pivots, None
+        values, factored = None, False
+
+
+def _reoptimize(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, int]:
+    """(status, pivots) of re-optimising in place, within `budget` pivots, a basis
+    whose basic values (the last column of `tableau`) or reduced costs (`cost_row`)
+    may fall below -DUAL_TOL: dual simplex pivots (Harris's two-pass ratio test)
+    while a basic value does, then primal pivots."""
+    for pivots in range(budget):
         row = int(np.argmin(tableau[:, -1]))
-        if tableau[row, -1] < floor:
+        if tableau[row, -1] < -DUAL_TOL:
             entries = tableau[row, :-1]
             cols = np.flatnonzero(allowed & (entries < -PIVOT_TOL))
             if cols.size == 0:
@@ -334,71 +352,7 @@ def _reoptimize(tableau, basis, cost_row, allowed, floor: float = 0.0) -> tuple[
                 return "unfinished", pivots
         changed = _pivot(tableau, basis, row, col)
         cost_row[changed] -= cost_row[col] * tableau[row, changed]
-    return "unfinished", CLEANUP_PIVOTS
-
-
-def _from_basis(tableau, basis, original, cost, start, allowed):
-    """(status, pivots, x_B) of carrying the standard form, in place, from the basis
-    `start` to an optimum (see `solve`); x_B, the start's basic values, if no pivot."""
-    matrix = original[:, start]
-    try:  # B x_B = rhs and B^T y = c_B
-        x_basic = np.linalg.solve(matrix, tableau[:, -1])
-        reduced = cost[:-1] - np.linalg.solve(matrix.T, cost[start]) @ original
-    except np.linalg.LinAlgError:
-        return "unfinished", 0, None
-    primal, dual = x_basic.min() >= -PIVOT_TOL, reduced[allowed].min() >= -PIVOT_TOL
-    if not (primal or dual):
-        return "unfinished", 0, None
-    basis[:] = start
-    if primal and dual:
-        return "optimal", 0, x_basic
-    tableau[:] = np.linalg.solve(matrix, tableau)
-    return *_reoptimize(tableau, basis, _reduced_costs(cost, tableau, basis), allowed,
-                        -PIVOT_TOL), None
-
-
-def _dual_bound(program: LinearProgram, reduced: np.ndarray) -> float:
-    """Weak-duality bound on the optimum of the unrelaxed `program` from the
-    reduced costs of the constraint rows' slack columns.
-
-    The slack of row r (coefficient +1 on a <= row, -1 on a >= row) has
-    reduced cost -pi_r * coefficient, so pi = -coefficient * max(0, reduced)
-    is the multiplier vector with every wrong sign zeroed (pi <= 0 on <=
-    rows, >= 0 on >= rows).  For any such pi and any feasible x in [0, 1]^n,
-    c.x = pi.(a x) + (c - a^T pi).x >= pi.b + sum_j min(0, (c - a^T pi)_j)
-    for a minimisation (a maximisation minimises -c).
-
-    Sums are exact (`math.fsum`); each product errs by at most 2^-53 of
-    itself, and these errors and the final rounding are taken off, so the
-    bound holds in exact arithmetic.
-    """
-    u = 2.0 ** -53
-    pi = -np.where(program.upper, 1.0, -1.0) * np.maximum(reduced, 0.0)
-    cost = program.c if program.sense == "min" else -program.c
-    products = program.a * pi[:, None]
-    terms = list(pi * program.b)
-    slack = 2.0 * u * math.fsum(np.abs(terms))
-    for c_j, column in zip(cost, products.T):
-        residual = math.fsum([c_j, *-column])
-        tail = residual - 2.0 * u * (abs(residual) + math.fsum(np.abs(column)))
-        if tail < 0.0:
-            terms.append(tail)
-            slack -= 2.0 * u * tail
-    bound = math.nextafter(math.fsum(terms) - slack, -math.inf)
-    return bound if program.sense == "min" else -bound
-
-
-def _verify_feasible(program: LinearProgram, x: np.ndarray, allowance: float = 0.0):
-    inside = (-FEASIBILITY_TOL - allowance <= x) & (x <= 1.0 + FEASIBILITY_TOL + allowance)
-    if not inside.all():
-        j = int(np.argmin(inside))
-        raise RuntimeError(f"solver returned {program.variables[j]}={x[j]} outside [0, 1]")
-    lhs, b = program.a @ x, program.b
-    tol = FEASIBILITY_TOL * (1.0 + np.abs(b) + np.max(np.abs(program.a), axis=1))
-    violated = np.where(program.upper, lhs > b + tol + allowance, lhs < b - tol - allowance)
-    if violated.any():
-        r = int(np.argmax(violated))
-        raise RuntimeError(f"constraint {r} violated: {lhs[r]} against {b[r]}")
+    return "unfinished", budget
 
 
 # ---------------------------------------------------------------------------
