@@ -1,7 +1,8 @@
 """Command-line interface: rate, sweep, optimize, validate.
 
-Exit codes: 0 success, 1 a failed `validate` check, 2 infeasible
-estimation program, 3 invalid configuration or arguments.
+Exit codes: 0 success, 1 a failed `validate` check, 2 an estimation
+program that is infeasible or unfinished (the message names which), 3
+invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
         else:
             reports = driver.sweep(config, tolerate_failures=args.command == "sweep")
     except InfeasibleProgramError as exc:
-        print(f"estimation program infeasible: {exc}", file=sys.stderr)
+        print(f"estimation program not solved: {exc}", file=sys.stderr)
         return 2
     except EmptyRegionError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """Dense linear programming for the decoy-state estimation programs.
 
 Every program is one `LinearProgram` in array form (c, a, b, upper)
-over variables boxed to [0, 1], solved by a small two-phase simplex
-(Dantzig pricing with a deterministic switch to Bland's anti-cycling
-rule on stalls) whose verdicts rest on values re-solved from the
-original data, or warm from a neighbouring program's optimal basis
+over variables boxed to [0, 1], solved by a small dual simplex from a
+dual-feasible slack basis, or warm from a neighbouring program's optimal
+basis, whose verdicts rest on values re-solved from the original data
 (`solve`).  The tableau is dense, but a pivot (`_pivot`) updates only
 the rows with a nonzero in the pivot column and the columns with a
 nonzero in the pivot row, at the median 120-135 of 258 and 9-13 of 306 in
@@ -31,7 +30,6 @@ import numpy as np
 from .coin import tangent_line
 
 PIVOT_TOL = 1e-9
-STALL_LIMIT = 40
 # pivots one solve may take: ten times the longest of the test suite (250)
 PIVOT_BUDGET = 2_500
 # pivots that repair a warm start, and the tolerance of the check every solve ends in
@@ -42,14 +40,15 @@ INTENSITIES = ("I0", "I1", "I2")
 INTENSITY_PAIRS = tuple(itertools.combinations(INTENSITIES, 2))
 TAGS = ("key", "opp")
 # the ends of each of INTENSITY_PAIRS, as indices into INTENSITIES
-PAIR_ENDS = np.array(list(itertools.combinations(range(len(INTENSITIES)), 2)))
+PAIR_ENDS = np.array([[INTENSITIES.index(end) for end in pair] for pair in INTENSITY_PAIRS])
 # the ordered pairs that coin rows link, and the INTENSITY_PAIRS entry of each
 _ORDERED = np.array(list(itertools.permutations(range(len(INTENSITIES)), 2)))
 _UNORDERED = np.array([PAIR_ENDS.tolist().index(sorted(p)) for p in _ORDERED.tolist()])
 
 
 class InfeasibleProgramError(RuntimeError):
-    """Raised by the pipeline when an estimation program has no solution."""
+    """Raised by the pipeline when an estimation program is not solved: its
+    message names the status, infeasible or unfinished."""
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,11 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "unfinished" (see `solve`)
+    status: str  # "optimal" | "infeasible" | "unfinished" (see `solve`)
     value: float | None
     x: np.ndarray | None  # the optimal point, in column order
     iterations: int
-    basis: np.ndarray | None = None  # the final basis; None if an artificial stays basic
+    basis: np.ndarray | None = None  # the final basis, if optimal
     start: str = "cold"  # "warm": the solve that counted started from a given basis
 
 
@@ -97,16 +96,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.nda
     return cols
 
 
-def _choose_entering(cost_row: np.ndarray, allowed: np.ndarray, bland: bool) -> int:
-    candidates = np.where(allowed & (cost_row[:-1] < -PIVOT_TOL))[0]
-    if candidates.size == 0:
-        return -1
-    return int(candidates[0] if bland else candidates[np.argmin(cost_row[candidates])])
-
-
 def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     column = tableau[:, col]
-    # pivots relative to the column's largest: tiny ones end phases on singular bases
+    # pivots relative to the column's largest: tiny ones lead to singular bases
     rows = np.where(column > PIVOT_TOL * max(1.0, column.max()))[0]
     if rows.size == 0:
         return -1
@@ -118,41 +110,20 @@ def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     return int(ties[np.argmin(basis[ties])])
 
 
-def _run_simplex(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, int]:
-    iterations = stall = 0
-    bland = False
-    # cost_row[-1] holds minus the current objective; it increases on progress
-    progress_mark = cost_row[-1]
-    while True:
-        col = _choose_entering(cost_row, allowed, bland)
-        if col < 0:
-            return "optimal", iterations
-        row = _choose_leaving(tableau, basis, col)
-        if row < 0:
-            return "unbounded", iterations
-        if iterations >= budget:
-            return "unfinished", iterations
-        changed = _pivot(tableau, basis, row, col)
-        cost_row[changed] -= cost_row[col] * tableau[row, changed]
-        iterations += 1
-        if cost_row[-1] > progress_mark + PIVOT_TOL:
-            progress_mark, stall = cost_row[-1], 0
-        else:
-            stall += 1
-            bland = bland or stall >= STALL_LIMIT
-
-
 def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
-    """Two-phase simplex; deterministic for identical input.
+    """Dual simplex; deterministic for identical input.
 
-    Both phases are judged on values re-solved from the original data, not
-    on the tableau's, which drift pivot by pivot (Maros, Computational
-    Techniques of the Simplex Method, 2003).  Phase 1 ends only when no
-    artificial exceeds DUAL_TOL, else the tableau is rebuilt from the data at
-    its basis and phase 1 goes on.  Every solve ends in one check (`_settle`):
-    its final basis's basic values and reduced costs must all be >= -DUAL_TOL,
-    so its point meets every row and bound to DUAL_TOL and the solve's
-    residual.  A solve that spends PIVOT_BUDGET or ends on a singular basis
+    A cold solve starts from the slack basis with every variable of negative
+    cost (in the minimisation form) at its upper bound 1: dual feasible, as
+    every variable is boxed, so it needs no phase 1 and no artificial
+    variables (Maros, Computational Techniques of the Simplex Method, 2003;
+    Koberstein, The dual simplex method, PhD thesis, Paderborn, 2005).  Every
+    solve ends in one check (`_settle`): its final basis's basic values and
+    reduced costs, re-solved from the original data, not the tableau's, which
+    drift pivot by pivot, must all be >= -DUAL_TOL, so its point meets every
+    row and bound to DUAL_TOL and the solve's residual.  A program is
+    "infeasible" when a row of negative basic value has no negative entry (a
+    Farkas row); a solve that spends PIVOT_BUDGET or ends on a singular basis
     is "unfinished".
 
     `start`, the `basis` of a solution of a program of the same shape, is
@@ -172,101 +143,55 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
     wrappers of (program, start), as the benchmark tracer's, see every solve."""
     m_con, n = program.a.shape
     m = m_con + n
-    # columns: structural | one slack per row | artificials | rhs.  Rows: the
-    # constraints, then the upper box bounds; lower bounds are native
-    rhs = np.concatenate([program.b, np.ones(n)])
-    slack = np.concatenate([np.where(program.upper, 1.0, -1.0), np.ones(n)])
-    flip = rhs < 0.0  # rows negated to a nonnegative rhs
-    art_rows = np.flatnonzero(np.where(flip, -slack, slack) < 0.0)  # surplus can't start basic
-    n_art = art_rows.size
-    art_cols = n + m + np.arange(n_art)
-    tableau = np.zeros((m, n + m + n_art + 1))
-    tableau[:m_con, :n] = program.a
+    # columns: structural | one slack per row | rhs.  Rows: the constraints,
+    # each a <= row (a >= row negated), then the upper box bounds; lower bounds
+    # are native
+    sign = np.where(program.upper, 1.0, -1.0)
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:m_con, :n] = sign[:, None] * program.a
     tableau[m_con:, :n] = np.eye(n)
-    tableau[np.arange(m), n + np.arange(m)] = slack
-    tableau[:, -1] = rhs
-    tableau[flip] *= -1.0
-    tableau[art_rows, art_cols] = 1.0
+    tableau[:, n:-1] = np.eye(m)
+    tableau[:, -1] = np.concatenate([sign * program.b, np.ones(n)])
     original = tableau.copy()  # the data every verdict is re-solved on
-    # the starting basis, the identity in `original`: its columns come to hold B^-1
+    # the slack basis, the identity in `original`: its columns come to hold B^-1
     initial = np.arange(n, n + m)
-    initial[art_rows] = art_cols
     basis = initial.copy()
-    allowed = np.ones(n + m + n_art, dtype=bool)
-    cost = np.zeros(n + m + n_art + 1)
+    cost = np.zeros(n + m + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
 
-    form = (tableau, basis, original, initial, allowed)
+    form = (tableau, basis, original, initial)
     if start is not None:  # factor the start on this program's data: B x_B = rhs, B^T y = c_B
-        allowed[n + m:] = False
         matrix = original[:, start]
         x_basic, y = _factored(matrix, original[:, -1]), _factored(matrix.T, cost[start])
         if x_basic is None or y is None:  # singular
             return LPSolution("unfinished", None, None, 0)
         reduced = (cost - y @ original)[:-1]
-        if x_basic.min() < -PIVOT_TOL and reduced[allowed].min() < -PIVOT_TOL:
+        if x_basic.min() < -PIVOT_TOL and reduced.min() < -PIVOT_TOL:
             return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
         basis[:] = start
-        if min(x_basic.min(), reduced[allowed].min()) < -DUAL_TOL:  # to be repaired
+        if min(x_basic.min(), reduced.min()) < -DUAL_TOL:  # to be repaired
             tableau[:] = np.linalg.solve(matrix, original)
         status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
-    else:
-        status, iterations = _phase_one(form, art_cols) if n_art else ("optimal", 0)
-        allowed[n + m:] = False
-        if status == "optimal":
-            for r in np.flatnonzero(basis >= n + m):  # drive artificials out, or keep the row
-                entries = np.abs(tableau[r, :n + m])
-                if entries.max() > PIVOT_TOL:
-                    _pivot(tableau, basis, r, int(np.argmax(entries)))
-                    iterations += 1
-            cost_row = cost - cost[basis] @ tableau
-            status, its = _run_simplex(tableau, basis, cost_row, allowed,
-                                       PIVOT_BUDGET - iterations)
-            iterations += its
-        if status == "optimal":
-            status, its, x_basic = _settle(form, cost, PIVOT_BUDGET - iterations)
-            iterations += its
+    else:  # the slack basis, dual feasible once each variable of negative cost is at 1
+        negative = np.flatnonzero(cost[:n] < 0.0)
+        for j in negative:
+            _pivot(tableau, basis, m_con + j, j)
+        status, iterations, x_basic = _settle(form, cost, PIVOT_BUDGET - negative.size)
+        iterations += negative.size
     if status != "optimal":
         return LPSolution(status, None, None, iterations)
-    values = np.zeros(n + m + n_art)
+    values = np.zeros(n + m)
     values[basis] = x_basic
     x = values[:n].copy()
     value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
-    final = basis.copy() if basis.max() < n + m else None
-    return LPSolution("optimal", value, x, iterations, basis=final)
-
-
-def _phase_one(form, art_cols: np.ndarray) -> tuple[str, int]:
-    """(status, pivots) of phase 1: "optimal" once no artificial, re-solved
-    on the original data, exceeds DUAL_TOL; "infeasible" once one does and a
-    tableau rebuilt from that data takes no pivot."""
-    tableau, basis, original, initial, allowed = form
-    phase_one = np.zeros(tableau.shape[1])
-    phase_one[art_cols] = 1.0
-    iterations, rebuilt = 0, None
-    while True:
-        cost_row = phase_one - phase_one[basis] @ tableau
-        status, its = _run_simplex(tableau, basis, cost_row, allowed, PIVOT_BUDGET - iterations)
-        iterations += its
-        x_basic = (_refined(tableau[:, initial], original[:, basis], original[:, -1])
-                   if status != "unfinished" else None)
-        if x_basic is None:
-            return "unfinished", iterations
-        if status == "optimal" and (x_basic * phase_one[basis]).max() <= DUAL_TOL:
-            return "optimal", iterations
-        if rebuilt is not None and its == 0:
-            return "infeasible", iterations
-        rebuilt = _factored(original[:, basis], original)
-        if rebuilt is None:
-            return "unfinished", iterations
-        tableau[:] = rebuilt
+    return LPSolution("optimal", value, x, iterations, basis=basis.copy())
 
 
 def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
     """(x_B, reduced costs) of the tableau's basis re-solved on the original
     data, refined from the drifted B^-1 in the tableau's `initial` columns;
     None if the basis is singular there."""
-    tableau, basis, original, initial, _ = form
+    tableau, basis, original, initial = form
     inverse, matrix = tableau[:, initial], original[:, basis]
     x, y = _refined(inverse, matrix, original[:, -1]), _refined(inverse.T, matrix.T, cost[basis])
     return None if x is None or y is None else (x, (cost - y @ original)[:-1])
@@ -298,17 +223,18 @@ def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]
     and reduced costs of the tableau's basis, re-solved on the original data,
     must all be >= -DUAL_TOL, first as `_resolved` gives them, then with x_B
     factored afresh, as it is reported (`values`, if given, are factored).  A
-    failing basis is repaired by `_reoptimize` within `budget` pivots, on the
-    tableau with only its basic values and cost row overwritten by the
-    re-solved ones, and checked again."""
-    tableau, basis, original, _, allowed = form
+    failing basis, a cold solve's dual-feasible start among them, is
+    re-optimised by `_reoptimize` within `budget` pivots, on the tableau with
+    only its basic values and cost row overwritten by the re-solved ones, and
+    checked again."""
+    tableau, basis, original, _ = form
     pivots, factored = 0, values is not None
     while True:
         values = values or _resolved(form, cost)
         if values is None:
             return "unfinished", pivots, None
         x_basic, reduced = values
-        if min(x_basic.min(), reduced[allowed].min()) >= -DUAL_TOL:
+        if min(x_basic.min(), reduced.min()) >= -DUAL_TOL:
             if factored:
                 return "optimal", pivots, x_basic
             x_basic = _factored(original[:, basis], original[:, -1])
@@ -317,33 +243,34 @@ def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]
             values, factored = (x_basic, reduced), True
             continue
         tableau[:, -1] = x_basic
-        status, its = _reoptimize(tableau, basis, np.append(reduced, 0.0), allowed,
-                                  budget - pivots)
+        status, its = _reoptimize(tableau, basis, np.append(reduced, 0.0), budget - pivots)
         pivots += its
         if status != "optimal":
             return status, pivots, None
         values, factored = None, False
 
 
-def _reoptimize(tableau, basis, cost_row, allowed, budget: int) -> tuple[str, int]:
+def _reoptimize(tableau, basis, cost_row, budget: int) -> tuple[str, int]:
     """(status, pivots) of re-optimising in place, within `budget` pivots, a basis
     whose basic values (the last column of `tableau`) or reduced costs (`cost_row`)
     may fall below -DUAL_TOL: dual simplex pivots (Harris's two-pass ratio test)
-    while a basic value does, then primal pivots."""
+    while a basic value does, then primal pivots.  A row whose basic value is
+    below -DUAL_TOL and no entry below -PIVOT_TOL is a Farkas row: no point of
+    the boxed variables meets it, and the program is "infeasible"."""
     for pivots in range(budget):
         row = int(np.argmin(tableau[:, -1]))
         if tableau[row, -1] < -DUAL_TOL:
             entries = tableau[row, :-1]
-            cols = np.flatnonzero(allowed & (entries < -PIVOT_TOL))
+            cols = np.flatnonzero(entries < -PIVOT_TOL)
             if cols.size == 0:
-                return "unfinished", pivots
+                return "infeasible", pivots
             # the largest pivot among the columns whose ratio is within
             # DUAL_TOL of the smallest
             reduced, sizes = np.maximum(cost_row[cols], 0.0), -entries[cols]
             near = cols[reduced / sizes <= np.min((reduced + DUAL_TOL) / sizes)]
             col = int(near[np.argmax(-entries[near])])
         else:
-            cols = np.flatnonzero(allowed & (cost_row[:-1] < -DUAL_TOL))
+            cols = np.flatnonzero(cost_row[:-1] < -DUAL_TOL)
             if cols.size == 0:
                 return "optimal", pivots
             col = int(cols[np.argmin(cost_row[cols])])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import fidelity, pure_state_fidelity
-from leakyqkd import cli, coin, driver, passive
+from leakyqkd import cli, coin, driver, lp, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
 from leakyqkd.lp import INTENSITY_PAIRS, InfeasibleProgramError
 
@@ -661,9 +661,19 @@ def test_cli_rate_over_several_distances_keeps_exit_codes(monkeypatch, capsys, t
     args = ["rate", "--transmitter", "passive", "--att-db", "120", "--quadrature-nodes", "12",
             "--distance-km", "25", "--distance-km", "75"]
     assert cli.main(args) == 2
-    assert "estimation program infeasible" in capsys.readouterr().err
+    assert "X yield program is infeasible" in capsys.readouterr().err
     # an intensity threshold above the key-basis box support empties a region
     config_file = tmp_path / "empty.json"
     config_file.write_text(json.dumps({"t1": 1.5}))
     assert cli.main([*args, "--config", str(config_file)]) == 3
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_cli_names_an_unfinished_program_unfinished(monkeypatch, capsys):
+    # a spent pivot budget exits 2 as an infeasible program does, but the
+    # message names the status the solve ended in
+    monkeypatch.setattr(lp, "PIVOT_BUDGET", 5)
+    args = ["rate", "--transmitter", "oil", "--distance-km", "100", "--att-db", "120"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "X yield program is unfinished" in err and "infeasible" not in err

@@ -31,22 +31,29 @@ def exported(tree: ast.Module) -> set[str]:
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes, and public methods of those classes,
-    of the modules `sources` (module name -> source) whose name no module
-    reads, as a name or an attribute, and no `__all__` lists: code that only
-    the tests use."""
+    """Top-level functions, classes and constants (upper-case names bound by
+    assignment), and public methods of those classes, of the modules
+    `sources` (module name -> source) whose name no module reads, as a name
+    or an attribute, and no `__all__` lists: code that only the tests use, or
+    that nothing uses."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
         read |= exported(tree)
         read.update(node.id if isinstance(node, ast.Name) else node.attr
-                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+                    and not isinstance(node.ctx, ast.Store))
     definitions = [(f"{module}.{node.name}", node) for module, tree in trees.items()
                    for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     definitions += [(f"{name}.{node.name}", node) for name, cls in definitions
                     if isinstance(cls, ast.ClassDef) for node in cls.body
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    return [name for name, node in definitions if node.name not in read]
+    names = [(qualified, node.name) for qualified, node in definitions]
+    names += [(f"{module}.{target.id}", target.id) for module, tree in trees.items()
+              for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and target.id.isupper()]
+    return [qualified for qualified, name in names if name not in read]
 
 
 def test_unused_import_detector():
@@ -68,6 +75,9 @@ def test_unread_definition_detector():
     methods = "class C:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
     assert unread_definitions({"a": methods + "    def _p(self):\n        pass\n",
                                "b": "from a import C\nC().n()\n"}) == ["a.C.m"]
+    constants = "LIMIT = 40\n_TOL: float = 1e-9\nUSED = 2\n__version__ = '1'\n"
+    assert unread_definitions({"a": constants + "def f():\n    return _TOL\n",
+                               "b": "import a\na.f(a.USED)\n"}) == ["a.LIMIT"]
 
 
 def test_no_definitions_only_tests_use():

@@ -36,6 +36,35 @@ def test_infeasible_is_reported():
     assert lp.solve(one_variable((">=", 0.7), ("<=", 0.2))).status == "infeasible"
 
 
+def test_random_boxed_programs_match_highs():
+    """300 random programs over 2-6 variables in [0, 1], with 2-8 rows of
+    either sense, minimised or maximised, many of them infeasible (the
+    dual simplex's Farkas row): each status is that of HiGHS, each optimum
+    within 1e-7 of it."""
+    rng = np.random.default_rng(7)
+    statuses = []
+    for _ in range(300):
+        n, m = rng.integers(2, 7), rng.integers(2, 9)
+        a = rng.normal(size=(m, n))
+        upper = rng.random(m) < 0.5
+        # each row's rhs at a random point of the box, shifted by N(0, 0.5)
+        b = a @ rng.random(n) + np.where(upper, -1.0, 1.0) * np.abs(rng.normal(0.0, 0.5, m))
+        spec = lp.LinearProgram(variables=tuple(f"x{i}" for i in range(n)),
+                                sense=("min", "max")[rng.integers(2)], c=rng.normal(size=n),
+                                a=a, b=b, upper=upper)
+        solution = lp.solve(spec)
+        signs = np.where(upper, 1.0, -1.0)
+        reference = linprog(spec.c if spec.sense == "min" else -spec.c,
+                            A_ub=signs[:, None] * a, b_ub=signs * b, bounds=(0.0, 1.0),
+                            method="highs")
+        assert (solution.status, reference.status) in (("optimal", 0), ("infeasible", 2))
+        if reference.status == 0:
+            optimum = reference.fun if spec.sense == "min" else -reference.fun
+            assert abs(solution.value - optimum) <= 1e-7
+        statuses.append(solution.status)
+    assert min(statuses.count("optimal"), statuses.count("infeasible")) >= 50
+
+
 def first_attempt(monkeypatch, spec):
     """`lp.solve(spec)`, asserted optimal on its first `_solve_once`, with a final
     basis whose basic values and reduced costs, re-solved here from the
@@ -65,10 +94,11 @@ def first_attempt(monkeypatch, spec):
     return solution
 
 
-def test_relaxation_level_is_reported(monkeypatch):
-    """No solve has a relaxation level: the bit-error programs of two probes
-    of a refined passive `optimize_point` at 50 km/120 dB (8 nodes), which
-    needed a relaxed retry, solve on their first attempt (see `first_attempt`)."""
+def test_probe_error_programs_solve_on_the_first_attempt(monkeypatch):
+    """The bit-error programs of two probes of a refined passive
+    `optimize_point` at 50 km/120 dB (8 nodes), which once needed a relaxed
+    retry, solve on their first attempt (see `first_attempt`), within 1e-8
+    of HiGHS."""
     for bit, mu_max in ((0, 0.6038507163126524), (1, 0.9461492836873476)):
         config = driver.ProtocolConfig(transmitter="passive", analysis="refined",
                                        quadrature_nodes=8, mu_max=mu_max)
@@ -102,11 +132,11 @@ def _z_yield_75km():
         upper=np.array([con["sense"] == "<=" for con in data["constraints"]]))
 
 
-def test_phase_one_infeasible_program_is_retried_relaxed(monkeypatch):
+def test_once_false_infeasible_z_yield_program_is_optimal(monkeypatch):
     """The refined Z-yield program of the 48-node passive pipeline at 75 km
-    and 120 dB, recorded with the four-branch quadrature kernel, that phase
-    1 on drifted tableau values declared infeasible: its first solve is
-    optimal, within 1e-9 of HiGHS."""
+    and 120 dB, recorded with the four-branch quadrature kernel, that a
+    former phase 1 on drifted tableau values declared infeasible: its first
+    solve is optimal, within 1e-9 of HiGHS."""
     spec = _z_yield_75km()
     solution = lp._solve_once(spec, None)
     assert solution.status == "optimal"
@@ -115,13 +145,13 @@ def test_phase_one_infeasible_program_is_retried_relaxed(monkeypatch):
     first_attempt(monkeypatch, spec)
 
 
-def test_phase_one_crawl_ends_at_the_pivot_budget(monkeypatch):
+def test_former_crawl_solves_in_under_a_thousand_pivots(monkeypatch):
     """An LP stress case: the former joint refined error program over both
     bits (`helpers.joint_refined_error_program`) of the 8-node passive search
     at 50 km and 70 dB (mu_max 0.7346, delta_theta_z 0.4896), `a` stored by
-    its nonzero entries.  Phase 1 once crawled 39,687 pivots into the budget
-    before a relaxed retry (maximum `value`); it now solves on its first
-    attempt in fewer than 1,000 pivots, within 1e-8 of HiGHS."""
+    its nonzero entries.  A former phase 1 crawled 39,687 pivots into the
+    budget before a relaxed retry (maximum `value`); it now solves on its
+    first attempt in fewer than 1,000 pivots, within 1e-8 of HiGHS."""
     data = json.loads((DATA / "refined_error_crawl.json").read_text())
     a = np.zeros((len(data["b"]), len(data["variables"])))
     a[data["a_rows"], data["a_cols"]] = data["a_values"]
@@ -268,14 +298,14 @@ def test_sparse_pivot_solves_the_golden_refined_programs_bit_identically(monkeyp
     assert accepted >= 7
 
 
-def test_solve_once_takes_the_program_and_level_positionally(monkeypatch):
+def test_solve_once_takes_the_program_and_start_positionally(monkeypatch):
     # benchmark/tracer.py counts solves by wrapping lp._solve_once in a function
     # of exactly (program, start): None cold, a basis warm; any other
     # signature breaks traced runs
-    real, levels = lp._solve_once, []
+    real, starts = lp._solve_once, []
 
     def counted(program, start):
-        levels.append(start)
+        starts.append(start)
         return real(program, start)
 
     monkeypatch.setattr(lp, "_solve_once", counted)
@@ -283,7 +313,7 @@ def test_solve_once_takes_the_program_and_level_positionally(monkeypatch):
     cold = lp.solve(spec)
     warm = lp.solve(spec, cold.basis)
     assert (cold.value, warm.value, warm.start) == (0.25, 0.25, "warm")
-    assert levels[0] is None and np.array_equal(levels[1], cold.basis)
+    assert starts[0] is None and np.array_equal(starts[1], cold.basis)
 
 
 def test_program_rejects_mismatched_shapes():
