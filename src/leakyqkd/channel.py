@@ -26,13 +26,12 @@ from .passive import RegionNodes
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Fibre loss, dark counts, detection efficiency, EC inefficiency."""
+    """Fibre loss, dark counts, detection efficiency."""
 
     distance_km: float
     alpha_db_per_km: float = 0.2
     p_dark: float = 1e-6
     detector_efficiency: float = 1.0
-    f_ec: float = 1.16
 
     def __post_init__(self):
         if self.distance_km < 0.0:
@@ -43,8 +42,6 @@ class ChannelParams:
             raise ValueError("p_dark must be in [0, 1)")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
-        if not 1.0 <= self.f_ec < math.inf:
-            raise ValueError("f_ec must be finite and >= 1")
 
 
 def transmittance(params: ChannelParams) -> float:

@@ -13,9 +13,11 @@ programs, the coin overlap and the key-basis inputs to the rate.
   attenuation and shared by every distance of a grid.  The builder adds
   the observables of one channel.
 - `_oil_estimation` builds the injection-locked inputs from analytic
-  states (no quadrature).  Decoys run in the test basis only; the
-  key-basis yield follows from the test yield through the coin transfer.
+  states (no quadrature).  Decoys run in the test basis only; the key
+  and test single-photon mixtures coincide, so the key-basis yield is
+  the test yield.
 
+`_pair_fidelities` forms the cross-intensity fidelities of both.
 `_estimate` solves the programs, transfers the test-basis error to a
 phase-error bound through the coin overlap, evaluates the asymptotic
 rate and builds the report.  `key_rate` is the one entry point.
@@ -129,6 +131,8 @@ class ProtocolConfig:
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        and 0.0 <= v < math.inf for v in getattr(self, name)):
                 raise ValueError(f"{name} must be a list of finite numbers >= 0")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError("f_ec must be finite and >= 1")
         _channel(self, 0.0)  # the checks of the channel and of the passive geometry
         if self.transmitter == "passive":
             _geometry(self)
@@ -240,8 +244,7 @@ def _channel(config: ProtocolConfig, distance_km: float) -> channel_mod.ChannelP
     return channel_mod.ChannelParams(distance_km=distance_km,
                                      alpha_db_per_km=config.alpha_db_per_km,
                                      p_dark=config.p_dark,
-                                     detector_efficiency=config.detector_efficiency,
-                                     f_ec=config.f_ec)
+                                     detector_efficiency=config.detector_efficiency)
 
 
 def _solve_or_raise(spec: lp.LinearProgram, label: str, lp_log: list,
@@ -267,11 +270,10 @@ class _Estimation:
 
     `yield_specs` maps a basis to its yield program; the passive
     transmitter has both bases.  The injection-locked one has only "X",
-    and `fid_zx` gives its key yield through the lower coin envelope
-    (`coin.transfer_bound`).  The mean of the `error_specs` maxima (label
-    -> program) bounds the test-basis error gain.  Programs are solved in
-    dict order.  `sift`, `p_region`, `p1`, `q_weight`, `gain_key` and
-    `error_key` feed the rate; `details` holds the transmitter's own
+    which bounds its key yield too.  The mean of the `error_specs` maxima
+    (label -> program) bounds the test-basis error gain.  Programs are
+    solved in dict order.  `sift`, `p_region`, `p1`, `q_weight`, `gain_key`
+    and `error_key` feed the rate; `details` holds the transmitter's own
     report fields and `diagnostics` the degenerate-bound notes recorded
     before the programs.
     """
@@ -288,7 +290,6 @@ class _Estimation:
     nodes: int
     details: dict
     diagnostics: tuple = ()
-    fid_zx: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +345,28 @@ class PassiveSource:
     diagnostics: tuple
 
 
+def _pair_fidelities(factors, kept: np.ndarray) -> np.ndarray:
+    """INTENSITY_PAIRS fidelities [group, pair, n] of the states with unit-trace
+    factors `factors[n]` [group, I, dim, rank], one batched `factor_fidelity`
+    per n: exact where both ends keep their whole state, the projection chain
+    bound where either keeps a trace fraction `kept[group, I, n]` < 1 - 1e-12."""
+    first, second = lp.PAIR_ENDS.T
+    fids = np.stack([factor_fidelity(f[:, first], f[:, second]) for f in factors], axis=-1)
+    ends = kept[:, first], kept[:, second]
+    for g, p, n in zip(*np.nonzero(np.minimum(*ends) < 1.0 - 1e-12)):
+        fids[g, p, n] = coin.bures_chain_bound(ends[0][g, p, n], ends[1][g, p, n], fids[g, p, n])
+    return fids
+
+
 def _decoy_inputs(groups: list, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon probabilities and INTENSITY_PAIRS fidelities [group, I or pair,
     n] of groups of three region moments in INTENSITIES order."""
     probs = np.array([[m.photon_probabilities()[:n_cut + 1] for m in group] for group in groups])
-    fids = np.empty((len(groups), len(lp.PAIR_ENDS), n_cut + 1))
-    for g, group in enumerate(groups):
-        for n in range(n_cut + 1):
-            # each block is checked and factored once, for both of its pairs
-            factors = [density_factor(m.normalized_block(n)) for m in group]
-            for p, (i, j) in enumerate(lp.PAIR_ENDS):
-                f_proj = float(factor_fidelity(factors[i], factors[j]))
-                t_i, t_j = group[i].trace_fraction(n), group[j].trace_fraction(n)
-                # exact on full blocks; projection chain bound on truncated ones
-                fids[g, p, n] = (f_proj if min(t_i, t_j) >= 1.0 - 1e-12
-                                 else coin.bures_chain_bound(t_i, t_j, f_proj))
-    return probs, fids
+    factors = [np.array([[density_factor(m.normalized_block(n)) for m in group]
+                         for group in groups]) for n in range(n_cut + 1)]
+    kept = np.array([[[m.trace_fraction(n) for n in range(n_cut + 1)] for m in group]
+                     for group in groups])
+    return probs, _pair_fidelities(factors, kept)
 
 
 def passive_source(config: ProtocolConfig, att_db: float,
@@ -404,17 +411,16 @@ def passive_source(config: ProtocolConfig, att_db: float,
             f"{b}:{i} bit {a}: degenerate key/opp eigenvalues; ordering fixed by gauge"
             for (a, b, i), e in eigendata.items() if e.weights[0] - e.weights[1] < 1e-12)
         # the bit-averaged key and opp eigenstates of each (basis, I) as rank-2
-        # factors [v_bit0, v_bit1]/sqrt(2), [basis, I, tag, dim, bit]
-        factors = vectors.transpose(0, 2, 4, 3, 1) / math.sqrt(2.0)
-        first, second = lp.PAIR_ENDS.T
-        tag_fids = factor_fidelity(factors[:, first], factors[:, second])
-        cross_tag = factor_fidelity(factors[:, :, 0], factors[:, :, 1])
-        # |<.|.>|^2 of the test-basis eigenvectors [bit, I, dim, tag] off the overlap
-        # diagonals: same tag across each pair; the other bit's other tag
-        test = vectors[1]
-        bras = np.swapaxes(test, -1, -2).conj()
-        tag_fids_bit, cross_bit = (np.abs(np.diagonal(gram, axis1=-2, axis2=-1)) ** 2 for gram in (
-            bras[:, first] @ test[:, second], bras @ test[::-1, ..., ::-1]))
+        # factors [v_bit0, v_bit1]/sqrt(2), [tag, basis, I, dim, bit]
+        factors = vectors.transpose(4, 0, 2, 3, 1) / math.sqrt(2.0)
+        whole = np.ones((2, len(INTENSITIES), 2))  # [basis or bit, I, tag]: nothing truncated
+        tag_fids = _pair_fidelities(factors, whole)
+        cross_tag = factor_fidelity(factors[0], factors[1])
+        # the test-basis eigenvectors as rank-1 factors [tag, bit, I, dim, 1]: same
+        # tag across each pair; the other bit's other tag
+        test = np.moveaxis(vectors[1], -1, 0)[..., None]
+        tag_fids_bit = _pair_fidelities(test, whole)
+        cross_bit = np.moveaxis(factor_fidelity(test, test[::-1, ::-1]), 0, -1)
         overlap = coin.bb84_pair_overlap(*vectors[:, :, 0, :, 0].reshape(4, -1))
         q_weight = 0.5 * float(weights[0, 0, 0, 0] + weights[0, 1, 0, 0])
     return PassiveSource(
@@ -496,9 +502,8 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
 def _oil_estimation(config: ProtocolConfig, distance_km: float,
                     att_db: float) -> _Estimation:
     """Programs and rate inputs of the injection-locked transmitter at one
-    grid point: decoys in the test basis only, and the key-basis yield
-    through the coin transfer (the single-photon key/test mixtures
-    coincide, so the transfer is the identity)."""
+    grid point: decoys in the test basis only, whose yield bound serves
+    the key basis too."""
     omega = 10.0 ** (-att_db / 10.0) * config.mu_in / 2.0
     params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
                                         omega, n_cut=config.n_cut)
@@ -515,42 +520,37 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     error_gains = np.array([obs.error_gain for obs in observables])
     probs = np.array([oil.photon_probabilities(intensities[i], omega, n_cut)
                       for i in INTENSITIES])
-    # every setting's n-photon components: one column per oil.SETTINGS entry
-    sectors = oil.emission_sectors(params)
-    first, second = lp.PAIR_ENDS.T
-    mixes = [np.stack([oil.mixture_factor(sector, "X", i) for i in INTENSITIES])
-             for sector in sectors]
-    fids = np.array([factor_fidelity(mix[first], mix[second]) for mix in mixes]).T
-    units = [sector / np.linalg.norm(sector, axis=0) for sector in sectors]
-    # |<psi_k|psi_l>|^2 of the pure settings, per sector
-    pure_fids = np.array([np.abs(u.conj().T @ u) ** 2 for u in units])
+    # unit factors [group, I, dim, 2] per sector: the test-basis bit mixtures, then
+    # each bit's setting beside a zero column, which adds only a zero singular value
+    factors, pad = [], np.eye(2)[:, None, None]
+    for sector in oil.emission_sectors(params):
+        t = np.moveaxis(sector[:, 1:], 1, 0)
+        factors.append(np.concatenate([(t / np.linalg.norm(t, axis=(1, 2), keepdims=True))[None],
+                                       t / np.linalg.norm(t, axis=1, keepdims=True) * pad]))
+    fids, *fids_bit = _pair_fidelities(factors, np.ones((3, len(INTENSITIES), n_cut + 1)))
 
     error_specs = {}
     for a in BITS:
-        column = np.array([oil.SETTINGS.index((a, "X", i)) for i in INTENSITIES])
-        fids_bit = pure_fids[:, column[first], column[second]].T
-        fids_bit[:, 0] = 1.0  # the vacuum sector
-        signal = [u[:, column[0]] for u in units]
+        signal = [f[1 + a, 0, :, a] for f in factors]  # bit a's unit I0 setting
         error_refs = np.array([channel_mod.reference_error(
             np.outer(v, v.conj()), oil.oil_basis(n), chan, bit=a, interfere=False)
             for n, v in enumerate(signal)])
-        error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs, fids_bit,
+        error_specs[f"bit-{a} error"] = lp.bit_error_program(error_gains, probs, fids_bit[a],
                                                              error_refs)
 
     key_setting = oil.setting_phases(0, "Z", "I0", params)
     key_obs = channel_mod.oil_point_observables(
         intensities["I0"], 0.5 * (key_setting.phi12 + key_setting.phi23), "Z", 0, chan)
-    key, test = (oil.mixture_factor(sectors[1], b, "I0") for b in BASES)
-    identical = float(np.max(np.abs(key @ key.conj().T - test @ test.conj().T))) <= 1e-10
-    fid_zx = 1.0 if identical else float(factor_fidelity(key, test))
+    # Two identities the tests check: the key and test single-photon mixtures
+    # coincide, so the test yield bound is the key one; with aligning purification
+    # phases the bit-entangled key and test states coincide too: the overlap is 1.
     return _Estimation(
         yield_specs={"X": lp.yield_program(np.array(gains), probs, fids, references)},
-        error_specs=error_specs, overlap=oil.single_photon_overlap(sectors), p_region=1.0,
+        error_specs=error_specs, overlap=1.0, p_region=1.0,
         p1=float(oil.photon_probabilities(intensities["I0"], omega, 1)[1]), q_weight=1.0,
         gain_key=key_obs.gain, error_key=key_obs.error_rate, sift=config.p_zazb, nodes=0,
-        details={"fid_zx": fid_zx, "intensities": intensities, "omega": omega,
-                 "gains": dict(zip(INTENSITIES, gains))},
-        fid_zx=fid_zx)
+        details={"intensities": intensities, "omega": omega,
+                 "gains": dict(zip(INTENSITIES, gains))})
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ def _estimate(config: ProtocolConfig, distance_km: float, att_db: float,
         return _no_key_report(config, distance_km, att_db,
                               "zero-rate: vanishing test-basis yield bound", provenance, est)
     e_x_upper = min(1.0, gamma_key / y_test)
-    y_key = y_lower["Z"] if "Z" in y_lower else coin.transfer_bound(y_test, est.fid_zx, "L")
+    y_key = y_lower.get("Z", y_test)
     y_coin = 0.5 * (y_key + y_test)
     if y_coin <= 0.0:
         return _no_key_report(config, distance_km, att_db, "zero-rate: vanishing coin yield",

@@ -20,6 +20,11 @@ Test basis (bit in a time bin): (kappa pi, pi) and (pi, kappa pi), with
 kappa in [0, 1] selecting the intensity mu_in (1 + cos kappa pi)/2; the
 phase sum phi12 + phi23 is bit-independent, and for kappa = 0 also basis
 independent, so the leakage marginal reveals nothing about the bit.
+
+At the signal intensity the key and test single-photon mixtures coincide,
+and so, with suitable purification phases, do the bit-entangled key and
+test states: the rate takes the key yield as the test yield and the coin
+overlap as 1.  `emission_sectors` gives every setting on one (`SLOTS`, bit) grid.
 """
 
 from __future__ import annotations
@@ -144,35 +149,25 @@ def setting_amplitudes(setting: OilSetting, params: OilParams) -> np.ndarray:
     ])
 
 
-# The eight emission settings, in the column order of `emission_sectors`:
-# the key basis at I0 and the test basis at every intensity, bits adjacent.
-SETTINGS = tuple((bit, basis, i) for basis in ("Z", "X") for i in INTENSITIES
-                 if basis == "X" or i == "I0" for bit in (0, 1))
+# axis 1 of `emission_sectors`: the key basis at I0, the test basis at every intensity
+SLOTS = (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2"))
 
 
 def emission_sectors(params: OilParams) -> list[np.ndarray]:
     """Sub-normalised n-photon components of every setting, n = 0..n_cut.
 
-    One (dim_n, 8) array per n from a single `coherent_sectors` call,
-    column k for SETTINGS[k], with the coherent-state normalisation folded
-    into the vacuum: the outer product of a column with itself is that
-    setting's sub-normalised n-photon block, of trace
-    e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
+    One (dim_n, 4, 2) array per n from a single `coherent_sectors` call,
+    entry [:, k, bit] for the setting (bit, *SLOTS[k]), with the
+    coherent-state normalisation folded into the vacuum: an entry's outer
+    product with itself is that setting's sub-normalised n-photon block, of
+    trace e^-(mu + 2 omega) (mu + 2 omega)^n / n!, and the slice [:, k] is a
+    factor of slot k's equal-bit mixture, up to its norm.
     """
-    alphas = np.stack([setting_amplitudes(setting_phases(*key, params), params)
-                       for key in SETTINGS], axis=1)
+    alphas = np.stack([setting_amplitudes(setting_phases(bit, basis, i, params), params)
+                       for basis, i in SLOTS for bit in (0, 1)], axis=1)
     vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
-    return coherent_sectors(alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)
-
-
-def mixture_factor(sector: np.ndarray, basis_label: str, intensity: str) -> np.ndarray:
-    """(dim, 2) factor A of the normalised equal-bit mixture A A^H of one
-    `emission_sectors` sector: the two bits' columns, unit Frobenius norm."""
-    cols = sector[:, [SETTINGS.index((bit, basis_label, intensity)) for bit in (0, 1)]]
-    norm = float(np.linalg.norm(cols))
-    if norm == 0.0:
-        raise ValueError("mixture has zero weight in this photon sector")
-    return cols / norm
+    return [sector.reshape(-1, len(SLOTS), 2) for sector in coherent_sectors(
+        alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)]
 
 
 def photon_probabilities(mu: float, omega: float, n_max: int) -> np.ndarray:
@@ -184,22 +179,3 @@ def photon_probabilities(mu: float, omega: float, n_max: int) -> np.ndarray:
         out[n] = out[n - 1] * lam / n
     return out
 
-
-# Global phases aligning the four key/test n=1 states so that the
-# bit-entangled Z and X states coincide exactly (they purify the same
-# mixed state); makes the coin overlap Re<psi_Z|psi_X> = 1 for any
-# (mu_in, omega).
-_OVERLAP_PHASES = {(0, "Z"): -math.pi / 4.0, (1, "Z"): math.pi / 4.0,
-                   (0, "X"): 0.0, (1, "X"): -math.pi / 2.0}
-
-
-def single_photon_overlap(sectors: list) -> complex:
-    """<psi_Z|psi_X> of the bit-entangled single-photon I0 emissions, from
-    the `emission_sectors`."""
-    from .coin import bb84_pair_overlap
-
-    vecs = {}
-    for (bit, basis_label), phase in _OVERLAP_PHASES.items():
-        vec = sectors[1][:, SETTINGS.index((bit, basis_label, "I0"))]
-        vecs[(bit, basis_label)] = vec / np.linalg.norm(vec) * np.exp(1j * phase)
-    return bb84_pair_overlap(vecs[(0, "Z")], vecs[(1, "Z")], vecs[(0, "X")], vecs[(1, "X")])

@@ -292,17 +292,16 @@ def check_block_expansion(seed: int = 3) -> tuple[bool, str]:
 
 
 def check_oil_expansion(seed: int = 4) -> tuple[bool, str]:
-    """The outer product of each setting's `oil.emission_sectors` column
+    """The outer product of each setting's `oil.emission_sectors` entry
     against the direct expansion."""
     params = oil.params_for_intensities(0.5, 0.2, 1e-4, omega=0.02)
     sectors = oil.emission_sectors(params)
     worst = 0.0
     for bit in (0, 1):
-        for basis_label, intensity in (("Z", "I0"), ("X", "I1")):
+        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
-            column = oil.SETTINGS.index((bit, basis_label, intensity))
             for n in (1, 2):
-                vec = sectors[n][:, column]
+                vec = sectors[n][:, k, bit]
                 reference = oil_block_oracle(setting, params, n)
                 worst = max(worst, float(np.max(np.abs(np.outer(vec, vec.conj()) - reference))))
     return worst < 1e-10, f"max block deviation {worst:.2e}"

@@ -84,12 +84,12 @@ def test_criterion_1_state_construction_matches_monte_carlo():
     oil_worst = 0.0
     oil_seed = 1
     for bit in (0, 1):
-        for basis_label, intensity in (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2")):
+        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
             for n in range(3):
                 mean, se = oil_monte_carlo_estimate(setting, params, n, 10_000, oil_seed)
                 oil_seed += 1
-                vec = sectors[n][:, oil.SETTINGS.index((bit, basis_label, intensity))]
+                vec = sectors[n][:, k, bit]
                 analytic = np.outer(vec, vec.conj())
                 deviation = np.abs(analytic - mean)
                 assert np.all(deviation <= 3.0 * se + 1e-12)
@@ -297,11 +297,9 @@ def test_criterion_6_oil_indistinguishability():
         worst = max(worst, float(np.max(np.abs(rho_key - rho_test))))
     config = driver.ProtocolConfig(transmitter="oil", mu_in=0.5, mu_i1=0.1, mu_i2=1e-4)
     rep = driver.key_rate(config, 50.0, 120.0)
-    transfer_identity = (rep.details["fid_zx"] >= 1.0 - 1e-9
-                         and rep.y1_lower == pytest.approx(rep.details["y_lower"]["X"],
-                                                           abs=1e-12))
-    report(6, f"max |rho_key - rho_test| = {worst:.1e} <= 1e-10; unit-fidelity "
-              "yield transfer exercised", worst <= 1e-10 and transfer_identity)
+    transfer_identity = rep.y1_lower == rep.details["y_lower"]["X"]
+    report(6, f"max |rho_key - rho_test| = {worst:.1e} <= 1e-10; key yield bound is the "
+              "test yield bound", worst <= 1e-10 and transfer_identity)
 
 
 # ---------------------------------------------------------------------------

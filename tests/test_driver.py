@@ -12,6 +12,7 @@ import pytest
 from helpers import fidelity, pure_state_fidelity
 from leakyqkd import cli, coin, driver, lp, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
+from leakyqkd.linalg import density_factor, factor_fidelity
 from leakyqkd.lp import INTENSITY_PAIRS, InfeasibleProgramError
 
 
@@ -56,11 +57,26 @@ def test_oil_report_contents():
     assert report.rate > 0.0
     assert report.rate == max(0.0, report.rate_raw)
     assert 0.0 <= report.e_x_upper <= report.e_ph_upper <= 1.0
-    assert report.f_prime == pytest.approx(1.0, abs=1e-9)
-    assert report.details["fid_zx"] == pytest.approx(1.0, abs=1e-9)
-    assert report.details["y_lower"]["Z"] == report.y1_lower
+    # the coin overlap and the key/test mixture fidelity are exactly 1
+    assert report.f_prime == 1.0
+    assert report.e_ph_upper == report.e_x_upper
+    assert report.details["y_lower"]["Z"] == report.y1_lower == report.details["y_lower"]["X"]
     assert report.details["intensities"]["I2"] == pytest.approx(1e-4, abs=1e-12)
     assert report.provenance["config_hash"] == driver.config_hash(OIL_CONFIG)
+
+
+def test_oil_estimation_takes_one_fidelity_call_per_photon_number(monkeypatch):
+    """Both bit mixtures and pure settings of a sector share one batched
+    `factor_fidelity` call."""
+    shapes = []
+
+    def counting(a, b):
+        shapes.append(np.shape(a))
+        return factor_fidelity(a, b)
+
+    monkeypatch.setattr(driver, "factor_fidelity", counting)
+    driver._oil_estimation(OIL_CONFIG, 50.0, 120.0)
+    assert [shape[:2] for shape in shapes] == [(3, 3)] * (OIL_CONFIG.n_cut + 1)
 
 
 def test_oil_rate_monotone_in_attenuation():
@@ -486,7 +502,8 @@ def test_refined_source_fidelities_from_its_eigenvectors(att_db):
     """The tag fidelities of the bit-averaged eigenstates against the closed
     form F = |M|_F^2 + 2 |det M|, M = A^H B of their rank-2 factors, and
     against the fidelity of their density matrices; the test-basis ones
-    against |<.|.>|^2."""
+    against |<.|.>|^2, clipped to 1: it reads up to 1 + 1.3e-15 on
+    bit-identical eigenvectors, at 70 and 120 dB."""
     source = driver.passive_source(dataclasses.replace(PASSIVE_CONFIG, analysis="refined"),
                                    att_db)
     vectors = {key: coin.state_eigendata(m.normalized_block(1)).vectors[:, :2]
@@ -510,11 +527,61 @@ def test_refined_source_fidelities_from_its_eigenvectors(att_db):
         other = {i: vectors[(1 - bit, "X", i)] for i in driver.INTENSITIES}
         for t in (0, 1):
             for p, (i, j) in enumerate(INTENSITY_PAIRS):
-                assert abs(source.tag_fids_bit[bit, p, t]
-                           - pure_state_fidelity(test[i][:, t], test[j][:, t])) <= 2.3e-16
+                assert abs(source.tag_fids_bit[bit, p, t] - min(
+                    1.0, pure_state_fidelity(test[i][:, t], test[j][:, t]))) <= 2.3e-16
             for k, i in enumerate(driver.INTENSITIES):
-                assert abs(source.cross_bit[bit, k, t]
-                           - pure_state_fidelity(test[i][:, t], other[i][:, 1 - t])) <= 2.3e-16
+                assert abs(source.cross_bit[bit, k, t] - min(
+                    1.0, pure_state_fidelity(test[i][:, t], other[i][:, 1 - t]))) <= 2.3e-16
+
+
+def test_pair_fidelities_bound_exactly_the_truncated_entries():
+    """The INTENSITY_PAIRS fidelities of the bit-unions and test-basis boxes
+    against a per-pair loop: `bures_chain_bound` where either end keeps less
+    than 1 - 1e-12 of its trace (at 70 dB, the n = 3 and 4 blocks), the
+    exact `factor_fidelity` everywhere else."""
+    config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
+    source = driver.passive_source(config, 70.0, nodes=12)
+    bounded = set()
+    for fids, groups in (
+            (source.fids, [[source.moments_union[(b, i)] for i in driver.INTENSITIES]
+                           for b in driver.BASES]),
+            (source.fids_bit, [[source.moments_bit[(a, "X", i)] for i in driver.INTENSITIES]
+                               for a in driver.BITS])):
+        for g, group in enumerate(groups):
+            for n in range(config.n_cut + 1):
+                factors = [density_factor(m.normalized_block(n)) for m in group]
+                for p, (i, j) in enumerate(lp.PAIR_ENDS):
+                    exact = float(factor_fidelity(factors[i], factors[j]))
+                    t_i, t_j = group[i].trace_fraction(n), group[j].trace_fraction(n)
+                    if min(t_i, t_j) < 1.0 - 1e-12:
+                        bounded.add(n)
+                        exact = coin.bures_chain_bound(t_i, t_j, exact)
+                    assert fids[g, p, n] == exact
+    assert bounded == {3, 4}
+
+
+FIDELITY_ARGUMENTS = {"yield_program": (2,), "bit_error_program": (2,),
+                      "refined_yield_program": (2, 5, 6), "refined_error_program": (3, 6, 7)}
+
+
+def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
+    """Every fidelity handed to the program builders, by both transmitters,
+    lies in [0, 1]; the refined test-basis ones at 70 and 120 dB once
+    rounded above 1 on bit-identical eigenvectors."""
+    seen = {}
+    for name, positions in FIDELITY_ARGUMENTS.items():
+        def recording(*args, name=name, build=getattr(lp, name), positions=positions):
+            seen.setdefault(name, []).extend(np.asarray(args[k]) for k in positions)
+            return build(*args)
+        monkeypatch.setattr(lp, name, recording)
+    for analysis in ("baseline", "refined"):
+        for att_db in (70.0, 120.0):
+            driver.key_rate(dataclasses.replace(PASSIVE_CONFIG, analysis=analysis), 50.0, att_db)
+    driver.key_rate(OIL_CONFIG, 50.0, 120.0)
+    assert set(seen) == set(FIDELITY_ARGUMENTS)
+    for name, arrays in seen.items():
+        for fids in arrays:
+            assert np.all((fids >= 0.0) & (fids <= 1.0)), (name, fids.max())
 
 
 def test_passive_key_rate_rejects_a_foreign_source():

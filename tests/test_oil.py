@@ -5,6 +5,7 @@ import pytest
 
 from helpers import fidelity, mixed_state, setting_intensity, state_block, state_vector
 from leakyqkd import oil
+from leakyqkd.coin import bb84_pair_overlap
 from leakyqkd.fock import basis_index
 from leakyqkd.linalg import factor_fidelity
 from leakyqkd.validation import oil_block_oracle
@@ -16,8 +17,9 @@ def make_params(omega=0.01, mu_in=0.5):
 
 def emitted_block(key, params, n):
     """Sub-normalised n-photon block of the setting `key` (bit, basis,
-    intensity): the outer product of its `oil.emission_sectors` column."""
-    vec = oil.emission_sectors(params)[n][:, oil.SETTINGS.index(key)]
+    intensity): the outer product of its `oil.emission_sectors` entry."""
+    bit, *slot = key
+    vec = oil.emission_sectors(params)[n][:, oil.SLOTS.index(tuple(slot)), bit]
     return np.outer(vec, vec.conj())
 
 
@@ -174,10 +176,24 @@ def test_leakage_marginal_is_setting_independent_at_signal_intensity():
             assert abs(other[key] - value) < 1e-14
 
 
+# Global phases aligning the four key/test n=1 states so that the
+# bit-entangled Z and X states coincide exactly (they purify the same
+# mixed state); makes the coin overlap Re<psi_Z|psi_X> = 1 for any
+# (mu_in, omega), which the rate takes as exact.
+OVERLAP_PHASES = {(0, "Z"): -math.pi / 4.0, (1, "Z"): math.pi / 4.0,
+                  (0, "X"): 0.0, (1, "X"): -math.pi / 2.0}
+
+
 def test_single_photon_overlap_is_unity_for_all_parameters():
     for mu_in, omega in ((0.5, 0.0), (0.5, 0.02), (0.9, 1e-4), (0.05, 0.01)):
         params = oil.params_for_intensities(mu_in, 0.2 * mu_in, 1e-4, omega=omega)
-        overlap = oil.single_photon_overlap(oil.emission_sectors(params))
+        sector = oil.emission_sectors(params)[1]
+        vecs = {}
+        for (bit, basis_label), phase in OVERLAP_PHASES.items():
+            vec = sector[:, oil.SLOTS.index((basis_label, "I0")), bit]
+            vecs[(bit, basis_label)] = vec / np.linalg.norm(vec) * np.exp(1j * phase)
+        overlap = bb84_pair_overlap(vecs[(0, "Z")], vecs[(1, "Z")], vecs[(0, "X")],
+                                    vecs[(1, "X")])
         assert overlap.real == pytest.approx(1.0, abs=1e-12)
         assert abs(overlap.imag) < 1e-12
 
@@ -191,21 +207,31 @@ def driver_params(att_db):
     return oil.params_for_intensities(0.5, 0.1, 1e-4, omega=10.0 ** (-att_db / 10.0) * 0.25)
 
 
+def mixture_factor(sector, slot):
+    """Unit-norm factor of the equal-bit mixture of one slot of an
+    `oil.emission_sectors` sector: its slice, scaled."""
+    cols = sector[:, oil.SLOTS.index(slot)]
+    return cols / np.linalg.norm(cols)
+
+
 def test_emission_sector_columns_are_the_setting_blocks():
     params = make_params(omega=0.02)
     for n, sector in enumerate(oil.emission_sectors(params)):
-        assert sector.shape == (oil.oil_basis(n).dim, len(oil.SETTINGS))
-        for k, key in enumerate(oil.SETTINGS):
-            block = state_block(oil.setting_phases(*key, params), params, n)
-            assert np.max(np.abs(np.outer(sector[:, k], sector[:, k].conj()) - block)) <= 1e-15
+        assert sector.shape == (oil.oil_basis(n).dim, len(oil.SLOTS), 2)
+        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
+            for bit in (0, 1):
+                block = state_block(oil.setting_phases(bit, basis_label, intensity, params),
+                                    params, n)
+                vec = sector[:, k, bit]
+                assert np.max(np.abs(np.outer(vec, vec.conj()) - block)) <= 1e-15
 
 
 def test_mixture_factors_square_to_the_mixed_states():
     params = make_params(omega=0.02)
     for n, sector in enumerate(oil.emission_sectors(params)):
-        for basis_label, intensity in (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2")):
-            factor = oil.mixture_factor(sector, basis_label, intensity)
-            rho = mixed_state(basis_label, intensity, params, n)
+        for slot in oil.SLOTS:
+            factor = mixture_factor(sector, slot)
+            rho = mixed_state(*slot, params, n)
             assert np.max(np.abs(factor @ factor.conj().T - rho)) <= 1e-14
 
 
@@ -214,8 +240,8 @@ def test_factor_fidelities_agree_with_mixed_state_fidelities(att_db):
     params = driver_params(att_db)
     for n, sector in enumerate(oil.emission_sectors(params)):
         for i, j in (("I0", "I1"), ("I0", "I2"), ("I1", "I2")):
-            ours = factor_fidelity(oil.mixture_factor(sector, "X", i),
-                                   oil.mixture_factor(sector, "X", j))
+            ours = factor_fidelity(mixture_factor(sector, ("X", i)),
+                                   mixture_factor(sector, ("X", j)))
             reference = fidelity(mixed_state("X", i, params, n), mixed_state("X", j, params, n))
             assert abs(float(ours) - reference) <= 1e-14
 
