@@ -4,26 +4,31 @@ Every program is one `LinearProgram` in array form (c, a, b, upper)
 over variables boxed to [0, 1], solved by a small dual simplex from a
 dual-feasible slack basis, or warm from a neighbouring program's optimal
 basis, whose verdicts rest on values re-solved from the original data
-(`solve`).  The tableau is dense, but a pivot (`_pivot`) updates only
+(`solve`).  A basis is re-solved through its structural block alone
+(`_basis_solve`): its slack columns are unit columns, so only its k
+structural columns, on the k rows whose slack is nonbasic, are
+factored.  The tableau is dense, but a pivot (`_pivot`) updates only
 the rows with a nonzero in the pivot column and the columns with a
 nonzero in the pivot row, at the median 120-135 of 258 and 9-13 of 306 in
 a refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
 every other entry would only lose an exact zero, so each value, pivot
 choice and basis is that of a full update.
 
-Four builders write the baseline and the refined (key/opp eigenstate)
+The builders write the baseline and the refined (key/opp eigenstate)
 yield and bit-error programs row by row into that form, from fidelity
 lower bounds and channel-model reference points for the tangent
-linearisation.  Their inputs are arrays in one layout: rows in
-INTENSITIES order, pairs in INTENSITY_PAIRS order, columns by photon
-number (or by tag, in TAGS order); a bit axis, where there is one,
-leads.
+linearisation; `decoy_programs` builds baseline programs of one
+pattern in one pass, with one tangent-line call per side for all of
+them.  Their inputs are arrays in one layout: rows in INTENSITIES order,
+pairs in INTENSITY_PAIRS order, columns by photon number (or by tag, in
+TAGS order); a bit axis, where there is one, leads, and a program axis
+leads that.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +139,8 @@ def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution
     if start is not None and len(start) == len(program.b) + len(program.variables):
         solution = _solve_once(program, np.asarray(start))
         if solution.status == "optimal":
-            return replace(solution, start="warm")
+            solution.start = "warm"
+            return solution
     return _solve_once(program, None)
 
 
@@ -160,17 +166,18 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
     cost[:n] = program.c if program.sense == "min" else -program.c
 
     form = (tableau, basis, original, initial)
-    if start is not None:  # factor the start on this program's data: B x_B = rhs, B^T y = c_B
-        matrix = original[:, start]
-        x_basic, y = _factored(matrix, original[:, -1]), _factored(matrix.T, cost[start])
-        if x_basic is None or y is None:  # singular
+    if start is not None:  # solve the start on this program's data: B x_B = rhs, B^T y = c_B
+        distinct = len(set(start.tolist())) == m  # a repeated column makes B singular
+        x_basic = _basis_solve(original, start, original[:, -1]) if distinct else None
+        y = None if x_basic is None else _basis_solve(original, start, cost[start], True)
+        if y is None:  # singular
             return LPSolution("unfinished", None, None, 0)
         reduced = (cost - y @ original)[:-1]
         if x_basic.min() < -PIVOT_TOL and reduced.min() < -PIVOT_TOL:
             return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
         basis[:] = start
         if min(x_basic.min(), reduced.min()) < -DUAL_TOL:  # to be repaired
-            tableau[:] = np.linalg.solve(matrix, original)
+            tableau[:] = _basis_solve(original, basis, original)
         status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
     else:  # the slack basis, dual feasible once each variable of negative cost is at 1
         negative = np.flatnonzero(cost[:n] < 0.0)
@@ -189,17 +196,23 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
 
 def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
     """(x_B, reduced costs) of the tableau's basis re-solved on the original
-    data, refined from the drifted B^-1 in the tableau's `initial` columns;
-    None if the basis is singular there."""
+    data, refined from the drifted B^-1 in the tableau's `initial` columns, or
+    by `_basis_solve` where that does not settle; None if the basis is
+    singular there."""
     tableau, basis, original, initial = form
-    inverse, matrix = tableau[:, initial], original[:, basis]
-    x, y = _refined(inverse, matrix, original[:, -1]), _refined(inverse.T, matrix.T, cost[basis])
+    inverse, matrix, rhs = tableau[:, initial], original[:, basis], original[:, -1]
+    x = _refined(inverse, matrix, rhs)
+    if x is None:
+        x = _basis_solve(original, basis, rhs)
+    y = _refined(inverse.T, matrix.T, cost[basis])
+    if y is None:
+        y = _basis_solve(original, basis, cost[basis], True)
     return None if x is None or y is None else (x, (cost - y @ original)[:-1])
 
 
-def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray):
+def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """matrix^-1 rhs by iterative refinement from 0 with the approximate `inverse`
-    until a step is below DUAL_TOL; if none of four is, `_factored`."""
+    until a step is below DUAL_TOL; None if none of four is."""
     z, residual = 0.0, rhs
     for _ in range(4):
         step = inverse @ residual
@@ -207,15 +220,39 @@ def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray):
         if np.abs(step).max() <= DUAL_TOL:
             return z
         residual = rhs - matrix @ z
-    return _factored(matrix, rhs)
+    return None
 
 
-def _factored(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """matrix^-1 rhs from a fresh factorisation; None if `matrix` is singular."""
+def _basis_solve(original: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
+                 transpose: bool = False) -> np.ndarray | None:
+    """B^-1 rhs, or B^-T rhs with `transpose`, for the basis B = original[:, basis]
+    of distinct columns, from a fresh factorisation of its structural block
+    alone (Suhl & Suhl, ORSA J. Comput. 2, 1990); None if B is singular.
+
+    Up to column order B = [A_J | I_S]: k structural columns J and the unit
+    slack columns of the rows S, so that k rows R are left.  B x = rhs is
+    x_J = A[R, J]^-1 rhs[R], x_S = rhs[S] - A[S, J] x_J (`rhs` a vector or a
+    matrix, by row), and B^T y = rhs (by basis position) is y_S = rhs_S,
+    y_R = A[R, J]^-T (rhs_J - A[S, J]^T y_S)."""
+    n = original.shape[1] - len(basis) - 1
+    slack = basis >= n
+    cols, slack_rows = basis[~slack], basis[slack] - n
+    free = np.ones(len(basis), dtype=bool)
+    free[slack_rows] = False
+    rows = np.flatnonzero(free)
+    structural = original[:, cols]
+    block, coupling = structural[rows], structural[slack_rows]
+    out = np.empty(rhs.shape)
     try:
-        return np.linalg.solve(matrix, rhs)
+        if transpose:
+            out[slack_rows] = rhs[slack]
+            out[rows] = np.linalg.solve(block.T, rhs[~slack] - coupling.T @ rhs[slack])
+        else:
+            x = np.linalg.solve(block, rhs[rows])
+            out[~slack], out[slack] = x, rhs[slack_rows] - coupling @ x
     except np.linalg.LinAlgError:
         return None
+    return out
 
 
 def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]:
@@ -237,7 +274,7 @@ def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]
         if min(x_basic.min(), reduced.min()) >= -DUAL_TOL:
             if factored:
                 return "optimal", pivots, x_basic
-            x_basic = _factored(original[:, basis], original[:, -1])
+            x_basic = _basis_solve(original, basis, original[:, -1])
             if x_basic is None:
                 return "unfinished", pivots, None
             values, factored = (x_basic, reduced), True
@@ -295,29 +332,35 @@ def _add_columns(variables: list, prefix: str, entries) -> np.ndarray:
 
 
 def _pairs(rows: list, cols, coeffs, rhs):
-    """Append, per entry e, the rows coeffs[e, 0] . x[cols[e]] <= rhs[e, 0]
-    and coeffs[e, 1] . x[cols[e]] >= rhs[e, 1]; coeffs broadcast to (P, 2, w)."""
-    cols = np.asarray(cols)
-    rows.append((cols, np.broadcast_to(coeffs, (len(cols), 2, cols.shape[1])), np.ravel(rhs)))
+    """Append, per entry e, the rows coeffs[..., e, 0] . x[cols[e]] <= rhs[..., e, 0]
+    and coeffs[..., e, 1] . x[cols[e]] >= rhs[..., e, 1]; coeffs broadcast to
+    rhs's leading axes, if any (one per program, see `_programs`), then (2, w)."""
+    cols, rhs = np.asarray(cols), np.asarray(rhs)
+    rows.append((cols, np.broadcast_to(coeffs, (*rhs.shape[:-1], 2, cols.shape[1])),
+                 rhs.reshape(*rhs.shape[:-2], -1)))
 
 
-def _program(variables: list, sense: str, objective: dict, rows: list) -> LinearProgram:
-    """Write the row pairs into arrays; `objective` maps columns to their coefficients."""
-    b = np.concatenate([blk[2] for blk in rows])
-    c, a = np.zeros(len(variables)), np.zeros((len(b), len(variables)))
+def _programs(variables: list, senses, objective: dict, rows: list) -> list[LinearProgram]:
+    """Write the row pairs into arrays, one program per entry of `senses`:
+    the rows' leading axis runs over the programs, and rows without one
+    make a single program.  `objective` maps columns to their coefficients."""
+    b = np.concatenate([blk[2] for blk in rows], axis=-1)
+    c, a = np.zeros(len(variables)), np.zeros((*b.shape, len(variables)))
     c[list(objective)] = list(objective.values())
     start = 0
     for cols, coeffs, rhs in rows:
-        a[start + np.arange(len(rhs)).reshape(-1, 2, 1), cols[:, None, :]] = coeffs
-        start += len(rhs)
-    return LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a, b=b,
-                         upper=np.arange(len(b)) % 2 == 0)
+        a[..., start + np.arange(rhs.shape[-1]).reshape(-1, 2, 1), cols[:, None, :]] = coeffs
+        start += rhs.shape[-1]
+    upper = np.arange(b.shape[-1]) % 2 == 0
+    return [LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a_p, b=b_p, upper=upper)
+            for sense, a_p, b_p in zip(senses, a.reshape(-1, *a.shape[-2:]),
+                                       b.reshape(-1, b.shape[-1]), strict=True)]
 
 
 def _sandwich(rows: list, ends, fid, y_ref):
     """Tangent-relaxed coin constraints LCS^L(y_i) <= y_j <= LCS^U(y_i), a
-    pair of rows per row (col_i, col_j) of `ends` and entry of `fid`,
-    linearised at y_ref (broadcast to them).
+    pair of rows per row (col_i, col_j) of `ends` and entry of `fid` (along
+    its last axis), linearised at y_ref (broadcast to them).
 
     Unit fidelities are capped infinitesimally below 1 (a relaxation, so
     still valid): exact-equality chains otherwise make the polytope a
@@ -327,23 +370,25 @@ def _sandwich(rows: list, ends, fid, y_ref):
     fid = np.minimum(fid, 1.0 - 1e-14)
     low, high = tangent_line(fid, y_ref, "L"), tangent_line(fid, y_ref, "U")
     minus = -np.ones_like(fid)
-    coeffs = np.stack([low.slope, minus, high.slope, minus], axis=1).reshape(-1, 2, 2)
-    _pairs(rows, ends, coeffs, -np.stack([low.intercept, high.intercept], axis=1))
+    coeffs = np.stack([low.slope, minus, high.slope, minus], axis=-1).reshape(*fid.shape, 2, 2)
+    _pairs(rows, ends, coeffs, -np.stack([low.intercept, high.intercept], axis=-1))
 
 
 def _coin_rows(rows: list, cols, fidelities, y_ref):
     """Coin rows between the ordered pairs of intensities, per column of
-    `cols` (3, w) and `fidelities` (3 pairs, w), column-major."""
+    `cols` (3, w) and `fidelities` (..., 3 pairs, w), column-major."""
+    pairs = np.swapaxes(fidelities[..., _UNORDERED, :], -1, -2)
     _sandwich(rows, cols[_ORDERED].transpose(2, 0, 1).reshape(-1, 2),
-              fidelities[_UNORDERED].T.ravel(), y_ref)
+              pairs.reshape(*pairs.shape[:-2], -1), y_ref)
 
 
 def _decoy_block(rows: list, cols, gains, probs, fidelities, references):
     """Two-sided decoy rows from Q_I = sum_n p_I(n) Y_I_n + tail for each
-    intensity I (Y_I_n in column cols[I, n]), then coin rows per photon number."""
-    _pairs(rows, cols, probs[:, None, :],
-           np.stack([gains, gains - (1.0 - probs.sum(axis=1))], axis=1))
-    _coin_rows(rows, cols, fidelities, np.repeat(references, len(_UNORDERED)))
+    intensity I (Y_I_n in column cols[I, n]), then coin rows per photon
+    number; every input may lead with a program axis."""
+    _pairs(rows, cols, probs[..., None, :],
+           np.stack([gains, gains - (1.0 - probs.sum(axis=-1))], axis=-1))
+    _coin_rows(rows, cols, fidelities, np.repeat(references, len(_UNORDERED), axis=-1))
 
 
 def _tag_block(rows: list, cols, tag_cols, weights, tag_fidelities, y_ref):
@@ -358,22 +403,32 @@ def _tag_block(rows: list, cols, tag_cols, weights, tag_fidelities, y_ref):
     _coin_rows(rows, tag_cols, tag_fidelities, y_ref)
 
 
+def decoy_programs(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
+                   references: np.ndarray, senses) -> list[LinearProgram]:
+    """Baseline decoy programs of one pattern, built in one pass: program p
+    minimises ("min" in `senses`: the single-photon yield) or maximises
+    ("max": the single-photon error probability, from error gains) Y_I0_1
+    given the gains (3,), photon-number probabilities (3, n+1), fidelity
+    lower bounds (3, n+1) between the n-photon states of each intensity
+    pair and linearisation points (n+1,), each input with a leading
+    program axis (or none, for one program).  Columns Y_I_n,
+    intensity-major."""
+    variables, rows = [], []
+    cols = _add_columns(variables, "Y", range(np.shape(probs)[-1]))
+    _decoy_block(rows, cols, gains, probs, fidelities, references)
+    return _programs(variables, senses, {cols[0, 1]: 1.0}, rows)
+
+
 def yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
                   references: np.ndarray) -> LinearProgram:
-    """Baseline single-photon yield program: minimise Y_I0_1 given the gains
-    (3,), photon-number probabilities (3, n+1), fidelity lower bounds
-    (3, n+1) between the n-photon states of each intensity pair and
-    linearisation points (n+1,).  Columns Y_I_n, intensity-major."""
-    variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(probs.shape[1]))
-    _decoy_block(rows, cols, gains, probs, fidelities, references)
-    return _program(variables, "min", {cols[0, 1]: 1.0}, rows)
+    """Baseline single-photon yield program: the one "min" `decoy_programs`."""
+    return decoy_programs(gains, probs, fidelities, references, ("min",))[0]
 
 
 def bit_error_program(error_gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
                       references: np.ndarray) -> LinearProgram:
-    """Baseline bit-error program (maximise the n=1 error probability)."""
-    return replace(yield_program(error_gains, probs, fidelities, references), sense="max")
+    """Baseline bit-error program: the one "max" `decoy_programs`."""
+    return decoy_programs(error_gains, probs, fidelities, references, ("max",))[0]
 
 
 def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
@@ -395,7 +450,7 @@ def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.n
     _tag_block(rows, cols, tag_cols, weights, tag_fidelities, ref_t)
     # key -> opp, then opp -> key, at each intensity
     _sandwich(rows, tag_cols[:, [[0, 1], [1, 0]]].reshape(-1, 2), np.repeat(cross_tag, 2), ref_t)
-    return _program(variables, "min", {tag_cols[0, 0]: 1.0}, rows)
+    return _programs(variables, ("min",), {tag_cols[0, 0]: 1.0}, rows)[0]
 
 
 def refined_error_program(bit: int, outcome_gains: np.ndarray, probs: np.ndarray,
@@ -424,4 +479,4 @@ def refined_error_program(bit: int, outcome_gains: np.ndarray, probs: np.ndarray
     i, a, t = np.indices((len(INTENSITIES), 2, 2)).reshape(3, -1)
     _sandwich(rows, np.stack([tag_cols[a, i, t], tag_cols[1 - a, i, 1 - t]], axis=1),
               cross_bit[a, i, t], references[a, 1])
-    return _program(variables, "max", {tag_cols[bit, 0, 0]: 1.0}, rows)
+    return _programs(variables, ("max",), {tag_cols[bit, 0, 0]: 1.0}, rows)[0]

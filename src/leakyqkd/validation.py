@@ -291,7 +291,7 @@ def check_block_expansion(seed: int = 3) -> tuple[bool, str]:
     return worst < 1e-10, f"max block deviation {worst:.2e}"
 
 
-def check_oil_expansion(seed: int = 4) -> tuple[bool, str]:
+def check_oil_expansion() -> tuple[bool, str]:
     """The outer product of each setting's `oil.emission_sectors` entry
     against the direct expansion."""
     params = oil.params_for_intensities(0.5, 0.2, 1e-4, omega=0.02)

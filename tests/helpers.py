@@ -13,13 +13,19 @@ region of one target point, the textbook decoy bound that the yield
 program reduces to at unit fidelity, a simplex pivot over the whole
 tableau, the fidelity of two density matrices or of two pure states
 instead of from the factors `linalg.factor_fidelity` takes, the smooth
-coin branches without the envelopes' flat parts), so that a test can
-check the two against each other.
+coin branches without the envelopes' flat parts, the basic values of an
+LP basis in exact rational arithmetic, a config hash through
+`dataclasses.asdict`), so that a test can check the two against each
+other.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -370,6 +376,13 @@ def textbook_decoy_bound(probs: dict, gains: dict, n_cut: int) -> float:
         upper=np.tile([True, False], len(q))))
 
 
+def asdict_config_hash(config) -> str:
+    """`driver.config_hash` through `dataclasses.asdict`, which copies the
+    config recursively."""
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:
     """`lp._pivot` as a dense update: every row with a nonzero factor, over
     every column; returns every column as changed, so that callers update
@@ -414,5 +427,41 @@ def joint_refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,
     b, i, a, t = np.indices((2, len(lp.INTENSITIES), 2, 2)).reshape(4, -1)
     lp._sandwich(rows, np.stack([tag_cols[a, b, i, t], tag_cols[1 - a, b, i, 1 - t]], axis=1),
                  cross_bit[a, i, t], references[a, b, 1])
-    return lp._program(variables, "max",
-                       {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5}, rows)
+    return lp._programs(variables, ("max",),
+                        {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5}, rows)[0]
+
+
+def exact_basic_values(program: lp.LinearProgram, basis) -> dict:
+    """{column: value} of the basic columns of `basis` on the standard form
+    `lp.solve` builds for `program` (its rows, a >= row negated, then one box
+    row x_j <= 1 per variable; columns: the variables, then one slack per
+    row), solved in exact rational arithmetic on the program's floats.
+
+    The slack columns are unit columns, so Gaussian elimination in
+    Fractions runs on the block of the structural columns and the rows
+    without a basic slack; the result is then checked exactly against
+    every row of the basis."""
+    m_con, n = program.a.shape
+    sign = np.where(program.upper, 1.0, -1.0)
+    rows = [[Fraction(float(v)) for v in sign[i] * program.a[i]] for i in range(m_con)]
+    rows += [[Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    rhs = [Fraction(float(v)) for v in sign * program.b] + [Fraction(1)] * n
+    cols = [int(j) for j in basis if j < n]
+    slack_rows = [int(j) - n for j in basis if j >= n]
+    free = sorted(set(range(m_con + n)) - set(slack_rows))
+    assert len(set(basis.tolist())) == len(basis) and len(free) == len(cols)
+    # [block | rhs] in Fractions, reduced to the identity by Gauss-Jordan elimination
+    work = [[rows[i][j] for j in cols] + [rhs[i]] for i in free]
+    for k in range(len(cols)):
+        pivot = next(r for r in range(k, len(cols)) if work[r][k] != 0)
+        work[k], work[pivot] = work[pivot], work[k]
+        work[k] = [v / work[k][k] for v in work[k]]
+        for r in range(len(cols)):
+            if r != k and work[r][k] != 0:
+                work[r] = [v - work[r][k] * w for v, w in zip(work[r], work[k])]
+    values = {j: work[k][-1] for k, j in enumerate(cols)}
+    for i in slack_rows:
+        values[n + i] = rhs[i] - sum(rows[i][j] * values[j] for j in cols)
+    for i in range(m_con + n):  # every row: its structural part plus its slack
+        assert sum(rows[i][j] * values[j] for j in cols) + values.get(n + i, 0) == rhs[i]
+    return values

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fidelity, pure_state_fidelity
+from helpers import asdict_config_hash, fidelity, pure_state_fidelity
 from leakyqkd import cli, coin, driver, lp, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
 from leakyqkd.linalg import density_factor, factor_fidelity
@@ -50,6 +50,19 @@ def test_config_hash_tracks_content():
 
 
 OIL_CONFIG = ProtocolConfig(transmitter="oil", mu_in=0.5, mu_i1=0.1, mu_i2=1e-4)
+
+
+def test_config_hash_is_that_of_the_asdict_route():
+    """`config_hash` serialises the fields directly; its digest is the one
+    `dataclasses.asdict` gives, also with non-default optimizer brackets
+    and grids."""
+    settings = driver.OptimizerSettings(passes=1, iterations=4, search_nodes=10,
+                                        mu_max_bracket=(0.1, 0.9),
+                                        delta_theta_z_bracket=(0.02, 0.4),
+                                        oil_intensity_bracket=(0.01, 0.8))
+    custom = ProtocolConfig(distances_km=(25.0, 75.5), att_db=(30, 120.0), optimizer=settings)
+    for config in (ProtocolConfig(), OIL_CONFIG, custom):
+        assert driver.config_hash(config) == asdict_config_hash(config)
 
 
 def test_oil_report_contents():
@@ -560,7 +573,7 @@ def test_pair_fidelities_bound_exactly_the_truncated_entries():
     assert bounded == {3, 4}
 
 
-FIDELITY_ARGUMENTS = {"yield_program": (2,), "bit_error_program": (2,),
+FIDELITY_ARGUMENTS = {"yield_program": (2,), "bit_error_program": (2,), "decoy_programs": (2,),
                       "refined_yield_program": (2, 5, 6), "refined_error_program": (3, 6, 7)}
 
 
@@ -582,6 +595,31 @@ def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
     for name, arrays in seen.items():
         for fids in arrays:
             assert np.all((fids >= 0.0) & (fids <= 1.0)), (name, fids.max())
+
+
+@pytest.mark.parametrize("distance_km, att_db", [(25.0, 120.0), (100.0, 30.0)])
+def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance_km, att_db):
+    """`_oil_estimation` builds its X yield and two bit-error programs in one
+    `lp.decoy_programs` pass, with one tangent line call per side; each
+    program is bitwise the one `lp.yield_program` or `lp.bit_error_program`
+    builds alone from the same inputs."""
+    calls, sides, build, tangent_line = [], [], lp.decoy_programs, lp.tangent_line
+    monkeypatch.setattr(lp, "decoy_programs", lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(lp, "tangent_line",
+                        lambda fid, y_ref, side: sides.append(side) or tangent_line(fid, y_ref, side))
+    est = driver._oil_estimation(OIL_CONFIG, distance_km, att_db)
+    monkeypatch.undo()
+    assert sides == ["L", "U"]
+    [(gains, probs, fids, references, senses)] = calls
+    assert senses == ("min", "max", "max")
+    alone = [lp.yield_program(gains[0], probs[0], fids[0], references[0]),
+             *(lp.bit_error_program(gains[p], probs[p], fids[p], references[p]) for p in (1, 2))]
+    for stacked, single in zip([est.yield_specs["X"], *est.error_specs.values()], alone,
+                               strict=True):
+        assert (stacked.variables, stacked.sense) == (single.variables, single.sense)
+        for name in ("a", "b", "c", "upper"):
+            assert np.array_equal(getattr(stacked, name), getattr(single, name))
+            assert getattr(stacked, name).tobytes() == getattr(single, name).tobytes()
 
 
 def test_passive_key_rate_rejects_a_foreign_source():

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import dense_pivot, joint_refined_error_program, textbook_decoy_bound
+from helpers import (dense_pivot, exact_basic_values, joint_refined_error_program,
+                     textbook_decoy_bound)
 from leakyqkd import driver, lp, validation
 from leakyqkd.validation import vertex_enumeration_optimum
 
@@ -239,6 +241,33 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
         assert np.array_equal(solution.x, cold.x)
 
 
+def test_basis_solve_matches_the_dense_solve():
+    # random standard forms [a; I | I | rhs] and bases of k structural and m - k
+    # slack columns in random order: the structural-block route gives the dense
+    # solutions of B x = rhs, B X = the whole form and B^T y = c_B, slack costs
+    # nonzero too; a block with a zero column is singular
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m_con, n = rng.integers(1, 8), rng.integers(1, 6)
+        m = m_con + n
+        original = np.hstack([np.vstack([rng.normal(size=(m_con, n)), np.eye(n)]), np.eye(m),
+                              rng.normal(size=(m, 1))])
+        k = rng.integers(0, n + 1)
+        basis = rng.permutation(np.concatenate([rng.choice(n, k, replace=False),
+                                                n + rng.choice(m, m - k, replace=False)]))
+        matrix, costs = original[:, basis], rng.normal(size=m)
+        if np.linalg.cond(matrix) > 1e6:
+            continue
+        for rhs, transpose, dense in ((original[:, -1], False, matrix),
+                                      (original, False, matrix), (costs, True, matrix.T)):
+            assert np.allclose(lp._basis_solve(original, basis, rhs, transpose),
+                               np.linalg.solve(dense, rhs), rtol=1e-9, atol=1e-9)
+        if k:
+            free = np.setdiff1d(np.arange(m), basis[basis >= n] - n)
+            original[free, basis[basis < n][0]] = 0.0
+            assert lp._basis_solve(original, basis, original[:, -1]) is None
+
+
 def test_sparse_pivot_matches_the_dense_update():
     # chains of pivots on random tableaux with structural zeros, -0.0 among
     # them (in the pivot rows and columns too): the same basis and equal
@@ -296,6 +325,21 @@ def test_sparse_pivot_solves_the_golden_refined_programs_bit_identically(monkeyp
             accepted += 1
             assert warm.x.tobytes() == solution.x.tobytes()
     assert accepted >= 7
+
+
+def test_reported_basic_values_are_those_of_the_exact_basis():
+    """The structural basic values `lp.solve` reports lie within 1e-14 of
+    the exact rational solution of their final basis, on the refined golden
+    programs (a dense re-solve of their 129- and 258-row bases erred by up
+    to 7.3e-14) and on the three programs of one injection-locked point."""
+    est = driver._oil_estimation(driver.ProtocolConfig(transmitter="oil"), 100.0, 120.0)
+    for program in [*golden_refined_programs(), *est.yield_specs.values(),
+                    *est.error_specs.values()]:
+        solution = lp.solve(program)
+        n = len(program.variables)
+        errors = [abs(Fraction(solution.x[j]) - value)
+                  for j, value in exact_basic_values(program, solution.basis).items() if j < n]
+        assert float(max(errors)) <= 1e-14
 
 
 def test_solve_once_takes_the_program_and_start_positionally(monkeypatch):
