@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import NPhotonBasis
+from .oil import oil_basis
 from .passive import RegionNodes
 
 
@@ -214,6 +215,28 @@ def reference_error(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams,
     w = _error_operator(basis.configs, basis.leak_modes, transmittance(params),
                         params.p_dark, bit, interfere)
     return float(np.sum(rho.real * w))
+
+
+@lru_cache(maxsize=64)
+def _oil_error_operators(n: int, eta: float, p_dark: float) -> np.ndarray:
+    """The `_error_operator` [bit] of the injection-locked n-photon basis read
+    by time of arrival, looked up by three numbers instead of the basis's
+    configurations (read-only)."""
+    basis = oil_basis(n)  # built uncached (`__wrapped__`): this cache holds them
+    out = np.stack([_error_operator.__wrapped__(basis.configs, basis.leak_modes, eta, p_dark,
+                                                bit, False) for bit in (0, 1)])
+    out.flags.writeable = False
+    return out
+
+
+def oil_reference_errors(vectors, eta: float, p_dark: float) -> np.ndarray:
+    """`reference_error` [bit, n], read by time of arrival at transmittance
+    `eta`, of the pure states of the unit vectors vectors[n][bit] of the
+    injection-locked n-photon bases: Tr[Re(rho) W] with each bit's own
+    operator, summed as `reference_error` sums it."""
+    return np.array([((v[:, :, None] * v.conj()[:, None, :]).real
+                      * _oil_error_operators(n, eta, p_dark)).reshape(2, -1).sum(-1)
+                     for n, v in enumerate(vectors)]).T
 
 
 def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,

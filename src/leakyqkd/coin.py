@@ -30,7 +30,12 @@ _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 def _check_unit_interval(value, name: str) -> np.ndarray:
     """`value` clipped to [0, 1], elementwise; anything further out than
-    1e-12, or NaN, is an error."""
+    1e-12, or NaN, is an error.  A Python float stays one (the rate's
+    scalars), clipped as np.maximum and np.minimum clip it."""
+    if type(value) is float:
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"{name}={value} outside [0, 1]")
+        return min(max(0.0, value), 1.0)
     value = np.asarray(value, dtype=float)
     inside = (value >= -1e-12) & (value <= 1.0 + 1e-12)
     if not inside.all():
@@ -46,11 +51,14 @@ def _scalar(value):
 # The envelope functions take scalars or arrays (broadcast against each
 # other) and return a float or an array to match; checks are elementwise.
 
-def _curve(y, z, sign: int):
+def _curve(y, z, sign, slope: bool = False):
     """Smooth branches y + (1-z)(1-2y) +/- 2 sqrt(z(1-z) y(1-y)), unchecked and
-    array-valued."""
-    radical = 2.0 * np.sqrt(np.maximum(0.0, z * (1.0 - z) * y * (1.0 - y)))
-    return y + (1.0 - z) * (1.0 - 2.0 * y) + sign * radical
+    array-valued; with `slope`, (value, d/dy), sharing z(1-z) and 1-2y."""
+    zz, falling = z * (1.0 - z), 1.0 - 2.0 * y
+    value = y + (1.0 - z) * falling + sign * (2.0 * np.sqrt(np.maximum(0.0, zz * y * (1.0 - y))))
+    if not slope:
+        return value
+    return value, (2.0 * z - 1.0) + sign * np.sqrt(zz) * falling / np.sqrt(y * (1.0 - y))
 
 
 def transfer_bound(y, fid, side: str):
@@ -92,25 +100,36 @@ def tangent_line(fid, y_ref, side: str) -> TangentLine:
     branch.  A kink that this shift cannot clear, one at a clip bound, is
     an error.
     """
+    line = tangent_lines(fid, y_ref, (side,))
+    return TangentLine(slope=_scalar(line.slope[0]), intercept=_scalar(line.intercept[0]))
+
+
+def tangent_lines(fid, y_ref, sides=("L", "U")) -> TangentLine:
+    """`tangent_line` of each of `sides` in one pass: its slope and intercept
+    lead with an axis over `sides`, and the sides share the checks and
+    z(1 - z); each entry is bitwise that of its own `tangent_line`."""
     z = _check_unit_interval(fid, "fidelity")
-    if side not in ("L", "U"):
+    if not all(side in ("L", "U") for side in sides):
         raise ValueError("side must be 'L' or 'U'")
-    lower = side == "L"
-    kink = 1.0 - z if lower else z
+    ndim = max(np.ndim(z), np.ndim(y_ref))
+    lower = np.array([side == "L" for side in sides]).reshape(-1, *[1] * ndim)
+    kink = np.where(lower, 1.0 - z, z)
     lo, hi = KINK_SHIFT, 1.0 - KINK_SHIFT
-    y = np.clip(y_ref, lo, hi)
-    shifted = np.clip(kink + KINK_SHIFT if lower else kink - KINK_SHIFT, lo, hi)
-    y, kink = np.broadcast_arrays(np.where(np.abs(y - kink) < KINK_TOL, shifted, y), kink)
-    at_kink = (np.abs(y - kink) < KINK_TOL) & (0.0 < kink) & (kink < 1.0)
-    if at_kink.any():
-        raise ValueError(f"reference point {y[at_kink][0]} sits at the envelope kink "
-                         f"{kink[at_kink][0]} and no shift clears it")
-    # value and d/dy of the smooth branch; the flat branch is 0 or 1, slope 0
-    sign, flat = (-1, y <= kink) if lower else (+1, y >= kink)
-    value = np.where(flat, 0.0 if lower else 1.0, _curve(y, z, sign))
-    slope = _scalar(np.where(flat, 0.0, (2.0 * z - 1.0) + sign * np.sqrt(z * (1.0 - z))
-                             * (1.0 - 2.0 * y) / np.sqrt(y * (1.0 - y))))
-    return TangentLine(slope=slope, intercept=_scalar(value - slope * y))
+    y = np.minimum(np.maximum(y_ref, lo), hi)  # np.clip, without its call overhead
+    near = np.abs(y - kink) < KINK_TOL
+    if near.any():  # onto the smooth branch; a kink this shift cannot clear is an error
+        shifted = np.minimum(np.maximum(kink + np.where(lower, KINK_SHIFT, -KINK_SHIFT), lo), hi)
+        y = np.where(near, shifted, y)
+        at_kink = (np.abs(y - kink) < KINK_TOL) & (0.0 < kink) & (kink < 1.0)
+        if at_kink.any():
+            raise ValueError(f"reference point {y[at_kink][0]} sits at the envelope kink "
+                             f"{np.broadcast_to(kink, y.shape)[at_kink][0]} and no shift "
+                             f"clears it")
+    # value and d/dy of the smooth branch; the flat branch is 0 (lower) or 1, slope 0
+    value, slope = _curve(y, z, np.where(lower, -1.0, 1.0), slope=True)
+    flat = np.where(lower, y <= kink, y >= kink)
+    value, slope = np.where(flat, np.where(lower, 0.0, 1.0), value), np.where(flat, 0.0, slope)
+    return TangentLine(slope=slope, intercept=value - slope * y)
 
 
 def coin_adjusted_fidelity(re_overlap: float, y_coin_lower: float) -> float:

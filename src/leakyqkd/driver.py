@@ -15,20 +15,26 @@ programs, the coin overlap and the key-basis inputs to the rate.
 - `_oil_estimation` builds the injection-locked inputs from analytic
   states (no quadrature).  Decoys run in the test basis only; the key
   and test single-photon mixtures coincide, so the key-basis yield is
-  the test yield.
+  the test yield.  It is what an optimizer probe repeats, so it costs
+  what its arrays cost: one fidelity SVD for every sector, the click
+  operators looked up by key, the program pattern built once, and the
+  channel of its grid point kept across probes (`_oil_channel`).
 
 `_pair_fidelities` forms the cross-intensity fidelities of both.
 `_estimate` solves the programs, transfers the test-basis error to a
 phase-error bound through the coin overlap, evaluates the asymptotic
-rate and builds the report.  `key_rate` is the one entry point.
+rate and builds the report.  `key_rate` is the one entry point; it
+times the input builder (`inputs_s`) and the solves (`solve_s`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +43,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
 from .lp import INTENSITIES, InfeasibleProgramError
-from .linalg import density_factor, factor_fidelity
+from .linalg import density_factor, factor_fidelities, factor_fidelity
 
 BITS = (0, 1)
 BASES = ("Z", "X")
@@ -187,8 +193,16 @@ def config_to_dict(config: ProtocolConfig) -> dict:
 def config_hash(config: ProtocolConfig) -> str:
     """The first 12 hex digits of the SHA-256 of the config's sorted JSON,
     written from its fields directly: `dataclasses.asdict` costs a probe
-    about 0.1 ms."""
-    text = json.dumps({**vars(config), "optimizer": vars(config.optimizer)}, sort_keys=True)
+    about 0.1 ms.  Memoised on the pickled fields, which keep every type
+    and bit the JSON shows (1 and 1.0, 0.0 and -0.0 apart): the probes of
+    one optimisation's grid points repeat configs (91 of 213 in one
+    `oil-optimize` unit)."""
+    return _pickled_hash(pickle.dumps({**vars(config), "optimizer": vars(config.optimizer)}))
+
+
+@functools.lru_cache(maxsize=256)
+def _pickled_hash(fields: bytes) -> str:
+    text = json.dumps(pickle.loads(fields), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -348,13 +362,17 @@ class PassiveSource:
     diagnostics: tuple
 
 
-def _pair_fidelities(factors, kept: np.ndarray) -> np.ndarray:
+def _pair_fidelities(factors, kept: np.ndarray | None = None) -> np.ndarray:
     """INTENSITY_PAIRS fidelities [group, pair, n] of the states with unit-trace
-    factors `factors[n]` [group, I, dim, rank], one batched `factor_fidelity`
-    per n: exact where both ends keep their whole state, the projection chain
-    bound where either keeps a trace fraction `kept[group, I, n]` < 1 - 1e-12."""
+    factors `factors[n]` [group, I, dim, rank], from one `factor_fidelities`
+    call: one SVD for all n whose products share a shape.  Exact where both
+    ends keep their whole state (everywhere when `kept` is None), the
+    projection chain bound where either keeps a trace fraction
+    `kept[group, I, n]` < 1 - 1e-12."""
     first, second = lp.PAIR_ENDS.T
-    fids = np.stack([factor_fidelity(f[:, first], f[:, second]) for f in factors], axis=-1)
+    fids = np.stack(factor_fidelities([(f[:, first], f[:, second]) for f in factors]), axis=-1)
+    if kept is None:
+        return fids
     ends = kept[:, first], kept[:, second]
     for g, p, n in zip(*np.nonzero(np.minimum(*ends) < 1.0 - 1e-12)):
         fids[g, p, n] = coin.bures_chain_bound(ends[0][g, p, n], ends[1][g, p, n], fids[g, p, n])
@@ -416,13 +434,12 @@ def passive_source(config: ProtocolConfig, att_db: float,
         # the bit-averaged key and opp eigenstates of each (basis, I) as rank-2
         # factors [v_bit0, v_bit1]/sqrt(2), [tag, basis, I, dim, bit]
         factors = vectors.transpose(4, 0, 2, 3, 1) / math.sqrt(2.0)
-        whole = np.ones((2, len(INTENSITIES), 2))  # [basis or bit, I, tag]: nothing truncated
-        tag_fids = _pair_fidelities(factors, whole)
+        tag_fids = _pair_fidelities(factors)
         cross_tag = factor_fidelity(factors[0], factors[1])
         # the test-basis eigenvectors as rank-1 factors [tag, bit, I, dim, 1]: same
         # tag across each pair; the other bit's other tag
         test = np.moveaxis(vectors[1], -1, 0)[..., None]
-        tag_fids_bit = _pair_fidelities(test, whole)
+        tag_fids_bit = _pair_fidelities(test)
         cross_bit = np.moveaxis(factor_fidelity(test, test[::-1, ::-1]), 0, -1)
         overlap = coin.bb84_pair_overlap(*vectors[:, :, 0, :, 0].reshape(4, -1))
         q_weight = 0.5 * float(weights[0, 0, 0, 0] + weights[0, 1, 0, 0])
@@ -502,6 +519,18 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
 # Injection-locked inputs: analytic states, no quadrature
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _oil_channel(alpha_db_per_km: float, p_dark: float, detector_efficiency: float,
+                 distance_km: float, n_cut: int) -> tuple:
+    """The channel of one injection-locked grid point, its transmittance and
+    its reference yields (read-only), which no optimizer probe changes."""
+    chan = channel_mod.ChannelParams(distance_km=distance_km, alpha_db_per_km=alpha_db_per_km,
+                                     p_dark=p_dark, detector_efficiency=detector_efficiency)
+    references = channel_mod.reference_yields(n_cut, chan)
+    references.flags.writeable = False
+    return chan, channel_mod.transmittance(chan), references
+
+
 def _oil_estimation(config: ProtocolConfig, distance_km: float,
                     att_db: float) -> _Estimation:
     """Programs and rate inputs of the injection-locked transmitter at one
@@ -510,9 +539,9 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     omega = 10.0 ** (-att_db / 10.0) * config.mu_in / 2.0
     params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
                                         omega, n_cut=config.n_cut)
-    chan = _channel(config, distance_km)
     n_cut = config.n_cut
-    references = channel_mod.reference_yields(n_cut, chan)
+    chan, eta, references = _oil_channel(config.alpha_db_per_km, config.p_dark,
+                                         config.detector_efficiency, distance_km, n_cut)
 
     intensities = {i: params.intensity(i) for i in INTENSITIES}
     # the test basis is read by time of arrival: both bits see the same
@@ -524,17 +553,25 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     probs = np.array([oil.photon_probabilities(intensities[i], omega, n_cut)
                       for i in INTENSITIES])
     # unit factors [group, I, dim, 2] per sector: the test-basis bit mixtures, then
-    # each bit's setting beside a zero column, which adds only a zero singular value
-    factors, pad = [], np.eye(2)[:, None, None]
-    for sector in oil.emission_sectors(params):
-        t = np.moveaxis(sector[:, 1:], 1, 0)
-        factors.append(np.concatenate([(t / np.linalg.norm(t, axis=(1, 2), keepdims=True))[None],
-                                       t / np.linalg.norm(t, axis=1, keepdims=True) * pad]))
-    fids = _pair_fidelities(factors, np.ones((3, len(INTENSITIES), n_cut + 1)))
-    # each bit's error references, from its unit I0 setting
-    error_refs = [[channel_mod.reference_error(np.outer(v, v.conj()), oil.oil_basis(n), chan,
-                                               bit=a, interfere=False)
-                   for n, v in enumerate(f[1 + a, 0, :, a] for f in factors)] for a in BITS]
+    # each bit's setting beside a zero column, which adds only a zero singular value.
+    # The sectors share one array, and both norms of a sector reduce its own
+    # |t|^2 as `np.linalg.norm` does
+    sectors = oil.emission_sectors(params)
+    dims = [len(sector) for sector in sectors]
+    spans = [slice(end - dim, end) for dim, end in zip(dims, np.cumsum(dims))]
+    t = np.concatenate(sectors)[:, 1:].transpose(1, 0, 2)
+    power = (t.conj() * t).real
+    mixture = np.sqrt([np.add.reduce(power[:, s], axis=(1, 2)) for s in spans])  # [n, I]
+    pure = np.sqrt([np.add.reduce(power[:, s], axis=1) for s in spans])  # [n, I, bit]
+    factor = np.empty((3, *t.shape), dtype=complex)
+    np.divide(t, np.repeat(mixture.T, dims, axis=1)[..., None], out=factor[0])
+    np.multiply(t / np.repeat(pure.transpose(1, 0, 2), dims, axis=1), np.eye(2)[:, None, None],
+                out=factor[1:])
+    factors = [factor[:, :, s] for s in spans]
+    fids = _pair_fidelities(factors)
+    # each bit's error references, from its unit I0 setting [bit, dim]
+    error_refs = channel_mod.oil_reference_errors([f[[1, 2], 0, :, [0, 1]] for f in factors],
+                                                  eta, chan.p_dark)
     # the yield program of the mixtures and each bit's error program, in one pass
     yield_spec, *error_specs = lp.decoy_programs(
         np.array([gains, error_gains, error_gains]), np.array([probs] * 3), fids,
@@ -629,7 +666,10 @@ def _no_key_report(config: ProtocolConfig, distance_km: float, att_db: float, st
 def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
              nodes: int | None = None, source: PassiveSource | None = None,
              starts: dict | None = None) -> KeyRateReport:
-    """One grid point, with the stage timings in `provenance["timings"]`.
+    """One grid point, with the stage timings in `provenance["timings"]`:
+    `channel_s` from the input builder to the report, of which `inputs_s` in
+    the builder and `solve_s` in the programs, and, passive, the source's
+    `source_s` and whether it was `source_shared`.
 
     Passive: `nodes` overrides the config's quadrature grid, and `source`,
     from `passive_source` with the same config, attenuation and grid,
@@ -652,6 +692,7 @@ def key_rate(config: ProtocolConfig, distance_km: float, att_db: float,
     start = time.perf_counter()
     est = (_oil_estimation(config, distance_km, att_db) if source is None
            else _passive_estimation(config, source, distance_km))
+    timings["inputs_s"] = time.perf_counter() - start
     report = _estimate(config, distance_km, att_db, est, starts)
     timings["channel_s"] = time.perf_counter() - start
     report.provenance["timings"] = {**timings, **report.provenance["timings"]}

@@ -40,9 +40,28 @@ def factor_fidelity(a: np.ndarray, b: np.ndarray):
     the roots of the eigenvalues of sqrt(rho) sigma sqrt(rho) turn 1e-17
     noise into 1e-9.  Clipped to [0, 1]; identical factors give exactly
     1.  Stacks (..., d, r) of factors give an array."""
-    root = np.sum(np.linalg.svd(np.swapaxes(a, -1, -2).conj() @ b, compute_uv=False), axis=-1)
-    same = np.all(a == b, axis=(-2, -1)) if np.shape(a) == np.shape(b) else False
-    return np.where(same, 1.0, np.minimum(1.0, root * root))
+    return factor_fidelities([(a, b)])[0]
+
+
+def factor_fidelities(pairs) -> list:
+    """`factor_fidelity` of each (a, b) of `pairs`, with one SVD over all the
+    pairs whose products a^H b share a shape: the batched call runs the same
+    LAPACK routine on each matrix, so each result is bitwise its own call's."""
+    products = [np.swapaxes(a, -1, -2).conj() @ b for a, b in pairs]
+    groups: dict = {}
+    for k, product in enumerate(products):
+        groups.setdefault(product.shape, []).append(k)
+    out = [None] * len(products)
+    for members in groups.values():
+        root = np.linalg.svd(np.stack([products[k] for k in members]), compute_uv=False).sum(-1)
+        same = np.zeros(root.shape, dtype=bool)  # identical factors give exactly 1
+        for j, k in enumerate(members):
+            a, b = pairs[k]
+            if np.shape(a) == np.shape(b):
+                same[j] = (a == b).reshape(*same.shape[1:], -1).all(-1)
+        for k, fid in zip(members, np.where(same, 1.0, np.minimum(1.0, root * root))):
+            out[k] = fid
+    return out
 
 
 def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:

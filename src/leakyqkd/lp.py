@@ -7,9 +7,12 @@ basis, whose verdicts rest on values re-solved from the original data
 (`solve`).  A basis is re-solved through its structural block alone
 (`_basis_solve`): its slack columns are unit columns, so only its k
 structural columns, on the k rows whose slack is nonbasic, are
-factored.  The tableau is dense, but a pivot (`_pivot`) updates only
-the rows with a nonzero in the pivot column and the columns with a
-nonzero in the pivot row, at the median 120-135 of 258 and 9-13 of 306 in
+factored; a warm start's basic values and duals share that split
+(`_split`).  A start that passes its first check takes no pivot and
+reads only the program's data: the tableau is built only for pivots.
+It is dense, but a pivot (`_pivot`) updates only the rows with a
+nonzero in the pivot column and the columns with a nonzero in the
+pivot row, at the median 120-135 of 258 and 9-13 of 306 in
 a refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
 every other entry would only lose an exact zero, so each value, pivot
 choice and basis is that of a full update.
@@ -17,9 +20,11 @@ choice and basis is that of a full update.
 The builders write the baseline and the refined (key/opp eigenstate)
 yield and bit-error programs row by row into that form, from fidelity
 lower bounds and channel-model reference points for the tangent
-linearisation; `decoy_programs` builds baseline programs of one
-pattern in one pass, with one tangent-line call per side for all of
-them.  Their inputs are arrays in one layout: rows in INTENSITIES order,
+linearisation, each block's tangents for both sides in one
+`tangent_lines` pass; `decoy_programs` builds baseline programs of one
+pattern in one pass, its pattern (labels, cells, objective, row senses)
+cached per photon-number width, so that a call writes only values.
+Their inputs are arrays in one layout: rows in INTENSITIES order,
 pairs in INTENSITY_PAIRS order, columns by photon number (or by tag, in
 TAGS order); a bit axis, where there is one, leads, and a program axis
 leads that.
@@ -27,12 +32,13 @@ leads that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import tangent_line
+from .coin import tangent_lines
 
 PIVOT_TOL = 1e-9
 # pivots one solve may take: ten times the longest of the test suite (250)
@@ -144,42 +150,59 @@ def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution
     return _solve_once(program, None)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_cells(m_con: int, n: int) -> np.ndarray:
+    """The flat cells of the unit entries of a standard form of m_con rows
+    and n columns: each box row's structural and right-hand side, and every
+    row's slack."""
+    m, width = m_con + n, 2 * n + m_con + 1
+    box = m_con + np.arange(n)
+    cells = np.concatenate([box * width + np.arange(n), box * width + width - 1,
+                            np.arange(m) * width + n + np.arange(m)])
+    cells.flags.writeable = False
+    return cells
+
+
 def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
     """One solve: cold, or from the basis `start`; two positional arguments, so that
-    wrappers of (program, start), as the benchmark tracer's, see every solve."""
+    wrappers of (program, start), as the benchmark tracer's, see every solve.  The
+    tableau is built only for pivots: a start that passes its first check reads
+    only the original data."""
     m_con, n = program.a.shape
     m = m_con + n
     # columns: structural | one slack per row | rhs.  Rows: the constraints,
     # each a <= row (a >= row negated), then the upper box bounds; lower bounds
     # are native
     sign = np.where(program.upper, 1.0, -1.0)
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:m_con, :n] = sign[:, None] * program.a
-    tableau[m_con:, :n] = np.eye(n)
-    tableau[:, n:-1] = np.eye(m)
-    tableau[:, -1] = np.concatenate([sign * program.b, np.ones(n)])
-    original = tableau.copy()  # the data every verdict is re-solved on
+    original = np.zeros((m, n + m + 1))  # the data every verdict is re-solved on
+    original.reshape(-1)[_unit_cells(m_con, n)] = 1.0
+    original[:m_con, :n] = sign[:, None] * program.a
+    original[:m_con, -1] = sign * program.b
     # the slack basis, the identity in `original`: its columns come to hold B^-1
     initial = np.arange(n, n + m)
     basis = initial.copy()
     cost = np.zeros(n + m + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
 
-    form = (tableau, basis, original, initial)
     if start is not None:  # solve the start on this program's data: B x_B = rhs, B^T y = c_B
-        distinct = len(set(start.tolist())) == m  # a repeated column makes B singular
-        x_basic = _basis_solve(original, start, original[:, -1]) if distinct else None
-        y = None if x_basic is None else _basis_solve(original, start, cost[start], True)
+        # a repeated column makes B singular
+        split = _split(original, start) if len(set(start.tolist())) == m else None
+        x_basic = None if split is None else _split_solve(split, original[:, -1])
+        y = None if x_basic is None else _split_solve(split, cost[start], True)
         if y is None:  # singular
             return LPSolution("unfinished", None, None, 0)
         reduced = (cost - y @ original)[:-1]
-        if x_basic.min() < -PIVOT_TOL and reduced.min() < -PIVOT_TOL:
+        x_low, reduced_low = x_basic.min(), reduced.min()
+        if x_low < -PIVOT_TOL and reduced_low < -PIVOT_TOL:
             return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
         basis[:] = start
-        if min(x_basic.min(), reduced.min()) < -DUAL_TOL:  # to be repaired
-            tableau[:] = _basis_solve(original, basis, original)
-        status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
+        status, iterations = "optimal", 0
+        if min(x_low, reduced_low) < -DUAL_TOL:  # to be repaired
+            form = (_split_solve(split, original), basis, original, initial)
+            status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
     else:  # the slack basis, dual feasible once each variable of negative cost is at 1
+        tableau = original.copy()
+        form = (tableau, basis, original, initial)
         negative = np.flatnonzero(cost[:n] < 0.0)
         for j in negative:
             _pivot(tableau, basis, m_con + j, j)
@@ -190,7 +213,7 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
     values = np.zeros(n + m)
     values[basis] = x_basic
     x = values[:n].copy()
-    value = float(sum(program.c[j] * x[j] for j in np.flatnonzero(program.c)))
+    value = float(sum(program.c[j] * x[j] for j in program.c.nonzero()[0]))
     return LPSolution("optimal", value, x, iterations, basis=basis.copy())
 
 
@@ -234,22 +257,34 @@ def _basis_solve(original: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
     x_J = A[R, J]^-1 rhs[R], x_S = rhs[S] - A[S, J] x_J (`rhs` a vector or a
     matrix, by row), and B^T y = rhs (by basis position) is y_S = rhs_S,
     y_R = A[R, J]^-T (rhs_J - A[S, J]^T y_S)."""
+    return _split_solve(_split(original, basis), rhs, transpose)
+
+
+def _split(original: np.ndarray, basis: np.ndarray) -> tuple:
+    """The split of `_basis_solve`, for solves that share a basis: the masks
+    of its slack and structural positions, S, the mask of R, A[R, J] and
+    A[S, J]."""
     n = original.shape[1] - len(basis) - 1
     slack = basis >= n
-    cols, slack_rows = basis[~slack], basis[slack] - n
+    structural = ~slack
+    slack_rows = basis[slack] - n
     free = np.ones(len(basis), dtype=bool)
     free[slack_rows] = False
-    rows = np.flatnonzero(free)
-    structural = original[:, cols]
-    block, coupling = structural[rows], structural[slack_rows]
+    columns = original[:, basis[structural]]
+    return slack, structural, slack_rows, free, columns[free], columns[slack_rows]
+
+
+def _split_solve(split: tuple, rhs: np.ndarray, transpose: bool = False) -> np.ndarray | None:
+    """`_basis_solve` on the basis of `split` (`_split`)."""
+    slack, structural, slack_rows, free, block, coupling = split
     out = np.empty(rhs.shape)
     try:
         if transpose:
             out[slack_rows] = rhs[slack]
-            out[rows] = np.linalg.solve(block.T, rhs[~slack] - coupling.T @ rhs[slack])
+            out[free] = np.linalg.solve(block.T, rhs[structural] - coupling.T @ rhs[slack])
         else:
-            x = np.linalg.solve(block, rhs[rows])
-            out[~slack], out[slack] = x, rhs[slack_rows] - coupling @ x
+            x = np.linalg.solve(block, rhs[free])
+            out[structural], out[slack] = x, rhs[slack_rows] - coupling @ x
     except np.linalg.LinAlgError:
         return None
     return out
@@ -340,19 +375,47 @@ def _pairs(rows: list, cols, coeffs, rhs):
                  rhs.reshape(*rhs.shape[:-2], -1)))
 
 
+@dataclass(frozen=True)
+class _Pattern:
+    """What programs of one row structure share, whatever their values:
+    labels, objective, row senses, and the cell (row * columns + column) of
+    each coefficient, in the order the row pairs list them."""
+
+    variables: tuple
+    cells: np.ndarray
+    c: np.ndarray
+    upper: np.ndarray
+
+
+def _pattern(variables: list, objective: dict, rows: list) -> _Pattern:
+    """The pattern of the row pairs `rows` (see `_pairs`) over `variables`;
+    `objective` maps columns to their coefficients."""
+    n, start, cells = len(variables), 0, []
+    for cols, _, _ in rows:
+        pairs = start + np.arange(2 * len(cols)).reshape(-1, 2, 1)
+        cells.append((pairs * n + cols[:, None, :]).ravel())
+        start += 2 * len(cols)
+    c = np.zeros(n)
+    c[list(objective)] = list(objective.values())
+    upper = np.arange(start) % 2 == 0
+    c.flags.writeable = upper.flags.writeable = False  # shared by every program of the pattern
+    return _Pattern(tuple(variables), np.concatenate(cells), c, upper)
+
+
 def _programs(variables: list, senses, objective: dict, rows: list) -> list[LinearProgram]:
     """Write the row pairs into arrays, one program per entry of `senses`:
     the rows' leading axis runs over the programs, and rows without one
     make a single program.  `objective` maps columns to their coefficients."""
+    return _fill(_pattern(variables, objective, rows), senses, rows)
+
+
+def _fill(pattern: _Pattern, senses, rows: list) -> list[LinearProgram]:
+    """`_programs` of a built pattern: only the values of `rows` are read."""
     b = np.concatenate([blk[2] for blk in rows], axis=-1)
-    c, a = np.zeros(len(variables)), np.zeros((*b.shape, len(variables)))
-    c[list(objective)] = list(objective.values())
-    start = 0
-    for cols, coeffs, rhs in rows:
-        a[..., start + np.arange(rhs.shape[-1]).reshape(-1, 2, 1), cols[:, None, :]] = coeffs
-        start += rhs.shape[-1]
-    upper = np.arange(b.shape[-1]) % 2 == 0
-    return [LinearProgram(variables=tuple(variables), sense=sense, c=c, a=a_p, b=b_p, upper=upper)
+    a = np.zeros((*b.shape, len(pattern.variables)))
+    a.reshape(*b.shape[:-1], -1)[..., pattern.cells] = np.concatenate(
+        [coeffs.reshape(*b.shape[:-1], -1) for _, coeffs, _ in rows], axis=-1)
+    return [LinearProgram(pattern.variables, sense, pattern.c, a_p, b_p, pattern.upper)
             for sense, a_p, b_p in zip(senses, a.reshape(-1, *a.shape[-2:]),
                                        b.reshape(-1, b.shape[-1]), strict=True)]
 
@@ -368,10 +431,10 @@ def _sandwich(rows: list, ends, fid, y_ref):
     spurious infeasibility.
     """
     fid = np.minimum(fid, 1.0 - 1e-14)
-    low, high = tangent_line(fid, y_ref, "L"), tangent_line(fid, y_ref, "U")
-    minus = -np.ones_like(fid)
-    coeffs = np.stack([low.slope, minus, high.slope, minus], axis=-1).reshape(*fid.shape, 2, 2)
-    _pairs(rows, ends, coeffs, -np.stack([low.intercept, high.intercept], axis=-1))
+    lines = tangent_lines(fid, y_ref)  # [side, ...], the lower envelope's first
+    minus = -np.ones_like(lines.slope)
+    coeffs = np.moveaxis(np.stack([lines.slope, minus], axis=-1), 0, -2)
+    _pairs(rows, ends, coeffs, -np.moveaxis(lines.intercept, 0, -1))
 
 
 def _coin_rows(rows: list, cols, fidelities, y_ref):
@@ -403,6 +466,18 @@ def _tag_block(rows: list, cols, tag_cols, weights, tag_fidelities, y_ref):
     _coin_rows(rows, tag_cols, tag_fidelities, y_ref)
 
 
+@functools.lru_cache(maxsize=8)
+def _decoy_pattern(width: int) -> tuple[_Pattern, np.ndarray]:
+    """The pattern of `decoy_programs` over `width` photon numbers and its
+    yield columns [I, n], built once from the rows of placeholder values."""
+    variables, rows = [], []
+    cols = _add_columns(variables, "Y", range(width))
+    _decoy_block(rows, cols, np.zeros(3), np.zeros((3, width)), np.zeros((3, width)),
+                 np.full(width, 0.5))
+    cols.flags.writeable = False
+    return _pattern(variables, {cols[0, 1]: 1.0}, rows), cols
+
+
 def decoy_programs(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
                    references: np.ndarray, senses) -> list[LinearProgram]:
     """Baseline decoy programs of one pattern, built in one pass: program p
@@ -412,11 +487,12 @@ def decoy_programs(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
     lower bounds (3, n+1) between the n-photon states of each intensity
     pair and linearisation points (n+1,), each input with a leading
     program axis (or none, for one program).  Columns Y_I_n,
-    intensity-major."""
-    variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(np.shape(probs)[-1]))
+    intensity-major.  The pattern is built once per n+1; a call writes
+    only the coefficients and right-hand sides."""
+    pattern, cols = _decoy_pattern(np.shape(probs)[-1])
+    rows = []
     _decoy_block(rows, cols, gains, probs, fidelities, references)
-    return _programs(variables, senses, {cols[0, 1]: 1.0}, rows)
+    return _fill(pattern, senses, rows)
 
 
 def yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,

@@ -138,15 +138,21 @@ def setting_phases(bit: int, basis: str, intensity: str, params: OilParams) -> O
 
 def setting_amplitudes(setting: OilSetting, params: OilParams) -> np.ndarray:
     """Coherent amplitudes over (e, l, P, F); global phase averaged out."""
-    mu_e = params.mu_in * (1.0 + math.cos(setting.phi12)) / 2.0
-    mu_l = params.mu_in * (1.0 + math.cos(setting.phi23)) / 2.0
+    return _amplitudes([setting], params)[:, 0]
+
+
+def _amplitudes(settings: list, params: OilParams) -> np.ndarray:
+    """`setting_amplitudes` [mode, setting] of each of `settings`, in one pass."""
+    phi12, phi23 = (np.array([getattr(s, name) for s in settings]) for name in ("phi12", "phi23"))
+    root_e, root_l = (np.sqrt([params.mu_in * (1.0 + math.cos(getattr(s, name))) / 2.0
+                               for s in settings]) for name in ("phi12", "phi23"))
     root_w = math.sqrt(params.omega)
-    return np.array([
-        math.sqrt(mu_e) * np.exp(0.5j * setting.phi12),
-        math.sqrt(mu_l) * np.exp(1j * (setting.phi12 + 0.5 * setting.phi23)),
-        root_w,
-        root_w * np.exp(1j * (setting.phi12 + setting.phi23)),
-    ])
+    out = np.empty((MODE_COUNT, len(settings)), dtype=complex)
+    out[0] = root_e * np.exp(0.5j * phi12)
+    out[1] = root_l * np.exp(1j * (phi12 + 0.5 * phi23))
+    out[2] = root_w
+    out[3] = root_w * np.exp(1j * (phi12 + phi23))
+    return out
 
 
 # axis 1 of `emission_sectors`: the key basis at I0, the test basis at every intensity
@@ -163,8 +169,8 @@ def emission_sectors(params: OilParams) -> list[np.ndarray]:
     trace e^-(mu + 2 omega) (mu + 2 omega)^n / n!, and the slice [:, k] is a
     factor of slot k's equal-bit mixture, up to its norm.
     """
-    alphas = np.stack([setting_amplitudes(setting_phases(bit, basis, i, params), params)
-                       for basis, i in SLOTS for bit in (0, 1)], axis=1)
+    alphas = _amplitudes([setting_phases(bit, basis, i, params)
+                          for basis, i in SLOTS for bit in (0, 1)], params)
     vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
     return [sector.reshape(-1, len(SLOTS), 2) for sector in coherent_sectors(
         alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)]

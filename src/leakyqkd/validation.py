@@ -466,9 +466,11 @@ def _brute_error(n_corr: int, n_err: int, eta: float, p_dark: float) -> float:
 
 
 def check_reference_error_brute(seed: int = 7) -> tuple[bool, str]:
-    """The diagonal click projectors, and `reference_error` read by time of
-    arrival on a non-diagonal state with leakage photons, against click
-    enumeration (leakage photons never reach Bob)."""
+    """The diagonal click projectors, `reference_error` read by time of
+    arrival on a non-diagonal state with leakage photons, and the
+    injection-locked route (`oil_reference_errors`) on pure states with
+    leakage photons, against click enumeration (leakage photons never
+    reach Bob)."""
     rng = np.random.default_rng(seed)
     eta, p_dark = 0.35, 0.01
     worst = 0.0
@@ -488,6 +490,16 @@ def check_reference_error_brute(seed: int = 7) -> tuple[bool, str]:
         brute = sum(float(rho[i, i].real) * _brute_error(c[bit], c[1 - bit], eta, p_dark)
                     for i, c in enumerate(basis.configs))
         worst = max(worst, abs(ours - brute))
+    # the injection-locked route: a random unit vector of each n-photon basis per bit
+    bases = [oil.oil_basis(n) for n in range(4)]
+    vectors = [rng.normal(size=(2, b.dim)) + 1j * rng.normal(size=(2, b.dim)) for b in bases]
+    vectors = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in vectors]
+    ours = channel_mod.oil_reference_errors(vectors, eta, p_dark)
+    for n, (b, v) in enumerate(zip(bases, vectors)):
+        for bit in (0, 1):
+            brute = sum(abs(v[bit, i]) ** 2 * _brute_error(c[bit], c[1 - bit], eta, p_dark)
+                        for i, c in enumerate(b.configs))
+            worst = max(worst, abs(ours[bit, n] - brute))
     return worst < 1e-12, f"max deviation {worst:.2e}"
 
 

@@ -78,18 +78,18 @@ def test_oil_report_contents():
     assert report.provenance["config_hash"] == driver.config_hash(OIL_CONFIG)
 
 
-def test_oil_estimation_takes_one_fidelity_call_per_photon_number(monkeypatch):
-    """Both bit mixtures and pure settings of a sector share one batched
-    `factor_fidelity` call."""
-    shapes = []
+def test_oil_estimation_takes_one_fidelity_svd_per_probe(monkeypatch):
+    """The bit mixtures and pure settings of every sector share one batched
+    SVD: the products of each photon number are 2 x 2."""
+    shapes, svd = [], np.linalg.svd
 
-    def counting(a, b):
+    def counting(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return factor_fidelity(a, b)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(driver, "factor_fidelity", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     driver._oil_estimation(OIL_CONFIG, 50.0, 120.0)
-    assert [shape[:2] for shape in shapes] == [(3, 3)] * (OIL_CONFIG.n_cut + 1)
+    assert shapes == [(OIL_CONFIG.n_cut + 1, 3, 3, 2, 2)]
 
 
 def test_oil_rate_monotone_in_attenuation():
@@ -483,7 +483,26 @@ def test_ok_reports_of_both_transmitters_share_their_keys():
         assert {"config_hash", "nodes", "lp_iterations", "lp", "timings"} <= set(report.provenance)
         timings = report.provenance["timings"]
         assert timings["channel_s"] > timings["solve_s"] > 0.0
-    assert set(oil_report.provenance["timings"]) == {"channel_s", "solve_s"}
+    assert set(oil_report.provenance["timings"]) == {"inputs_s", "channel_s", "solve_s"}
+
+
+def test_every_report_times_its_input_builder():
+    """`inputs_s`, the time in `_oil_estimation` or `_passive_estimation`, sits
+    in every report's JSON timings beside `solve_s`, both within `channel_s`
+    (a shared passive source, an oil zero-rate point and an optimizer probe
+    included), and never in the CSV."""
+    source = driver.passive_source(PASSIVE_CONFIG, 120.0, nodes=12)
+    reports = [driver.key_rate(PASSIVE_CONFIG, 50.0, 120.0, nodes=12),
+               driver.key_rate(PASSIVE_CONFIG, 75.0, 120.0, nodes=12, source=source),
+               driver.key_rate(OIL_CONFIG, 50.0, 120.0),
+               driver.key_rate(OIL_CONFIG, 350.0, 10.0),
+               driver.key_rate(OIL_CONFIG, 100.0, 30.0, starts={})]
+    assert reports[3].status.startswith("zero-rate:")
+    for report in reports:
+        timings = report.provenance["timings"]
+        assert timings["inputs_s"] > 0.0
+        assert timings["inputs_s"] + timings["solve_s"] <= timings["channel_s"]
+        assert "inputs_s" not in driver.reports_to_csv([report])
 
 
 GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.csv"
@@ -600,16 +619,16 @@ def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
 @pytest.mark.parametrize("distance_km, att_db", [(25.0, 120.0), (100.0, 30.0)])
 def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance_km, att_db):
     """`_oil_estimation` builds its X yield and two bit-error programs in one
-    `lp.decoy_programs` pass, with one tangent line call per side; each
+    `lp.decoy_programs` pass, with one tangent pass for both sides; each
     program is bitwise the one `lp.yield_program` or `lp.bit_error_program`
     builds alone from the same inputs."""
-    calls, sides, build, tangent_line = [], [], lp.decoy_programs, lp.tangent_line
+    calls, passes, build, tangent_lines = [], [], lp.decoy_programs, lp.tangent_lines
     monkeypatch.setattr(lp, "decoy_programs", lambda *args: calls.append(args) or build(*args))
-    monkeypatch.setattr(lp, "tangent_line",
-                        lambda fid, y_ref, side: sides.append(side) or tangent_line(fid, y_ref, side))
+    monkeypatch.setattr(lp, "tangent_lines",
+                        lambda *args: passes.append(args[2:]) or tangent_lines(*args))
     est = driver._oil_estimation(OIL_CONFIG, distance_km, att_db)
     monkeypatch.undo()
-    assert sides == ["L", "U"]
+    assert passes == [()]  # one pass, at the default sides ("L", "U")
     [(gains, probs, fids, references, senses)] = calls
     assert senses == ("min", "max", "max")
     alone = [lp.yield_program(gains[0], probs[0], fids[0], references[0]),
@@ -620,6 +639,37 @@ def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance
         for name in ("a", "b", "c", "upper"):
             assert np.array_equal(getattr(stacked, name), getattr(single, name))
             assert getattr(stacked, name).tobytes() == getattr(single, name).tobytes()
+
+
+OIL_PROBES = Path(__file__).parent / "data" / "oil_probe_programs.json"
+# (mu_in, mu_i1, distance km, attenuation dB): three grid points of `oil-optimize`
+# and a probe whose I1 mixture almost coincides with the I0 one
+OIL_PROBE_SETTINGS = ((0.5, 0.1, 25.0, 120.0), (0.5, 0.1, 100.0, 30.0), (0.5, 0.1, 200.0, 120.0),
+                      (0.4, 0.4 * (1.0 - 1e-9), 50.0, 120.0))
+
+
+def oil_probe_programs() -> list:
+    """The X yield and bit-error programs of `_oil_estimation` at each of
+    OIL_PROBE_SETTINGS, their `a`, `b` and `c` as hex floats."""
+    out = []
+    for mu_in, mu_i1, distance_km, att_db in OIL_PROBE_SETTINGS:
+        config = dataclasses.replace(OIL_CONFIG, mu_in=mu_in, mu_i1=mu_i1)
+        est = driver._oil_estimation(config, distance_km, att_db)
+        out.append({label: {name: np.vectorize(float.hex)(getattr(spec, name)).tolist()
+                            for name in ("a", "b", "c")}
+                     for label, spec in [("X yield", est.yield_specs["X"]),
+                                         *est.error_specs.items()]})
+    return out
+
+
+def test_oil_probe_programs_are_bitwise_the_recorded_ones():
+    """Every coefficient, right-hand side and objective entry of the three
+    injection-locked programs, bit for bit (the sign of a zero included),
+    as the per-program builds of commit a16747e wrote them, with
+    `git archive a16747e | tar -x -C <dir>` and, from the repository root,
+    `PYTHONPATH=<dir>/src:tests python -c "import json, test_driver as t;
+    t.OIL_PROBES.write_text(json.dumps(t.oil_probe_programs()))"`."""
+    assert oil_probe_programs() == json.loads(OIL_PROBES.read_text())
 
 
 def test_passive_key_rate_rejects_a_foreign_source():
