@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import NPhotonBasis
-from .oil import oil_basis
 from .passive import RegionNodes
 
 
@@ -172,71 +171,48 @@ def error_projector_diagonal(m: int, eta: float, p_dark: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _error_operator(configs: tuple, leak_modes: frozenset, eta: float, p_dark: float,
-                    bit: int, interfere: bool) -> np.ndarray:
-    """Bit-error POVM element W on an n-photon sector, Tr[rho W] = error.
+def _error_operators(basis: NPhotonBasis, eta: float, p_dark: float,
+                     interfere: bool) -> np.ndarray:
+    """Bit-error POVM elements W [bit] on the sector of `basis`, Tr[rho W] =
+    error, read-only; keyed on the basis object, which hashes by identity
+    (see `fock._ladder`).
 
     W acts trivially on the leakage modes: entry (i, k) is nonzero only
     when configurations i and k share their leakage occupations and their
     signal photon number m, and then it is (U^T D U)[l_i, l_k], with l the
-    late-mode occupation, D the diagonal click projector oriented to `bit`
-    and U the beamsplitter block when the basis is read interferometrically
-    (the identity otherwise).  Assumes exactly two signal modes.
+    late-mode occupation, D the diagonal click projector oriented to the
+    bit and U the beamsplitter block when the basis is read
+    interferometrically (the identity otherwise).  Assumes exactly two
+    signal modes.
     """
-    signal = [i for i in range(len(configs[0])) if i not in leak_modes]
+    signal = [i for i in range(basis.k) if i not in basis.leak_modes]
     if len(signal) != 2:
         raise ValueError("expected exactly two signal modes")
     e_idx, l_idx = signal
-    leak_sorted = sorted(leak_modes)
+    leak_sorted = sorted(basis.leak_modes)
     blocks: dict[tuple, list[int]] = {}
-    for i, c in enumerate(configs):
+    for i, c in enumerate(basis.configs):
         key = (c[e_idx] + c[l_idx], tuple(c[j] for j in leak_sorted))
         blocks.setdefault(key, []).append(i)
-    out = np.zeros((len(configs), len(configs)))
+    out = np.zeros((2, basis.dim, basis.dim))
     for (m, _), members in blocks.items():
         diag = error_projector_diagonal(m, eta, p_dark)
-        if bit == 1:
-            diag = diag[::-1]
         u = beamsplitter_block(m) if interfere else np.eye(m + 1)
-        late = [configs[i][l_idx] for i in members]
-        out[np.ix_(members, members)] = ((u.T * diag) @ u)[np.ix_(late, late)]
+        late = [basis.configs[i][l_idx] for i in members]
+        for bit, oriented in enumerate((diag, diag[::-1])):
+            out[bit][np.ix_(members, members)] = ((u.T * oriented) @ u)[np.ix_(late, late)]
     out.flags.writeable = False
     return out
 
 
-def reference_error(rho: np.ndarray, basis: NPhotonBasis, params: ChannelParams,
-                    bit: int, interfere: bool) -> float:
-    """Expected bit-error probability Tr[rho W] of one n-photon state.
-
-    W (`_error_operator`) ignores the leakage modes, which Bob never gates
-    on, and applies the click projectors of the basis readout with the
-    correct detector oriented to `bit`.
-    """
-    w = _error_operator(basis.configs, basis.leak_modes, transmittance(params),
-                        params.p_dark, bit, interfere)
-    return float(np.sum(rho.real * w))
-
-
-@lru_cache(maxsize=64)
-def _oil_error_operators(n: int, eta: float, p_dark: float) -> np.ndarray:
-    """The `_error_operator` [bit] of the injection-locked n-photon basis read
-    by time of arrival, looked up by three numbers instead of the basis's
-    configurations (read-only)."""
-    basis = oil_basis(n)  # built uncached (`__wrapped__`): this cache holds them
-    out = np.stack([_error_operator.__wrapped__(basis.configs, basis.leak_modes, eta, p_dark,
-                                                bit, False) for bit in (0, 1)])
-    out.flags.writeable = False
-    return out
-
-
-def oil_reference_errors(vectors, eta: float, p_dark: float) -> np.ndarray:
-    """`reference_error` [bit, n], read by time of arrival at transmittance
-    `eta`, of the pure states of the unit vectors vectors[n][bit] of the
-    injection-locked n-photon bases: Tr[Re(rho) W] with each bit's own
-    operator, summed as `reference_error` sums it."""
-    return np.array([((v[:, :, None] * v.conj()[:, None, :]).real
-                      * _oil_error_operators(n, eta, p_dark)).reshape(2, -1).sum(-1)
-                     for n, v in enumerate(vectors)]).T
+def reference_errors(states, bases, eta: float, p_dark: float, interfere: bool) -> np.ndarray:
+    """Expected bit-error probabilities Tr[Re(rho) W] [bit, n] of the states
+    states[n][bit] on bases[n] at transmittance `eta`, each with its own bit's
+    operator W (`_error_operators`), which ignores the leakage modes, where Bob
+    never gates, and applies the click projectors of the basis readout,
+    interferometric or by time of arrival."""
+    return np.array([(rho.real * _error_operators(basis, eta, p_dark, interfere))
+                     .reshape(2, -1).sum(-1) for rho, basis in zip(states, bases)]).T
 
 
 def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,

@@ -91,8 +91,10 @@ class TangentLine:
         return self.intercept + self.slope * y
 
 
-def tangent_line(fid, y_ref, side: str) -> TangentLine:
-    """Tangent-line relaxation of the coin envelope at y_ref.
+def tangent_lines(fid, y_ref) -> TangentLine:
+    """Tangent-line relaxations of the lower and upper coin envelopes at
+    y_ref, in one pass: slope and intercept lead with a side axis [L, U],
+    and the sides share the checks and z(1 - z).
 
     Any reference in [0, 1] will do: it is clipped to [KINK_SHIFT,
     1 - KINK_SHIFT], where the slope is finite, and a reference within
@@ -100,19 +102,9 @@ def tangent_line(fid, y_ref, side: str) -> TangentLine:
     branch.  A kink that this shift cannot clear, one at a clip bound, is
     an error.
     """
-    line = tangent_lines(fid, y_ref, (side,))
-    return TangentLine(slope=_scalar(line.slope[0]), intercept=_scalar(line.intercept[0]))
-
-
-def tangent_lines(fid, y_ref, sides=("L", "U")) -> TangentLine:
-    """`tangent_line` of each of `sides` in one pass: its slope and intercept
-    lead with an axis over `sides`, and the sides share the checks and
-    z(1 - z); each entry is bitwise that of its own `tangent_line`."""
     z = _check_unit_interval(fid, "fidelity")
-    if not all(side in ("L", "U") for side in sides):
-        raise ValueError("side must be 'L' or 'U'")
     ndim = max(np.ndim(z), np.ndim(y_ref))
-    lower = np.array([side == "L" for side in sides]).reshape(-1, *[1] * ndim)
+    lower = np.array([True, False]).reshape(-1, *[1] * ndim)
     kink = np.where(lower, 1.0 - z, z)
     lo, hi = KINK_SHIFT, 1.0 - KINK_SHIFT
     y = np.minimum(np.maximum(y_ref, lo), hi)  # np.clip, without its call overhead

@@ -16,9 +16,9 @@ programs, the coin overlap and the key-basis inputs to the rate.
   states (no quadrature).  Decoys run in the test basis only; the key
   and test single-photon mixtures coincide, so the key-basis yield is
   the test yield.  It is what an optimizer probe repeats, so it costs
-  what its arrays cost: one fidelity SVD for every sector, the click
-  operators looked up by key, the program pattern built once, and the
-  channel of its grid point kept across probes (`_oil_channel`).
+  what its arrays cost: one fidelity SVD for every sector, one pass over
+  the click operators of its bases, and its three programs written in one
+  pass into a pattern built once.
 
 `_pair_fidelities` forms the cross-intensity fidelities of both.
 `_estimate` solves the programs, transfers the test-basis error to a
@@ -43,7 +43,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, lp, oil, passive
 from .lp import INTENSITIES, InfeasibleProgramError
-from .linalg import density_factor, factor_fidelities, factor_fidelity
+from .linalg import density_factor, factor_fidelities
 
 BITS = (0, 1)
 BASES = ("Z", "X")
@@ -435,12 +435,13 @@ def passive_source(config: ProtocolConfig, att_db: float,
         # factors [v_bit0, v_bit1]/sqrt(2), [tag, basis, I, dim, bit]
         factors = vectors.transpose(4, 0, 2, 3, 1) / math.sqrt(2.0)
         tag_fids = _pair_fidelities(factors)
-        cross_tag = factor_fidelity(factors[0], factors[1])
         # the test-basis eigenvectors as rank-1 factors [tag, bit, I, dim, 1]: same
         # tag across each pair; the other bit's other tag
         test = np.moveaxis(vectors[1], -1, 0)[..., None]
         tag_fids_bit = _pair_fidelities(test)
-        cross_bit = np.moveaxis(factor_fidelity(test, test[::-1, ::-1]), 0, -1)
+        cross_tag, cross_bit = factor_fidelities([(factors[0], factors[1]),
+                                                  (test, test[::-1, ::-1])])
+        cross_bit = np.moveaxis(cross_bit, 0, -1)
         overlap = coin.bb84_pair_overlap(*vectors[:, :, 0, :, 0].reshape(4, -1))
         q_weight = 0.5 * float(weights[0, 0, 0, 0] + weights[0, 1, 0, 0])
     return PassiveSource(
@@ -465,34 +466,36 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
                       for basis in BASES])
     n_cut = config.n_cut
     references = channel_mod.reference_yields(n_cut, chan)
-    refined = config.analysis == "refined"
 
-    yield_specs = {}
-    for s, basis in enumerate(BASES):
-        inputs = (gains[s], source.probs[s], source.fids[s], references)
-        yield_specs[basis] = (lp.refined_yield_program(
-            *inputs, 0.5 * (source.weights[s, 0] + source.weights[s, 1]),  # over the bits
-            source.tag_fids[s], source.cross_tag[s]) if refined else lp.yield_program(*inputs))
-
-    # expected bit-error probabilities of the I0 test-basis states, (bit, n)
+    # expected bit-error probabilities [bit, n] of the I0 test-basis states
     test_states = [source.moments_bit[(a, "X", "I0")] for a in BITS]
-    error_refs = np.array([[channel_mod.reference_error(
-                                m.normalized_block(n) * m.trace_fraction(n), m.bases[n], chan,
-                                bit=a, interfere=True) for n in range(n_cut + 1)]
-                           for a, m in enumerate(test_states)])
+    error_refs = channel_mod.reference_errors(
+        [np.stack([m.normalized_block(n) * m.trace_fraction(n) for m in test_states])
+         for n in range(n_cut + 1)], [test_states[0].bases[n] for n in range(n_cut + 1)],
+        channel_mod.transmittance(chan), chan.p_dark, interfere=True)
     # gains and references [bit, a, ...] of each bit's error outcome 1 - bit for the
     # states of bit a: the error ones where a == bit, their complements otherwise
     outcome_gains = np.array([[[observables[(a, "X", i)].outcome_gain(a == bit)
                                 for i in INTENSITIES] for a in BITS] for bit in BITS])
     outcome_refs = np.array([[error_refs[a] if a == bit else references - error_refs[a]
                               for a in BITS] for bit in BITS])
-    error_specs = {f"bit-{bit} error": lp.refined_error_program(
-                       bit, outcome_gains[bit], source.probs_bit, source.fids_bit,
-                       outcome_refs[bit], source.weights[1], source.tag_fids_bit,
-                       source.cross_bit) if refined else lp.bit_error_program(
-                       outcome_gains[bit, bit], source.probs_bit[bit], source.fids_bit[bit],
-                       outcome_refs[bit, bit])
-                   for bit in BITS}
+    # the yield programs of both bases, then each bit's error program
+    if config.analysis == "refined":
+        specs = [lp.refined_yield_program(
+                     gains[s], source.probs[s], source.fids[s], references,
+                     0.5 * (source.weights[s, 0] + source.weights[s, 1]),  # over the bits
+                     source.tag_fids[s], source.cross_tag[s]) for s in range(len(BASES))]
+        specs += [lp.refined_error_program(
+                      bit, outcome_gains[bit], source.probs_bit, source.fids_bit,
+                      outcome_refs[bit], source.weights[1], source.tag_fids_bit,
+                      source.cross_bit) for bit in BITS]
+    else:  # in one pass
+        specs = lp.decoy_programs(
+            np.concatenate([gains, outcome_gains[BITS, BITS]]),
+            np.concatenate([source.probs, source.probs_bit]),
+            np.concatenate([source.fids, source.fids_bit]),
+            np.array([references, references, *outcome_refs[BITS, BITS]]),
+            ("min", "min", "max", "max"))
 
     key_union = source.moments_union[("Z", "I0")]
     p_region = key_union.mass
@@ -508,7 +511,9 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
         "omega": source.params.omega,
     }
     return _Estimation(
-        yield_specs=yield_specs, error_specs=error_specs, overlap=source.overlap,
+        yield_specs=dict(zip(BASES, specs[:2])),
+        error_specs={f"bit-{bit} error": spec for bit, spec in zip(BITS, specs[2:])},
+        overlap=source.overlap,
         p_region=p_region, p1=float(key_union.photon_probabilities()[1]),
         q_weight=source.q_weight, gain_key=gain_key,
         error_key=eq_key / gain_key if gain_key > 0 else 0.0, sift=config.p_zb,
@@ -519,18 +524,6 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
 # Injection-locked inputs: analytic states, no quadrature
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _oil_channel(alpha_db_per_km: float, p_dark: float, detector_efficiency: float,
-                 distance_km: float, n_cut: int) -> tuple:
-    """The channel of one injection-locked grid point, its transmittance and
-    its reference yields (read-only), which no optimizer probe changes."""
-    chan = channel_mod.ChannelParams(distance_km=distance_km, alpha_db_per_km=alpha_db_per_km,
-                                     p_dark=p_dark, detector_efficiency=detector_efficiency)
-    references = channel_mod.reference_yields(n_cut, chan)
-    references.flags.writeable = False
-    return chan, channel_mod.transmittance(chan), references
-
-
 def _oil_estimation(config: ProtocolConfig, distance_km: float,
                     att_db: float) -> _Estimation:
     """Programs and rate inputs of the injection-locked transmitter at one
@@ -540,8 +533,8 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
                                         omega, n_cut=config.n_cut)
     n_cut = config.n_cut
-    chan, eta, references = _oil_channel(config.alpha_db_per_km, config.p_dark,
-                                         config.detector_efficiency, distance_km, n_cut)
+    chan = _channel(config, distance_km)
+    references = channel_mod.reference_yields(n_cut, chan)
 
     intensities = {i: params.intensity(i) for i in INTENSITIES}
     # the test basis is read by time of arrival: both bits see the same
@@ -569,9 +562,11 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
                 out=factor[1:])
     factors = [factor[:, :, s] for s in spans]
     fids = _pair_fidelities(factors)
-    # each bit's error references, from its unit I0 setting [bit, dim]
-    error_refs = channel_mod.oil_reference_errors([f[[1, 2], 0, :, [0, 1]] for f in factors],
-                                                  eta, chan.p_dark)
+    # each bit's error references, read by time of arrival, from its unit I0 setting v [bit, dim]
+    error_refs = channel_mod.reference_errors(
+        [v[:, :, None] * v.conj()[:, None, :] for v in (f[[1, 2], 0, :, [0, 1]] for f in factors)],
+        [oil.oil_basis(n) for n in range(n_cut + 1)], channel_mod.transmittance(chan),
+        chan.p_dark, interfere=False)
     # the yield program of the mixtures and each bit's error program, in one pass
     yield_spec, *error_specs = lp.decoy_programs(
         np.array([gains, error_gains, error_gains]), np.array([probs] * 3), fids,

@@ -114,16 +114,21 @@ def _parent(config: tuple[int, ...], leak_modes: frozenset[int], below: dict):
 
 
 @lru_cache(maxsize=64)
-def _ladder(leak_modes: frozenset[int], requested: tuple) -> tuple:
-    """Recursion steps from the vacuum up to the highest requested sector.
+def _ladder(bases: tuple) -> tuple:
+    """Recursion steps from the vacuum up to the highest sector of `bases`,
+    keyed on the basis objects, which hash by identity (`eq=False`).
 
-    `requested` holds (n, configs) pairs.  Level m lists the requested
-    m-photon configurations first, then the parents level m + 1 needs.
-    Step m (m = 1..top) gives, per row of level m, its parent row on
-    level m - 1 and the factor row `mode * top + occupation - 1` of the
-    table alphas[mode] / sqrt(occupation).
+    Level m lists the m-photon basis's configurations first, then the
+    parents level m + 1 needs.  Step m (m = 1..top) gives, per row of level
+    m, its parent row on level m - 1 and the factor row
+    `mode * top + occupation - 1` of the table alphas[mode] / sqrt(occupation).
     """
-    wanted = dict(requested)
+    leak_modes = bases[0].leak_modes
+    if any(b.leak_modes != leak_modes for b in bases):
+        raise ValueError("bases disagree on the leakage modes")
+    wanted = {b.n: b.configs for b in bases}
+    if len(wanted) != len(bases):
+        raise ValueError("at most one basis per photon number")
     top = max(wanted)
     rows = list(wanted[top])
     steps = []
@@ -171,12 +176,7 @@ def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
     for basis in bases:
         if basis.k != k:
             raise ValueError(f"got {k} amplitudes for a {basis.k}-mode basis")
-        if basis.leak_modes != bases[0].leak_modes:
-            raise ValueError("bases disagree on the leakage modes")
-    requested = tuple(sorted((b.n, b.configs) for b in bases))
-    if len({n for n, _ in requested}) != len(requested):
-        raise ValueError("at most one basis per photon number")
-    top, steps = _ladder(bases[0].leak_modes, requested)
+    top, steps = _ladder(tuple(bases))
     table = (alphas[:, None, :] / np.sqrt(np.arange(1, top + 1))[None, :, None]).reshape(-1, count)
     level = np.empty((1, count), dtype=complex)
     level[0] = vacuum

@@ -32,21 +32,17 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nd
     return (matrix + matrix.conj().T) / 2.0
 
 
-def factor_fidelity(a: np.ndarray, b: np.ndarray):
-    """Uhlmann fidelity of rho = a a^H and sigma = b b^H (unit-norm factors).
+def factor_fidelities(pairs) -> list:
+    """Uhlmann fidelity of rho = a a^H and sigma = b b^H (unit-norm factors)
+    of each (a, b) of `pairs`; stacks (..., d, r) of factors give an array.
 
     sqrt(F) is the sum of the singular values of a^H b (Jozsa, J. Mod.
     Opt. 41, 2315 (1994)), which move only as much as the inputs, where
     the roots of the eigenvalues of sqrt(rho) sigma sqrt(rho) turn 1e-17
     noise into 1e-9.  Clipped to [0, 1]; identical factors give exactly
-    1.  Stacks (..., d, r) of factors give an array."""
-    return factor_fidelities([(a, b)])[0]
-
-
-def factor_fidelities(pairs) -> list:
-    """`factor_fidelity` of each (a, b) of `pairs`, with one SVD over all the
-    pairs whose products a^H b share a shape: the batched call runs the same
-    LAPACK routine on each matrix, so each result is bitwise its own call's."""
+    1.  One SVD serves all the pairs whose products a^H b share a shape:
+    the batched call runs the same LAPACK routine on each matrix, so each
+    result is bitwise that of a call with its pair alone."""
     products = [np.swapaxes(a, -1, -2).conj() @ b for a, b in pairs]
     groups: dict = {}
     for k, product in enumerate(products):
@@ -55,8 +51,7 @@ def factor_fidelities(pairs) -> list:
     for members in groups.values():
         root = np.linalg.svd(np.stack([products[k] for k in members]), compute_uv=False).sum(-1)
         same = np.zeros(root.shape, dtype=bool)  # identical factors give exactly 1
-        for j, k in enumerate(members):
-            a, b = pairs[k]
+        for j, (a, b) in enumerate(pairs[k] for k in members):
             if np.shape(a) == np.shape(b):
                 same[j] = (a == b).reshape(*same.shape[1:], -1).all(-1)
         for k, fid in zip(members, np.where(same, 1.0, np.minimum(1.0, root * root))):
@@ -66,7 +61,7 @@ def factor_fidelities(pairs) -> list:
 
 def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """PSD-root factor V D (rho = V D^2 V^H, D the roots of the ascending
-    eigenvalues) of a unit-trace PSD matrix, for `factor_fidelity`; `name`
+    eigenvalues) of a unit-trace PSD matrix, for `factor_fidelities`; `name`
     labels the matrix in the errors.
 
     Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero

@@ -21,13 +21,13 @@ The builders write the baseline and the refined (key/opp eigenstate)
 yield and bit-error programs row by row into that form, from fidelity
 lower bounds and channel-model reference points for the tangent
 linearisation, each block's tangents for both sides in one
-`tangent_lines` pass; `decoy_programs` builds baseline programs of one
-pattern in one pass, its pattern (labels, cells, objective, row senses)
-cached per photon-number width, so that a call writes only values.
-Their inputs are arrays in one layout: rows in INTENSITIES order,
-pairs in INTENSITY_PAIRS order, columns by photon number (or by tag, in
-TAGS order); a bit axis, where there is one, leads, and a program axis
-leads that.
+`tangent_lines` pass.  Each takes its pattern (labels, cells, objective,
+row senses) from one cache keyed by its structure (`_layout`), so that a
+call writes only values; `decoy_programs` builds baseline programs of
+one pattern in one pass.  Their inputs are arrays in one layout: rows
+in INTENSITIES order, pairs in INTENSITY_PAIRS order, columns by photon
+number (or by tag, in TAGS order); a bit axis, where there is one,
+leads, and a program axis leads that.
 """
 
 from __future__ import annotations
@@ -221,7 +221,9 @@ def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
     """(x_B, reduced costs) of the tableau's basis re-solved on the original
     data, refined from the drifted B^-1 in the tableau's `initial` columns, or
     by `_basis_solve` where that does not settle; None if the basis is
-    singular there."""
+    singular there.  A basic column's reduced cost is 0 by definition: the
+    residual of B^T y = c_B, which `cost - y @ original` leaves there, could
+    read below -DUAL_TOL and fail a basis no pivot can change."""
     tableau, basis, original, initial = form
     inverse, matrix, rhs = tableau[:, initial], original[:, basis], original[:, -1]
     x = _refined(inverse, matrix, rhs)
@@ -230,7 +232,11 @@ def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
     y = _refined(inverse.T, matrix.T, cost[basis])
     if y is None:
         y = _basis_solve(original, basis, cost[basis], True)
-    return None if x is None or y is None else (x, (cost - y @ original)[:-1])
+    if x is None or y is None:
+        return None
+    reduced = (cost - y @ original)[:-1]
+    reduced[basis] = 0.0
+    return x, reduced
 
 
 def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -341,8 +347,10 @@ def _reoptimize(tableau, basis, cost_row, budget: int) -> tuple[str, int]:
             reduced, sizes = np.maximum(cost_row[cols], 0.0), -entries[cols]
             near = cols[reduced / sizes <= np.min((reduced + DUAL_TOL) / sizes)]
             col = int(near[np.argmax(-entries[near])])
-        else:
-            cols = np.flatnonzero(cost_row[:-1] < -DUAL_TOL)
+        else:  # never a basic column: its pivot would leave the basis as it is
+            nonbasic = np.ones(len(cost_row) - 1, dtype=bool)
+            nonbasic[basis] = False
+            cols = np.flatnonzero((cost_row[:-1] < -DUAL_TOL) & nonbasic)
             if cols.size == 0:
                 return "optimal", pivots
             col = int(cols[np.argmin(cost_row[cols])])
@@ -369,7 +377,7 @@ def _add_columns(variables: list, prefix: str, entries) -> np.ndarray:
 def _pairs(rows: list, cols, coeffs, rhs):
     """Append, per entry e, the rows coeffs[..., e, 0] . x[cols[e]] <= rhs[..., e, 0]
     and coeffs[..., e, 1] . x[cols[e]] >= rhs[..., e, 1]; coeffs broadcast to
-    rhs's leading axes, if any (one per program, see `_programs`), then (2, w)."""
+    rhs's leading axes, if any (one per program, see `_fill`), then (2, w)."""
     cols, rhs = np.asarray(cols), np.asarray(rhs)
     rows.append((cols, np.broadcast_to(coeffs, (*rhs.shape[:-1], 2, cols.shape[1])),
                  rhs.reshape(*rhs.shape[:-2], -1)))
@@ -402,15 +410,10 @@ def _pattern(variables: list, objective: dict, rows: list) -> _Pattern:
     return _Pattern(tuple(variables), np.concatenate(cells), c, upper)
 
 
-def _programs(variables: list, senses, objective: dict, rows: list) -> list[LinearProgram]:
-    """Write the row pairs into arrays, one program per entry of `senses`:
-    the rows' leading axis runs over the programs, and rows without one
-    make a single program.  `objective` maps columns to their coefficients."""
-    return _fill(_pattern(variables, objective, rows), senses, rows)
-
-
 def _fill(pattern: _Pattern, senses, rows: list) -> list[LinearProgram]:
-    """`_programs` of a built pattern: only the values of `rows` are read."""
+    """Write the values of the row pairs `rows` into the arrays of `pattern`,
+    one program per entry of `senses`: the rows' leading axis runs over the
+    programs, and rows without one make a single program."""
     b = np.concatenate([blk[2] for blk in rows], axis=-1)
     a = np.zeros((*b.shape, len(pattern.variables)))
     a.reshape(*b.shape[:-1], -1)[..., pattern.cells] = np.concatenate(
@@ -466,16 +469,41 @@ def _tag_block(rows: list, cols, tag_cols, weights, tag_fidelities, y_ref):
     _coin_rows(rows, tag_cols, tag_fidelities, y_ref)
 
 
-@functools.lru_cache(maxsize=8)
-def _decoy_pattern(width: int) -> tuple[_Pattern, np.ndarray]:
-    """The pattern of `decoy_programs` over `width` photon numbers and its
-    yield columns [I, n], built once from the rows of placeholder values."""
-    variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(width))
-    _decoy_block(rows, cols, np.zeros(3), np.zeros((3, width)), np.zeros((3, width)),
-                 np.full(width, 0.5))
-    cols.flags.writeable = False
-    return _pattern(variables, {cols[0, 1]: 1.0}, rows), cols
+def _refined_rows(rows: list, cols, tag_cols, gains, probs, fidelities, references, weights,
+                  tag_fidelities, cross):
+    """The rows of the refined programs over the states a of the leading axis
+    of every input (one for the yield program, both bits for the error
+    program): each state's decoy and key/opp rows, then coin rows between
+    eigenstate t of state a and eigenstate 1 - t of state -1 - a (the same
+    state, when there is one), of fidelity cross[a, I, t]."""
+    for a in range(len(cols)):
+        _decoy_block(rows, cols[a], gains[a], probs[a], fidelities[a], references[a])
+        _tag_block(rows, cols[a], tag_cols[a], weights[a], tag_fidelities[a], references[a, 1])
+    i, a, t = np.indices((len(INTENSITIES), len(cols), 2)).reshape(3, -1)
+    _sandwich(rows, np.stack([tag_cols[a, i, t], tag_cols[-1 - a, i, 1 - t]], axis=1),
+              cross[a, i, t], references[a, 1])
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(builder: str, width: int, bit: int = 0) -> tuple:
+    """(pattern, yield columns, tag columns) of `builder`'s programs ("decoy",
+    "refined yield", or "refined error" of `bit`) over `width` photon numbers,
+    built once from its rows of placeholder zeros, so that a build writes only
+    values (`_fill`).  Columns [I, n] for "decoy", which has no tag columns;
+    [a, I, n] and [a, I, t] over the states a of `_refined_rows` otherwise."""
+    variables, rows, zero = [], [], np.zeros
+    if builder == "decoy":
+        cols = _add_columns(variables, "Y", range(width))
+        _decoy_block(rows, cols, zero(3), zero((3, width)), zero((3, width)), zero(width))
+        cols.flags.writeable = False
+        return _pattern(variables, {cols[0, 1]: 1.0}, rows), cols, None
+    prefixes = ["Y"] if builder == "refined yield" else [f"Y{a}{1 - bit}" for a in (0, 1)]
+    cols, tag_cols = (np.array([_add_columns(variables, prefix, entries) for prefix in prefixes])
+                      for entries in (range(width), TAGS))
+    _refined_rows(rows, cols, tag_cols, zero(cols.shape[:2]), zero(cols.shape), zero(cols.shape),
+                  zero(cols.shape[::2]), *[zero(tag_cols.shape)] * 3)
+    cols.flags.writeable = tag_cols.flags.writeable = False
+    return _pattern(variables, {tag_cols[bit, 0, 0]: 1.0}, rows), cols, tag_cols
 
 
 def decoy_programs(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
@@ -487,24 +515,11 @@ def decoy_programs(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
     lower bounds (3, n+1) between the n-photon states of each intensity
     pair and linearisation points (n+1,), each input with a leading
     program axis (or none, for one program).  Columns Y_I_n,
-    intensity-major.  The pattern is built once per n+1; a call writes
-    only the coefficients and right-hand sides."""
-    pattern, cols = _decoy_pattern(np.shape(probs)[-1])
+    intensity-major."""
+    pattern, cols, _ = _layout("decoy", np.shape(probs)[-1])
     rows = []
     _decoy_block(rows, cols, gains, probs, fidelities, references)
     return _fill(pattern, senses, rows)
-
-
-def yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
-                  references: np.ndarray) -> LinearProgram:
-    """Baseline single-photon yield program: the one "min" `decoy_programs`."""
-    return decoy_programs(gains, probs, fidelities, references, ("min",))[0]
-
-
-def bit_error_program(error_gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
-                      references: np.ndarray) -> LinearProgram:
-    """Baseline bit-error program: the one "max" `decoy_programs`."""
-    return decoy_programs(error_gains, probs, fidelities, references, ("max",))[0]
 
 
 def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.ndarray,
@@ -512,21 +527,18 @@ def refined_yield_program(gains: np.ndarray, probs: np.ndarray, fidelities: np.n
                           tag_fidelities: np.ndarray, cross_tag: np.ndarray) -> LinearProgram:
     """Yield program with key/opp eigenstate refinement: minimise Y_I0_key.
 
-    The inputs of `yield_program`, and weights (3, 2): the key/opp
-    eigenvalue weights of each intensity's single-photon state;
+    The inputs of one `decoy_programs` program, and weights (3, 2): the
+    key/opp eigenvalue weights of each intensity's single-photon state;
     tag_fidelities (3, 2): fidelity between the t-eigenstates of each
     intensity pair; cross_tag (3,): fidelity between the key and opp
-    eigenstates of each intensity.  Columns: those of `yield_program`,
+    eigenstates of each intensity.  Columns: those of `decoy_programs`,
     then Y_I_t."""
-    variables, rows = [], []
-    cols = _add_columns(variables, "Y", range(probs.shape[1]))
-    tag_cols = _add_columns(variables, "Y", TAGS)
-    ref_t = float(references[1])
-    _decoy_block(rows, cols, gains, probs, fidelities, references)
-    _tag_block(rows, cols, tag_cols, weights, tag_fidelities, ref_t)
-    # key -> opp, then opp -> key, at each intensity
-    _sandwich(rows, tag_cols[:, [[0, 1], [1, 0]]].reshape(-1, 2), np.repeat(cross_tag, 2), ref_t)
-    return _programs(variables, ("min",), {tag_cols[0, 0]: 1.0}, rows)[0]
+    pattern, cols, tag_cols = _layout("refined yield", probs.shape[1])
+    rows = []
+    _refined_rows(rows, cols, tag_cols, *(x[None] for x in (
+        gains, probs, fidelities, references, weights, tag_fidelities,
+        np.stack([cross_tag] * 2, axis=-1))))
+    return _fill(pattern, ("min",), rows)[0]
 
 
 def refined_error_program(bit: int, outcome_gains: np.ndarray, probs: np.ndarray,
@@ -544,15 +556,8 @@ def refined_error_program(bit: int, outcome_gains: np.ndarray, probs: np.ndarray
     and eigenstate 1 - t of bit 1 - a.  Columns: Y{a}{b}_I_n for a = 0, 1,
     then Y{a}{b}_I_t likewise.
     """
-    b = 1 - bit
-    variables, rows = [], []
-    cols, tag_cols = (np.array([_add_columns(variables, f"Y{a}{b}", entries) for a in (0, 1)])
-                      for entries in (range(probs.shape[-1]), TAGS))
-    for a in (0, 1):
-        _decoy_block(rows, cols[a], outcome_gains[a], probs[a], fidelities[a], references[a])
-        _tag_block(rows, cols[a], tag_cols[a], weights[a], tag_fidelities[a], references[a, 1])
-    # per intensity: key of bit a -> opp of bit 1 - a, then opp -> key
-    i, a, t = np.indices((len(INTENSITIES), 2, 2)).reshape(3, -1)
-    _sandwich(rows, np.stack([tag_cols[a, i, t], tag_cols[1 - a, i, 1 - t]], axis=1),
-              cross_bit[a, i, t], references[a, 1])
-    return _programs(variables, ("max",), {tag_cols[bit, 0, 0]: 1.0}, rows)[0]
+    pattern, cols, tag_cols = _layout("refined error", probs.shape[-1], bit)
+    rows = []
+    _refined_rows(rows, cols, tag_cols, outcome_gains, probs, fidelities, references, weights,
+                  tag_fidelities, cross_bit)
+    return _fill(pattern, ("max",), rows)[0]

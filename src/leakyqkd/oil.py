@@ -136,13 +136,9 @@ def setting_phases(bit: int, basis: str, intensity: str, params: OilParams) -> O
     raise ValueError("basis must be 'Z' or 'X'")
 
 
-def setting_amplitudes(setting: OilSetting, params: OilParams) -> np.ndarray:
-    """Coherent amplitudes over (e, l, P, F); global phase averaged out."""
-    return _amplitudes([setting], params)[:, 0]
-
-
-def _amplitudes(settings: list, params: OilParams) -> np.ndarray:
-    """`setting_amplitudes` [mode, setting] of each of `settings`, in one pass."""
+def amplitudes(settings: list, params: OilParams) -> np.ndarray:
+    """Coherent amplitudes [mode, setting] over (e, l, P, F) of each of
+    `settings`, in one pass; global phase averaged out."""
     phi12, phi23 = (np.array([getattr(s, name) for s in settings]) for name in ("phi12", "phi23"))
     root_e, root_l = (np.sqrt([params.mu_in * (1.0 + math.cos(getattr(s, name))) / 2.0
                                for s in settings]) for name in ("phi12", "phi23"))
@@ -169,8 +165,8 @@ def emission_sectors(params: OilParams) -> list[np.ndarray]:
     trace e^-(mu + 2 omega) (mu + 2 omega)^n / n!, and the slice [:, k] is a
     factor of slot k's equal-bit mixture, up to its norm.
     """
-    alphas = _amplitudes([setting_phases(bit, basis, i, params)
-                          for basis, i in SLOTS for bit in (0, 1)], params)
+    alphas = amplitudes([setting_phases(bit, basis, i, params)
+                         for basis, i in SLOTS for bit in (0, 1)], params)
     vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
     return [sector.reshape(-1, len(SLOTS), 2) for sector in coherent_sectors(
         alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)]

@@ -61,9 +61,13 @@ class EmptyRegionError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def passive_basis(n: int) -> NPhotonBasis:
-    """Leakage-sorted n-photon basis over modes (e, l, 1, 3, 5)."""
-    return enumerate_basis(n, MODE_COUNT, LEAK_MODES)
+def passive_basis(n: int, cut: int | None = None) -> NPhotonBasis:
+    """Leakage-sorted n-photon basis over modes (e, l, 1, 3, 5) with at most
+    `cut` leakage photons (None: all): one object per (n, cut), so that the
+    caches keyed on a basis hit for every source."""
+    if cut is None:
+        return enumerate_basis(n, MODE_COUNT, LEAK_MODES)
+    return passive_basis(n) if cut >= n else leak_truncated_subbasis(passive_basis(n), cut)
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,10 @@ class PassiveParams:
         if self.n_cut < 1:
             raise ValueError("n_cut must be >= 1")
 
-    def leak_cut_for(self, n: int):
-        """Leakage photon cutoff for the n-photon block (None = keep all)."""
-        return self.leak_cuts.get(n)
-
     def block_basis(self, n: int) -> NPhotonBasis:
-        cut = self.leak_cut_for(n)
-        basis = passive_basis(n)
-        return basis if cut is None or cut >= n else leak_truncated_subbasis(basis, cut)
+        """The basis of the n-photon block: at most `leak_cuts[n]` leakage
+        photons, or all of them for an n without a cut."""
+        return passive_basis(n, self.leak_cuts.get(n))
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def passive_block_oracle(point: passive.TargetPoint, n: int, omega: float,
 def oil_block_oracle(setting, params, n: int, phase_nodes: int = 512) -> np.ndarray:
     """n-photon block by explicit numeric averaging of the seed phase."""
     basis = oil.oil_basis(n)
-    base = oil.setting_amplitudes(setting, params)
+    base = oil.amplitudes([setting], params)[:, 0]
     sets = [(1.0 / phase_nodes, base * np.exp(1j * phase))
             for phase in (np.arange(phase_nodes) + 0.5) * (2.0 * math.pi / phase_nodes)]
     full = _full_tensor_average(sets, mode_cut=n)
@@ -388,15 +388,15 @@ def check_lp_vertex_oracle(seed: int = 6, cases: int = 100) -> tuple[bool, str]:
 
 
 def check_tangent_dominance(grid: int = 1000) -> tuple[bool, str]:
-    ys = np.linspace(0.0, 1.0, grid)
+    ys, y_refs = np.linspace(0.0, 1.0, grid), np.array([1e-4, 0.01, 0.2, 0.5, 0.8, 0.97])
     for z in (0.03, 0.3, 0.62, 0.9, 0.99, 0.999, 1.0):
-        for y_ref in (1e-4, 0.01, 0.2, 0.5, 0.8, 0.97):
-            for side, sign in (("L", 1.0), ("U", -1.0)):
-                line = coin.tangent_line(z, y_ref, side)
-                below = sign * (coin.transfer_bound(ys, z, side) - line.evaluate(ys)) < -1e-12
-                if below.any():
-                    return False, (f"dominance violated at z={z}, y_ref={y_ref}, "
-                                   f"y={ys[np.argmax(below)]}")
+        # [side, y_ref, y]: the tangents lie below the lower envelope, above the upper
+        gaps = (np.stack([coin.transfer_bound(ys, z, side) for side in ("L", "U")])[:, None]
+                - coin.tangent_lines(z, y_refs[:, None]).evaluate(ys))
+        below = np.argwhere(np.array([1.0, -1.0])[:, None, None] * gaps < -1e-12)
+        if below.size:
+            _, r, y = below[0]
+            return False, f"dominance violated at z={z}, y_ref={y_refs[r]}, y={ys[y]}"
     return True, "all tangent lines dominate their envelopes"
 
 
@@ -466,40 +466,27 @@ def _brute_error(n_corr: int, n_err: int, eta: float, p_dark: float) -> float:
 
 
 def check_reference_error_brute(seed: int = 7) -> tuple[bool, str]:
-    """The diagonal click projectors, `reference_error` read by time of
-    arrival on a non-diagonal state with leakage photons, and the
-    injection-locked route (`oil_reference_errors`) on pure states with
-    leakage photons, against click enumeration (leakage photons never
-    reach Bob)."""
+    """`reference_errors` read by time of arrival on non-diagonal states of a
+    passive basis, whose configurations carry every split of up to three
+    signal photons (the diagonal click projectors), and on pure states of the
+    injection-locked bases, all with leakage photons, against click
+    enumeration (leakage photons never reach Bob)."""
     rng = np.random.default_rng(seed)
-    eta, p_dark = 0.35, 0.01
-    worst = 0.0
-    for m in (0, 1, 2, 3):
-        diag = rng.uniform(0.1, 1.0, size=m + 1)
-        diag /= diag.sum()
-        ours = float(np.dot(channel_mod.error_projector_diagonal(m, eta, p_dark), diag))
-        brute = sum(diag[m - j] * _brute_error(j, m - j, eta, p_dark) for j in range(m + 1))
-        worst = max(worst, abs(ours - brute))
-    basis = passive.passive_basis(3)
-    amp = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
-    rho = amp @ amp.conj().T
-    rho /= np.trace(rho).real
-    chan = channel_mod.ChannelParams(distance_km=0.0, p_dark=p_dark, detector_efficiency=eta)
-    for bit in (0, 1):
-        ours = channel_mod.reference_error(rho, basis, chan, bit, interfere=False)
-        brute = sum(float(rho[i, i].real) * _brute_error(c[bit], c[1 - bit], eta, p_dark)
-                    for i, c in enumerate(basis.configs))
-        worst = max(worst, abs(ours - brute))
-    # the injection-locked route: a random unit vector of each n-photon basis per bit
-    bases = [oil.oil_basis(n) for n in range(4)]
-    vectors = [rng.normal(size=(2, b.dim)) + 1j * rng.normal(size=(2, b.dim)) for b in bases]
-    vectors = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in vectors]
-    ours = channel_mod.oil_reference_errors(vectors, eta, p_dark)
-    for n, (b, v) in enumerate(zip(bases, vectors)):
+    eta, p_dark, worst = 0.35, 0.01, 0.0
+    # random states of either bit: mixed on a passive basis, pure on the injection-locked ones
+    bases = [passive.passive_basis(3), *(oil.oil_basis(n) for n in range(4))]
+    states = []
+    for b in bases:
+        shape = (2, b.dim, b.dim if b.k == passive.MODE_COUNT else 1)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = amp @ amp.conj().swapaxes(1, 2)
+        states.append(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+    ours = channel_mod.reference_errors(states, bases, eta, p_dark, False)
+    for k, (b, rho) in enumerate(zip(bases, states)):
         for bit in (0, 1):
-            brute = sum(abs(v[bit, i]) ** 2 * _brute_error(c[bit], c[1 - bit], eta, p_dark)
+            brute = sum(float(rho[bit, i, i].real) * _brute_error(c[bit], c[1 - bit], eta, p_dark)
                         for i, c in enumerate(b.configs))
-            worst = max(worst, abs(ours[bit, n] - brute))
+            worst = max(worst, abs(ours[bit, k] - brute))
     return worst < 1e-12, f"max deviation {worst:.2e}"
 
 

@@ -12,7 +12,7 @@ trace over the leakage modes instead of from one click operator, the
 region of one target point, the textbook decoy bound that the yield
 program reduces to at unit fidelity, a simplex pivot over the whole
 tableau, the fidelity of two density matrices or of two pure states
-instead of from the factors `linalg.factor_fidelity` takes, the smooth
+instead of from the factors `linalg.factor_fidelities` takes, the smooth
 coin branches without the envelopes' flat parts, the basic values of an
 LP basis in exact rational arithmetic, a config hash through
 `dataclasses.asdict`), so that a test can check the two against each
@@ -35,7 +35,7 @@ from leakyqkd.channel import beamsplitter_block, error_projector_diagonal, trans
 from leakyqkd.coin import _check_unit_interval, _curve, _scalar, bures_chain_bound
 from leakyqkd.fock import coherent_sectors, leak_count
 from leakyqkd.linalg import (PSD_EIGENVALUE_FLOOR, bures_from_fidelity, density_factor,
-                             factor_fidelity, require_hermitian)
+                             factor_fidelities, require_hermitian)
 from leakyqkd.validation import vertex_enumeration_optimum
 
 
@@ -121,12 +121,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
     Both arguments must be unit-trace PSD matrices of the same dimension;
-    `factor_fidelity` of their `density_factor`s.
+    `factor_fidelities` of their `density_factor`s.
     """
     a, b = density_factor(rho, "rho"), density_factor(sigma, "sigma")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(factor_fidelity(a, b))
+    return float(factor_fidelities([(a, b)])[0])
 
 
 def pure_state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
@@ -210,7 +210,7 @@ def _leakage_trace_plan(configs: tuple, leak_modes: frozenset) -> tuple:
 
 
 def partial_trace_reference_error(rho, basis, params, bit, interfere):
-    """`channel.reference_error` by partial trace: leakage modes are traced
+    """`channel.reference_errors` by partial trace: leakage modes are traced
     out, each signal block is rotated into the measurement eigenbasis when
     the basis is read interferometrically, and the diagonal click
     projectors are applied with the correct detector oriented to `bit`."""
@@ -242,7 +242,7 @@ def setting_intensity(setting, params):
 def state_vector(setting, params, n):
     """Normalised pure n-photon state of one injection-locked setting
     (n >= 1), in the phase convention of the printed amplitudes."""
-    vec = _setting_components(oil.setting_amplitudes(setting, params), n)
+    vec = _setting_components(oil.amplitudes([setting], params)[:, 0], n)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("n-photon component has zero weight")
@@ -262,7 +262,7 @@ def state_block(setting, params, n):
 
     Trace is Poisson: e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
     """
-    alphas = oil.setting_amplitudes(setting, params)
+    alphas = oil.amplitudes([setting], params)[:, 0]
     v = _setting_components(alphas, n)
     return math.exp(-float(np.sum(np.abs(alphas) ** 2))) * np.outer(v, v.conj())
 
@@ -290,7 +290,7 @@ def transfer_curve(y, fid, sign: int):
 
 
 def scalar_safe_reference(y_ref, fid, side):
-    """The reference `coin.tangent_line` takes its tangent at, for one
+    """The reference `coin.tangent_lines` takes its tangent at, for one
     entry: its clip to the interior and its nudge off the kink, in scalar
     arithmetic."""
     lo, hi = coin.KINK_SHIFT, 1.0 - coin.KINK_SHIFT
@@ -302,7 +302,7 @@ def scalar_safe_reference(y_ref, fid, side):
 
 
 def scalar_tangent(fid, y_ref, side):
-    """(slope, intercept) of `coin.tangent_line` at one reference inside
+    """(slope, intercept) of `coin.tangent_lines` at one reference inside
     (0, 1) and off the kink, in scalar arithmetic."""
     z = min(1.0, max(0.0, fid))
     sign = -1 if side == "L" else +1
@@ -347,7 +347,7 @@ def oil_monte_carlo_estimate(setting, params, n: int, samples: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     basis = oil.oil_basis(n)
-    base = oil.setting_amplitudes(setting, params)
+    base = oil.amplitudes([setting], params)[:, 0]
     norm = math.exp(-float(np.sum(np.abs(base) ** 2)))
     mean = np.zeros((basis.dim, basis.dim), dtype=complex)
     sq = np.zeros((basis.dim, basis.dim))
@@ -427,8 +427,8 @@ def joint_refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,
     b, i, a, t = np.indices((2, len(lp.INTENSITIES), 2, 2)).reshape(4, -1)
     lp._sandwich(rows, np.stack([tag_cols[a, b, i, t], tag_cols[1 - a, b, i, 1 - t]], axis=1),
                  cross_bit[a, i, t], references[a, b, 1])
-    return lp._programs(variables, ("max",),
-                        {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5}, rows)[0]
+    objective = {tag_cols[0, 1, 0, 0]: 0.5, tag_cols[1, 0, 0, 0]: 0.5}
+    return lp._fill(lp._pattern(variables, objective, rows), ("max",), rows)[0]
 
 
 def exact_basic_values(program: lp.LinearProgram, basis) -> dict:

@@ -191,10 +191,10 @@ def test_criterion_4_coin_function_suite():
     ys = np.linspace(0.0, 1.0, 1000)
     for z in (0.02, 0.3, 0.62, 0.9, 0.99, 0.9999, 1.0):
         for y_ref in (0.0, 2e-6, 0.01, 0.15, 0.5, 0.85, 0.99, 1.0):
-            for side, sign in (("L", 1.0), ("U", -1.0)):
-                line = coin.tangent_line(z, y_ref, side)
+            line = coin.tangent_lines(z, y_ref)  # [L, U]
+            for k, (side, sign) in enumerate((("L", 1.0), ("U", -1.0))):
                 values = np.array([coin.transfer_bound(float(y), z, side) for y in ys])
-                lines = line.intercept + line.slope * ys
+                lines = line.intercept[k] + line.slope[k] * ys
                 assert np.all(sign * (values - lines) >= -1e-12)
     report(4, "identity transfer at unit fidelity, piecewise branches, tangent "
               f"dominance on a 1000-point grid, worked value {worked!r}")
@@ -273,7 +273,7 @@ def test_criterion_5_lp_soundness_and_tightness():
                           for mu in (mu0, mu1, mu2)])
         gains = np.array([1.0 - (1.0 - 1e-6) ** 2 * math.exp(-eta * mu) for mu in (mu0, mu1, mu2)])
         refs = 1.0 - (1.0 - 1e-6) ** 2 * (1.0 - eta) ** np.arange(5)
-        ours = lp.solve(lp.yield_program(gains, probs, np.ones((3, 5)), refs)).value
+        ours = lp.solve(lp.decoy_programs(gains, probs, np.ones((3, 5)), refs, ("min",))[0]).value
         textbook = textbook_decoy_bound(dict(zip(INTENSITIES, probs)),
                                         dict(zip(INTENSITIES, gains)), 4)
         ok &= abs(ours - textbook) <= 1e-6

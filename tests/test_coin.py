@@ -10,6 +10,7 @@ from helpers import (fidelity, leak_counts, projected_fidelity_bound, region_ave
 from leakyqkd import coin, passive
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False)
+SIDES = ("L", "U")  # the side axis of `coin.tangent_lines`
 
 
 def test_fidelity_one_collapses_curves_to_identity():
@@ -55,19 +56,19 @@ def test_envelopes_consistent_with_bloch_inequality(y, yp, z):
 
 
 def test_tangent_identity_line_at_unit_fidelity():
-    line = coin.tangent_line(1.0, 0.5, "L")
-    assert line.slope == pytest.approx(1.0, abs=1e-12)
-    assert line.intercept == pytest.approx(0.0, abs=1e-12)
+    lines = coin.tangent_lines(1.0, 0.5)
+    assert lines.slope.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert lines.intercept.tolist() == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_tangent_touches_envelope():
     # at the reference itself, or where the kink and edge nudges move it
     for z in (0.3, 0.9, 0.999):
-        for side in ("L", "U"):
+        for k, side in enumerate(SIDES):
             for raw in (0.4, 1.0 - z if side == "L" else z, 0.0, 1.0):
                 y_ref = scalar_safe_reference(raw, z, side)
-                line = coin.tangent_line(z, raw, side)
-                assert line.evaluate(y_ref) == pytest.approx(
+                lines = coin.tangent_lines(z, raw)
+                assert lines.evaluate(y_ref)[k] == pytest.approx(
                     coin.transfer_bound(y_ref, z, side), abs=1e-12)
 
 
@@ -76,13 +77,13 @@ def test_tangent_slope_matches_finite_difference():
     # alone and for all at once
     z, y_ref = (g.ravel() for g in np.meshgrid((0.3, 0.9), (0.05, 0.2, 0.5, 0.8, 0.95)))
     h = 1e-6
-    for side in ("L", "U"):
+    for k, side in enumerate(SIDES):
         flat = y_ref < 1.0 - z if side == "L" else y_ref > z
         assert flat.any() and not flat.all()
         numeric = (coin.transfer_bound(y_ref + h, z, side)
                    - coin.transfer_bound(y_ref - h, z, side)) / (2.0 * h)
-        assert coin.tangent_line(z, y_ref, side).slope == pytest.approx(numeric, abs=1e-6)
-        singles = [coin.tangent_line(float(z_k), float(y_k), side).slope
+        assert coin.tangent_lines(z, y_ref).slope[k] == pytest.approx(numeric, abs=1e-6)
+        singles = [float(coin.tangent_lines(float(z_k), float(y_k)).slope[k])
                    for z_k, y_k in zip(z, y_ref)]
         assert singles == pytest.approx(numeric.tolist(), abs=1e-6)
 
@@ -91,28 +92,30 @@ def test_tangent_dominance_on_grid():
     ys = np.linspace(0.0, 1.0, 1000)
     for z in (0.05, 0.5, 0.9, 0.999, 1.0):
         for y_ref in (0.0, 1e-4, 0.2, 0.5, 0.97, 1.0, 1.0 - z, z):
-            low, high = coin.tangent_line(z, y_ref, "L"), coin.tangent_line(z, y_ref, "U")
+            lines = coin.tangent_lines(z, y_ref)
             for y in ys:
                 y = float(y)
-                assert low.evaluate(y) <= coin.transfer_bound(y, z, "L") + 1e-12
-                assert high.evaluate(y) >= coin.transfer_bound(y, z, "U") - 1e-12
+                low, high = lines.evaluate(y)
+                assert low <= coin.transfer_bound(y, z, "L") + 1e-12
+                assert high >= coin.transfer_bound(y, z, "U") - 1e-12
 
 
 def test_tangent_nudges_kink_and_edge_references():
     # 0 and 1 clip to KINK_SHIFT and 1 - KINK_SHIFT; a reference within
     # KINK_TOL of the kink moves KINK_SHIFT onto the smooth branch
     shift, near = coin.KINK_SHIFT, 0.5 * coin.KINK_TOL
-    for side, kink in (("L", 1.0 - 0.9), ("U", 0.9)):
+    for k, (side, kink) in enumerate((("L", 1.0 - 0.9), ("U", 0.9))):
         nudged = kink + shift if side == "L" else kink - shift
         for raw, ref in ((0.0, shift), (1.0, 1.0 - shift), (kink, nudged),
                          (kink + near, nudged), (kink - near, nudged)):
-            assert coin.tangent_line(0.9, raw, side) == coin.tangent_line(0.9, ref, side)
+            got, want = coin.tangent_lines(0.9, raw), coin.tangent_lines(0.9, ref)
+            assert (got.slope[k], got.intercept[k]) == (want.slope[k], want.intercept[k])
 
 
 def test_tangent_rejects_kink_reference():
     # the kink 1 - z sits at the upper clip bound, where no shift clears it
     with pytest.raises(ValueError, match="kink"):
-        coin.tangent_line(1e-6, 1.0 - 1e-6, "L")
+        coin.tangent_lines(1e-6, 1.0 - 1e-6)
 
 
 def _uncleared(z, y_ref, side):
@@ -133,17 +136,18 @@ references = st.one_of(probabilities.map(lambda y: (y, None)),
 def test_array_tangents_equal_scalar_tangents_bit_for_bit(entries, side):
     entries = [(z, y if offset is None else (1.0 - z if side == "L" else z) + offset)
                for z, (y, offset) in entries]
-    entries = [(z, y) for z, y in entries if not _uncleared(z, y, side)]
+    # both sides are computed: an entry either side cannot take raises
+    entries = [(z, y) for z, y in entries if not any(_uncleared(z, y, s) for s in SIDES)]
     if not entries:
         return
+    k = SIDES.index(side)
     z, y = (np.array(column) for column in zip(*entries))
     expected = [scalar_tangent(z_k, scalar_safe_reference(y_k, z_k, side), side)
                 for z_k, y_k in entries]
-    batch = coin.tangent_line(z, y, side)
-    assert list(zip(batch.slope.tolist(), batch.intercept.tolist())) == expected
-    singles = [coin.tangent_line(z_k, y_k, side) for z_k, y_k in entries]
-    assert all(type(line.slope) is float and type(line.intercept) is float for line in singles)
-    assert [(line.slope, line.intercept) for line in singles] == expected
+    batch = coin.tangent_lines(z, y)
+    assert list(zip(batch.slope[k].tolist(), batch.intercept[k].tolist())) == expected
+    singles = [coin.tangent_lines(z_k, y_k) for z_k, y_k in entries]
+    assert [(float(line.slope[k]), float(line.intercept[k])) for line in singles] == expected
 
 
 @settings(max_examples=50, derandomize=True)
@@ -158,9 +162,9 @@ def test_array_tangents_reject_what_scalar_tangents_reject(z, side, k):
         fids, refs = np.full(4, 0.5), np.full(4, 0.3)
         fids[k], refs[k] = z, bad
         with pytest.raises(ValueError, match="kink"):
-            coin.tangent_line(z, bad, side)
+            coin.tangent_lines(z, bad)
         with pytest.raises(ValueError, match="kink"):
-            coin.tangent_line(fids, refs, side)
+            coin.tangent_lines(fids, refs)
 
 
 def test_yield_transfer_limits():

@@ -12,7 +12,7 @@ import pytest
 from helpers import asdict_config_hash, fidelity, pure_state_fidelity
 from leakyqkd import cli, coin, driver, lp, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
-from leakyqkd.linalg import density_factor, factor_fidelity
+from leakyqkd.linalg import density_factor, factor_fidelities
 from leakyqkd.lp import INTENSITY_PAIRS, InfeasibleProgramError
 
 
@@ -570,7 +570,7 @@ def test_pair_fidelities_bound_exactly_the_truncated_entries():
     """The INTENSITY_PAIRS fidelities of the bit-unions and test-basis boxes
     against a per-pair loop: `bures_chain_bound` where either end keeps less
     than 1 - 1e-12 of its trace (at 70 dB, the n = 3 and 4 blocks), the
-    exact `factor_fidelity` everywhere else."""
+    exact `factor_fidelities` everywhere else."""
     config = dataclasses.replace(PASSIVE_CONFIG, analysis="refined")
     source = driver.passive_source(config, 70.0, nodes=12)
     bounded = set()
@@ -583,7 +583,7 @@ def test_pair_fidelities_bound_exactly_the_truncated_entries():
             for n in range(config.n_cut + 1):
                 factors = [density_factor(m.normalized_block(n)) for m in group]
                 for p, (i, j) in enumerate(lp.PAIR_ENDS):
-                    exact = float(factor_fidelity(factors[i], factors[j]))
+                    exact = float(factor_fidelities([(factors[i], factors[j])])[0])
                     t_i, t_j = group[i].trace_fraction(n), group[j].trace_fraction(n)
                     if min(t_i, t_j) < 1.0 - 1e-12:
                         bounded.add(n)
@@ -592,8 +592,8 @@ def test_pair_fidelities_bound_exactly_the_truncated_entries():
     assert bounded == {3, 4}
 
 
-FIDELITY_ARGUMENTS = {"yield_program": (2,), "bit_error_program": (2,), "decoy_programs": (2,),
-                      "refined_yield_program": (2, 5, 6), "refined_error_program": (3, 6, 7)}
+FIDELITY_ARGUMENTS = {"decoy_programs": (2,), "refined_yield_program": (2, 5, 6),
+                      "refined_error_program": (3, 6, 7)}
 
 
 def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
@@ -620,19 +620,21 @@ def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
 def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance_km, att_db):
     """`_oil_estimation` builds its X yield and two bit-error programs in one
     `lp.decoy_programs` pass, with one tangent pass for both sides; each
-    program is bitwise the one `lp.yield_program` or `lp.bit_error_program`
-    builds alone from the same inputs."""
+    program is bitwise the one `lp.decoy_programs` builds alone from the
+    same inputs.  (A first build lays out the pattern from placeholder rows,
+    with a tangent pass of its own: the probe counted here is a second.)"""
+    driver._oil_estimation(OIL_CONFIG, distance_km, att_db)
     calls, passes, build, tangent_lines = [], [], lp.decoy_programs, lp.tangent_lines
     monkeypatch.setattr(lp, "decoy_programs", lambda *args: calls.append(args) or build(*args))
     monkeypatch.setattr(lp, "tangent_lines",
-                        lambda *args: passes.append(args[2:]) or tangent_lines(*args))
+                        lambda *args: passes.append(args) or tangent_lines(*args))
     est = driver._oil_estimation(OIL_CONFIG, distance_km, att_db)
     monkeypatch.undo()
-    assert passes == [()]  # one pass, at the default sides ("L", "U")
+    assert len(passes) == 1
     [(gains, probs, fids, references, senses)] = calls
     assert senses == ("min", "max", "max")
-    alone = [lp.yield_program(gains[0], probs[0], fids[0], references[0]),
-             *(lp.bit_error_program(gains[p], probs[p], fids[p], references[p]) for p in (1, 2))]
+    alone = [lp.decoy_programs(gains[p], probs[p], fids[p], references[p], (sense,))[0]
+             for p, sense in enumerate(senses)]
     for stacked, single in zip([est.yield_specs["X"], *est.error_specs.values()], alone,
                                strict=True):
         assert (stacked.variables, stacked.sense) == (single.variables, single.sense)
@@ -670,6 +672,36 @@ def test_oil_probe_programs_are_bitwise_the_recorded_ones():
     `PYTHONPATH=<dir>/src:tests python -c "import json, test_driver as t;
     t.OIL_PROBES.write_text(json.dumps(t.oil_probe_programs()))"`."""
     assert oil_probe_programs() == json.loads(OIL_PROBES.read_text())
+
+
+PASSIVE_PROGRAMS = Path(__file__).parent / "data" / "passive_programs.json"
+
+
+def passive_programs() -> dict:
+    """The Z and X yield and both bit-error programs of `_passive_estimation`,
+    baseline and refined, at 50 km/120 dB on 8 quadrature nodes: `a`, `b`
+    and `c` as hex floats, and `upper`."""
+    out = {}
+    for analysis in ("baseline", "refined"):
+        config = dataclasses.replace(PASSIVE_CONFIG, analysis=analysis)
+        est = driver._passive_estimation(config, driver.passive_source(config, 120.0, nodes=8),
+                                         50.0)
+        for label, spec in [*((f"{b} yield", s) for b, s in est.yield_specs.items()),
+                            *est.error_specs.items()]:
+            out[f"{analysis} {label}"] = {
+                **{name: np.vectorize(float.hex)(getattr(spec, name)).tolist()
+                   for name in ("a", "b", "c")}, "upper": spec.upper.tolist()}
+    return out
+
+
+def test_passive_programs_are_bitwise_the_recorded_ones():
+    """Every coefficient, right-hand side, objective entry and row sense of the
+    eight passive programs, bit for bit, as the per-builder pattern code of
+    commit 0f1aed6 wrote them, with `git archive 0f1aed6 | tar -x -C <dir>`
+    and, from the repository root, `PYTHONPATH=<dir>/src:tests python -c
+    "import json, test_driver as t;
+    t.PASSIVE_PROGRAMS.write_text(json.dumps(t.passive_programs()))"`."""
+    assert passive_programs() == json.loads(PASSIVE_PROGRAMS.read_text())
 
 
 def test_passive_key_rate_rejects_a_foreign_source():

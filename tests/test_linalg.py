@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import bures_distance, fidelity, psd_sqrt, pure_state_fidelity
-from leakyqkd.linalg import density_factor, factor_fidelity, require_hermitian
+from leakyqkd.linalg import density_factor, factor_fidelities, require_hermitian
 from leakyqkd.validation import jacobi_eigenvalues
 
 
@@ -123,27 +123,30 @@ def test_factor_fidelity_matches_eigh_route_on_low_rank_states():
     rng = np.random.default_rng(15)
     pairs = [(random_factor(rng, rank, rank), random_factor(rng, rank, rank))
              for rank in (1, 2, 3) for _ in range(6)]
-    for a, b in pairs:
+    alone = [float(factor_fidelities([pair])[0]) for pair in pairs]
+    for (a, b), ours in zip(pairs, alone):
         eigh_route = fidelity(a @ a.conj().T, b @ b.conj().T)
-        assert abs(float(factor_fidelity(a, b)) - eigh_route) <= 1e-13
-    stacked = factor_fidelity(np.stack([a for a, _ in pairs[-6:]]),
-                              np.stack([b for _, b in pairs[-6:]]))
-    assert stacked.tolist() == [float(factor_fidelity(a, b)) for a, b in pairs[-6:]]
+        assert abs(ours - eigh_route) <= 1e-13
+    # one call for every pair, one SVD per shape, and a stack: bitwise the calls alone
+    assert [float(f) for f in factor_fidelities(pairs)] == alone
+    [stacked] = factor_fidelities([(np.stack([a for a, _ in pairs[-6:]]),
+                                    np.stack([b for _, b in pairs[-6:]]))])
+    assert stacked.tolist() == alone[-6:]
 
 
 def test_factor_fidelity_of_pure_states_is_the_overlap():
     rng = np.random.default_rng(17)
     for _ in range(10):
         a, b = random_factor(rng, 6, 1), random_factor(rng, 6, 1)
-        assert abs(float(factor_fidelity(a, b)) - pure_state_fidelity(a[:, 0], b[:, 0])) <= 1e-15
+        [ours] = factor_fidelities([(a, b)])
+        assert abs(float(ours) - pure_state_fidelity(a[:, 0], b[:, 0])) <= 1e-15
 
 
 def test_factor_fidelity_of_identical_factors_is_exactly_one():
     rng = np.random.default_rng(16)
     for rank in (1, 2, 3):
         a = random_factor(rng, 5, rank)
-        assert factor_fidelity(a, a) == 1.0
-        assert factor_fidelity(a, a.copy()) == 1.0
+        assert factor_fidelities([(a, a), (a, a.copy())]) == [1.0, 1.0]
 
 
 def test_fidelity_of_graded_spectrum_state_with_itself():

@@ -82,3 +82,22 @@ def test_unread_definition_detector():
 
 def test_no_definitions_only_tests_use():
     assert unread_definitions({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def test_no_module_reads_around_a_cache():
+    """`f.__wrapped__` calls a cached function past its cache: a second route
+    to the same result, beside the cached one, that the cache's key no longer
+    describes."""
+    reads = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"]
+    assert reads == []
+
+
+# `wc -l` of src/leakyqkd/*.py; a change may raise it only in its own diff, with a reason
+SOURCE_LINES = 3_700
+
+
+def test_source_stays_within_its_line_count():
+    lines = sum(path.read_text().count("\n") for path in SOURCES)
+    assert lines <= SOURCE_LINES, f"src/ has {lines} lines, the ratchet {SOURCE_LINES}"

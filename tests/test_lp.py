@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -175,6 +176,124 @@ def test_golden_refined_z_yield_is_the_optimum(monkeypatch):
     solution = first_attempt(monkeypatch, spec)
     optimum = _highs_optimum(spec)
     assert abs(solution.value - optimum) <= 1e-9 * optimum
+
+
+STALLED = DATA / "oil_stall_150km_120db.json"
+
+
+def stalled_program() -> dict:
+    """The injection-locked X-yield program at 150 km/120 dB with mu_in 1e-3
+    and mu_i1 = 0.999 mu_in: `a`, `b` and `c` as hex floats, and `upper`."""
+    config = driver.ProtocolConfig(transmitter="oil", mu_in=1e-3, mu_i1=0.999e-3)
+    spec = driver._oil_estimation(config, 150.0, 120.0).yield_specs["X"]
+    return {"variables": list(spec.variables), "sense": spec.sense, "upper": spec.upper.tolist(),
+            **{name: np.vectorize(float.hex)(getattr(spec, name)).tolist()
+               for name in ("a", "b", "c")}}
+
+
+def test_no_pivot_leaves_the_basis_unchanged():
+    """The program of `stalled_program`, recorded by commit 0f1aed6 with
+    `git archive 0f1aed6 | tar -x -C <dir>` and, from the repository root,
+    `PYTHONPATH=<dir>/src:tests python -c "import json, test_lp as t;
+    t.STALLED.write_text(json.dumps(t.stalled_program()))"`.  There a basic
+    column's reduced cost, re-solved as the residual of B^T y = c_B, read
+    -4.5e-11; the primal pivots entered that column in its own row, which
+    changed nothing, until the pivot budget was spent (2,500 pivots,
+    "unfinished").  It solves on its first attempt within 1e-7 of HiGHS."""
+    data = json.loads(STALLED.read_text())
+    assert stalled_program() == data
+    spec = lp.LinearProgram(variables=tuple(data["variables"]), sense=data["sense"],
+                            upper=np.array(data["upper"]),
+                            **{name: np.vectorize(float.fromhex)(data[name])
+                               for name in ("a", "b", "c")})
+    solution = lp.solve(spec)
+    assert solution.status == "optimal" and solution.iterations <= 200
+    certify(spec, solution)
+    optimum = _highs_optimum(spec)
+    assert abs(solution.value - optimum) <= 1e-7 * optimum
+
+
+def certify(spec, solution):
+    """The certificate of an optimal `solution`, re-solved here from the
+    program's data: basic values and the reduced costs of the nonbasic
+    columns >= -1e-12, and a point within 1e-12 of every row and bound.  A
+    basic column's reduced cost is 0 by definition; a dense re-solve leaves
+    its residual there, which reads -4e-12 on the program of
+    `test_no_pivot_leaves_the_basis_unchanged`.  Returns the duals y of the
+    rows, then of the box rows, in the minimisation form."""
+    m_con, n = spec.a.shape
+    standard = np.block([[spec.a, np.diag(np.where(spec.upper, 1.0, -1.0)), np.zeros((m_con, n))],
+                         [np.eye(n), np.zeros((n, m_con)), np.eye(n)]])
+    matrix = standard[:, solution.basis]
+    cost = np.concatenate([spec.c if spec.sense == "min" else -spec.c, np.zeros(m_con + n)])
+    x_basic = np.linalg.solve(matrix, np.concatenate([spec.b, np.ones(n)]))
+    y = np.linalg.solve(matrix.T, cost[solution.basis])
+    reduced = cost - y @ standard
+    reduced[solution.basis] = 0.0
+    assert min(x_basic.min(), reduced.min()) >= -1e-12
+    excess = np.where(spec.upper, 1.0, -1.0) * (spec.a @ solution.x - spec.b)
+    assert max(excess.max(), -solution.x.min(), solution.x.max() - 1.0) <= 1e-12
+    return y
+
+
+def _highs_point(spec, shift: float = 0.0):
+    """HiGHS's (value, point) of `spec` at 1e-10 tolerances with every row
+    tightened by `shift`, or None if it finds that program infeasible."""
+    signs = np.where(spec.upper, 1.0, -1.0)
+    result = linprog(spec.c if spec.sense == "min" else -spec.c, A_ub=signs[:, None] * spec.a,
+                     b_ub=signs * spec.b - shift, bounds=(0.0, 1.0), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+    if result.status == 2:
+        return None
+    assert result.status == 0
+    return (result.fun if spec.sense == "min" else -result.fun), result.x
+
+
+def test_every_oil_program_of_the_optimizer_box_solves():
+    """Every injection-locked program over a log grid of (mu_in, mu_i1/mu_in),
+    the ratio up to 0.999, at 25, 100 and 200 km and 30 and 120 dB solves
+    within 200 pivots and never ends "unfinished".
+
+    An optimal solve carries its certificate (`certify`), and HiGHS at
+    1e-10 tolerances does not beat it by more than 1e-7 relative plus what
+    weak duality lets a point that misses the rows buy.  HiGHS cannot
+    referee these programs to 1e-7 outright: 59 of the 450 differ from it
+    by more, as they sit so near infeasibility that a shift of 1e-12 in
+    the rows moves one's optimum by 4e-4 relative; there HiGHS stops short
+    of this solver's optimum (by 1.8e-5 on the X yield at 100 km/30 dB,
+    mu_in 1e-3, ratio 1e-4) or returns a point that misses rows by more
+    than 1e-12 (4e-10 on one of a 6 x 6 grid).  An infeasible verdict needs HiGHS to find no point of the program with its
+    rows tightened by 1e-10: three X-yield programs at 120 dB, whose rows
+    the best point HiGHS finds misses by about 3e-11, are infeasible."""
+    outcomes = {}
+    for distance_km, att_db in itertools.product((25.0, 100.0, 200.0), (30.0, 120.0)):
+        for mu_in, ratio in itertools.product(np.geomspace(1e-3, 1.0, 5),
+                                              np.geomspace(1e-4, 0.999, 5)):
+            config = driver.ProtocolConfig(transmitter="oil", mu_in=float(mu_in),
+                                           mu_i1=float(ratio * mu_in))
+            est = driver._oil_estimation(config, distance_km, att_db)
+            for label, spec in [("X yield", est.yield_specs["X"]), *est.error_specs.items()]:
+                solution = lp.solve(spec)
+                assert solution.status in ("optimal", "infeasible")
+                assert solution.iterations <= 200
+                key = (distance_km, att_db, round(float(mu_in), 4), round(float(ratio), 4), label)
+                outcomes[key] = solution.status
+                if solution.status == "infeasible":
+                    assert _highs_point(spec, 1e-10) is None
+                    continue
+                y = certify(spec, solution)
+                value, point = _highs_point(spec)
+                safe = value - solution.value if spec.sense == "min" else solution.value - value
+                # weak duality: a point that misses the rows by at most `missed` beats
+                # the certified optimum by at most |y|_1 missed, plus the 1e-12 of the
+                # reduced costs over its (at most unit) variables and slacks
+                signs = np.where(spec.upper, 1.0, -1.0)
+                missed = max(0.0, (signs * (spec.a @ point - spec.b)).max())
+                assert safe >= -(1e-7 * abs(value) + np.abs(y).sum() * missed + 1e-12 * len(y))
+    assert [key for key, status in outcomes.items() if status != "optimal"] == [
+        (25.0, 120.0, 0.001, 0.0999, "X yield"), (25.0, 120.0, 0.001, 0.999, "X yield"),
+        (200.0, 120.0, 0.0316, 0.001, "X yield")]
 
 
 def test_spent_budget_fails_the_point_not_the_sweep(monkeypatch):
@@ -396,7 +515,7 @@ def by_label(rows):
 def test_unit_fidelity_recovers_textbook_decoy_bound():
     for n_cut in (2, 4):
         gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-        spec = lp.yield_program(gains, probs, fids, refs)
+        spec = lp.decoy_programs(gains, probs, fids, refs, ("min",))[0]
         ours = lp.solve(spec)
         reference = textbook_decoy_bound(by_label(probs), by_label(gains), n_cut)
         assert ours.status == "optimal"
@@ -406,7 +525,7 @@ def test_unit_fidelity_recovers_textbook_decoy_bound():
 def test_zero_fidelity_decouples_to_single_intensity_bound():
     n_cut = 2
     gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-    spec = lp.yield_program(gains, probs, np.zeros_like(fids), refs)
+    spec = lp.decoy_programs(gains, probs, np.zeros_like(fids), refs, ("min",))[0]
     decoupled = lp.solve(spec).value
     single = vertex_enumeration_optimum(lp.LinearProgram(
         variables=tuple(f"Y_{n}" for n in range(n_cut + 1)), sense="min",
@@ -423,7 +542,7 @@ def test_yield_program_matches_hand_reduction():
     mu, q = 0.5, 0.9
     probs = np.tile(poisson_probs(mu, n_cut), (3, 1))
     refs = np.array([0.3, 0.5])
-    spec = lp.yield_program(np.full(3, q), probs, np.ones((3, n_cut + 1)), refs)
+    spec = lp.decoy_programs(np.full(3, q), probs, np.ones((3, n_cut + 1)), refs, ("min",))[0]
     p1 = float(probs[0, 1])
     assert lp.solve(spec).value == pytest.approx((q - 1.0 + p1) / p1, abs=1e-9)
 
@@ -431,7 +550,7 @@ def test_yield_program_matches_hand_reduction():
 def test_bit_error_program_zero_errors_bounds_gamma_by_slack():
     n_cut = 2
     _, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-    spec = lp.bit_error_program(np.zeros(3), probs, fids, np.full(n_cut + 1, 1e-3))
+    spec = lp.decoy_programs(np.zeros(3), probs, fids, np.full(n_cut + 1, 1e-3), ("max",))[0]
     solution = lp.solve(spec)
     # all the error weight must hide in the unobserved tail
     tail = 1.0 - float(probs[0].sum())
@@ -442,15 +561,17 @@ def test_bit_error_program_zero_errors_bounds_gamma_by_slack():
 def test_coin_constraints_never_hurt():
     n_cut = 2
     gains, probs, fids, refs, _ = ideal_inputs(n_cut=n_cut)
-    with_coin = lp.solve(lp.yield_program(gains, probs, np.full_like(fids, 0.98), refs)).value
-    without = lp.solve(lp.yield_program(gains, probs, np.zeros_like(fids), refs)).value
+    with_coin, without = (lp.solve(spec).value for spec in lp.decoy_programs(
+        np.stack([gains] * 2), np.stack([probs] * 2), np.stack([np.full_like(fids, 0.98),
+                                                                np.zeros_like(fids)]),
+        np.stack([refs] * 2), ("min", "min")))
     assert with_coin >= without - 1e-9
 
 
 def test_channel_truth_feasible_for_ideal_decoy():
     n_cut = 4
     gains, probs, fids, refs, yields = ideal_inputs(n_cut=n_cut)
-    spec = lp.yield_program(gains, probs, fids, refs)
+    spec = lp.decoy_programs(gains, probs, fids, refs, ("min",))[0]
     x = np.tile(yields[:n_cut + 1], 3)  # the columns Y_I_n, intensity-major
     lhs = spec.a @ x
     assert np.all(np.where(spec.upper, lhs <= spec.b + 1e-9, lhs >= spec.b - 1e-9))
@@ -474,7 +595,7 @@ def test_pair_fidelity_reaches_only_its_coin_rows():
     gains, probs, fids, refs, _ = ideal_inputs(n_cut=2)
     changed = fids.copy()
     changed[lp.INTENSITY_PAIRS.index(("I0", "I2")), 1] = 0.9
-    base, other = (lp.yield_program(gains, probs, f, refs) for f in (fids, changed))
+    base, other = (lp.decoy_programs(gains, probs, f, refs, ("min",))[0] for f in (fids, changed))
     assert_only_coin_rows_differ(base, other, ("Y_I0_1", "Y_I2_1"))
 
     weights, cross_tag = np.tile([0.9, 0.08], (3, 1)), np.full(3, 0.5)

@@ -7,7 +7,7 @@ from helpers import fidelity, mixed_state, setting_intensity, state_block, state
 from leakyqkd import oil
 from leakyqkd.coin import bb84_pair_overlap
 from leakyqkd.fock import basis_index
-from leakyqkd.linalg import factor_fidelity
+from leakyqkd.linalg import factor_fidelities
 from leakyqkd.validation import oil_block_oracle
 
 
@@ -50,7 +50,7 @@ def test_test_basis_bit1_at_full_kappa_zero():
     params = make_params()
     setting = oil.setting_phases(1, "X", "I0", params)
     assert (setting.phi12, setting.phi23) == (math.pi, 0.0)
-    amps = oil.setting_amplitudes(setting, params)
+    amps = oil.amplitudes([setting], params)[:, 0]
     assert abs(amps[0]) == pytest.approx(0.0, abs=1e-12)  # early bin dark
     assert abs(amps[1]) ** 2 == pytest.approx(params.mu_in, abs=1e-12)
 
@@ -240,8 +240,8 @@ def test_factor_fidelities_agree_with_mixed_state_fidelities(att_db):
     params = driver_params(att_db)
     for n, sector in enumerate(oil.emission_sectors(params)):
         for i, j in (("I0", "I1"), ("I0", "I2"), ("I1", "I2")):
-            ours = factor_fidelity(mixture_factor(sector, ("X", i)),
-                                   mixture_factor(sector, ("X", j)))
+            [ours] = factor_fidelities([(mixture_factor(sector, ("X", i)),
+                                         mixture_factor(sector, ("X", j)))])
             reference = fidelity(mixed_state("X", i, params, n), mixed_state("X", j, params, n))
             assert abs(float(ours) - reference) <= 1e-14
 
