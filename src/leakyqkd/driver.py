@@ -328,9 +328,10 @@ class PassiveSource:
     and the quadrature grid alone, so one source serves every distance.
     `node_sets[(bit, basis, I)]` keeps each box's nodes for the channel
     observables (40,740 nodes, about 1.3 MB, at the default source at
-    120 dB), `moments_bit` their moments and `moments_union[(basis, I)]`
-    those of the bit-unions.  The decoy inputs are arrays in the layout of
-    `lp` with a leading axis: `probs`, `fids` [basis, I or pair, n] of the
+    120 dB), `moments_bit` their moments (Z bit 1 mirrored from Z bit 0,
+    so 28,640 nodes integrated), `moments_union[(basis, I)]` those of the
+    bit-unions.  The decoy inputs are arrays in the layout of `lp` with a
+    leading axis: `probs`, `fids` [basis, I or pair, n] of the
     bit-unions, `probs_bit`, `fids_bit` [bit, I or pair, n] of the
     test-basis boxes.  The refined analysis adds the key/opp `weights`
     [basis, bit, I, tag] of every box, `tag_fids` [basis, pair, tag] and
@@ -401,9 +402,11 @@ def passive_source(config: ProtocolConfig, att_db: float,
                      bit, basis, i, params.geometry, params.mu_max,
                      passive.box_orders(params, bit, basis, i, nodes))
                  for basis in BASES for i in INTENSITIES for bit in BITS}
-    moments_bit = {key: passive.region_moments(passive.RegionSpec(*key), params,
+    moments_bit = {key: passive.region_moments(passive.RegionSpec(*key), params, n_tail=n_cut,
                                                node_sets=[box])
-                   for key, box in node_sets.items()}
+                   for key, box in node_sets.items() if key[:2] != (1, "Z")}
+    moments_bit.update({(1, "Z", i): passive.mirrored_moments(moments_bit[(0, "Z", i)])
+                        for i in INTENSITIES})
     moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
                                                           for b in BITS])
                      for basis in BASES for i in INTENSITIES}

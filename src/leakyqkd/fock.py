@@ -148,7 +148,8 @@ def _ladder(bases: tuple) -> tuple:
     return top, tuple(reversed(steps))
 
 
-def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
+def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0,
+                     work=lambda name, shape: np.empty(shape, complex)) -> list[np.ndarray]:
     """Un-normalised amplitudes of product coherent states on several sectors.
 
     Parameters
@@ -161,6 +162,8 @@ def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
     vacuum : scalar or (N,) array
         The 0-photon component.  Every component carries it as a factor,
         so a per-column weight can be folded in here.
+    work : callable (name, shape) -> complex array
+        Where the table, levels and gathers are built; the default allocates.
 
     Returns
     -------
@@ -177,11 +180,13 @@ def coherent_sectors(alphas: np.ndarray, bases, vacuum=1.0) -> list[np.ndarray]:
         if basis.k != k:
             raise ValueError(f"got {k} amplitudes for a {basis.k}-mode basis")
     top, steps = _ladder(tuple(bases))
-    table = (alphas[:, None, :] / np.sqrt(np.arange(1, top + 1))[None, :, None]).reshape(-1, count)
-    level = np.empty((1, count), dtype=complex)
+    table = np.divide(alphas[:, None, :], np.sqrt(np.arange(1, top + 1))[:, None],
+                      out=work("table", (k, top, count))).reshape(-1, count)
+    level = work("level0", (1, count))
     level[0] = vacuum
     levels = [level]
-    for parents, factors in steps:
-        level = level[parents] * table[factors]
+    for m, (parents, factors) in enumerate(steps, 1):  # "clip": no buffer behind `out`
+        level = np.take(level, parents, 0, work(f"level{m}", (parents.size, count)), "clip")
+        level *= np.take(table, factors, 0, work("gather", (factors.size, count)), "clip")
         levels.append(level)
     return [levels[b.n][:b.dim] for b in bases]

@@ -31,12 +31,13 @@ branch (+1, -s): the four-branch average is the real part of twice the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import NPhotonBasis, coherent_sectors, enumerate_basis, leak_truncated_subbasis
+from .fock import (NPhotonBasis, basis_index, coherent_sectors, enumerate_basis,
+                   leak_truncated_subbasis)
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +55,7 @@ MIN_NODES = 4
 ORDER_TOL = 1e-17
 # resolution, in steps per turn, at which node phases are matched to their mirror
 PHASE_STEPS = 2 ** 32
+_WORK: dict = {}  # `_work`'s buffers, one process-wide set: one `region_moments` at a time
 
 
 class EmptyRegionError(ValueError):
@@ -227,40 +229,28 @@ def invert_phases(point: TargetPoint, phi_e: float, signs: tuple[int, int],
 
 
 def _classify_arrays(theta, phi, mu, geometry, mu_max):
+    """Bit, basis (0: Z, 1: X) and intensity codes, -1 outside every box; an X
+    window wins where it overlaps a Z one, and bit 1 where both X windows do."""
     g = geometry
-    bit = np.full(theta.shape, -1, dtype=np.int8)
-    basis = np.full(theta.shape, -1, dtype=np.int8)
-    phi_w = wrap_phase(phi)
-    z0 = theta < g.delta_theta_z
-    z1 = theta > math.pi - g.delta_theta_z
+    phi_w = np.abs(wrap_phase(phi))
     in_x_theta = np.abs(theta - math.pi / 2.0) < g.delta_theta_x
-    x0 = in_x_theta & (np.abs(phi_w) < g.delta_phi_x)
-    x1 = in_x_theta & (math.pi - np.abs(phi_w) < g.delta_phi_x)
-    bit[z0] = 0
-    basis[z0] = 0
-    bit[z1] = 1
-    basis[z1] = 0
-    bit[x0] = 0
-    basis[x0] = 1
-    bit[x1] = 1
-    basis[x1] = 1
-    intensity = np.full(theta.shape, -1, dtype=np.int8)
-    intensity[(mu >= g.t1 * mu_max) & (mu < 2.0 * mu_max)] = 0
-    intensity[(mu >= g.t2 * mu_max) & (mu < g.t1 * mu_max)] = 1
-    intensity[mu < g.t2 * mu_max] = 2
-    return bit, basis, intensity
+    windows = [in_x_theta & (math.pi - phi_w < g.delta_phi_x), in_x_theta & (phi_w < g.delta_phi_x),
+               theta > math.pi - g.delta_theta_z, theta < g.delta_theta_z]
+    levels = [mu < g.t2 * mu_max, mu < g.t1 * mu_max, mu < 2.0 * mu_max]
+    return tuple(np.select(conditions, codes, -1).astype(np.int8) for conditions, codes in (
+        (windows, [1, 0, 1, 0]), (windows, [1, 1, 0, 0]), (levels, [2, 1, 0])))
 
 
 # ---------------------------------------------------------------------------
 # Leakage amplitudes
 # ---------------------------------------------------------------------------
 
-def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max):
-    """Coherent amplitudes of (e, l, 1, 3, 5) for one sign branch.
+def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max, out=None):
+    """Coherent amplitudes of (e, l, 1, 3, 5) for the sign branches s_e, s_l.
 
-    Returns (amplitudes (5, N), leakage intensity mu_L (N)).  The common
-    optical phase is factored out; only relative phases matter after the
-    phase average.
+    Returns (amplitudes (5, *shape), leakage intensity mu_L (shape)), into
+    `out` if given, for the nodes broadcast against s_l.  The common optical
+    phase is factored out; only relative phases matter after the phase average.
     """
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
@@ -268,7 +258,8 @@ def _branch_amplitudes(theta, phi, mu, s_e, s_l, omega, mu_max):
     half_l = 0.5 * np.arccos(np.clip(2.0 * mu * s2 / mu_max - 1.0, -1.0, 1.0))
     c_off = s_e * half_e
     s_off = s_l * half_l
-    amp = np.empty((MODE_COUNT, np.size(theta)), dtype=complex)
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(s_l))
+    amp = np.empty((MODE_COUNT, *shape), complex) if out is None else out
     amp[0] = np.sqrt(mu * c2)
     amp[1] = np.sqrt(mu * s2) * np.exp(1j * phi)
     amp[2] = math.sqrt(omega / 2.0) * np.exp(1j * c_off)
@@ -524,6 +515,27 @@ def combine_moments(parts: list[RegionMoments]) -> RegionMoments:
     )
 
 
+def mirrored_moments(moments: RegionMoments) -> RegionMoments:
+    """Z bit-1 moments from the Z bit-0 ones of the same intensity: theta -> pi - theta,
+    phi -> -phi and (s_e, s_l) -> (-s_l, -s_e) map the boxes onto each other and, up
+    to a global phase, the amplitudes of (e, l, 1, 3, 5) onto those of (l, e, 5, 3, 1).
+    Each block becomes P M P^T, P swapping e <-> l and 1 <-> 5 in every configuration
+    (leakage counts kept: truncated bases map onto themselves); mass and traces stay."""
+    orders = {n: [basis_index(b, (c[1], c[0], c[4], c[3], c[2])) for c in b.configs]
+              for n, b in moments.bases.items()}
+    return replace(moments, blocks={n: moments.blocks[n][np.ix_(order, order)]
+                                    for n, order in orders.items()})
+
+
+def _work(name: str, shape: tuple) -> np.ndarray:
+    """A complex array of `shape` on the buffer `_WORK[name]`, grown on demand and valid
+    until the next request: chunk temporaries that stay off the allocator across calls."""
+    size = math.prod(shape)
+    if name not in _WORK or _WORK[name].size < size:
+        _WORK[name] = np.empty(size, complex)
+    return _WORK[name][:size].reshape(shape)
+
+
 def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODES,
                    n_tail: int = 20, chunk: int = 4096,
                    node_sets: list[RegionNodes] | None = None) -> RegionMoments:
@@ -554,19 +566,19 @@ def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODE
 
     for start in range(0, theta.size, chunk):
         sl = slice(start, min(start + chunk, theta.size))
-        # stack the branches s_l = +1, -1 (s_e = +1) along the node axis
-        s_l = np.repeat([1.0, -1.0], sl.stop - sl.start)
-        th2, ph2, mu2, w2 = (np.tile(x[sl], 2) for x in (theta, phi, mu, weight))
-        amp, mu_leak = _branch_amplitudes(th2, ph2, mu2, 1.0, s_l, params.omega, params.mu_max)
-        total = mu2 + mu_leak
+        # the branches s_l = +1, -1 (s_e = +1) side by side along the node axis
+        amp, mu_leak = _branch_amplitudes(
+            theta[sl], phi[sl], mu[sl], 1.0, np.array([[1.0], [-1.0]]), params.omega,
+            params.mu_max, _work("amp", (MODE_COUNT, 2, sl.stop - sl.start)))
+        total = (mu[sl] + mu_leak).ravel()
         # 1/4 per branch, doubled for the conjugate pair
-        wb = 0.5 * w2 * np.exp(-total)
-        acc = wb.copy()
+        acc = wb = (0.5 * weight[sl] * np.exp(-total.reshape(2, -1))).ravel()
         traces[0] += acc.sum()
         for m in range(1, n_tail + 1):
             acc = acc * (total / m)
             traces[m] += acc.sum()
-        for block, comp in zip(blocks, coherent_sectors(amp, bases, vacuum=np.sqrt(wb))):
+        for block, comp in zip(blocks, coherent_sectors(amp.reshape(MODE_COUNT, -1), bases,
+                                                        vacuum=np.sqrt(wb), work=_work)):
             v = comp.view(np.float64)  # Re(C W C^H) = V V^T with re/im columns
             block += v @ v.T
     return RegionMoments(mass=mass, traces=traces,

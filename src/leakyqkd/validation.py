@@ -72,12 +72,8 @@ def vertex_enumeration_optimum(program: lp.LinearProgram):
         if np.any(signs * (program.a @ x - program.b) > 1e-9):
             continue
         value = float(np.dot(program.c, x))
-        if best is None:
+        if best is None or (value < best if program.sense == "min" else value > best):
             best = value
-        elif program.sense == "min":
-            best = min(best, value)
-        else:
-            best = max(best, value)
     return best
 
 
@@ -94,31 +90,19 @@ def _full_tensor_average(amplitude_sets, mode_cut: int):
     """
     levels = mode_cut + 1
     sets = list(amplitude_sets)
-    k = len(sets[0][1])
-    dim = levels ** k
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((levels ** len(sets[0][1]),) * 2, dtype=complex)
     fact = np.array([math.factorial(m) for m in range(levels)])
     for weight, alphas in sets:
-        coeffs = []
-        for j in range(k):
-            powers = alphas[j] ** np.arange(levels) / np.sqrt(fact)
-            coeffs.append(powers * math.exp(-abs(alphas[j]) ** 2 / 2.0))
-        vec = coeffs[0]
-        for j in range(1, k):
-            vec = np.kron(vec, coeffs[j])
+        vec = np.ones(1)
+        for alpha in alphas:
+            vec = np.kron(vec, alpha ** np.arange(levels) / np.sqrt(fact)
+                          * math.exp(-abs(alpha) ** 2 / 2.0))
         out += weight * np.outer(vec, vec.conj())
     return out
 
 
 def _extract_sector(full: np.ndarray, basis, mode_cut: int) -> np.ndarray:
-    levels = mode_cut + 1
-    idx = []
-    for cfg in basis.configs:
-        flat = 0
-        for occ in cfg:
-            flat = flat * levels + occ
-        idx.append(flat)
-    idx = np.array(idx)
+    idx = [np.ravel_multi_index(cfg, (mode_cut + 1,) * basis.k) for cfg in basis.configs]
     return full[np.ix_(idx, idx)]
 
 
@@ -289,6 +273,26 @@ def check_block_expansion(seed: int = 3) -> tuple[bool, str]:
                                                        omega, mu_max) for p in (phi, -phi))
             worst = max(worst, float(np.max(np.abs(ours[n] - reference))))
     return worst < 1e-10, f"max block deviation {worst:.2e}"
+
+
+def check_bit_symmetry(nodes: int = 8) -> tuple[bool, str]:
+    """Own-quadrature moments of the Z bit-1 boxes of the default passive source
+    at 10 dB, at `nodes`, against `passive.mirrored_moments` of the bit-0 route
+    on the mirror image (pi - theta, -phi) of the same nodes: the largest
+    deviation relative to each block's largest entry, or to the mass."""
+    params = driver._passive_params(driver.ProtocolConfig(transmitter="passive"), 10.0)
+    worst = 0.0
+    for i in driver.INTENSITIES:
+        box = passive.build_region_nodes(1, "Z", i, params.geometry, params.mu_max,
+                                         passive.box_orders(params, 1, "Z", i, nodes))
+        mirror = passive.RegionNodes(math.pi - box.theta, -box.phi, box.mu, box.weight)
+        own = passive.region_moments(passive.RegionSpec(1, "Z", i), params, node_sets=[box])
+        swapped = passive.mirrored_moments(passive.region_moments(
+            passive.RegionSpec(0, "Z", i), params, node_sets=[mirror]))
+        worst = max(worst, float(np.max(np.abs(own.traces - swapped.traces))) / own.mass,
+                    *(float(np.max(np.abs(block - swapped.blocks[n])) / np.max(np.abs(block)))
+                      for n, block in own.blocks.items()))
+    return worst <= 1e-12, f"largest relative deviation {worst:.2e}"
 
 
 def check_oil_expansion() -> tuple[bool, str]:
@@ -497,6 +501,7 @@ ALL_CHECKS = (
     ("density-normalisation", check_density_normalisation),
     ("passive-block-expansion", check_block_expansion),
     ("oil-block-expansion", check_oil_expansion),
+    ("passive-bit-symmetry", check_bit_symmetry),
     ("region-monte-carlo", check_region_monte_carlo),
     ("quadrature-convergence", check_quadrature_convergence),
     ("lp-vertex-oracle", check_lp_vertex_oracle),

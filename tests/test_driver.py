@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -281,9 +282,20 @@ def test_passive_sweep_builds_one_source_per_attenuation_per_call(monkeypatch):
     config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12,
                                  distances_km=(25.0, 50.0, 75.0), att_db=(60.0, 120.0))
     driver.sweep(config)
-    assert len(calls) == 12 * 2
+    assert len(calls) == 9 * 2  # Z bit 1 comes from Z bit 0 (`passive.mirrored_moments`)
     driver.sweep(config)  # no memo survives the call
-    assert len(calls) == 2 * 12 * 2
+    assert len(calls) == 2 * 9 * 2
+
+
+def test_warm_passive_source_build_stays_off_the_page_fault_path():
+    """`region_moments` keeps its chunk temporaries (the amplitude, recursion
+    and gather arrays, several MB) in buffers grown once: a second build of
+    the default source takes well under 1,000 minor page faults (a sweep
+    took about 19,300 when each chunk allocated and freed them)."""
+    driver.passive_source(PASSIVE_CONFIG, 120.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    driver.passive_source(PASSIVE_CONFIG, 120.0)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1_000
 
 
 def test_passive_source_failure_fails_every_point_at_its_attenuation(monkeypatch):
@@ -696,10 +708,9 @@ def passive_programs() -> dict:
 
 def test_passive_programs_are_bitwise_the_recorded_ones():
     """Every coefficient, right-hand side, objective entry and row sense of the
-    eight passive programs, bit for bit, as the per-builder pattern code of
-    commit 0f1aed6 wrote them, with `git archive 0f1aed6 | tar -x -C <dir>`
-    and, from the repository root, `PYTHONPATH=<dir>/src:tests python -c
-    "import json, test_driver as t;
+    eight passive programs, bit for bit, as the source that takes its Z bit-1
+    moments from Z bit 0 wrote them, from the repository root with
+    `PYTHONPATH=src:tests python -c "import json, test_driver as t;
     t.PASSIVE_PROGRAMS.write_text(json.dumps(t.passive_programs()))"`."""
     assert passive_programs() == json.loads(PASSIVE_PROGRAMS.read_text())
 

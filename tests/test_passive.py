@@ -7,7 +7,7 @@ from scipy import integrate
 
 from helpers import (ConvergenceError, classify_region, joint_pdf, leakage_functions,
                      photon_number_block, region_average)
-from leakyqkd import channel, passive
+from leakyqkd import channel, driver, passive
 from leakyqkd.fock import coherent_sectors
 from leakyqkd.validation import (check_quadrature_convergence, density_box_mass,
                                  passive_block_oracle, total_density_mass)
@@ -259,6 +259,43 @@ def test_region_moments_match_per_node_block_sum(bit, basis):
         assert np.max(np.abs(moments.blocks[n] - expected)) <= 1e-13 * scale, n
     # the n = 3, 4 blocks are leakage-truncated, the full traces are not
     assert moments.trace_fraction(3) < 1.0 and moments.trace_fraction(4) < 1.0
+
+
+def test_mirrored_point_block_is_the_swapped_block():
+    # theta -> pi - theta, phi -> -phi maps the block to P block P^T, P the
+    # configuration permutation that swaps modes e <-> l and 1 <-> 5
+    params = make_params(omega=0.05)
+    point = passive.TargetPoint(theta=0.4, phi=0.9, mu=0.3)
+    mirror = passive.TargetPoint(theta=math.pi - point.theta, phi=-point.phi, mu=point.mu)
+    bases = {n: params.block_basis(n) for n in range(params.n_cut + 1)}
+    assert bases[4].dim < passive.passive_basis(4).dim  # leak-truncated
+    blocks = {n: photon_number_block(point, n, params.omega, MU_MAX, basis=b)
+              for n, b in bases.items()}
+    swapped = passive.mirrored_moments(passive.RegionMoments(1.0, np.ones(1), blocks, bases))
+    for n, basis in bases.items():
+        order = [basis.configs.index((c[1], c[0], c[4], c[3], c[2])) for c in basis.configs]
+        expected = photon_number_block(mirror, n, params.omega, MU_MAX, basis=basis)
+        assert np.max(np.abs(blocks[n][np.ix_(order, order)] - expected)) <= 1e-14, n
+        assert np.max(np.abs(swapped.blocks[n] - expected)) <= 1e-14, n
+
+
+@pytest.mark.parametrize("att_db", [10.0, 120.0])
+def test_z_bit_one_moments_are_the_swapped_bit_zero_moments(att_db):
+    """Each Z box on its own grid, at the default source and a-axis order
+    (at 16 nodes that order's own error on the I0 boxes, up to 2e-9 on the
+    n = 4 block, would exceed the 1e-10 checked here)."""
+    params = driver._passive_params(driver.ProtocolConfig(transmitter="passive"), att_db)
+    nodes = passive.DEFAULT_NODES[0]
+    for i in passive.INTENSITIES:
+        own, bit0 = (passive.region_moments(passive.RegionSpec(bit, "Z", i), params, node_sets=[
+            passive.build_region_nodes(bit, "Z", i, params.geometry, params.mu_max,
+                                       passive.box_orders(params, bit, "Z", i, nodes))])
+            for bit in (1, 0))
+        swapped = passive.mirrored_moments(bit0)
+        assert swapped.mass == pytest.approx(own.mass, rel=1e-10, abs=0.0)
+        assert np.max(np.abs(swapped.traces - own.traces)) <= 1e-10 * own.mass
+        for n, block in own.blocks.items():
+            assert np.max(np.abs(swapped.blocks[n] - block)) <= 1e-10 * np.max(np.abs(block)), n
 
 
 def _exact_region_mass(bit, basis, intensity, geometry):

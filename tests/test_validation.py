@@ -19,6 +19,11 @@ def shift_sectors(emission_sectors):
     return lambda params: [sector + 1e-6 for sector in emission_sectors(params)]
 
 
+def swap_signal_modes_only(basis_index):
+    # the mirror configuration with modes 1 and 5 left in place
+    return lambda basis, config: basis_index(basis, config[:2] + config[:1:-1])
+
+
 def scale_factor(density_factor):
     return lambda rho, name="rho": density_factor(rho, name) * (1.0 + 1e-4)
 
@@ -28,6 +33,8 @@ CHECKS = {
                                 shift_blocks),
     "oil-block-expansion": (validation.check_oil_expansion, oil, "emission_sectors",
                             shift_sectors),
+    "passive-bit-symmetry": (validation.check_bit_symmetry, passive, "basis_index",
+                             swap_signal_modes_only),
     "eigen-oracle": (validation.check_eigen_oracle, validation, "density_factor",
                      scale_factor),
 }
