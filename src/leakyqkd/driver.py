@@ -326,11 +326,11 @@ class PassiveSource:
 
     Everything here follows from the source parameters, the attenuation
     and the quadrature grid alone, so one source serves every distance.
-    `node_sets[(bit, basis, I)]` keeps each box's nodes for the channel
-    observables (40,740 nodes, about 1.3 MB, at the default source at
-    120 dB), `moments_bit` their moments (Z bit 1 mirrored from Z bit 0,
-    so 28,640 nodes integrated), `moments_union[(basis, I)]` those of the
-    bit-unions.  The decoy inputs are arrays in the layout of `lp` with a
+    `node_sets[(bit, basis, I)]` keeps the nodes of each box but Z bit 1
+    for the channel observables (19,560 nodes, about 0.6 MB, at the
+    default source at 120 dB), `moments_bit` the moments of every box
+    (Z bit 1 mirrored from Z bit 0), `moments_union[(basis, I)]` those of
+    the bit-unions.  The decoy inputs are arrays in the layout of `lp` with a
     leading axis: `probs`, `fids` [basis, I or pair, n] of the
     bit-unions, `probs_bit`, `fids_bit` [bit, I or pair, n] of the
     test-basis boxes.  The refined analysis adds the key/opp `weights`
@@ -401,10 +401,11 @@ def passive_source(config: ProtocolConfig, att_db: float,
     node_sets = {(bit, basis, i): passive.build_region_nodes(
                      bit, basis, i, params.geometry, params.mu_max,
                      passive.box_orders(params, bit, basis, i, nodes))
-                 for basis in BASES for i in INTENSITIES for bit in BITS}
+                 for basis in BASES for i in INTENSITIES for bit in BITS
+                 if (bit, basis) != (1, "Z")}
     moments_bit = {key: passive.region_moments(passive.RegionSpec(*key), params, n_tail=n_cut,
                                                node_sets=[box])
-                   for key, box in node_sets.items() if key[:2] != (1, "Z")}
+                   for key, box in node_sets.items()}
     moments_bit.update({(1, "Z", i): passive.mirrored_moments(moments_bit[(0, "Z", i)])
                         for i in INTENSITIES})
     moments_union = {(basis, i): passive.combine_moments([moments_bit[(b, basis, i)]
@@ -462,6 +463,8 @@ def _passive_estimation(config: ProtocolConfig, source: PassiveSource,
     chan = _channel(config, distance_km)
     observables = {key: channel_mod.passive_point_observables(box, key[0], key[1], chan)
                    for key, box in source.node_sets.items()}
+    # the mirror swaps the Z detectors with the boxes: bit 1 reads as bit 0
+    observables.update({(1, "Z", i): observables[(0, "Z", i)] for i in INTENSITIES})
     # gains of the bit-union regions, (basis, I)
     gains = np.array([[sum(source.moments_bit[(a, basis, i)].mass
                            * observables[(a, basis, i)].gain for a in BITS)

@@ -322,8 +322,8 @@ def _gauss_legendre(n: int, lo, hi):
 
 
 def _a_axis(bit: int, basis: str, intensity: str, geometry: RegionGeometry, n_a: int):
-    """The a axis of one box (see `build_region_nodes`): u = cos^2(a/2) and
-    the weight of each a node, and the b window (b_lo, b_hi) at each."""
+    """The a axis of one box (see `build_region_nodes`), as arrays [panel, node]:
+    u = cos^2(a/2), the weight of each a node, and the b window (b_lo, b_hi) at each."""
     r_lo, r_hi = _ratio_window(bit, basis, geometry)
     t_lo, t_hi = _mu_window(intensity, geometry)
 
@@ -331,28 +331,34 @@ def _a_axis(bit: int, basis: str, intensity: str, geometry: RegionGeometry, n_a:
         return (np.maximum(np.maximum(0.0, r_lo * u), t_lo - u),
                 np.minimum(np.minimum(1.0, r_hi * u), t_hi - u))
 
+    def form(a0, a1):  # the active term of each limit, and the sign of v_hi - v_lo
+        u = math.cos(0.25 * (a0 + a1)) ** 2
+        lo, hi = (0.0, r_lo * u, t_lo - u), (1.0, r_hi * u, t_hi - u)
+        return int(np.argmax(lo)), int(np.argmin(hi)), max(lo) < min(hi)
+
     kinks = {t / (1.0 + r) for t in (t_lo, t_hi) for r in (r_lo, r_hi)}
     kinks |= {t_lo, t_hi, t_lo - 1.0, t_hi - 1.0} | {1.0 / r for r in (r_lo, r_hi) if r > 0.0}
     edges = [0.0] + sorted({2.0 * math.acos(math.sqrt(u)) for u in kinks if 0.0 < u < 1.0})
     edges.append(math.pi)
-    t, w_t = _gauss_legendre(n_a, 0.0, 1.0)
-    a_parts, wa_parts = [], []
-    for a0, a1 in zip(edges[:-1], edges[1:]):
-        v_lo, v_hi = v_limits(math.cos(0.25 * (a0 + a1)) ** 2)
-        if v_hi > v_lo:  # the sign of v_hi - v_lo only changes at a kink
-            a_parts.append(a0 + 0.5 * (a1 - a0) * (1.0 - np.cos(math.pi * t)))
-            wa_parts.append(0.5 * math.pi * (a1 - a0) * np.sin(math.pi * t) * w_t)
-    if not a_parts:
+    forms = [form(a0, a1) for a0, a1 in zip(edges[:-1], edges[1:])]
+    # a candidate edge stays only where the forms on its two sides differ
+    cut = [k for k, f in enumerate(forms) if k == 0 or f != forms[k - 1]]
+    ends = [edges[k] for k in cut[1:]] + [math.pi]
+    kept = np.array([(edges[k], end) for k, end in zip(cut, ends) if forms[k][2]]).reshape(-1, 2, 1)
+    if not kept.size:
         raise EmptyRegionError(f"region ({bit}, {basis}, {intensity}) has empty support")
-    u = np.cos(0.5 * np.concatenate(a_parts)) ** 2
+    a0, a1 = kept[:, 0], kept[:, 1]
+    t, w_t = _gauss_legendre(n_a, 0.0, 1.0)
+    u = np.cos(0.5 * (a0 + 0.5 * (a1 - a0) * (1.0 - np.cos(math.pi * t)))) ** 2
     v_lo, v_hi = v_limits(u)
-    return (u, np.concatenate(wa_parts),
+    return (u, 0.5 * math.pi * (a1 - a0) * np.sin(math.pi * t) * w_t,
             2.0 * np.arccos(np.sqrt(v_hi)), 2.0 * np.arccos(np.sqrt(v_lo)))
 
 
 def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeometry,
                        mu_max: float, nodes=DEFAULT_NODES) -> RegionNodes:
-    """Quadrature nodes for one (bit, basis, intensity) box, `nodes` = (n_a, n_phi, n_b).
+    """Quadrature nodes for one (bit, basis, intensity) box, `nodes` = (n_a, n_phi, n_b),
+    n_b one order for every a panel or a tuple of one per panel.
 
     The density is uniform in a = phi1 - phi2, b = phi3 - phi4 and phi.
     With u = cos^2(a/2) = mu_e/mu_max and v = cos^2(b/2) = mu_l/mu_max the
@@ -362,30 +368,34 @@ def build_region_nodes(bit: int, basis: str, intensity: str, geometry: RegionGeo
     The signs of a and b are the branches `region_moments` folds, so only
     a, b >= 0 is integrated:
 
-    - a: panels between the points where a limit switches (u = t/(1+r), t,
+    - a: panels between the points where the active term of v_lo or of
+      v_hi, or the sign of v_hi - v_lo, switches (among u = t/(1+r), t,
       t - 1, 1/r), each with Gauss-Legendre of order n_a in t after
       a = a0 + (a1 - a0)(1 - cos pi t)/2, which smooths the square-root
       behaviour of arccos(sqrt(v)) at the panel edges;
-    - b: Gauss-Legendre of order n_b;
+    - b: Gauss-Legendre of the panel's order n_b;
     - phi: Gauss-Legendre of order n_phi on the X windows, the n_phi-point
       trapezoidal rule on the full circle of the Z boxes.
 
     The pipeline takes the orders from `box_orders`: n_a is its `nodes`,
-    n_b and the X boxes' n_phi follow from the box's windows.
+    the panels' n_b and the X boxes' n_phi follow from their windows
+    (19,560 nodes in the nine boxes a default source at 120 dB integrates).
 
     A node weighs w_a w_b w_phi / (2 pi^3), the density (2 pi)^-3 times
     the four branches, so the weights sum to the region probability.
     """
     n_a, n_p, n_b = nodes
-    if min(nodes) < MIN_NODES:
+    if min(n_a, n_p, *np.ravel(n_b)) < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
     u, w_a, b_lo, b_hi = _a_axis(bit, basis, intensity, geometry, n_a)
-    b, w_b = _gauss_legendre(n_b, b_lo, b_hi)
-    v = np.cos(0.5 * b) ** 2
-    u = np.broadcast_to(u[:, None], v.shape)
-    theta_col = (2.0 * np.arctan2(np.sqrt(v), np.sqrt(u))).ravel()
-    mu_col = (mu_max * (u + v)).ravel()
-    w_col = (w_a[:, None] * w_b).ravel() / (2.0 * math.pi ** 3)
+    cols = []  # (theta, mu, weight) of each a panel, a-major; one n_b per panel or for all
+    for n, u_p, w_p, lo, hi in zip(np.broadcast_to(n_b, len(u)), u[..., None], w_a[..., None],
+                                   b_lo, b_hi):
+        b, w_b = _gauss_legendre(int(n), lo, hi)
+        v = np.cos(0.5 * b) ** 2
+        cols.append(((2.0 * np.arctan2(np.sqrt(v), np.sqrt(u_p))).ravel(),
+                     (mu_max * (u_p + v)).ravel(), (w_p * w_b).ravel() / (2.0 * math.pi ** 3)))
+    theta_col, mu_col, w_col = map(np.concatenate, zip(*cols))
 
     if basis == "Z":
         phis = -math.pi + (np.arange(n_p) + 0.5) * (TWO_PI / n_p)
@@ -423,16 +433,17 @@ def _legendre_order(degree: int, x: float, half_width: float, cap: int) -> int:
 
 
 def box_orders(params: PassiveParams, bit: int, basis: str, intensity: str,
-               nodes: int) -> tuple[int, int, int]:
-    """Quadrature orders (n_a, n_phi, n_b) of one box for `build_region_nodes`.
+               nodes: int) -> tuple[int, int, tuple]:
+    """Quadrature orders (n_a, n_phi, n_b) of one box for `build_region_nodes`,
+    n_b a tuple of one order per a panel.
 
     n_a = `nodes`.  Since half_e = a/2 and half_l = b/2 exactly, at fixed a
     every block entry is a trigonometric polynomial of degree <= n_cut in b
     and in phi (each photon contributes e^{+-i b/2} and e^{i phi} to a
     component), times the weights exp(-(mu_max/2) cos b) and
     exp(-(omega/2) cos(phi + b/2 + a/2)), whose Fourier coefficients are
-    bounded by (z/2)^k / k! for z = mu_max/2, omega/2.  So n_b follows from
-    the box's largest b half-width with x = (mu_max + omega)/4, and the X
+    bounded by (z/2)^k / k! for z = mu_max/2, omega/2.  So each panel's n_b
+    follows from its largest b half-width with x = (mu_max + omega)/4, and the X
     boxes' n_phi from the half-width delta_phi_x with x = omega/4 (see
     `_legendre_order`); both are capped at `nodes`.  The Z boxes keep the
     trapezoidal circle of `periodic_phi_nodes`.
@@ -440,8 +451,8 @@ def box_orders(params: PassiveParams, bit: int, basis: str, intensity: str,
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {nodes}")
     _, _, b_lo, b_hi = _a_axis(bit, basis, intensity, params.geometry, nodes)
-    n_b = _legendre_order(params.n_cut, (params.mu_max + params.omega) / 4.0,
-                          0.5 * float(np.max(b_hi - b_lo)), nodes)
+    n_b = tuple(_legendre_order(params.n_cut, (params.mu_max + params.omega) / 4.0,
+                                0.5 * float(width), nodes) for width in np.max(b_hi - b_lo, 1))
     if basis == "Z":
         return nodes, periodic_phi_nodes(params), n_b
     return nodes, _legendre_order(params.n_cut, params.omega / 4.0,
@@ -537,7 +548,7 @@ def _work(name: str, shape: tuple) -> np.ndarray:
 
 
 def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODES,
-                   n_tail: int = 20, chunk: int = 4096,
+                   n_tail: int = 20, chunk: int = 1024,
                    node_sets: list[RegionNodes] | None = None) -> RegionMoments:
     """Quadrature of mass, photon-number traces and matrix blocks on a region.
 

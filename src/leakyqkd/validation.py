@@ -342,8 +342,9 @@ def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
     """Region masses and photon-number traces of the 12 boxes of the default
     passive source at 10 dB (strong leakage: 16 phi nodes on the Z boxes)
     on the pipeline's grid at `nodes` (`passive.box_orders`) against twice
-    the larger of `nodes` and the pipeline's order on every axis, to 1e-10:
-    the fine grid raises the derived b and phi orders as well as the a axis."""
+    the larger of `nodes` and the pipeline's order on every axis (on b, each
+    a panel's own order), to 1e-10: the fine grid raises the derived b and
+    phi orders as well as the a axis."""
     config = driver.ProtocolConfig(transmitter="passive")
     nodes = config.quadrature_nodes if nodes is None else nodes
     params = driver._passive_params(config, 10.0)
@@ -356,7 +357,7 @@ def check_quadrature_convergence(nodes: int | None = None) -> tuple[bool, str]:
                 coarse, fine = (passive.region_moments(region, params, node_sets=[
                     passive.build_region_nodes(bit, basis, intensity, params.geometry,
                                                params.mu_max, grid)])
-                    for grid in (orders, tuple(2 * max(nodes, n) for n in orders)))
+                    for grid in (orders, tuple(2 * np.maximum(nodes, n) for n in orders)))
                 worst = max(worst, abs(coarse.mass - fine.mass) / fine.mass,
                             float(np.max(np.abs(coarse.photon_probabilities()
                                                 - fine.photon_probabilities()))))

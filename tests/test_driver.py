@@ -298,6 +298,16 @@ def test_warm_passive_source_build_stays_off_the_page_fault_path():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1_000
 
 
+def test_warm_passive_source_keeps_a_small_working_set():
+    """`region_moments`' chunk buffers, sized to its 1,024-node chunks, total at
+    most 4 MB after a build of the default source (11.6 MB at 4,096 nodes,
+    whose Gram products also went to a second BLAS thread).  Other sources grow
+    them, so the check starts from none."""
+    passive._WORK.clear()
+    driver.passive_source(PASSIVE_CONFIG, 120.0)
+    assert sum(buffer.nbytes for buffer in passive._WORK.values()) <= 4 * 2 ** 20
+
+
 def test_passive_source_failure_fails_every_point_at_its_attenuation(monkeypatch):
     bad_omega = PASSIVE_CONFIG.mu_max * 10.0 ** (-60.0 / 10.0)
     raised = []
@@ -336,8 +346,9 @@ def test_sweep_builds_each_region_grid_once(monkeypatch):
     config = dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=12,
                                  distances_km=(50.0, 100.0), att_db=(120.0,))
     assert [r.status for r in driver.sweep(config)] == ["ok", "ok"]
-    # the source keeps its 12 boxes' nodes for the channel of every distance
-    assert len(built) == 12 and len(set(built)) == 12
+    # the source keeps its boxes' nodes for the channel of every distance; Z bit 1
+    # reads its observables from Z bit 0
+    assert len(built) == 9 and len(set(built)) == 9 and (1, "Z", "I0") not in built
 
 
 def test_degenerate_coin_is_recorded_not_warned():

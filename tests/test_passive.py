@@ -298,6 +298,26 @@ def test_z_bit_one_moments_are_the_swapped_bit_zero_moments(att_db):
             assert np.max(np.abs(swapped.blocks[n] - block)) <= 1e-10 * np.max(np.abs(block)), n
 
 
+@pytest.mark.parametrize("att_db", [10.0, 120.0])
+def test_z_bit_one_observables_are_the_bit_zero_ones(att_db):
+    """The mirror swaps the Z boxes and the correct and error detectors
+    together, so a source reads Z bit 1's gain and error gain from Z bit 0:
+    on each box's own grid at the default orders they agree within 1e-10 of
+    the gain, on a short and a long channel."""
+    params = driver._passive_params(driver.ProtocolConfig(transmitter="passive"), att_db)
+    for i in passive.INTENSITIES:
+        own, bit0 = (passive.build_region_nodes(bit, "Z", i, params.geometry, params.mu_max,
+                                                passive.box_orders(params, bit, "Z", i,
+                                                                   passive.DEFAULT_NODES[0]))
+                     for bit in (1, 0))
+        for distance_km in (0.0, 100.0):
+            chan = channel.ChannelParams(distance_km=distance_km)
+            got, want = (channel.passive_point_observables(nodes, bit, "Z", chan)
+                         for nodes, bit in ((own, 1), (bit0, 0)))
+            assert abs(got.gain - want.gain) <= 1e-10 * want.gain, (i, distance_km)
+            assert abs(got.error_gain - want.error_gain) <= 1e-10 * want.gain, (i, distance_km)
+
+
 def _exact_region_mass(bit, basis, intensity, geometry):
     """Region probability as one adaptive 1-D integral over a = phi1 - phi2.
 
@@ -396,6 +416,49 @@ def test_default_quadrature_matches_forty_nodes(att_db, mu_max, delta_theta_z):
                             <= 1e-10 * want.gain + 1e-14, (box, chan, field)
 
 
+def _window_form(bit, basis, intensity, geometry, a):
+    """The active term of v_lo = max(0, r_lo u, t_lo - u) and of
+    v_hi = min(1, r_hi u, t_hi - u) at a, and whether v_lo < v_hi."""
+    (r_lo, r_hi), (t_lo, t_hi) = (passive._ratio_window(bit, basis, geometry),
+                                  passive._mu_window(intensity, geometry))
+    u = math.cos(a / 2.0) ** 2
+    lo, hi = (0.0, r_lo * u, t_lo - u), (1.0, r_hi * u, t_hi - u)
+    return int(np.argmax(lo)), int(np.argmin(hi)), max(lo) < min(hi)
+
+
+@pytest.mark.parametrize("delta_theta_z", [driver.ProtocolConfig().delta_theta_z, 0.01, 0.5])
+def test_a_panels_end_only_where_a_limit_switches(delta_theta_z):
+    """Every interior edge of the a panels switches the active term of v_lo
+    or v_hi, or the support; no panel holds a switch.  The default geometry,
+    then those of the bracket corners of QUADRATURE_CASES (the a axis does
+    not depend on mu_max).  Each edge is recovered from its panel: the a
+    weights sum to a1 - a0, and the nodes sit at a0 + (a1 - a0)(1 - cos pi t)/2."""
+    geometry = passive.RegionGeometry(delta_theta_z=delta_theta_z)
+    n = passive.DEFAULT_NODES[0]
+    s = 0.5 * (1.0 - np.cos(math.pi * passive._gauss_legendre(n, 0.0, 1.0)[0]))
+    counts = {}
+    for basis in ("Z", "X"):
+        for intensity in ("I0", "I1", "I2"):
+            for bit in (0, 1):
+                box = (bit, basis, intensity)
+                u, w_a, _, _ = passive._a_axis(*box, geometry, n)
+                counts[box] = len(u)
+                a = 2.0 * np.arccos(np.sqrt(u))
+                widths = w_a.sum(axis=1)
+                starts, ends = a[:, 0] - widths * s[0], a[:, -1] + widths * (1.0 - s[-1])
+                for row in a:
+                    assert len({_window_form(*box, geometry, x) for x in row}) == 1, box
+                    assert _window_form(*box, geometry, row[0])[2], box
+                for end, start in zip(ends[:-1], starts[1:]):
+                    if start - end > 1e-9:  # a gap without support in between
+                        assert not _window_form(*box, geometry, 0.5 * (end + start))[2], box
+                    else:
+                        assert (_window_form(*box, geometry, end - 1e-7)
+                                != _window_form(*box, geometry, start + 1e-7)), (box, end)
+    assert counts[(0, "X", "I0")] == counts[(1, "X", "I0")] == 3
+    assert counts[(0, "X", "I1")] == counts[(1, "X", "I1")] == 3
+
+
 def test_box_orders_stay_within_bounds_and_shrink_with_the_window():
     n = passive.DEFAULT_NODES[0]
     for att_db in (120.0, 10.0):
@@ -411,18 +474,21 @@ def test_box_orders_stay_within_bounds_and_shrink_with_the_window():
                 for intensity in ("I0", "I1", "I2"):
                     for bit in (0, 1):
                         n_a, n_phi, n_b = passive.box_orders(params, bit, basis, intensity, n)
-                        assert n_a == n and passive.MIN_NODES <= n_b <= n
+                        u = passive._a_axis(bit, basis, intensity, geometry, n)[0]
+                        assert n_a == n and len(n_b) == len(u)
+                        assert all(passive.MIN_NODES <= n_panel <= n for n_panel in n_b)
                         if basis == "Z":
                             assert n_phi == passive.periodic_phi_nodes(params)
                         else:
                             assert passive.MIN_NODES <= n_phi <= n
-                        orders[(bit, basis, intensity)] = (n_phi, n_b)
+                        orders[(bit, basis, intensity)] = (n_phi, max(n_b))
             if previous is not None:
                 assert all(o[0] <= p[0] and o[1] <= p[1]
                            for o, p in zip(orders.values(), previous.values())), dtz
             previous = orders
     params = make_params()
-    assert passive.box_orders(params, 1, "Z", "I0", passive.MIN_NODES)[2] == passive.MIN_NODES
+    assert set(passive.box_orders(params, 1, "Z", "I0", passive.MIN_NODES)[2]) \
+        == {passive.MIN_NODES}
     with pytest.raises(ValueError):
         passive.box_orders(params, 1, "Z", "I0", passive.MIN_NODES - 1)
 
