@@ -4,12 +4,12 @@ Every program is one `LinearProgram` in array form (c, a, b, upper)
 over variables boxed to [0, 1], solved by a small dual simplex from a
 dual-feasible slack basis, or warm from a neighbouring program's optimal
 basis, whose verdicts rest on values re-solved from the original data
-(`solve`).  A basis is re-solved through its structural block alone
-(`_basis_solve`): its slack columns are unit columns, so only its k
-structural columns, on the k rows whose slack is nonbasic, are
-factored; a warm start's basic values and duals share that split
-(`_split`).  A start that passes its first check takes no pivot and
-reads only the program's data: the tableau is built only for pivots.
+(`solve`) along one route (`_resolved`), which also gives the reported
+point.  It factors a basis through its structural block alone (`_split`):
+its slack columns are unit columns, so only its k structural columns, on
+the k rows whose slack is nonbasic, are factored, once for both its basic
+values and its duals.  A start that passes its first check takes no pivot
+and reads only the program's data: the tableau is built only for pivots.
 It is dense, but a pivot (`_pivot`) updates only the rows with a
 nonzero in the pivot column and the columns with a nonzero in the
 pivot row, at the median 120-135 of 258 and 9-13 of 306 in
@@ -130,9 +130,10 @@ def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution
     variables (Maros, Computational Techniques of the Simplex Method, 2003;
     Koberstein, The dual simplex method, PhD thesis, Paderborn, 2005).  Every
     solve ends in one check (`_settle`): its final basis's basic values and
-    reduced costs, re-solved from the original data, not the tableau's, which
-    drift pivot by pivot, must all be >= -DUAL_TOL, so its point meets every
-    row and bound to DUAL_TOL and the solve's residual.  A program is
+    reduced costs, re-solved from the original data by `_resolved`, not taken
+    from the tableau, which drifts pivot by pivot, must all be >= -DUAL_TOL,
+    and the basic values checked are the ones reported, so its point meets
+    every row and bound to DUAL_TOL and the solve's residual.  A program is
     "infeasible" when a row of negative basic value has no negative entry (a
     Farkas row); a solve that spends PIVOT_BUDGET or ends on a singular basis
     is "unfinished".
@@ -178,78 +179,56 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
     original.reshape(-1)[_unit_cells(m_con, n)] = 1.0
     original[:m_con, :n] = sign[:, None] * program.a
     original[:m_con, -1] = sign * program.b
-    # the slack basis, the identity in `original`: its columns come to hold B^-1
-    initial = np.arange(n, n + m)
-    basis = initial.copy()
+    basis = np.arange(n, n + m)  # the slack basis, the identity in `original`
     cost = np.zeros(n + m + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
 
-    if start is not None:  # solve the start on this program's data: B x_B = rhs, B^T y = c_B
+    if start is not None:
         # a repeated column makes B singular
-        split = _split(original, start) if len(set(start.tolist())) == m else None
-        x_basic = None if split is None else _split_solve(split, original[:, -1])
-        y = None if x_basic is None else _split_solve(split, cost[start], True)
-        if y is None:  # singular
+        values = _resolved(original, start, cost) if len(set(start.tolist())) == m else None
+        if values is None:
             return LPSolution("unfinished", None, None, 0)
-        reduced = (cost - y @ original)[:-1]
-        x_low, reduced_low = x_basic.min(), reduced.min()
-        if x_low < -PIVOT_TOL and reduced_low < -PIVOT_TOL:
+        x_basic, reduced = values
+        if x_basic.min() < -PIVOT_TOL and reduced.min() < -PIVOT_TOL:
             return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
         basis[:] = start
         status, iterations = "optimal", 0
-        if min(x_low, reduced_low) < -DUAL_TOL:  # to be repaired
-            form = (_split_solve(split, original), basis, original, initial)
-            status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, (x_basic, reduced))
+        if min(x_basic.min(), reduced.min()) < -DUAL_TOL:  # to be repaired
+            form = (_basis_solve(original, basis, original), basis, original)
+            status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, values)
     else:  # the slack basis, dual feasible once each variable of negative cost is at 1
         tableau = original.copy()
-        form = (tableau, basis, original, initial)
         negative = np.flatnonzero(cost[:n] < 0.0)
         for j in negative:
             _pivot(tableau, basis, m_con + j, j)
-        status, iterations, x_basic = _settle(form, cost, PIVOT_BUDGET - negative.size)
+        status, iterations, x_basic = _settle((tableau, basis, original), cost,
+                                              PIVOT_BUDGET - negative.size)
         iterations += negative.size
     if status != "optimal":
         return LPSolution(status, None, None, iterations)
-    values = np.zeros(n + m)
-    values[basis] = x_basic
-    x = values[:n].copy()
+    point = np.zeros(n + m)
+    point[basis] = x_basic
+    x = point[:n].copy()
     value = float(sum(program.c[j] * x[j] for j in program.c.nonzero()[0]))
     return LPSolution("optimal", value, x, iterations, basis=basis.copy())
 
 
-def _resolved(form, cost) -> tuple[np.ndarray, np.ndarray] | None:
-    """(x_B, reduced costs) of the tableau's basis re-solved on the original
-    data, refined from the drifted B^-1 in the tableau's `initial` columns, or
-    by `_basis_solve` where that does not settle; None if the basis is
-    singular there.  A basic column's reduced cost is 0 by definition: the
-    residual of B^T y = c_B, which `cost - y @ original` leaves there, could
-    read below -DUAL_TOL and fail a basis no pivot can change."""
-    tableau, basis, original, initial = form
-    inverse, matrix, rhs = tableau[:, initial], original[:, basis], original[:, -1]
-    x = _refined(inverse, matrix, rhs)
-    if x is None:
-        x = _basis_solve(original, basis, rhs)
-    y = _refined(inverse.T, matrix.T, cost[basis])
+def _resolved(original: np.ndarray, basis: np.ndarray,
+              cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x_B, reduced costs) of `basis` re-solved on the original data, the only
+    values any verdict reads: x_B = B^-1 rhs and y = B^-T c_B from one split of
+    its structural block (`_split`), reduced costs c - y A; None if B is
+    singular.  A basic column's reduced cost is 0 by definition: the residual
+    of B^T y = c_B, which `cost - y @ original` leaves there, could read below
+    -DUAL_TOL and fail a basis no pivot can change."""
+    split = _split(original, basis)
+    x = _split_solve(split, original[:, -1])
+    y = None if x is None else _split_solve(split, cost[basis], True)
     if y is None:
-        y = _basis_solve(original, basis, cost[basis], True)
-    if x is None or y is None:
         return None
     reduced = (cost - y @ original)[:-1]
     reduced[basis] = 0.0
     return x, reduced
-
-
-def _refined(inverse: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """matrix^-1 rhs by iterative refinement from 0 with the approximate `inverse`
-    until a step is below DUAL_TOL; None if none of four is."""
-    z, residual = 0.0, rhs
-    for _ in range(4):
-        step = inverse @ residual
-        z = z + step
-        if np.abs(step).max() <= DUAL_TOL:
-            return z
-        residual = rhs - matrix @ z
-    return None
 
 
 def _basis_solve(original: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
@@ -298,34 +277,27 @@ def _split_solve(split: tuple, rhs: np.ndarray, transpose: bool = False) -> np.n
 
 def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]:
     """(status, pivots, x_B) of the check every solve ends in: the basic values
-    and reduced costs of the tableau's basis, re-solved on the original data,
-    must all be >= -DUAL_TOL, first as `_resolved` gives them, then with x_B
-    factored afresh, as it is reported (`values`, if given, are factored).  A
-    failing basis, a cold solve's dual-feasible start among them, is
-    re-optimised by `_reoptimize` within `budget` pivots, on the tableau with
-    only its basic values and cost row overwritten by the re-solved ones, and
-    checked again."""
-    tableau, basis, original, _ = form
-    pivots, factored = 0, values is not None
+    and reduced costs of the tableau's basis, re-solved on the original data by
+    `_resolved` (or `values`, if given), must all be >= -DUAL_TOL, and the x_B
+    checked is the one reported.  A failing basis, a cold solve's dual-feasible
+    start among them, is re-optimised by `_reoptimize` within `budget` pivots,
+    on the tableau with only its basic values and cost row overwritten by the
+    re-solved ones, and checked again."""
+    tableau, basis, original = form
+    pivots = 0
     while True:
-        values = values or _resolved(form, cost)
+        values = values or _resolved(original, basis, cost)
         if values is None:
             return "unfinished", pivots, None
         x_basic, reduced = values
         if min(x_basic.min(), reduced.min()) >= -DUAL_TOL:
-            if factored:
-                return "optimal", pivots, x_basic
-            x_basic = _basis_solve(original, basis, original[:, -1])
-            if x_basic is None:
-                return "unfinished", pivots, None
-            values, factored = (x_basic, reduced), True
-            continue
+            return "optimal", pivots, x_basic
         tableau[:, -1] = x_basic
         status, its = _reoptimize(tableau, basis, np.append(reduced, 0.0), budget - pivots)
         pivots += its
         if status != "optimal":
             return status, pivots, None
-        values, factored = None, False
+        values = None
 
 
 def _reoptimize(tableau, basis, cost_row, budget: int) -> tuple[str, int]:

@@ -56,6 +56,7 @@ ORDER_TOL = 1e-17
 # resolution, in steps per turn, at which node phases are matched to their mirror
 PHASE_STEPS = 2 ** 32
 _WORK: dict = {}  # `_work`'s buffers, one process-wide set: one `region_moments` at a time
+_WORK_SHAPES: list = [None]  # the (bases, chunk) of the call `_WORK` was last sized by
 
 
 class EmptyRegionError(ValueError):
@@ -540,7 +541,8 @@ def mirrored_moments(moments: RegionMoments) -> RegionMoments:
 
 def _work(name: str, shape: tuple) -> np.ndarray:
     """A complex array of `shape` on the buffer `_WORK[name]`, grown on demand and valid
-    until the next request: chunk temporaries that stay off the allocator across calls."""
+    until the next request: chunk temporaries that stay off the allocator across calls
+    of the same bases and chunk (`region_moments` drops them for others)."""
     size = math.prod(shape)
     if name not in _WORK or _WORK[name].size < size:
         _WORK[name] = np.empty(size, complex)
@@ -572,6 +574,9 @@ def region_moments(region: RegionSpec, params: PassiveParams, nodes=DEFAULT_NODE
 
     n_tail = max(n_tail, params.n_cut)
     bases = [params.block_basis(n) for n in range(params.n_cut + 1)]
+    if _WORK_SHAPES[0] != (bases, chunk):  # buffers of other shapes: size them afresh
+        _WORK.clear()
+        _WORK_SHAPES[0] = (bases, chunk)
     blocks = [np.zeros((b.dim, b.dim)) for b in bases]
     traces = np.zeros(n_tail + 1)
 

@@ -301,9 +301,12 @@ def test_warm_passive_source_build_stays_off_the_page_fault_path():
 def test_warm_passive_source_keeps_a_small_working_set():
     """`region_moments`' chunk buffers, sized to its 1,024-node chunks, total at
     most 4 MB after a build of the default source (11.6 MB at 4,096 nodes,
-    whose Gram products also went to a second BLAS thread).  Other sources grow
-    them, so the check starts from none."""
-    passive._WORK.clear()
+    whose Gram products also went to a second BLAS thread), also after a call
+    on larger bases: one X box at n_cut 6 without leakage cuts left 22.1 MB
+    when the buffers only grew."""
+    params = dataclasses.replace(driver._passive_params(PASSIVE_CONFIG, 120.0), n_cut=6,
+                                 leak_cuts={})
+    passive.region_moments(passive.RegionSpec(0, "X", "I0"), params, nodes=(8, 8, 8))
     driver.passive_source(PASSIVE_CONFIG, 120.0)
     assert sum(buffer.nbytes for buffer in passive._WORK.values()) <= 4 * 2 ** 20
 

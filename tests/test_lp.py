@@ -84,13 +84,7 @@ def first_attempt(monkeypatch, spec):
         patch.setattr(lp, "_solve_once", recorded)
         solution = lp.solve(spec)
     assert (solution.status, len(attempts)) == ("optimal", 1)
-    m_con, n = spec.a.shape
-    standard = np.block([[spec.a, np.diag(np.where(spec.upper, 1.0, -1.0)), np.zeros((m_con, n))],
-                         [np.eye(n), np.zeros((n, m_con)), np.eye(n)]])
-    matrix = standard[:, solution.basis]
-    cost = np.concatenate([spec.c if spec.sense == "min" else -spec.c, np.zeros(m_con + n)])
-    x_basic = np.linalg.solve(matrix, np.concatenate([spec.b, np.ones(n)]))
-    reduced = cost - np.linalg.solve(matrix.T, cost[solution.basis]) @ standard
+    x_basic, _, reduced = dense_resolve(spec, solution.basis)
     assert min(x_basic.min(), reduced.min()) >= -1e-12
     excess = np.where(spec.upper, 1.0, -1.0) * (spec.a @ solution.x - spec.b)
     assert max(excess.max(), -solution.x.min(), solution.x.max() - 1.0) <= 1e-12
@@ -109,6 +103,19 @@ def test_probe_error_programs_solve_on_the_first_attempt(monkeypatch):
         spec = est.error_specs[f"bit-{bit} error"]
         solution = first_attempt(monkeypatch, spec)
         assert abs(solution.value - _highs_optimum(spec)) <= 1e-8 * solution.value
+
+
+def dense_resolve(spec, basis):
+    """(x_B, y, reduced costs) of `basis` by dense solves of the standard form
+    [a, diag(+-1), 0; I, 0, I] of `spec`, in the minimisation form; a basic
+    column's reduced cost is the residual of B^T y = c_B."""
+    m_con, n = spec.a.shape
+    standard = np.block([[spec.a, np.diag(np.where(spec.upper, 1.0, -1.0)), np.zeros((m_con, n))],
+                         [np.eye(n), np.zeros((n, m_con)), np.eye(n)]])
+    matrix = standard[:, basis]
+    cost = np.concatenate([spec.c if spec.sense == "min" else -spec.c, np.zeros(m_con + n)])
+    y = np.linalg.solve(matrix.T, cost[basis])
+    return np.linalg.solve(matrix, np.concatenate([spec.b, np.ones(n)])), y, cost - y @ standard
 
 
 def _highs_optimum(spec):
@@ -148,6 +155,14 @@ def test_once_false_infeasible_z_yield_program_is_optimal(monkeypatch):
     first_attempt(monkeypatch, spec)
 
 
+def _crawl_program(data: dict):
+    a = np.zeros((len(data["b"]), len(data["variables"])))
+    a[data["a_rows"], data["a_cols"]] = data["a_values"]
+    return lp.LinearProgram(variables=tuple(data["variables"]), sense=data["sense"],
+                            c=np.array(data["c"]), a=a, b=np.array(data["b"]),
+                            upper=np.array(data["upper"]))
+
+
 def test_former_crawl_solves_in_under_a_thousand_pivots(monkeypatch):
     """An LP stress case: the former joint refined error program over both
     bits (`helpers.joint_refined_error_program`) of the 8-node passive search
@@ -156,11 +171,7 @@ def test_former_crawl_solves_in_under_a_thousand_pivots(monkeypatch):
     budget before a relaxed retry (maximum `value`); it now solves on its
     first attempt in fewer than 1,000 pivots, within 1e-8 of HiGHS."""
     data = json.loads((DATA / "refined_error_crawl.json").read_text())
-    a = np.zeros((len(data["b"]), len(data["variables"])))
-    a[data["a_rows"], data["a_cols"]] = data["a_values"]
-    spec = lp.LinearProgram(variables=tuple(data["variables"]), sense=data["sense"],
-                            c=np.array(data["c"]), a=a, b=np.array(data["b"]),
-                            upper=np.array(data["upper"]))
+    spec = _crawl_program(data)
     solution = first_attempt(monkeypatch, spec)
     assert solution.iterations < 1_000
     optimum = _highs_optimum(spec)
@@ -179,6 +190,15 @@ def test_golden_refined_z_yield_is_the_optimum(monkeypatch):
 
 
 STALLED = DATA / "oil_stall_150km_120db.json"
+
+
+def _hex_program(data: dict, sense: str):
+    """The program of `data`: `a`, `b` and `c` as hex floats, and `upper`, or
+    the builders' alternating row senses where it has none."""
+    a, b, c = (np.vectorize(float.fromhex)(data[name]) for name in ("a", "b", "c"))
+    return lp.LinearProgram(variables=tuple(data.get("variables", map(str, range(len(c))))),
+                            sense=sense, c=c, a=a, b=b,
+                            upper=np.array(data.get("upper", np.arange(len(b)) % 2 == 0)))
 
 
 def stalled_program() -> dict:
@@ -202,10 +222,7 @@ def test_no_pivot_leaves_the_basis_unchanged():
     "unfinished").  It solves on its first attempt within 1e-7 of HiGHS."""
     data = json.loads(STALLED.read_text())
     assert stalled_program() == data
-    spec = lp.LinearProgram(variables=tuple(data["variables"]), sense=data["sense"],
-                            upper=np.array(data["upper"]),
-                            **{name: np.vectorize(float.fromhex)(data[name])
-                               for name in ("a", "b", "c")})
+    spec = _hex_program(data, data["sense"])
     solution = lp.solve(spec)
     assert solution.status == "optimal" and solution.iterations <= 200
     certify(spec, solution)
@@ -221,14 +238,7 @@ def certify(spec, solution):
     its residual there, which reads -4e-12 on the program of
     `test_no_pivot_leaves_the_basis_unchanged`.  Returns the duals y of the
     rows, then of the box rows, in the minimisation form."""
-    m_con, n = spec.a.shape
-    standard = np.block([[spec.a, np.diag(np.where(spec.upper, 1.0, -1.0)), np.zeros((m_con, n))],
-                         [np.eye(n), np.zeros((n, m_con)), np.eye(n)]])
-    matrix = standard[:, solution.basis]
-    cost = np.concatenate([spec.c if spec.sense == "min" else -spec.c, np.zeros(m_con + n)])
-    x_basic = np.linalg.solve(matrix, np.concatenate([spec.b, np.ones(n)]))
-    y = np.linalg.solve(matrix.T, cost[solution.basis])
-    reduced = cost - y @ standard
+    x_basic, y, reduced = dense_resolve(spec, solution.basis)
     reduced[solution.basis] = 0.0
     assert min(x_basic.min(), reduced.min()) >= -1e-12
     excess = np.where(spec.upper, 1.0, -1.0) * (spec.a @ solution.x - spec.b)
@@ -385,6 +395,100 @@ def test_basis_solve_matches_the_dense_solve():
             free = np.setdiff1d(np.arange(m), basis[basis >= n] - n)
             original[free, basis[basis < n][0]] = 0.0
             assert lp._basis_solve(original, basis, original[:, -1]) is None
+
+
+def recorded_programs() -> dict:
+    """Every recorded program of tests/data, by name: the injection-locked probe
+    programs and the passive ones (yields minimised, bit errors maximised), the
+    stalled, crawl and 75 km Z-yield programs."""
+    programs = {}
+    for k, probe in enumerate(json.loads((DATA / "oil_probe_programs.json").read_text())):
+        programs.update({f"oil probe {k} {label}": _hex_program(data, "max" if "error" in label
+                                                                 else "min")
+                         for label, data in probe.items()})
+    passive = json.loads((DATA / "passive_programs.json").read_text())
+    programs.update({f"passive {label}": _hex_program(data, "max" if "error" in label else "min")
+                     for label, data in passive.items()})
+    stalled = json.loads(STALLED.read_text())
+    programs["oil stall 150 km/120 dB"] = _hex_program(stalled, stalled["sense"])
+    programs["refined error crawl"] = _crawl_program(
+        json.loads((DATA / "refined_error_crawl.json").read_text()))
+    programs["Z yield 75 km/120 dB"] = _z_yield_75km()
+    return programs
+
+
+SOLUTIONS = DATA / "recorded_solutions.json"
+
+
+def recorded_solutions() -> dict:
+    """Per program of `recorded_programs`, its cold solve (status, iterations,
+    value as a hex float, basis) and the solve warm from that basis (start,
+    iterations, value)."""
+    out = {}
+    for name, program in recorded_programs().items():
+        cold = lp.solve(program)
+        warm = lp.solve(program, cold.basis)
+        out[name] = {"cold": [cold.status, cold.iterations, cold.value.hex(), cold.basis.tolist()],
+                     "warm": [warm.start, warm.iterations, warm.value.hex()]}
+    return out
+
+
+def test_recorded_programs_solve_bitwise_as_recorded():
+    """Every solve of `recorded_solutions`, bit for bit, as commit 243fdd9
+    (whose solver refined its checks from the tableau's B^-1 and factored x_B a
+    second time) gave it, recorded with `git archive 243fdd9 | tar -x -C <dir>`
+    and, from the repository root, `PYTHONPATH=<dir>/src:tests python -c
+    "import json, test_lp as t; t.SOLUTIONS.write_text(json.dumps(t.recorded_solutions()))"`."""
+    assert recorded_solutions() == json.loads(SOLUTIONS.read_text())
+
+
+def test_every_verdict_reads_one_resolve(monkeypatch):
+    """Every check of a cold solve, of a warm start from its basis and of a
+    warm start that needs repair pivots (from another program's basis) goes
+    through `lp._resolved`.  On each of `recorded_programs` its x_B and the
+    nonbasic reduced costs match the dense B^-1 b and c - c_B B^-1 A within
+    1e-12 (x_B the exact rational one on the stalled program's ill-conditioned
+    basis), and every basic reduced cost is exactly 0; a start that passes is
+    checked once and reports the x_B it was checked on."""
+    checks = []
+    real = lp._resolved
+
+    def recorded(original, basis, cost):
+        values = real(original, basis, cost)
+        checks.append((basis.copy(), values))
+        return values
+
+    monkeypatch.setattr(lp, "_resolved", recorded)
+    programs = recorded_programs()
+    # starts that take repair pivots: the optimal basis of a program of the same shape
+    repairs = {"oil probe 0 bit-0 error": "oil probe 1 bit-0 error",
+               "oil probe 2 X yield": "oil probe 1 X yield",
+               "passive baseline bit-0 error": "oil probe 0 bit-0 error",
+               "Z yield 75 km/120 dB": "passive refined Z yield"}
+    for name, program in programs.items():
+        start = lp.solve(programs[repairs[name]]).basis if name in repairs else None
+        checks.clear()
+        cold = lp.solve(program)
+        assert np.array_equal(checks[-1][0], cold.basis)
+        first = len(checks)
+        warm = lp.solve(program, cold.basis)
+        assert (warm.start, warm.iterations, len(checks) - first) == ("warm", 0, 1)
+        structural = cold.basis < len(program.variables)
+        assert np.array_equal(warm.x[cold.basis[structural]], checks[-1][1][0][structural])
+        if start is not None:
+            repaired = lp.solve(program, start)
+            assert repaired.start == "warm" and repaired.iterations > 0
+            assert abs(repaired.value - cold.value) <= 1e-8 * abs(cold.value)
+        for basis, (x_basic, reduced) in checks:
+            dense_x, _, dense_reduced = dense_resolve(program, basis)
+            if name == "oil stall 150 km/120 dB":  # cond(B) 3.8e10: the dense x_B errs by 3e-7
+                exact = exact_basic_values(program, basis)
+                dense_x = np.array([float(exact[j]) for j in basis.tolist()])
+            nonbasic = np.ones(len(reduced), dtype=bool)
+            nonbasic[basis] = False
+            assert np.abs(x_basic - dense_x).max() <= 1e-12
+            assert np.abs(reduced - dense_reduced)[nonbasic].max() <= 1e-12
+            assert not reduced[basis].any()
 
 
 def test_sparse_pivot_matches_the_dense_update():
