@@ -31,12 +31,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import pickle
 import time
 from dataclasses import dataclass, field
+
+try:  # the stdlib's own SHA-256, as `random` takes its sha512: hashlib maps OpenSSL (3.6 MB RSS)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -203,7 +210,7 @@ def config_hash(config: ProtocolConfig) -> str:
 @functools.lru_cache(maxsize=256)
 def _pickled_hash(fields: bytes) -> str:
     text = json.dumps(pickle.loads(fields), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -384,8 +391,8 @@ def _decoy_inputs(groups: list, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon probabilities and INTENSITY_PAIRS fidelities [group, I or pair,
     n] of groups of three region moments in INTENSITIES order."""
     probs = np.array([[m.photon_probabilities()[:n_cut + 1] for m in group] for group in groups])
-    factors = [np.array([[density_factor(m.normalized_block(n)) for m in group]
-                         for group in groups]) for n in range(n_cut + 1)]
+    factors = [density_factor(np.array([[m.normalized_block(n) for m in group]
+                                        for group in groups])) for n in range(n_cut + 1)]
     kept = np.array([[[m.trace_fraction(n) for n in range(n_cut + 1)] for m in group]
                      for group in groups])
     return probs, _pair_fidelities(factors, kept)

@@ -18,18 +18,20 @@ TRACE_TOL = 1e-8
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity and return the exactly-Hermitian part.
+    """Validate Hermiticity and return the exactly-Hermitian part, of a matrix
+    or of each of a stack (..., d, d).
 
-    The tolerance is relative to the largest matrix entry (at least 1).
+    The tolerance is relative to each matrix's largest entry (at least 1).
     """
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    asym = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if asym > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    return (matrix + matrix.conj().T) / 2.0
+    adjoint = np.swapaxes(matrix, -1, -2).conj()
+    scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+    asym = np.abs(matrix - adjoint).max(axis=(-2, -1))
+    if np.any(asym > tol * scale):
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym.max():.3e}")
+    return (matrix + adjoint) / 2.0
 
 
 def factor_fidelities(pairs) -> list:
@@ -61,20 +63,22 @@ def factor_fidelities(pairs) -> list:
 
 def density_factor(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """PSD-root factor V D (rho = V D^2 V^H, D the roots of the ascending
-    eigenvalues) of a unit-trace PSD matrix, for `factor_fidelities`; `name`
-    labels the matrix in the errors.
+    eigenvalues) of a unit-trace PSD matrix, or of each of a stack (..., d, d)
+    in one `eigh` call, for `factor_fidelities`; `name` labels the matrix in
+    the errors.
 
     Eigenvalues in [PSD_EIGENVALUE_FLOOR, 0) are clamped to zero
     (quadrature noise); anything below the floor is an error.
     """
     h = require_hermitian(rho, tol=1e-8)
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr:.12f}, expected 1 within {TRACE_TOL}")
+    trace = np.trace(h, axis1=-2, axis2=-1).real
+    worst = float(trace.flat[np.abs(trace - 1.0).argmax()])
+    if abs(worst - 1.0) > TRACE_TOL:
+        raise ValueError(f"{name} has trace {worst:.12f}, expected 1 within {TRACE_TOL}")
     values, vectors = np.linalg.eigh(h)
-    if values[0] < PSD_EIGENVALUE_FLOOR * max(1.0, float(values[-1])):
-        raise ValueError(f"{name} is not PSD: eigenvalue {values[0]:.3e}")
-    return vectors * np.sqrt(np.clip(values, 0.0, None))
+    if np.any(values[..., 0] < PSD_EIGENVALUE_FLOOR * np.maximum(1.0, values[..., -1])):
+        raise ValueError(f"{name} is not PSD: eigenvalue {values[..., 0].min():.3e}")
+    return vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
 
 
 def bures_from_fidelity(fid: float) -> float:

@@ -8,14 +8,17 @@ basis, whose verdicts rest on values re-solved from the original data
 point.  It factors a basis through its structural block alone (`_split`):
 its slack columns are unit columns, so only its k structural columns, on
 the k rows whose slack is nonbasic, are factored, once for both its basic
-values and its duals.  A start that passes its first check takes no pivot
-and reads only the program's data: the tableau is built only for pivots.
-It is dense, but a pivot (`_pivot`) updates only the rows with a
-nonzero in the pivot column and the columns with a nonzero in the
-pivot row, at the median 120-135 of 258 and 9-13 of 306 in
-a refined error program (Hall & McKinnon, Comput. Optim. Appl. 32, 2005);
-every other entry would only lose an exact zero, so each value, pivot
-choice and basis is that of a full update.
+values and its duals, in one stacked solve.  A start that passes its first
+check takes no pivot and reads only the program's data: the tableau is
+built only for pivots.  A cold solve's dual pass runs on perturbed costs,
+which break the ties of dual degeneracy, and its check re-solves on the
+true ones (`solve`).  The tableau is dense and column-major, its cost row
+last, but a pivot (`_pivot`) updates only the columns with a nonzero in
+the pivot row, at the median 23-24 of 301 in the refined error programs
+of a passive sweep (Hall & McKinnon, Comput. Optim. Appl. 32, 2005), each
+one contiguous run; every other entry would only lose an exact zero, and
+a row whose factor is 0 keeps its values, so each value, pivot choice and
+basis is that of a full update.
 
 The builders write the baseline and the refined (key/opp eigenstate)
 yield and bit-error programs row by row into that form, from fidelity
@@ -41,6 +44,9 @@ import numpy as np
 from .coin import tangent_lines
 
 PIVOT_TOL = 1e-9
+# a cold solve's dual pass raises the reduced cost of each column j its start
+# basis leaves nonbasic by PERTURBATION (1 + (j mod 7) / 7), against dual degeneracy
+PERTURBATION = 1e-3
 # pivots one solve may take: ten times the longest of the test suite (250)
 PIVOT_BUDGET = 2_500
 # pivots that repair a warm start, and the tolerance of the check every solve ends in
@@ -93,32 +99,33 @@ class LPSolution:
     start: str = "cold"  # "warm": the solve that counted started from a given basis
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Pivot the C-ordered `tableau` on (row, col); return the columns of the
-    pivot row's nonzeros, the only ones that change (see the module docstring)."""
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot the column-major `tableau` on (row, col): only the columns of the
+    pivot row's nonzeros change (see the module docstring), each updated whole
+    as one contiguous run."""
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
-    cols = np.flatnonzero(pivot_row)
-    rows = np.flatnonzero(tableau[:, col])
-    rows = rows[rows != row]
-    cells = (rows * tableau.shape[1])[:, None] + cols  # flat: a third of a 2-D index's cost
-    tableau.reshape(-1)[cells] -= tableau[rows, col][:, None] * pivot_row[cols]
+    cols = pivot_row.nonzero()[0]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    columns = tableau.T[cols]
+    columns -= pivot_row[cols][:, None] * factors
+    tableau.T[cols] = columns
     basis[row] = col
-    return cols
 
 
 def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
-    column = tableau[:, col]
+    column = tableau[:-1, col]
     # pivots relative to the column's largest: tiny ones lead to singular bases
-    rows = np.where(column > PIVOT_TOL * max(1.0, column.max()))[0]
+    rows = (column > PIVOT_TOL * max(1.0, column.max())).nonzero()[0]
     if rows.size == 0:
         return -1
     ratios = tableau[rows, -1] / column[rows]
-    best = np.min(ratios)
+    best = ratios.min()
     # a tie band relative to the winning ratio: an absolute one merges distinct tiny ratios
     ties = rows[ratios <= best + 1e-7 * abs(best)]
     ties = ties[column[ties] >= 0.999 * column[ties].max()]  # the largest pivots, for stability
-    return int(ties[np.argmin(basis[ties])])
+    return int(ties[basis[ties].argmin()])
 
 
 def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution:
@@ -136,7 +143,11 @@ def solve(program: LinearProgram, start: np.ndarray | None = None) -> LPSolution
     every row and bound to DUAL_TOL and the solve's residual.  A program is
     "infeasible" when a row of negative basic value has no negative entry (a
     Farkas row); a solve that spends PIVOT_BUDGET or ends on a singular basis
-    is "unfinished".
+    is "unfinished".  A cold solve's dual pass runs on costs raised on the
+    columns its start leaves nonbasic (PERTURBATION), which breaks the ties
+    of dual degeneracy (a passive sweep's cold pivots fell from 478 to 348);
+    its check re-solves on the true costs and primal pivots clean up, so no
+    perturbed value reaches a verdict or the reported point.
 
     `start`, the `basis` of a solution of a program of the same shape, is
     tried first, and repaired within CLEANUP_PIVOTS if it fails that check;
@@ -173,12 +184,13 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
     m = m_con + n
     # columns: structural | one slack per row | rhs.  Rows: the constraints,
     # each a <= row (a >= row negated), then the upper box bounds; lower bounds
-    # are native
+    # are native.  A tableau adds the cost row below them
     sign = np.where(program.upper, 1.0, -1.0)
-    original = np.zeros((m, n + m + 1))  # the data every verdict is re-solved on
-    original.reshape(-1)[_unit_cells(m_con, n)] = 1.0
-    original[:m_con, :n] = sign[:, None] * program.a
-    original[:m_con, -1] = sign * program.b
+    form = np.zeros((m + 1, n + m + 1))
+    form.reshape(-1)[_unit_cells(m_con, n)] = 1.0
+    form[:m_con, :n] = sign[:, None] * program.a
+    form[:m_con, -1] = sign * program.b
+    original = form[:m]  # the data every verdict is re-solved on
     basis = np.arange(n, n + m)  # the slack basis, the identity in `original`
     cost = np.zeros(n + m + 1)
     cost[:n] = program.c if program.sense == "min" else -program.c
@@ -188,21 +200,25 @@ def _solve_once(program: LinearProgram, start: np.ndarray | None = None) -> LPSo
         values = _resolved(original, start, cost) if len(set(start.tolist())) == m else None
         if values is None:
             return LPSolution("unfinished", None, None, 0)
-        x_basic, reduced = values
-        if x_basic.min() < -PIVOT_TOL and reduced.min() < -PIVOT_TOL:
+        lowest = values[0].min(), values[1].min()
+        if max(lowest) < -PIVOT_TOL:
             return LPSolution("unfinished", None, None, 0)  # neither primal nor dual feasible
         basis[:] = start
-        status, iterations = "optimal", 0
-        if min(x_basic.min(), reduced.min()) < -DUAL_TOL:  # to be repaired
-            form = (_basis_solve(original, basis, original), basis, original)
-            status, iterations, x_basic = _settle(form, cost, CLEANUP_PIVOTS, values)
+        status, iterations, x_basic = "optimal", 0, values[0]
+        if min(lowest) < -DUAL_TOL:  # to be repaired
+            tableau = np.zeros_like(form, order="F")
+            tableau[:m] = _basis_solve(original, basis, original)
+            status, iterations, x_basic = _settle(tableau, basis, original, cost,
+                                                  CLEANUP_PIVOTS, values)
     else:  # the slack basis, dual feasible once each variable of negative cost is at 1
-        tableau = original.copy()
-        negative = np.flatnonzero(cost[:n] < 0.0)
+        tableau = form.copy(order="F")
+        negative = (cost[:n] < 0.0).nonzero()[0]
         for j in negative:
             _pivot(tableau, basis, m_con + j, j)
-        status, iterations, x_basic = _settle((tableau, basis, original), cost,
-                                              PIVOT_BUDGET - negative.size)
+        shift = PERTURBATION * (1.0 + np.arange(n + m) % 7 / 7.0)
+        shift[basis] = 0.0
+        status, iterations, x_basic = _settle(tableau, basis, original, cost,
+                                              PIVOT_BUDGET - negative.size, shift=shift)
         iterations += negative.size
     if status != "optimal":
         return LPSolution(status, None, None, iterations)
@@ -217,38 +233,50 @@ def _resolved(original: np.ndarray, basis: np.ndarray,
               cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(x_B, reduced costs) of `basis` re-solved on the original data, the only
     values any verdict reads: x_B = B^-1 rhs and y = B^-T c_B from one split of
-    its structural block (`_split`), reduced costs c - y A; None if B is
-    singular.  A basic column's reduced cost is 0 by definition: the residual
-    of B^T y = c_B, which `cost - y @ original` leaves there, could read below
-    -DUAL_TOL and fail a basis no pivot can change."""
-    split = _split(original, basis)
-    x = _split_solve(split, original[:, -1])
-    y = None if x is None else _split_solve(split, cost[basis], True)
-    if y is None:
+    its structural block (`_split`) and one stacked solve, x_B as in
+    `_basis_solve` and y_S = c_S, y_R = A[R, J]^-T (c_J - A[S, J]^T y_S),
+    reduced costs c - y A; None if B is singular.  A basic column's reduced
+    cost is 0 by definition: the residual of B^T y = c_B, which `cost - y @
+    original` leaves there, could read below -DUAL_TOL and fail a basis no
+    pivot can change."""
+    slack, structural, slack_rows, free, block, coupling = _split(original, basis)
+    c_basic, k = cost[basis], len(block)
+    system, rhs = np.empty((2, k, k)), np.empty((2, k, 1))
+    system[0], system[1] = block, block.T
+    rhs[0, :, 0] = original[free, -1]
+    rhs[1, :, 0] = c_basic[structural] - coupling.T @ c_basic[slack]
+    try:
+        x_j, y_r = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:
         return None
+    x, y = np.empty(len(basis)), np.empty(len(basis))
+    x[structural], x[slack] = x_j, original[slack_rows, -1] - coupling @ x_j
+    y[slack_rows], y[free] = c_basic[slack], y_r
     reduced = (cost - y @ original)[:-1]
     reduced[basis] = 0.0
     return x, reduced
 
 
-def _basis_solve(original: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
-                 transpose: bool = False) -> np.ndarray | None:
-    """B^-1 rhs, or B^-T rhs with `transpose`, for the basis B = original[:, basis]
-    of distinct columns, from a fresh factorisation of its structural block
-    alone (Suhl & Suhl, ORSA J. Comput. 2, 1990); None if B is singular.
-
-    Up to column order B = [A_J | I_S]: k structural columns J and the unit
-    slack columns of the rows S, so that k rows R are left.  B x = rhs is
-    x_J = A[R, J]^-1 rhs[R], x_S = rhs[S] - A[S, J] x_J (`rhs` a vector or a
-    matrix, by row), and B^T y = rhs (by basis position) is y_S = rhs_S,
-    y_R = A[R, J]^-T (rhs_J - A[S, J]^T y_S)."""
-    return _split_solve(_split(original, basis), rhs, transpose)
+def _basis_solve(original: np.ndarray, basis: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """B^-1 rhs for the basis B = original[:, basis] of distinct columns, from a
+    fresh factorisation of its structural block alone (Suhl & Suhl, ORSA J.
+    Comput. 2, 1990): x_J = A[R, J]^-1 rhs[R], x_S = rhs[S] - A[S, J] x_J
+    (`rhs` a vector or a matrix, by row; see `_split`); None if B is singular."""
+    slack, structural, slack_rows, free, block, coupling = _split(original, basis)
+    out = np.empty(rhs.shape)
+    try:
+        x = np.linalg.solve(block, rhs[free])
+    except np.linalg.LinAlgError:
+        return None
+    out[structural], out[slack] = x, rhs[slack_rows] - coupling @ x
+    return out
 
 
 def _split(original: np.ndarray, basis: np.ndarray) -> tuple:
-    """The split of `_basis_solve`, for solves that share a basis: the masks
-    of its slack and structural positions, S, the mask of R, A[R, J] and
-    A[S, J]."""
+    """The split of the basis B = original[:, basis]: up to column order
+    B = [A_J | I_S], k structural columns J and the unit slack columns of the
+    rows S, which leaves k rows R.  Returns the masks of its slack and
+    structural positions, S, the mask of R, A[R, J] and A[S, J]."""
     n = original.shape[1] - len(basis) - 1
     slack = basis >= n
     structural = ~slack
@@ -259,31 +287,15 @@ def _split(original: np.ndarray, basis: np.ndarray) -> tuple:
     return slack, structural, slack_rows, free, columns[free], columns[slack_rows]
 
 
-def _split_solve(split: tuple, rhs: np.ndarray, transpose: bool = False) -> np.ndarray | None:
-    """`_basis_solve` on the basis of `split` (`_split`)."""
-    slack, structural, slack_rows, free, block, coupling = split
-    out = np.empty(rhs.shape)
-    try:
-        if transpose:
-            out[slack_rows] = rhs[slack]
-            out[free] = np.linalg.solve(block.T, rhs[structural] - coupling.T @ rhs[slack])
-        else:
-            x = np.linalg.solve(block, rhs[free])
-            out[structural], out[slack] = x, rhs[slack_rows] - coupling @ x
-    except np.linalg.LinAlgError:
-        return None
-    return out
-
-
-def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]:
+def _settle(tableau, basis, original, cost, budget: int, values=None,
+            shift=0.0) -> tuple[str, int, np.ndarray]:
     """(status, pivots, x_B) of the check every solve ends in: the basic values
-    and reduced costs of the tableau's basis, re-solved on the original data by
-    `_resolved` (or `values`, if given), must all be >= -DUAL_TOL, and the x_B
-    checked is the one reported.  A failing basis, a cold solve's dual-feasible
-    start among them, is re-optimised by `_reoptimize` within `budget` pivots,
-    on the tableau with only its basic values and cost row overwritten by the
-    re-solved ones, and checked again."""
-    tableau, basis, original = form
+    and reduced costs of `basis`, re-solved on the original data by `_resolved`
+    (or `values`, if given), must all be >= -DUAL_TOL, and the x_B checked is
+    the one reported.  A failing basis, a cold solve's dual-feasible start
+    among them, is re-optimised by `_reoptimize` within `budget` pivots, on the
+    tableau with only its basic values and cost row overwritten by the
+    re-solved ones (the first time raised by `shift`), and checked again."""
     pivots = 0
     while True:
         values = values or _resolved(original, basis, cost)
@@ -292,45 +304,48 @@ def _settle(form, cost, budget: int, values=None) -> tuple[str, int, np.ndarray]
         x_basic, reduced = values
         if min(x_basic.min(), reduced.min()) >= -DUAL_TOL:
             return "optimal", pivots, x_basic
-        tableau[:, -1] = x_basic
-        status, its = _reoptimize(tableau, basis, np.append(reduced, 0.0), budget - pivots)
+        tableau[:-1, -1] = x_basic
+        tableau[-1, :-1] = reduced + shift
+        status, its = _reoptimize(tableau, basis, budget - pivots)
         pivots += its
         if status != "optimal":
             return status, pivots, None
-        values = None
+        values, shift = None, 0.0
 
 
-def _reoptimize(tableau, basis, cost_row, budget: int) -> tuple[str, int]:
+def _reoptimize(tableau, basis, budget: int) -> tuple[str, int]:
     """(status, pivots) of re-optimising in place, within `budget` pivots, a basis
-    whose basic values (the last column of `tableau`) or reduced costs (`cost_row`)
-    may fall below -DUAL_TOL: dual simplex pivots (Harris's two-pass ratio test)
-    while a basic value does, then primal pivots.  A row whose basic value is
-    below -DUAL_TOL and no entry below -PIVOT_TOL is a Farkas row: no point of
-    the boxed variables meets it, and the program is "infeasible"."""
+    whose basic values (the last column of `tableau`) or reduced costs (its last
+    row, which each pivot updates as any other) may fall below -DUAL_TOL: dual
+    simplex pivots (Harris's two-pass ratio test) while a basic value does, then
+    primal pivots.  A row whose basic value is below -DUAL_TOL and no entry below
+    -PIVOT_TOL is a Farkas row: no point of the boxed variables meets it, and the
+    program is "infeasible"."""
+    values, cost_row = tableau[:-1, -1], tableau[-1, :-1]
+    nonbasic = np.ones(cost_row.size, dtype=bool)
+    nonbasic[basis] = False
     for pivots in range(budget):
-        row = int(np.argmin(tableau[:, -1]))
-        if tableau[row, -1] < -DUAL_TOL:
+        row = int(values.argmin())
+        if values[row] < -DUAL_TOL:
             entries = tableau[row, :-1]
-            cols = np.flatnonzero(entries < -PIVOT_TOL)
+            cols = (entries < -PIVOT_TOL).nonzero()[0]
             if cols.size == 0:
                 return "infeasible", pivots
-            # the largest pivot among the columns whose ratio is within
-            # DUAL_TOL of the smallest
-            reduced, sizes = np.maximum(cost_row[cols], 0.0), -entries[cols]
-            near = cols[reduced / sizes <= np.min((reduced + DUAL_TOL) / sizes)]
-            col = int(near[np.argmax(-entries[near])])
+            # the largest pivot among the columns whose ratio is within DUAL_TOL of
+            # the smallest, in negated ratios: sizes = entries[cols] are negative
+            reduced, sizes = np.maximum(cost_row[cols], 0.0), entries[cols]
+            near = reduced / sizes >= ((reduced + DUAL_TOL) / sizes).max()
+            col = int(cols[np.where(near, sizes, 0.0).argmin()])
         else:  # never a basic column: its pivot would leave the basis as it is
-            nonbasic = np.ones(len(cost_row) - 1, dtype=bool)
-            nonbasic[basis] = False
-            cols = np.flatnonzero((cost_row[:-1] < -DUAL_TOL) & nonbasic)
+            cols = ((cost_row < -DUAL_TOL) & nonbasic).nonzero()[0]
             if cols.size == 0:
                 return "optimal", pivots
-            col = int(cols[np.argmin(cost_row[cols])])
+            col = int(cols[cost_row[cols].argmin()])
             row = _choose_leaving(tableau, basis, col)
             if row < 0:
                 return "unfinished", pivots
-        changed = _pivot(tableau, basis, row, col)
-        cost_row[changed] -= cost_row[col] * tableau[row, changed]
+        nonbasic[basis[row]], nonbasic[col] = True, False
+        _pivot(tableau, basis, row, col)
     return "unfinished", budget
 
 

@@ -383,17 +383,15 @@ def asdict_config_hash(config) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> np.ndarray:
+def dense_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """`lp._pivot` as a dense update: every row with a nonzero factor, over
-    every column; returns every column as changed, so that callers update
-    the whole cost row too."""
+    every column."""
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
     nz = np.flatnonzero(factors)
     tableau[nz] -= np.outer(factors[nz], tableau[row])
     basis[row] = col
-    return np.arange(tableau.shape[1])
 
 
 def joint_refined_error_program(outcome_gains: np.ndarray, probs: np.ndarray,

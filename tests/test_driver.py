@@ -66,6 +66,17 @@ def test_config_hash_is_that_of_the_asdict_route():
         assert driver.config_hash(config) == asdict_config_hash(config)
 
 
+def test_config_hash_leaves_openssl_unloaded():
+    """`config_hash` takes its SHA-256 from the standard library's own module:
+    hashlib's OpenSSL binding `_hashlib` costs a process about 3.6 MB of RSS."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import leakyqkd; "
+            "from leakyqkd import driver; driver.config_hash(driver.ProtocolConfig()); "
+            "print('_hashlib' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, str(Path(driver.__file__).parents[1])],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
 def test_oil_report_contents():
     report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
     assert report.rate > 0.0

@@ -56,6 +56,27 @@ def test_density_factor_rejects_negative_eigenvalue():
         density_factor(np.diag([1.0 + 1e-6, -1e-6]), "sigma")
 
 
+def test_density_factor_of_a_stack_is_that_of_each_matrix():
+    # a (2, 3, d, d) stack, one `eigh` call: bitwise the factor of each matrix
+    # alone; every check holds per matrix, so one bad matrix fails the stack
+    rng = np.random.default_rng(11)
+    stack = np.array([[random_density(rng, 4) for _ in range(3)] for _ in range(2)])
+    factors = density_factor(stack)
+    for index in np.ndindex(2, 3):
+        assert factors[index].tobytes() == density_factor(stack[index]).tobytes()
+    for bad, match in ((np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]), "not PSD"),
+                       (np.diag([0.5, 0.5, 1e-7, 0.0]), "trace")):
+        broken = stack.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match=match):
+            density_factor(broken)
+    broken = stack.copy()
+    broken[0, 0] *= 1e4  # Hermitian: its scale must not loosen the check of the others
+    broken[1, 2] += np.triu(np.full((4, 4), 1e-6), 1)
+    with pytest.raises(ValueError, match="asymmetry"):
+        density_factor(broken)
+
+
 def test_psd_sqrt_identity_and_diagonal():
     assert np.allclose(psd_sqrt(np.eye(2)), np.eye(2))
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
