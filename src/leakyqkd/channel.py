@@ -215,6 +215,18 @@ def reference_errors(states, bases, eta: float, p_dark: float, interfere: bool) 
                      .reshape(2, -1).sum(-1) for rho, basis in zip(states, bases)]).T
 
 
+def arrival_reference_errors(share: float, n_max: int, params: ChannelParams) -> np.ndarray:
+    """Expected bit-error probabilities [n], n = 0..n_max, of the n-photon
+    state of a test-basis coherent setting read by time of arrival, with a
+    share `share` of its photons in its own bin and none in the other (as in
+    `oil_point_observables`).  Multinomial placement leaves the correct
+    detector dark with probability A = q (1 - eta share)^n, q = 1 - p_dark;
+    the error one clicks by a dark count alone, so an error (its click alone,
+    or half the double clicks) has probability p_dark (1 + A) / 2."""
+    survive = (1.0 - transmittance(params) * share) ** np.arange(n_max + 1)
+    return 0.5 * params.p_dark * (1.0 + (1.0 - params.p_dark) * survive)
+
+
 def passive_true_statistics(node_sets, params, chan: ChannelParams, n_max: int,
                             bit: int = 0):
     """Exact channel-model yields and error probabilities per photon number.

@@ -15,12 +15,12 @@ programs, the coin overlap and the key-basis inputs to the rate.
 - `_oil_estimation` builds the injection-locked inputs from analytic
   states (no quadrature).  Decoys run in the test basis only; the key
   and test single-photon mixtures coincide, so the key-basis yield is
-  the test yield.  It is what an optimizer probe repeats, so it costs
-  what its arrays cost: one fidelity SVD for every sector, one pass over
-  the click operators of its bases, and its three programs written in one
-  pass into a pattern built once.
+  the test yield.  It is what an optimizer probe repeats, so it builds
+  no Fock sector: its fidelities and error references are closed forms
+  in the unit amplitudes of the six test-basis settings, and its two
+  programs are written in one pass into a pattern built once.
 
-`_pair_fidelities` forms the cross-intensity fidelities of both.
+`_pair_fidelities` forms the passive cross-intensity fidelities.
 `_estimate` solves the programs, transfers the test-basis error to a
 phase-error bound through the coin overlap, evaluates the asymptotic
 rate and builds the report.  `key_rate` is the one entry point; it
@@ -295,7 +295,8 @@ class _Estimation:
     `yield_specs` maps a basis to its yield program; the passive
     transmitter has both bases.  The injection-locked one has only "X",
     which bounds its key yield too.  The mean of the `error_specs` maxima
-    (label -> program) bounds the test-basis error gain.  Programs are
+    (label -> program), one per bit or, injection-locked, bit 0's for both,
+    bounds the test-basis error gain.  Programs are
     solved in dict order.  `sift`, `p_region`, `p1`, `q_weight`, `gain_key`
     and `error_key` feed the rate; `details` holds the transmitter's own
     report fields and `diagnostics` the degenerate-bound notes recorded
@@ -541,10 +542,10 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
                     att_db: float) -> _Estimation:
     """Programs and rate inputs of the injection-locked transmitter at one
     grid point: decoys in the test basis only, whose yield bound serves
-    the key basis too."""
+    the key basis too, and one bit-error program for both bits, from
+    closed-form fidelities and error references."""
     omega = 10.0 ** (-att_db / 10.0) * config.mu_in / 2.0
-    params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2,
-                                        omega, n_cut=config.n_cut)
+    params = oil.params_for_intensities(config.mu_in, config.mu_i1, config.mu_i2, omega)
     n_cut = config.n_cut
     chan = _channel(config, distance_km)
     references = channel_mod.reference_yields(n_cut, chan)
@@ -558,32 +559,16 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     error_gains = np.array([obs.error_gain for obs in observables])
     probs = np.array([oil.photon_probabilities(intensities[i], omega, n_cut)
                       for i in INTENSITIES])
-    # unit factors [group, I, dim, 2] per sector: the test-basis bit mixtures, then
-    # each bit's setting beside a zero column, which adds only a zero singular value.
-    # The sectors share one array, and both norms of a sector reduce its own
-    # |t|^2 as `np.linalg.norm` does
-    sectors = oil.emission_sectors(params)
-    dims = [len(sector) for sector in sectors]
-    spans = [slice(end - dim, end) for dim, end in zip(dims, np.cumsum(dims))]
-    t = np.concatenate(sectors)[:, 1:].transpose(1, 0, 2)
-    power = (t.conj() * t).real
-    mixture = np.sqrt([np.add.reduce(power[:, s], axis=(1, 2)) for s in spans])  # [n, I]
-    pure = np.sqrt([np.add.reduce(power[:, s], axis=1) for s in spans])  # [n, I, bit]
-    factor = np.empty((3, *t.shape), dtype=complex)
-    np.divide(t, np.repeat(mixture.T, dims, axis=1)[..., None], out=factor[0])
-    np.multiply(t / np.repeat(pure.transpose(1, 0, 2), dims, axis=1), np.eye(2)[:, None, None],
-                out=factor[1:])
-    factors = [factor[:, :, s] for s in spans]
-    fids = _pair_fidelities(factors)
-    # each bit's error references, read by time of arrival, from its unit I0 setting v [bit, dim]
-    error_refs = channel_mod.reference_errors(
-        [v[:, :, None] * v.conj()[:, None, :] for v in (f[[1, 2], 0, :, [0, 1]] for f in factors)],
-        [oil.oil_basis(n) for n in range(n_cut + 1)], channel_mod.transmittance(chan),
-        chan.p_dark, interfere=False)
-    # the yield program of the mixtures and each bit's error program, in one pass
-    yield_spec, *error_specs = lp.decoy_programs(
-        np.array([gains, error_gains, error_gains]), np.array([probs] * 3), fids,
-        np.array([references, *error_refs]), ("min", "max", "max"))
+    # fidelities [group, pair, n] of the bit mixtures and bit 0's settings, and bit 0's error
+    # references; bit 1 mirrors bit 0 and sees its observables: one error program serves both
+    unit = oil.unit_amplitudes(params)
+    first, second = lp.PAIR_ENDS.T
+    fids = oil.sector_fidelities(unit[:, first], unit[:, second], n_cut)
+    error_refs = channel_mod.arrival_reference_errors(abs(unit[0, 0, 0]) ** 2, n_cut, chan)
+    # the yield program of the mixtures and the error program, in one pass
+    yield_spec, error_spec = lp.decoy_programs(
+        np.array([gains, error_gains]), np.array([probs] * 2), fids,
+        np.array([references, error_refs]), ("min", "max"))
 
     key_setting = oil.setting_phases(0, "Z", "I0", params)
     key_obs = channel_mod.oil_point_observables(
@@ -593,7 +578,7 @@ def _oil_estimation(config: ProtocolConfig, distance_km: float,
     # phases the bit-entangled key and test states coincide too: the overlap is 1.
     return _Estimation(
         yield_specs={"X": yield_spec},
-        error_specs={f"bit-{a} error": spec for a, spec in zip(BITS, error_specs)},
+        error_specs={"bit-0 error": error_spec},
         overlap=1.0, p_region=1.0,
         p1=float(oil.photon_probabilities(intensities["I0"], omega, 1)[1]), q_weight=1.0,
         gain_key=key_obs.gain, error_key=key_obs.error_rate, sift=config.p_zazb, nodes=0,
@@ -737,9 +722,8 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
     test-basis intensities (mu_in, mu_i1), the weakest being pinned.
     The search runs on a coarse quadrature grid, each probe's programs warm
     from the final bases of the previous probe's; the winning parameters are
-    re-evaluated, cold, at the production grid for the returned report.  The
-    injection-locked transmitter has no grid, so its winning probe's report
-    is returned as it is.
+    re-evaluated, cold (passive: at the production grid), for the returned
+    report, so that no warm start's rounding reaches it.
     """
     settings = config.optimizer
     probes, bases = {}, {}  # parameters -> report; program label -> its latest final basis
@@ -774,8 +758,7 @@ def optimize_point(config: ProtocolConfig, distance_km: float, att_db: float):
                 lambda x: getattr(probe(dataclasses.replace(best, **{name: x})), "rate", 0.0),
                 lo, hi, settings.iterations)
             best = dataclasses.replace(best, **{name: value})
-    oil_winner = probe(best) if config.transmitter == "oil" else None
-    report = oil_winner or key_rate(best, distance_km, att_db)
+    report = key_rate(best, distance_km, att_db)
     if report.rate <= 0.0 and report.status == "ok":
         report.status = "no positive rate over the search grid"
     report.details["optimized"] = {name: getattr(best, name) for name in (

@@ -24,7 +24,8 @@ independent, so the leakage marginal reveals nothing about the bit.
 At the signal intensity the key and test single-photon mixtures coincide,
 and so, with suitable purification phases, do the bit-entangled key and
 test states: the rate takes the key yield as the test yield and the coin
-overlap as 1.  `emission_sectors` gives every setting on one (`SLOTS`, bit) grid.
+overlap as 1.  The rate reads only test-basis states, whose fidelities
+follow from their `unit_amplitudes` in closed form (`sector_fidelities`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NPhotonBasis, coherent_sectors, enumerate_basis
+from .fock import NPhotonBasis, enumerate_basis
 
 MODE_COUNT = 4
 LEAK_MODES = frozenset({2, 3})
@@ -73,7 +74,6 @@ class OilParams:
     mu_in: float
     omega: float
     kappas: dict = field(default_factory=_default_kappas)
-    n_cut: int = 4
 
     def __post_init__(self):
         if self.mu_in <= 0.0:
@@ -87,20 +87,18 @@ class OilParams:
                 raise ValueError(f"kappa={kappa} for {label} outside [0, 1]")
         if self.kappas.get("I0", 0.0) != 0.0:
             raise ValueError("I0 must map to kappa = 0 (signal intensity)")
-        if self.n_cut < 1:
-            raise ValueError("n_cut must be >= 1")
 
     def intensity(self, label: str) -> float:
         return intensity_of_kappa(self.kappas[label], self.mu_in)
 
 
-def params_for_intensities(mu_in: float, mu_i1: float, mu_i2: float, omega: float,
-                           n_cut: int = 4) -> OilParams:
+def params_for_intensities(mu_in: float, mu_i1: float, mu_i2: float,
+                           omega: float) -> OilParams:
     """Build OilParams from the three test-basis intensities (I0 = mu_in)."""
     kappas = {"I0": 0.0,
               "I1": kappa_for_intensity(mu_i1, mu_in),
               "I2": kappa_for_intensity(mu_i2, mu_in)}
-    return OilParams(mu_in=mu_in, omega=omega, kappas=kappas, n_cut=n_cut)
+    return OilParams(mu_in=mu_in, omega=omega, kappas=kappas)
 
 
 @dataclass(frozen=True)
@@ -145,31 +143,36 @@ def amplitudes(settings: list, params: OilParams) -> np.ndarray:
     root_w = math.sqrt(params.omega)
     out = np.empty((MODE_COUNT, len(settings)), dtype=complex)
     out[0] = root_e * np.exp(0.5j * phi12)
-    out[1] = root_l * np.exp(1j * (phi12 + 0.5 * phi23))
+    # about phi12 = pi, so that a test-basis bit 1 is bit 0 mirrored bit for bit
+    out[1] = -root_l * np.exp(1j * (phi12 - math.pi + 0.5 * phi23))
     out[2] = root_w
     out[3] = root_w * np.exp(1j * (phi12 + phi23))
     return out
 
 
-# axis 1 of `emission_sectors`: the key basis at I0, the test basis at every intensity
-SLOTS = (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2"))
+def unit_amplitudes(params: OilParams) -> np.ndarray:
+    """Unit-norm amplitudes [mode, I, bit] of the test-basis settings, each normalised
+    before any product is formed (a vacuum decoy has norm^2 2 omega, 5e-61 at
+    600 dB).  Bit 1's are bit 0's with e and l swapped and the signal negated."""
+    alphas = amplitudes([setting_phases(bit, "X", i, params)
+                         for i in INTENSITIES for bit in (0, 1)], params)
+    return (alphas / np.linalg.norm(alphas, axis=0)).reshape(MODE_COUNT, len(INTENSITIES), 2)
 
 
-def emission_sectors(params: OilParams) -> list[np.ndarray]:
-    """Sub-normalised n-photon components of every setting, n = 0..n_cut.
-
-    One (dim_n, 4, 2) array per n from a single `coherent_sectors` call,
-    entry [:, k, bit] for the setting (bit, *SLOTS[k]), with the
-    coherent-state normalisation folded into the vacuum: an entry's outer
-    product with itself is that setting's sub-normalised n-photon block, of
-    trace e^-(mu + 2 omega) (mu + 2 omega)^n / n!, and the slice [:, k] is a
-    factor of slot k's equal-bit mixture, up to its norm.
-    """
-    alphas = amplitudes([setting_phases(bit, basis, i, params)
-                         for basis, i in SLOTS for bit in (0, 1)], params)
-    vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
-    return [sector.reshape(-1, len(SLOTS), 2) for sector in coherent_sectors(
-        alphas, [oil_basis(n) for n in range(params.n_cut + 1)], vacuum)]
+def sector_fidelities(first: np.ndarray, second: np.ndarray, n_cut: int) -> np.ndarray:
+    """Fidelities [group, pair, n], n = 0..n_cut, of the n-photon states of the
+    settings with unit amplitudes first[:, pair, bit] and second[:, pair, bit]:
+    group 0 the equal-bit mixtures, group 1 bit 0's settings.  These states,
+    (a . a^dagger)^n |0> / sqrt(n!), overlap as (a^H b)^n (Glauber, Phys. Rev.
+    131, 2766 (1963)): a setting has F = |a^H b|^2n, a mixture F = |M|_F^2 +
+    2 |det M| with M = G^n / 2 elementwise, G the 2 x 2 bit block of a^H b
+    (Jozsa, J. Mod. Opt. 41, 2315 (1994)); n = 0 gives exactly 1."""
+    gram = np.einsum("kpa,kpb->pab", first.conj(), second)
+    powers = gram ** np.arange(n_cut + 1)[:, None, None, None]  # [n, pair, bit, bit]
+    m = 0.5 * powers
+    mixture = (np.sum(np.abs(m) ** 2, axis=(-2, -1))
+               + 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]))
+    return np.minimum(1.0, np.stack([mixture.T, np.abs(powers[..., 0, 0].T) ** 2]))
 
 
 def photon_probabilities(mu: float, omega: float, n_max: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import coin, driver, lp, oil, passive
 from .fock import basis_index, enumerate_basis
-from .linalg import density_factor
+from .linalg import density_factor, factor_fidelities
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +296,30 @@ def check_bit_symmetry(nodes: int = 8) -> tuple[bool, str]:
 
 
 def check_oil_expansion() -> tuple[bool, str]:
-    """The outer product of each setting's `oil.emission_sectors` entry
-    against the direct expansion."""
+    """`oil.sector_fidelities` and `channel.arrival_reference_errors` of the
+    injection-locked test-basis settings against `factor_fidelities` and
+    `reference_errors` (of both bits) on their Fock expansion
+    (`oil_block_oracle`), n = 0..2."""
     params = oil.params_for_intensities(0.5, 0.2, 1e-4, omega=0.02)
-    sectors = oil.emission_sectors(params)
-    worst = 0.0
-    for bit in (0, 1):
-        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
-            setting = oil.setting_phases(bit, basis_label, intensity, params)
-            for n in (1, 2):
-                vec = sectors[n][:, k, bit]
-                reference = oil_block_oracle(setting, params, n)
-                worst = max(worst, float(np.max(np.abs(np.outer(vec, vec.conj()) - reference))))
-    return worst < 1e-10, f"max block deviation {worst:.2e}"
+    chan = channel_mod.ChannelParams(distance_km=25.0)
+    unit, (first, second) = oil.unit_amplitudes(params), lp.PAIR_ENDS.T
+    fids = oil.sector_fidelities(unit[:, first], unit[:, second], 2)
+    refs = channel_mod.arrival_reference_errors(abs(unit[0, 0, 0]) ** 2, 2, chan)
+    worst_f = worst_r = 0.0
+    for n in range(3):
+        blocks = np.array([[oil_block_oracle(oil.setting_phases(bit, "X", i, params), params, n)
+                            for bit in (0, 1)] for i in oil.INTENSITIES])  # [I, bit, dim, dim]
+        blocks /= np.trace(blocks, axis1=-2, axis2=-1).real[..., None, None]
+        # the supports: a bit mixture's top two eigenvectors, a setting's top one
+        factors = (density_factor(blocks.mean(axis=1))[..., -2:],
+                   density_factor(blocks[:, 0])[..., -1:])
+        expanded = factor_fidelities([(f[first], f[second]) for f in factors])
+        worst_f = max(worst_f, float(np.max(np.abs(np.array(expanded) - fids[..., n]))))
+        errors = channel_mod.reference_errors([blocks[0]], [oil.oil_basis(n)],
+                                              channel_mod.transmittance(chan), chan.p_dark, False)
+        worst_r = max(worst_r, float(np.max(np.abs(errors / refs[n] - 1.0))))
+    return (worst_f <= 4e-15 and worst_r <= 1e-10,
+            f"references within {worst_r:.2e} relative, fidelities within {worst_f:.2e}")
 
 
 def check_region_monte_carlo(seed: int = 5, samples: int = 400_000,

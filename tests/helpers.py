@@ -5,8 +5,10 @@ state from `region_moments`, the four-branch block at one target point
 that the two-branch quadrature must sum to, a leakage intensity from the
 branch amplitudes, the leakage photon counts of a basis, a click
 probability from the channel statistics, an injection-locked state from
-its own amplitudes instead of `oil.emission_sectors`, or from sampled
-seed phases, a PSD square root from one eigensolve, a coin tangent in
+its own amplitudes instead of from the sectors of every setting, or from
+sampled seed phases, every setting's Fock sectors and the injection-locked
+fidelities and error references on them instead of in closed form, a PSD
+square root from one eigensolve, a coin tangent in
 scalar arithmetic instead of on arrays, a reference bit error by partial
 trace over the leakage modes instead of from one click operator, the
 region of one target point, the textbook decoy bound that the yield
@@ -31,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from leakyqkd import coin, lp, oil, passive
-from leakyqkd.channel import beamsplitter_block, error_projector_diagonal, transmittance
+from leakyqkd.channel import (beamsplitter_block, error_projector_diagonal, reference_errors,
+                              transmittance)
 from leakyqkd.coin import _check_unit_interval, _curve, _scalar, bures_chain_bound
 from leakyqkd.fock import coherent_sectors, leak_count
 from leakyqkd.linalg import (PSD_EIGENVALUE_FLOOR, bures_from_fidelity, density_factor,
@@ -258,13 +261,56 @@ def _setting_components(alphas, n):
 def state_block(setting, params, n):
     """Sub-normalised n-photon block of one injection-locked setting's
     emitted state, from its amplitudes alone instead of from the
-    `oil.emission_sectors` of every setting.
+    `emission_sectors` of every setting.
 
     Trace is Poisson: e^-(mu + 2 omega) (mu + 2 omega)^n / n!.
     """
     alphas = oil.amplitudes([setting], params)[:, 0]
     v = _setting_components(alphas, n)
     return math.exp(-float(np.sum(np.abs(alphas) ** 2))) * np.outer(v, v.conj())
+
+
+# axis 1 of `emission_sectors`: the key basis at I0, the test basis at every intensity
+SLOTS = (("Z", "I0"), ("X", "I0"), ("X", "I1"), ("X", "I2"))
+
+
+def emission_sectors(params, n_cut: int = 4) -> list[np.ndarray]:
+    """Sub-normalised n-photon components of every injection-locked setting,
+    n = 0..n_cut.
+
+    One (dim_n, 4, 2) array per n from a single `coherent_sectors` call,
+    entry [:, k, bit] for the setting (bit, *SLOTS[k]), with the
+    coherent-state normalisation folded into the vacuum: an entry's outer
+    product with itself is that setting's sub-normalised n-photon block, of
+    trace e^-(mu + 2 omega) (mu + 2 omega)^n / n!, and the slice [:, k] is a
+    factor of slot k's equal-bit mixture, up to its norm.
+    """
+    alphas = oil.amplitudes([oil.setting_phases(bit, basis, i, params)
+                             for basis, i in SLOTS for bit in (0, 1)], params)
+    vacuum = np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=0))
+    return [sector.reshape(-1, len(SLOTS), 2) for sector in coherent_sectors(
+        alphas, [oil.oil_basis(n) for n in range(n_cut + 1)], vacuum)]
+
+
+def fock_route_inputs(params, n_cut: int, eta: float, p_dark: float):
+    """The injection-locked decoy inputs on the Fock sectors of
+    `emission_sectors`: the INTENSITY_PAIRS fidelities [group, pair, n] of
+    the test-basis bit mixtures (group 0) and of each bit's settings
+    (groups 1 and 2) from `factor_fidelities`, and each bit's error
+    references [bit, n] from the click operators of `reference_errors`,
+    read by time of arrival."""
+    first, second = lp.PAIR_ENDS.T
+    fids, refs = [], []
+    for n, sector in enumerate(emission_sectors(params, n_cut)):
+        t = np.moveaxis(sector[:, 1:], 0, 1)  # [I, dim, bit]
+        pure = t / np.linalg.norm(t, axis=1, keepdims=True)
+        factors = np.stack([t / np.linalg.norm(t, axis=(1, 2), keepdims=True),
+                            pure * [1.0, 0.0], pure * [0.0, 1.0]])
+        fids.append(factor_fidelities([(factors[:, first], factors[:, second])])[0])
+        v = pure[0].T  # [bit, dim] of I0
+        refs.append(reference_errors([v[:, :, None] * v.conj()[:, None, :]], [oil.oil_basis(n)],
+                                     eta, p_dark, interfere=False)[:, 0])
+    return np.stack(fids, axis=-1), np.array(refs).T
 
 
 def mixed_state(basis_label, intensity, params, n):

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (fidelity, leak_counts, mixed_state, oil_monte_carlo_estimate,
-                     projected_fidelity_bound, textbook_decoy_bound, transfer_curve)
+from helpers import (SLOTS, emission_sectors, fidelity, leak_counts, mixed_state,
+                     oil_monte_carlo_estimate, projected_fidelity_bound, textbook_decoy_bound,
+                     transfer_curve)
 from leakyqkd import channel, coin, driver, lp, oil, passive, validation
 
 INTENSITIES = ("I0", "I1", "I2")
@@ -80,11 +81,11 @@ def test_criterion_1_state_construction_matches_monte_carlo():
     # injection-locked transmitter: sampling the seed phase reproduces the
     # analytic blocks exactly within each photon sector
     params = oil.params_for_intensities(0.5, 0.1, 1e-4, omega=0.005)
-    sectors = oil.emission_sectors(params)
+    sectors = emission_sectors(params)
     oil_worst = 0.0
     oil_seed = 1
     for bit in (0, 1):
-        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
+        for k, (basis_label, intensity) in enumerate(SLOTS):
             setting = oil.setting_phases(bit, basis_label, intensity, params)
             for n in range(3):
                 mean, se = oil_monte_carlo_estimate(setting, params, n, 10_000, oil_seed)

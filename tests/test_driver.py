@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import asdict_config_hash, fidelity, pure_state_fidelity
-from leakyqkd import cli, coin, driver, lp, passive
+from helpers import asdict_config_hash, fidelity, fock_route_inputs, pure_state_fidelity
+from leakyqkd import channel, cli, coin, driver, fock, lp, oil, passive
 from leakyqkd.driver import ProtocolConfig, binary_entropy, config_from_dict
 from leakyqkd.linalg import density_factor, factor_fidelities
 from leakyqkd.lp import INTENSITY_PAIRS, InfeasibleProgramError
@@ -90,18 +90,15 @@ def test_oil_report_contents():
     assert report.provenance["config_hash"] == driver.config_hash(OIL_CONFIG)
 
 
-def test_oil_estimation_takes_one_fidelity_svd_per_probe(monkeypatch):
-    """The bit mixtures and pure settings of every sector share one batched
-    SVD: the products of each photon number are 2 x 2."""
-    shapes, svd = [], np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    driver._oil_estimation(OIL_CONFIG, 50.0, 120.0)
-    assert shapes == [(OIL_CONFIG.n_cut + 1, 3, 3, 2, 2)]
+def test_oil_estimation_builds_no_fock_sector(monkeypatch):
+    """The injection-locked inputs are closed forms in the unit amplitudes of
+    the test-basis settings: no fidelity SVD and no Fock sector."""
+    calls = []
+    for owner, name in ((np.linalg, "svd"), (fock, "coherent_sectors")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=getattr(owner, name),
+                            **kwargs: calls.append(name) or real(*args, **kwargs))
+    est = driver._oil_estimation(OIL_CONFIG, 50.0, 120.0)
+    assert calls == [] and list(est.error_specs) == ["bit-0 error"]
 
 
 def test_oil_rate_monotone_in_attenuation():
@@ -412,7 +409,7 @@ def test_lp_provenance_has_one_record_per_program():
     oil_report = driver.key_rate(OIL_CONFIG, 50.0, 120.0)
     passive_labels = ["Z yield", "X yield", "bit-0 error", "bit-1 error"]
     for report, labels in ((refined, passive_labels), (baseline, passive_labels),
-                           (oil_report, ["X yield", "bit-0 error", "bit-1 error"])):
+                           (oil_report, ["X yield", "bit-0 error"])):
         records = report.provenance["lp"]
         assert [r["label"] for r in records] == labels
         for record in records:
@@ -442,20 +439,13 @@ def test_oil_optimizer_probes_start_warm(monkeypatch):
     assert 10 * sum(s.iterations for _, s in warm) < sum(c.iterations for c in cold)
 
 
-def test_oil_optimizer_returns_its_winning_probe(monkeypatch):
-    """At 100 km/30 dB the winner repeats an earlier probe (a memo hit)."""
-    real_key_rate = driver.key_rate
-    probes = []
-
-    def recorded(*args, **kwargs):
-        report = real_key_rate(*args, **kwargs)
-        if kwargs.get("starts") is not None:
-            probes.append(report)
-        return report
-
-    monkeypatch.setattr(driver, "key_rate", recorded)
-    _, report = driver.optimize_point(OIL_CONFIG, 100.0, 30.0)
-    assert any(report is probe for probe in probes)
+def test_oil_optimizer_reports_a_cold_key_rate():
+    """The winning parameters are evaluated again, cold: the returned rate is
+    that of a fresh `key_rate` at them.  At 200 km/120 dB the winning probe,
+    solved warm, read 9.5e-9 above it, on the unsafe side."""
+    best, report = driver.optimize_point(OIL_CONFIG, 200.0, 120.0)
+    assert report.rate > 0.0 and report.rate == driver.key_rate(best, 200.0, 120.0).rate
+    assert {r["start"] for r in report.provenance["lp"]} == {"cold"}
 
 
 def test_sweep_and_passive_production_reports_solve_cold():
@@ -465,7 +455,7 @@ def test_sweep_and_passive_production_reports_solve_cold():
     _, passive_best = driver.optimize_point(
         dataclasses.replace(PASSIVE_CONFIG, quadrature_nodes=8, optimizer=settings), 50.0, 120.0)
     records = [r for report in [*reports, passive_best] for r in report.provenance["lp"]]
-    assert len(records) == 4 * 3 + 4
+    assert len(records) == 4 * 2 + 4
     assert {r["start"] for r in records} == {"cold"}
 
 
@@ -655,7 +645,7 @@ def test_program_fidelities_lie_in_the_unit_interval(monkeypatch):
 
 @pytest.mark.parametrize("distance_km, att_db", [(25.0, 120.0), (100.0, 30.0)])
 def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance_km, att_db):
-    """`_oil_estimation` builds its X yield and two bit-error programs in one
+    """`_oil_estimation` builds its X yield and bit-error programs in one
     `lp.decoy_programs` pass, with one tangent pass for both sides; each
     program is bitwise the one `lp.decoy_programs` builds alone from the
     same inputs.  (A first build lays out the pattern from placeholder rows,
@@ -669,7 +659,7 @@ def test_stacked_oil_programs_are_the_one_at_a_time_builds(monkeypatch, distance
     monkeypatch.undo()
     assert len(passes) == 1
     [(gains, probs, fids, references, senses)] = calls
-    assert senses == ("min", "max", "max")
+    assert senses == ("min", "max")
     alone = [lp.decoy_programs(gains[p], probs[p], fids[p], references[p], (sense,))[0]
              for p, sense in enumerate(senses)]
     for stacked, single in zip([est.yield_specs["X"], *est.error_specs.values()], alone,
@@ -702,13 +692,120 @@ def oil_probe_programs() -> list:
 
 
 def test_oil_probe_programs_are_bitwise_the_recorded_ones():
-    """Every coefficient, right-hand side and objective entry of the three
+    """Every coefficient, right-hand side and objective entry of the two
     injection-locked programs, bit for bit (the sign of a zero included),
-    as the per-program builds of commit a16747e wrote them, with
-    `git archive a16747e | tar -x -C <dir>` and, from the repository root,
-    `PYTHONPATH=<dir>/src:tests python -c "import json, test_driver as t;
+    as the closed-form inputs wrote them, from the repository root with
+    `PYTHONPATH=src:tests python -c "import json, test_driver as t;
     t.OIL_PROBES.write_text(json.dumps(t.oil_probe_programs()))"`."""
     assert oil_probe_programs() == json.loads(OIL_PROBES.read_text())
+
+
+def oil_program_inputs(monkeypatch, config, distance_km, att_db) -> tuple:
+    """The gains, photon probabilities, fidelities, references and senses that
+    `_oil_estimation` hands `lp.decoy_programs`, each with its program axis."""
+    calls, build = [], lp.decoy_programs
+    monkeypatch.setattr(lp, "decoy_programs", lambda *args: calls.append(args) or build(*args))
+    driver._oil_estimation(config, distance_km, att_db)
+    monkeypatch.undo()
+    return calls[-1]
+
+
+def test_one_error_program_serves_both_mirrored_bits(monkeypatch):
+    """Bit 1's test-basis amplitudes, raw and unit, are exactly bit 0's with e
+    and l swapped and the signal negated, at every intensity: the two bits
+    share their overlaps, their references and their observables, and bit 0's
+    error program bounds both.  At 25 km/120 dB its maximum (8.8564070e-7,
+    HiGHS at 1e-10 tolerances agrees within 3e-13) lies within 2e-7 relative
+    of each bit's program built on the Fock route (`fock_route_inputs`):
+    8.8564081e-7 for both bits, where bit 1's read 8.8564070e-7 while its
+    amplitudes missed the mirror by an ulp; the program's maximum moves by
+    1.2e-7 under inputs that move by 1e-16."""
+    for att_db in (30.0, 120.0, 600.0):
+        params = oil.params_for_intensities(0.5, 0.1, 1e-4, 10.0 ** (-att_db / 10.0) * 0.25)
+        alphas = oil.amplitudes([oil.setting_phases(bit, "X", i, params)
+                                 for i in driver.INTENSITIES for bit in driver.BITS], params)
+        for amplitudes in (alphas.reshape(4, 3, 2), oil.unit_amplitudes(params)):
+            mirrored = amplitudes[[1, 0, 2, 3], :, 0] * np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
+            assert np.array_equal(amplitudes[:, :, 1], mirrored)
+    gains, probs, fids, refs, senses = oil_program_inputs(monkeypatch, OIL_CONFIG, 25.0, 120.0)
+    [one] = lp.decoy_programs(gains[1], probs[1], fids[1], refs[1], senses[1:])
+    chan = driver._channel(OIL_CONFIG, 25.0)
+    params = oil.params_for_intensities(0.5, 0.1, 1e-4, 1e-12 * 0.25)
+    fock_fids, fock_refs = fock_route_inputs(params, OIL_CONFIG.n_cut,
+                                             channel.transmittance(chan), chan.p_dark)
+    maximum = lp.solve(one).value
+    for bit in driver.BITS:
+        [spec] = lp.decoy_programs(gains[1], probs[1], fock_fids[1 + bit], fock_refs[bit],
+                                   ("max",))
+        assert abs(maximum / lp.solve(spec).value - 1.0) <= 2e-7
+
+
+REFERENCE = Path(__file__).parents[1] / "benchmark" / "reference.json"
+
+
+def _oil_inputs_50_digits(mpmath, alphas, n_cut: int, eta: float, p_dark: float) -> tuple:
+    """The fidelities [group, pair, n] and bit 0's error references [n] of
+    the test-basis settings with amplitudes alphas [mode, I, bit], as mpmath
+    numbers at its working precision: each setting normalised, then the
+    overlaps, their powers and 1/2 ((1 - B) + (A - C)) of the no-click
+    probabilities A, B and C of `channel.arrival_reference_errors`."""
+    unit = {}
+    for i, bit in np.ndindex(3, 2):
+        column = [mpmath.mpc(complex(x)) for x in alphas[:, i, bit]]
+        norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in column))
+        unit[i, bit] = [x / norm for x in column]
+    fids = [[[None] * (n_cut + 1) for _ in lp.PAIR_ENDS] for _ in range(2)]
+    for p, (i, j) in enumerate(lp.PAIR_ENDS.tolist()):
+        g = [[mpmath.fsum(mpmath.conj(x) * y for x, y in zip(unit[i, a], unit[j, b]))
+              for b in range(2)] for a in range(2)]
+        for n in range(n_cut + 1):
+            m = [[g[a][b] ** n / 2 for b in range(2)] for a in range(2)]
+            fids[0][p][n] = (mpmath.fsum(abs(x) ** 2 for row in m for x in row)
+                             + 2 * abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]))
+            fids[1][p][n] = abs(g[0][0]) ** (2 * n)
+    e, l = (abs(x) ** 2 for x in unit[0, 0][:2])
+    eta, q = mpmath.mpf(eta), 1 - mpmath.mpf(p_dark)
+    refs = [((1 - q ** 2 * (1 - eta * (e + l)) ** n) + (q * (1 - eta * e) ** n
+                                                       - q * (1 - eta * l) ** n)) / 2
+            for n in range(n_cut + 1)]
+    return fids, refs
+
+
+def test_oil_inputs_match_50_digit_arithmetic(monkeypatch):
+    """The fidelities and error references `_oil_estimation` hands its
+    programs, at OIL_PROBE_SETTINGS, at a vacuum decoy at 600 dB and at the
+    12 injection-locked points of benchmark/reference.json (with their
+    reference parameters and, on the 10 with a rate, their `optimize_point`
+    ones), against the same quantities at 50 digits from the same double
+    amplitudes: fidelities within 3e-14 (the Fock-sector route reached
+    2.13e-14) and references within 1e-14 relative (that route, whose 1 - B
+    and A - C cancelled, 5.7e-11)."""
+    mpmath = pytest.importorskip("mpmath")
+    points = [(mu_in, mu_i1, 1e-4, d, att) for mu_in, mu_i1, d, att in OIL_PROBE_SETTINGS]
+    points.append((0.5, 0.1, 0.0, 100.0, 600.0))  # a vacuum decoy of norm^2 5e-61
+    for point in json.loads(REFERENCE.read_text())["oil_optimize"]["points"].values():
+        points += [(point[key]["mu_in"], point[key]["mu_i1"], 1e-4, point["distance_km"],
+                    point["att_db"]) for key in ("reference", "optimize_point")
+                   if "mu_in" in point[key]]
+    worst_f = worst_r = 0.0
+    with mpmath.workdps(50):
+        for mu_in, mu_i1, mu_i2, distance_km, att_db in points:
+            config = dataclasses.replace(OIL_CONFIG, mu_in=mu_in, mu_i1=mu_i1, mu_i2=mu_i2)
+            _, _, fids, refs, _ = oil_program_inputs(monkeypatch, config, distance_km, att_db)
+            params = oil.params_for_intensities(mu_in, mu_i1, config.mu_i2,
+                                                10.0 ** (-att_db / 10.0) * mu_in / 2.0)
+            alphas = oil.amplitudes([oil.setting_phases(bit, "X", i, params)
+                                     for i in driver.INTENSITIES for bit in driver.BITS], params)
+            chan = driver._channel(config, distance_km)
+            exact_fids, exact_refs = _oil_inputs_50_digits(
+                mpmath, alphas.reshape(4, 3, 2), config.n_cut, channel.transmittance(chan),
+                chan.p_dark)
+            for group, pair, n in np.ndindex(fids.shape):
+                worst_f = max(worst_f, abs(fids[group, pair, n] - exact_fids[group][pair][n]))
+            for n, exact in enumerate(exact_refs):
+                worst_r = max(worst_r, abs(refs[1, n] / exact - 1))
+    assert len(points) == 27
+    assert worst_f <= 3e-14 and worst_r <= 1e-14, (float(worst_f), float(worst_r))
 
 
 PASSIVE_PROGRAMS = Path(__file__).parent / "data" / "passive_programs.json"

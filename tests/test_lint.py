@@ -96,8 +96,11 @@ def test_no_module_reads_around_a_cache():
 
 # `wc -l` of src/leakyqkd/*.py; a change may raise it only in its own diff, with a reason.
 # 3,717 + 15 + 7 + 4: lp.py's perturbed cold pass and stacked solves, driver.py's
-# OpenSSL-free SHA-256 import, linalg.py's stacked density factors
-SOURCE_LINES = 3_743
+# OpenSSL-free SHA-256 import, linalg.py's stacked density factors; + 9: the
+# closed-form injection-locked fidelities and error references with their derivations,
+# and the `validate` check that holds them against the Fock expansion, less the sector
+# assembly, the emission sectors, `OilParams.n_cut` and the second error program
+SOURCE_LINES = 3_752
 
 
 def test_source_stays_within_its_line_count():

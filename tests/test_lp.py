@@ -232,15 +232,16 @@ def test_no_pivot_leaves_the_basis_unchanged():
     column's reduced cost, re-solved as the residual of B^T y = c_B, read
     -4.5e-11; the primal pivots entered that column in its own row, which
     changed nothing, until the pivot budget was spent (2,500 pivots,
-    "unfinished").  It solves on its first attempt within 1e-7 of HiGHS."""
+    "unfinished").  It solves on its first attempt within 1e-7 of HiGHS, and
+    so does today's build of the same point (its fidelities in closed form)."""
     data = json.loads(STALLED.read_text())
-    assert stalled_program() == data
-    spec = _hex_program(data, data["sense"])
-    solution = lp.solve(spec)
-    assert solution.status == "optimal" and solution.iterations <= 200
-    certify(spec, solution)
-    optimum = _highs_optimum(spec)
-    assert abs(solution.value - optimum) <= 1e-7 * optimum
+    for record in (data, stalled_program()):
+        spec = _hex_program(record, record["sense"])
+        solution = lp.solve(spec)
+        assert solution.status == "optimal" and solution.iterations <= 200
+        certify(spec, solution)
+        optimum = _highs_optimum(spec)
+        assert abs(solution.value - optimum) <= 1e-7 * optimum
 
 
 FALSE_INFEASIBLE = DATA / "oil_false_infeasible_120db.json"
@@ -309,13 +310,14 @@ def _highs_point(spec):
 
 def test_every_oil_program_of_the_optimizer_box_solves():
     """Every injection-locked program over a log grid of (mu_in, mu_i1/mu_in),
-    the ratio up to 0.999, at 25, 100 and 200 km and 30 and 120 dB, 450 in
-    all, solves to "optimal" within 200 pivots.
+    the ratio up to 0.999, at 25, 100 and 200 km and 30 and 120 dB, 300 in
+    all (an X yield and one bit-error program a point), solves to "optimal"
+    within 200 pivots.
 
     An optimal solve carries its certificate (`certify`), and HiGHS at
     1e-10 tolerances does not beat it by more than 1e-7 relative plus what
     weak duality lets a point that misses the rows buy.  HiGHS cannot
-    referee these programs to 1e-7 outright: 59 of the 450 differ from it
+    referee these programs to 1e-7 outright: 47 of the 300 differ from it
     by more, as they sit so near infeasibility that a shift of 1e-12 in
     the rows moves one's optimum by 4e-4 relative; there HiGHS stops short
     of this solver's optimum (by 1.8e-5 on the X yield at 100 km/30 dB,
@@ -343,7 +345,7 @@ def test_every_oil_program_of_the_optimizer_box_solves():
                 signs = np.where(spec.upper, 1.0, -1.0)
                 missed = max(0.0, (signs * (spec.a @ point - spec.b)).max())
                 assert safe >= -(1e-7 * abs(value) + np.abs(y).sum() * missed + 1e-12 * len(y))
-    assert solved == 450
+    assert solved == 300
 
 
 def test_spent_budget_fails_the_point_not_the_sweep(monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fidelity, mixed_state, setting_intensity, state_block, state_vector
+from helpers import (SLOTS, emission_sectors, fidelity, mixed_state, setting_intensity,
+                     state_block, state_vector)
 from leakyqkd import oil
 from leakyqkd.coin import bb84_pair_overlap
 from leakyqkd.fock import basis_index
@@ -17,9 +18,9 @@ def make_params(omega=0.01, mu_in=0.5):
 
 def emitted_block(key, params, n):
     """Sub-normalised n-photon block of the setting `key` (bit, basis,
-    intensity): the outer product of its `oil.emission_sectors` entry."""
+    intensity): the outer product of its `emission_sectors` entry."""
     bit, *slot = key
-    vec = oil.emission_sectors(params)[n][:, oil.SLOTS.index(tuple(slot)), bit]
+    vec = emission_sectors(params)[n][:, SLOTS.index(tuple(slot)), bit]
     return np.outer(vec, vec.conj())
 
 
@@ -187,10 +188,10 @@ OVERLAP_PHASES = {(0, "Z"): -math.pi / 4.0, (1, "Z"): math.pi / 4.0,
 def test_single_photon_overlap_is_unity_for_all_parameters():
     for mu_in, omega in ((0.5, 0.0), (0.5, 0.02), (0.9, 1e-4), (0.05, 0.01)):
         params = oil.params_for_intensities(mu_in, 0.2 * mu_in, 1e-4, omega=omega)
-        sector = oil.emission_sectors(params)[1]
+        sector = emission_sectors(params)[1]
         vecs = {}
         for (bit, basis_label), phase in OVERLAP_PHASES.items():
-            vec = sector[:, oil.SLOTS.index((basis_label, "I0")), bit]
+            vec = sector[:, SLOTS.index((basis_label, "I0")), bit]
             vecs[(bit, basis_label)] = vec / np.linalg.norm(vec) * np.exp(1j * phase)
         overlap = bb84_pair_overlap(vecs[(0, "Z")], vecs[(1, "Z")], vecs[(0, "X")],
                                     vecs[(1, "X")])
@@ -209,16 +210,16 @@ def driver_params(att_db):
 
 def mixture_factor(sector, slot):
     """Unit-norm factor of the equal-bit mixture of one slot of an
-    `oil.emission_sectors` sector: its slice, scaled."""
-    cols = sector[:, oil.SLOTS.index(slot)]
+    `emission_sectors` sector: its slice, scaled."""
+    cols = sector[:, SLOTS.index(slot)]
     return cols / np.linalg.norm(cols)
 
 
 def test_emission_sector_columns_are_the_setting_blocks():
     params = make_params(omega=0.02)
-    for n, sector in enumerate(oil.emission_sectors(params)):
-        assert sector.shape == (oil.oil_basis(n).dim, len(oil.SLOTS), 2)
-        for k, (basis_label, intensity) in enumerate(oil.SLOTS):
+    for n, sector in enumerate(emission_sectors(params)):
+        assert sector.shape == (oil.oil_basis(n).dim, len(SLOTS), 2)
+        for k, (basis_label, intensity) in enumerate(SLOTS):
             for bit in (0, 1):
                 block = state_block(oil.setting_phases(bit, basis_label, intensity, params),
                                     params, n)
@@ -228,8 +229,8 @@ def test_emission_sector_columns_are_the_setting_blocks():
 
 def test_mixture_factors_square_to_the_mixed_states():
     params = make_params(omega=0.02)
-    for n, sector in enumerate(oil.emission_sectors(params)):
-        for slot in oil.SLOTS:
+    for n, sector in enumerate(emission_sectors(params)):
+        for slot in SLOTS:
             factor = mixture_factor(sector, slot)
             rho = mixed_state(*slot, params, n)
             assert np.max(np.abs(factor @ factor.conj().T - rho)) <= 1e-14
@@ -238,7 +239,7 @@ def test_mixture_factors_square_to_the_mixed_states():
 @pytest.mark.parametrize("att_db", [30.0, 120.0])
 def test_factor_fidelities_agree_with_mixed_state_fidelities(att_db):
     params = driver_params(att_db)
-    for n, sector in enumerate(oil.emission_sectors(params)):
+    for n, sector in enumerate(emission_sectors(params)):
         for i, j in (("I0", "I1"), ("I0", "I2"), ("I1", "I2")):
             [ours] = factor_fidelities([(mixture_factor(sector, ("X", i)),
                                          mixture_factor(sector, ("X", j)))])

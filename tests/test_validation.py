@@ -4,7 +4,7 @@ far more than its tolerance."""
 
 import pytest
 
-from leakyqkd import oil, passive, validation
+from leakyqkd import channel, oil, passive, validation
 
 
 def shift_blocks(region_moments):
@@ -15,8 +15,12 @@ def shift_blocks(region_moments):
     return shifted
 
 
-def shift_sectors(emission_sectors):
-    return lambda params: [sector + 1e-6 for sector in emission_sectors(params)]
+def shift_fidelities(sector_fidelities):
+    return lambda *args: sector_fidelities(*args) - 1e-6
+
+
+def scale_references(arrival_reference_errors):
+    return lambda *args: arrival_reference_errors(*args) * (1.0 + 1e-9)
 
 
 def swap_signal_modes_only(basis_index):
@@ -31,8 +35,10 @@ def scale_factor(density_factor):
 CHECKS = {
     "passive-block-expansion": (validation.check_block_expansion, passive, "region_moments",
                                 shift_blocks),
-    "oil-block-expansion": (validation.check_oil_expansion, oil, "emission_sectors",
-                            shift_sectors),
+    "oil-block-expansion": (validation.check_oil_expansion, oil, "sector_fidelities",
+                            shift_fidelities),
+    "oil-block-expansion-references": (validation.check_oil_expansion, channel,
+                                       "arrival_reference_errors", scale_references),
     "passive-bit-symmetry": (validation.check_bit_symmetry, passive, "basis_index",
                              swap_signal_modes_only),
     "eigen-oracle": (validation.check_eigen_oracle, validation, "density_factor",
